@@ -4,16 +4,12 @@ forward-mode gradients, and a desk-scale pose-refinement harness."""
 __version__ = "0.1.0"
 
 from .geometry import (
-    Homography,
     Intrinsics,
-    InvalidDepthError,
     InvalidInputError,
-    PointAtInfinity,
     Pose,
     RelativePose,
     angle_between,
-    homography,
-    project,
+    project_points,
     quat_to_rotmat,
     relative_pose,
 )
@@ -23,13 +19,9 @@ from .losses import (
     geometric_loss,
     homography_loss,
     homography_loss_closed,
-    homography_loss_numeric,
     homoscedastic_loss,
     max_error_loss,
     posenet_loss,
-    scalar_form_oracle,
-    sensor_weighted_reproj,
-    single_plane_error,
 )
 from .diffgrad import (
     GradReport,
@@ -46,7 +38,6 @@ from .scene import (
     local_slabs,
     parse_points,
     parse_pose_list,
-    point_depth,
     synth_scene,
 )
 from .optim import (

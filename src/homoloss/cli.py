@@ -20,14 +20,14 @@ import sys
 import numpy as np
 
 from . import __version__, diffgrad, losses, optim, scene as scene_mod
-from .diffgrad import LossContext
-from .geometry import InvalidDepthError, InvalidInputError, Intrinsics, Pose
+from .geometry import InvalidInputError, Intrinsics
 from .losses import LossHyperParams
 from .optim import (
     INDOOR_THRESHOLDS,
     OUTDOOR_THRESHOLDS,
     OptimConfig,
     apply_offset,
+    frame_context,
     landscape_sweep,
     mean_reproj_distance,
     pct_within,
@@ -96,6 +96,16 @@ def _write_manifest(out_dir, command, config):
 
 # -- scene construction ----------------------------------------------------
 
+def _add_intrinsics_args(p):
+    p.add_argument("--fov", type=float, default=65.0)
+    p.add_argument("--fx", type=float, default=None)
+    p.add_argument("--fy", type=float, default=None)
+    p.add_argument("--cx", type=float, default=320.0)
+    p.add_argument("--cy", type=float, default=320.0)
+    p.add_argument("--width", type=float, default=640.0)
+    p.add_argument("--height", type=float, default=640.0)
+
+
 def _add_scene_args(p):
     p.add_argument("--poses", help="pose-list text file")
     p.add_argument("--points", help="points/visibility text file")
@@ -106,13 +116,15 @@ def _add_scene_args(p):
     p.add_argument("--n-frames", type=int, default=8)
     p.add_argument("--depth-min", type=float, default=2.0)
     p.add_argument("--depth-max", type=float, default=8.0)
-    p.add_argument("--fov", type=float, default=65.0)
-    p.add_argument("--fx", type=float, default=None)
-    p.add_argument("--fy", type=float, default=None)
-    p.add_argument("--cx", type=float, default=320.0)
-    p.add_argument("--cy", type=float, default=320.0)
-    p.add_argument("--width", type=float, default=640.0)
-    p.add_argument("--height", type=float, default=640.0)
+    _add_intrinsics_args(p)
+
+
+def _intrinsics(config) -> Intrinsics:
+    if config.get("fx") is None:
+        return scene_mod.default_intrinsics(config["fov"])
+    return Intrinsics(fx=config["fx"], fy=config["fy"] or config["fx"],
+                      cx=config["cx"], cy=config["cy"],
+                      w=config["width"], h=config["height"])
 
 
 def _build_scene(config) -> Scene:
@@ -126,14 +138,8 @@ def _build_scene(config) -> Scene:
         )
     if not config.get("poses") or not config.get("points"):
         raise UsageError("need --synthetic or both --poses and --points")
-    if config.get("fx") is not None:
-        K = Intrinsics(fx=config["fx"], fy=config["fy"] or config["fx"],
-                       cx=config["cx"], cy=config["cy"],
-                       w=config["width"], h=config["height"])
-    else:
-        K = scene_mod.default_intrinsics(config["fov"])
     with open(config["poses"]) as pf, open(config["points"]) as xf:
-        return scene_from_files(pf, xf, K)
+        return scene_from_files(pf, xf, _intrinsics(config))
 
 
 def _add_hyper_args(p):
@@ -163,24 +169,13 @@ def _resolve_loss(name):
 
 
 def _depth_slab(scene, kind, config):
+    """Slab bounds for the homography kinds, None for the others."""
+    lo, hi = config.get("lo", 0.025), config.get("hi", 0.975)
     if kind == "homography_global":
-        return global_slab(scene, lo=config.get("lo", 0.025),
-                          hi=config.get("hi", 0.975))
-    return local_slabs(scene, lo=config.get("lo", 0.025),
-                       hi=config.get("hi", 0.975))
-
-
-def _frame_ctx(scene, frame, kind, config) -> LossContext:
-    slab = None
-    if kind in ("homography_local", "homography_global"):
-        slab = _depth_slab(scene, kind, config).for_frame(frame.id)
-    return LossContext(
-        gt=frame.gt_pose,
-        hyper=_hyper(config),
-        points=scene.visible_points(frame),
-        intrinsics=scene.intrinsics,
-        slab=slab,
-    )
+        return global_slab(scene, lo=lo, hi=hi)
+    if kind == "homography_local":
+        return local_slabs(scene, lo=lo, hi=hi)
+    return None
 
 
 def _parse_range(text):
@@ -207,7 +202,8 @@ def run_landscape(config):
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, config["steps2"])
     for kind in kinds:
-        ctx = _frame_ctx(scene, frame, kind, config)
+        ctx = frame_context(scene, frame, kind, _hyper(config),
+                            _depth_slab(scene, kind, config))
         grids = landscape_sweep(frame.gt_pose, config["axis"], offsets,
                                 [kind], ctx, axis2=axis2, offsets2=offsets2)
         path = os.path.join(out, f"landscape_{kind}.csv")
@@ -238,7 +234,8 @@ def run_gradcheck(config):
         frame = scene.frames[int(rng.integers(len(scene.frames)))]
         est = perturb_pose(frame.gt_pose, rng,
                            config["perturb_t"], config["perturb_deg"])
-        ctx = _frame_ctx(scene, frame, kind, config)
+        ctx = frame_context(scene, frame, kind, _hyper(config),
+                            _depth_slab(scene, kind, config))
         report = diffgrad.grad_report(kind, est, ctx, step=config["step"])
         val, _ = diffgrad.evaluate_with_grad(kind, est, ctx)
         rows.append((s, val, report.max_rel_err))
@@ -270,9 +267,6 @@ def run_optimize(config):
         pose = perturb_pose(pose, rng, config["perturb_t"],
                             config["perturb_deg"])
         init.append(pose)
-    slab = None
-    if kind in ("homography_local", "homography_global"):
-        slab = _depth_slab(scene, kind, config)
     cfg = OptimConfig(
         loss_kind=kind,
         lr=config["lr"],
@@ -281,7 +275,7 @@ def run_optimize(config):
         batch_size=config["batch_size"],
         seed=config["seed"],
         hyper=_hyper(config),
-        slab=slab,
+        slab=_depth_slab(scene, kind, config),
         warmstart_epochs=config.get("warmstart", 0),
     )
     record = optim.optimize_poses(scene, init, cfg)
@@ -355,14 +349,8 @@ def run_eval(config):
     os.makedirs(out, exist_ok=True)
     lines = []
     if config.get("points"):
-        if config.get("fx") is None:
-            K = scene_mod.default_intrinsics(config["fov"])
-        else:
-            K = Intrinsics(fx=config["fx"], fy=config["fy"] or config["fx"],
-                           cx=config["cx"], cy=config["cy"],
-                           w=config["width"], h=config["height"])
         with open(config["gt_poses"]) as pf, open(config["points"]) as xf:
-            scene = scene_from_files(pf, xf, K)
+            scene = scene_from_files(pf, xf, _intrinsics(config))
         keep = [f for f in scene.frames if f.id in est_map]
         sub = Scene(points=scene.points, frames=keep,
                     intrinsics=scene.intrinsics)
@@ -413,7 +401,6 @@ def build_parser():
     p.add_argument("--lo", type=float, default=0.025)
     p.add_argument("--hi", type=float, default=0.975)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gradcheck", help="analytic vs finite-diff gradients")
     _add_scene_args(p)
@@ -458,22 +445,14 @@ def build_parser():
     p.add_argument("--hist", action="store_true",
                    help="also write per-frame cumulative depth histograms")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="metrics on provided pose files")
     p.add_argument("--gt-poses", required=True)
     p.add_argument("--est-poses", required=True)
     p.add_argument("--points", default=None)
     p.add_argument("--eval-clip", type=float, default=1000.0)
-    p.add_argument("--fov", type=float, default=65.0)
-    p.add_argument("--fx", type=float, default=None)
-    p.add_argument("--fy", type=float, default=None)
-    p.add_argument("--cx", type=float, default=320.0)
-    p.add_argument("--cy", type=float, default=320.0)
-    p.add_argument("--width", type=float, default=640.0)
-    p.add_argument("--height", type=float, default=640.0)
+    _add_intrinsics_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -497,9 +476,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, InvalidInputError, InvalidDepthError,
-            DegenerateDepthError, GenerationError, OSError,
-            KeyError, json.JSONDecodeError) as e:
+    except (ParseError, InvalidInputError, DegenerateDepthError,
+            GenerationError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ToleranceFailure as e:

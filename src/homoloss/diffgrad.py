@@ -21,6 +21,7 @@ LOSS_KINDS = (
     "homography_local",
     "homography_global",
 )
+HOMOGRAPHY_KINDS = ("homography_local", "homography_global")
 
 
 @dataclass
@@ -67,7 +68,7 @@ def _dispatch(kind, params, ctx: LossContext):
         )
     if kind == "maxerror":
         return losses._maxerror_core(t, q, ctx.gt, ctx.hyper.quat_reg_weight)
-    if kind in ("homography_local", "homography_global"):
+    if kind in HOMOGRAPHY_KINDS:
         return losses._homography_core(t, q, ctx.gt, ctx.slab)
     _check_kind(kind)
 

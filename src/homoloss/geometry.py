@@ -1,4 +1,4 @@
-"""SE(3)/quaternion primitives, pinhole projection, plane-induced homography.
+"""SE(3)/quaternion primitives, relative poses and pinhole projection.
 
 Conventions:
     - Poses are world-from-camera: ``t`` is the camera position in the world
@@ -11,7 +11,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,6 @@ DEPTH_EPS = 1e-9  # |Z| below this is treated as a projection to infinity
 
 class InvalidInputError(ValueError):
     pass
-
-
-class InvalidDepthError(ValueError):
-    pass
-
-
-class PointAtInfinity(Exception):
-    """Raised when a point lies in the camera x-y plane (|Z| < DEPTH_EPS)."""
 
 
 @dataclass(frozen=True)
@@ -91,16 +83,6 @@ class Intrinsics:
     def normalized():
         """Identity-like intrinsics with a unit sensor, for integral checks."""
         return Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, w=1.0, h=1.0)
-
-
-@dataclass(frozen=True)
-class Homography:
-    """Unnormalized plane-induced homography H = R - t n^T / x."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
 
 
 # -- quaternion algebra ----------------------------------------------------
@@ -233,40 +215,18 @@ def relative_pose(gt: Pose, est: Pose) -> RelativePose:
     return RelativePose(R, t)
 
 
-def apply_relative(est: Pose, rel: RelativePose) -> Pose:
-    """Compose an estimated pose with a relative pose; recovers the gt pose."""
-    R_est = quat_to_rotmat(est.q)
-    R = R_est @ rel.R
-    t = est.t + R_est @ rel.t
-    return Pose(t, rotmat_to_quat(R))
+def project_points(pose: Pose, K: Intrinsics, points):
+    """Pinhole projection of world points (N, 3) under pose.
 
-
-def world_to_camera(pose: Pose, P):
-    """World point P in the camera frame of pose."""
-    R = quat_to_rotmat(pose.q)
-    return R.T @ (np.asarray(P, dtype=float) - pose.t)
-
-
-def project(pose: Pose, K: Intrinsics, P):
-    """Pinhole projection of world point P.
-
-    Returns (pixel 2-vector, signed depth). Backside points (Z < 0) project
-    to a valid pixel with negative depth. Raises PointAtInfinity when the
-    point lies in the camera x-y plane.
+    Returns (pixels (N, 2), signed camera depths (N,)). Backside points
+    (Z < 0) project to a valid pixel with negative depth; points in the
+    camera x-y plane get non-finite or huge pixels, so callers mask by
+    |depth| >= DEPTH_EPS (or by depth > 0).
     """
-    Xc = world_to_camera(pose, P)
-    X, Y, Z = Xc
-    if abs(Z) < DEPTH_EPS:
-        raise PointAtInfinity(f"point {P} has camera depth {Z}")
-    u = K.fx * X / Z + K.cx
-    v = K.fy * Y / Z + K.cy
-    return np.array([u, v]), float(Z)
-
-
-def homography(rel: RelativePose, n, x) -> Homography:
-    """Plane-induced homography H = R - t n^T / x for plane normal n at
-    depth x > 0 in the ground-truth camera frame."""
-    if x <= 0:
-        raise InvalidDepthError(f"plane depth must be positive, got {x}")
-    n = np.asarray(n, dtype=float)
-    return Homography(rel.R - np.outer(rel.t, n) / x)
+    R = quat_to_rotmat(pose.q)
+    cam = (np.asarray(points, dtype=float) - pose.t) @ R
+    z = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = K.fx * cam[:, 0] / z + K.cx
+        v = K.fy * cam[:, 1] / z + K.cy
+    return np.column_stack([u, v]), z

@@ -1,5 +1,4 @@
-"""The five pose-regression losses plus the oracles validating the
-homography-slab closed form.
+"""The five pose-regression losses.
 
 Losses:
     - posenet_loss:        weighted L2 translation + quaternion difference
@@ -7,15 +6,20 @@ Losses:
     - geometric_loss:      clipped mean L1 reprojection error of scene points
     - max_error_loss:      max(angle in degrees, translation in cm) + unit
                            quaternion regularizer
-    - homography_loss_closed: slab integral of squared Frobenius homographic
-                           error, in closed form
+    - homography_loss_closed / homography_loss: slab integral of the squared
+                           Frobenius homographic error, in closed form
 
-Oracles (never used in optimization):
-    - homography_loss_numeric: midpoint quadrature of the slab integral
-    - scalar_form_oracle:      independent algebraic reduction of the closed
-                               form
-    - sensor_grid_reproj:      dense sensor-grid reprojection quadrature
-                               backing sensor_weighted_reproj
+The slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] reduces to
+three scalars, ||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |n|^2 |t|^2 with
+c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max); one routine,
+_closed_form, evaluates it for both the relative-pose and the pose-pair
+entry points. From a pose pair the three scalars are computed so that they
+are exactly 0 when the estimate equals the ground truth, for any gt
+quaternion: the loss is then exactly 0 with an exactly zero gradient.
+
+The oracles that validate the closed form (midpoint quadrature, an
+independent algebraic reduction, sensor-integrated reprojection) are used
+only by the tests and live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,15 +32,12 @@ import numpy as np
 from . import dual
 from .dual import value
 from .geometry import (
-    Homography,
+    DEPTH_EPS,
     InvalidInputError,
     Intrinsics,
-    PointAtInfinity,
     Pose,
     RelativePose,
-    DEPTH_EPS,
     rotmat_elems,
-    quat_to_rotmat,
 )
 
 DEFAULT_PLANE_NORMAL = np.array([0.0, 0.0, -1.0])
@@ -73,65 +74,15 @@ class LossHyperParams:
             raise InvalidInputError("reproj_clip must be positive")
 
 
-# -- tiny generic 3x3 matrix algebra (floats or DiffScalars) ---------------
-
-def _mat_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(3)] for i in range(3)]
-
-
-def _mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _mat_T(A):
-    return [[A[j][i] for j in range(3)] for i in range(3)]
-
-
-def _mat_add(A, B):
-    return [[A[i][j] + B[i][j] for j in range(3)] for i in range(3)]
-
-
-def _outer(u, v):
-    return [[u[i] * v[j] for j in range(3)] for i in range(3)]
-
-
-def _trace(A):
-    return A[0][0] + A[1][1] + A[2][2]
-
-
-_I3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-
-
 # -- generic cores: est pose given as 7 (or 9) scalar parameters -----------
 
-def _relative_terms(t_est, q_est, gt: Pose):
-    """Relative rotation (nested 3x3) and translation (length-3 list) of the
-    ground truth expressed in the normalized estimated frame."""
-    R_est = rotmat_elems(q_est)  # normalizes internally
-    R_gt = quat_to_rotmat(gt.q)
-    R_est_T = _mat_T(R_est)
-    R = _mat_mul(R_est_T, [[float(v) for v in row] for row in R_gt])
-    d = [gt.t[0] - t_est[0], gt.t[1] - t_est[1], gt.t[2] - t_est[2]]
-    t = [sum(R_est_T[i][k] * d[k] for k in range(3)) for i in range(3)]
-    return R, t
-
-
-def _closed_form(R, t, slab: SlabParams):
-    """Tr(A + B ln(xmax/xmin)/(xmax-xmin) + C/(xmin xmax)), Frobenius slab
-    integral of I - H(x) for H(x) = R - t n^T / x."""
-    n = [float(v) for v in slab.n]
-    M = _mat_sub(_I3, R)  # I - R
-    A = _mat_mul(M, _mat_T(M))
-    ntT = _outer(n, t)  # n t^T
-    ntTM = _mat_mul(ntT, M)
-    B = _mat_add(ntTM, _mat_T(ntTM))
-    C = _mat_mul(ntT, _mat_T(ntT))
+def _closed_form(rot, cross, tsq, slab: SlabParams):
+    """Slab integral of ||I - H(x)||_F^2 for H(x) = R - t n^T / x, from the
+    scalars rot = ||I - R||_F^2, cross = t^T (I - R) n and tsq = |t|^2."""
     c1 = math.log(slab.x_max / slab.x_min) / (slab.x_max - slab.x_min)
     c2 = 1.0 / (slab.x_min * slab.x_max)
-    return _trace(A) + _trace(B) * c1 + _trace(C) * c2
+    nn = float(slab.n @ slab.n)
+    return rot + 2.0 * c1 * cross + c2 * nn * tsq
 
 
 def _posenet_core(t_est, q_est, gt: Pose, beta):
@@ -218,8 +169,32 @@ def _maxerror_core(t_est, q_est, gt: Pose, reg_weight):
 
 
 def _homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
-    R, t = _relative_terms(t_est, q_est, gt)
-    return _closed_form(R, t, slab)
+    """Closed form from the pose pair, using |t_rel| = |d| and
+    R_e R_e^T = I: rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part
+    of conj(q_e) * q_g, cross = d^T (R_e - R_g) n, tsq = |d|^2, where
+    d = t_gt - t_est. Each component of v sums products that cancel pairwise,
+    so v, d and R_e - R_g are exactly 0 when est == gt, for any gt
+    quaternion, and so are the loss and its gradient."""
+    q_gt = [float(c) for c in gt.q]
+    R_e = rotmat_elems(q_est)  # normalizes internally
+    R_g = rotmat_elems(q_gt)
+    w1, x1, y1, z1 = q_est
+    w2, x2, y2, z2 = q_gt
+    v = [
+        (w1 * x2 - x1 * w2) + (z1 * y2 - y1 * z2),
+        (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2),
+        (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2),
+    ]
+    rot = 8.0 * dual.sum_squares(v) / (
+        dual.sum_squares(q_est) * dual.sum_squares(q_gt)
+    )
+    n = [float(c) for c in slab.n]
+    d = [float(gt.t[i]) - t_est[i] for i in range(3)]
+    cross = sum(
+        d[i] * sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
+        for i in range(3)
+    )
+    return _closed_form(rot, cross, dual.sum_squares(d), slab)
 
 
 # -- public float-facing API ------------------------------------------------
@@ -259,83 +234,11 @@ def max_error_loss(est: Pose, gt: Pose, reg_weight: float) -> float:
     return float(value(_maxerror_core(t, q, gt, reg_weight)))
 
 
-def single_plane_error(H: Homography) -> float:
-    """Squared Frobenius norm of I - H."""
-    D = np.eye(3) - H.H
-    return float(np.sum(D * D))
-
-
-def sensor_weighted_reproj(H: Homography, w: float, h: float) -> float:
-    """Sensor-integrated small-motion reprojection error:
-    Tr(diag(h w^3/12, w h^3/12, w h) (I-H)^T (I-H))."""
-    if w <= 0 or h <= 0:
-        raise InvalidInputError("sensor extents must be positive")
-    D = np.eye(3) - H.H
-    W = np.diag([h * w**3 / 12.0, w * h**3 / 12.0, w * h])
-    return float(np.trace(W @ D.T @ D))
-
-
-def sensor_grid_reproj(H: Homography, w: float, h: float,
-                       n_grid: int = 256) -> float:
-    """Dense-grid quadrature of the exact per-pixel reprojection error over
-    the sensor, without the small-motion approximation.
-
-    For each sensor point p = (px, py, 1), the homography maps it to
-    H p = (x'', y'', s); the reprojection error is |p - Hp/s|^2 including
-    the (zero) third component. Integrated with midpoint cells.
-    """
-    M = H.H
-    xs = (np.arange(n_grid) + 0.5) / n_grid * w - w / 2.0
-    ys = (np.arange(n_grid) + 0.5) / n_grid * h - h / 2.0
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    ones = np.ones_like(px)
-    p = np.stack([px, py, ones], axis=-1)  # (n, n, 3)
-    Hp = p @ M.T
-    s = Hp[..., 2]
-    diff = p - Hp / s[..., None]
-    e = np.sum(diff * diff, axis=-1)
-    cell = (w / n_grid) * (h / n_grid)
-    return float(np.sum(e) * cell)
-
-
 def homography_loss_closed(rel: RelativePose, slab: SlabParams) -> float:
     """Closed-form slab integral of the squared Frobenius homographic error."""
-    R = [[float(v) for v in row] for row in rel.R]
-    t = [float(v) for v in rel.t]
-    return float(value(_closed_form(R, t, slab)))
-
-
-def homography_loss_numeric(rel: RelativePose, slab: SlabParams,
-                            n_samples: int) -> float:
-    """Composite-midpoint quadrature of the slab integral (oracle only)."""
-    if n_samples < 2:
-        raise InvalidInputError("need at least 2 quadrature samples")
-    x = slab.x_min + (np.arange(n_samples) + 0.5) * (
-        (slab.x_max - slab.x_min) / n_samples
-    )
-    tn = np.outer(rel.t, slab.n)
-    D = (np.eye(3) - rel.R)[None, :, :] + tn[None, :, :] / x[:, None, None]
-    vals = np.sum(D * D, axis=(1, 2))
-    return float(np.mean(vals))
-
-
-def scalar_form_oracle(rel: RelativePose, slab: SlabParams) -> float:
-    """Independent algebraic reduction of the closed form:
-    4(1-cos theta) + 2 t^T (I-R) n * ln(xmax/xmin)/(xmax-xmin)
-                   + |t|^2 |n|^2 / (xmin xmax)."""
-    R = rel.R
-    t = rel.t
-    n = slab.n
-    cos_theta = max(-1.0, min(1.0, (np.trace(R) - 1.0) / 2.0))
-    term_a = 4.0 * (1.0 - cos_theta)
-    term_b = (
-        2.0
-        * float(t @ (np.eye(3) - R) @ n)
-        * math.log(slab.x_max / slab.x_min)
-        / (slab.x_max - slab.x_min)
-    )
-    term_c = float(t @ t) * float(n @ n) / (slab.x_min * slab.x_max)
-    return term_a + term_b + term_c
+    M = np.eye(3) - rel.R
+    return float(_closed_form(float(np.sum(M * M)), float(rel.t @ M @ slab.n),
+                              float(rel.t @ rel.t), slab))
 
 
 def homography_loss(est: Pose, gt: Pose, slab: SlabParams) -> float:

@@ -9,16 +9,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffgrad
-from .diffgrad import LossContext, param_count
+from .diffgrad import HOMOGRAPHY_KINDS, LossContext, param_count
 from .geometry import (
+    DEPTH_EPS,
     InvalidInputError,
     Pose,
     angle_between,
+    project_points,
     quat_from_axis_angle,
     quat_multiply,
-    quat_to_rotmat,
 )
-from .losses import LossHyperParams, SlabParams
+from .losses import LossHyperParams
 from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
@@ -31,7 +32,7 @@ INDOOR_THRESHOLDS = ((0.25, 10.0), (0.5, 15.0))
 def default_adam_eps(loss_kind: str) -> float:
     """1e-14 for the homography losses (they reach ~1e-4 values where the
     default 1e-8 epsilon distorts steps), 1e-8 otherwise."""
-    if loss_kind in ("homography_local", "homography_global"):
+    if loss_kind in HOMOGRAPHY_KINDS:
         return 1e-14
     return 1e-8
 
@@ -129,28 +130,25 @@ def mean_reproj_distance(est_poses, scene: Scene,
                          clip: float = EVAL_REPROJ_CLIP) -> float:
     """Mean over frames of the mean clipped L2 pixel distance between gt and
     estimated projections of the frame's visible points. Projections to
-    infinity count as the clip."""
+    infinity count as the clip. Frames without visible points are skipped;
+    raises InvalidInputError when no frame has one."""
     K = scene.intrinsics
     per_frame = []
     for (fid, est), frame in zip(est_poses, scene.frames):
         pts = scene.visible_points(frame)
         if len(pts) == 0:
             continue
-        R_gt = quat_to_rotmat(frame.gt_pose.q)
-        R_est = quat_to_rotmat(est.q)
-        cam_gt = (pts - frame.gt_pose.t) @ R_gt
-        cam_est = (pts - est.t) @ R_est
-        u_gt = K.fx * cam_gt[:, 0] / cam_gt[:, 2] + K.cx
-        v_gt = K.fy * cam_gt[:, 1] / cam_gt[:, 2] + K.cy
-        z = cam_est[:, 2]
-        finite = np.abs(z) >= 1e-9
+        uv_gt, _ = project_points(frame.gt_pose, K, pts)
+        uv, z = project_points(est, K, pts)
+        finite = np.abs(z) >= DEPTH_EPS
         d = np.full(len(pts), clip)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = K.fx * cam_est[:, 0] / z + K.cx
-            v = K.fy * cam_est[:, 1] / z + K.cy
-        dist = np.hypot(u - u_gt, v - v_gt)
+        dist = np.hypot(*(uv - uv_gt).T)
         d[finite] = np.minimum(clip, dist[finite])
         per_frame.append(float(np.mean(d)))
+    if not per_frame:
+        raise InvalidInputError(
+            "mean reprojection distance needs a frame with visible points"
+        )
     return float(np.mean(per_frame))
 
 
@@ -238,20 +236,21 @@ def _safe_value(kind, est: Pose, ctx: LossContext) -> float:
 
 # -- the optimization loop -------------------------------------------------
 
-def _frame_context(scene: Scene, frame, config: OptimConfig) -> LossContext:
-    slab = None
-    if config.loss_kind in ("homography_local", "homography_global"):
-        if config.slab is None:
-            raise InvalidInputError(
-                f"{config.loss_kind} requires slab parameters"
-            )
-        slab = config.slab.for_frame(frame.id)
+def frame_context(scene: Scene, frame, kind: str, hyper: LossHyperParams,
+                  slab: DepthSlab = None) -> LossContext:
+    """The LossContext of one scene frame; the homography kinds take their
+    bounds for the frame from slab."""
+    frame_slab = None
+    if kind in HOMOGRAPHY_KINDS:
+        if slab is None:
+            raise InvalidInputError(f"{kind} requires slab parameters")
+        frame_slab = slab.for_frame(frame.id)
     return LossContext(
         gt=frame.gt_pose,
-        hyper=config.hyper,
+        hyper=hyper,
         points=scene.visible_points(frame),
         intrinsics=scene.intrinsics,
-        slab=slab,
+        slab=frame_slab,
     )
 
 
@@ -299,7 +298,8 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
     )
     n_params = len(params)
-    ctxs = [_frame_context(scene, f, config) for f in frames]
+    ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
+            for f in frames]
     state = AdamState.zeros(n_params)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(loss_kind=kind, epochs=[], final_poses=[])

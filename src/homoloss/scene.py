@@ -18,6 +18,7 @@ from .geometry import (
     InvalidInputError,
     Intrinsics,
     Pose,
+    project_points,
     quat_canonical,
     quat_from_axis_angle,
     quat_multiply,
@@ -100,13 +101,6 @@ class DepthSlab:
 
 
 # -- depths and percentiles ------------------------------------------------
-
-def point_depth(pose: Pose, P) -> float:
-    """Signed depth: z-coordinate of P in the camera frame (distance along
-    the optical axis, matching the n = (0,0,-1) plane family)."""
-    R = quat_to_rotmat(pose.q)
-    return float((R.T @ (np.asarray(P, dtype=float) - pose.t))[2])
-
 
 def frame_depths(scene: Scene, frame: Frame) -> np.ndarray:
     pts = scene.visible_points(frame)
@@ -340,17 +334,11 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
         roll = rng.uniform(-math.pi, math.pi)
         q = _look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
         pose = Pose(position, q)
-        R = quat_to_rotmat(q)
-        cam = (points - position) @ R
-        visible = []
-        for j in range(n_points):
-            X, Y, Z = cam[j]
-            if Z <= 0:
-                continue
-            u = K.fx * X / Z + K.cx
-            v = K.fy * Y / Z + K.cy
-            if 0.0 <= u <= K.w and 0.0 <= v <= K.h:
-                visible.append(j)
+        uv, z = project_points(pose, K, points)
+        u, v = uv.T
+        visible = np.flatnonzero(
+            (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
+        )
         if len(visible) < 2:
             raise GenerationError(
                 f"frame {i} sees only {len(visible)} points; adjust fov, "

@@ -18,7 +18,6 @@ from homoloss.geometry import (
     Pose,
     RelativePose,
     angle_between,
-    homography,
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
@@ -27,6 +26,9 @@ from homoloss.losses import (
     LossHyperParams,
     SlabParams,
     homography_loss_closed,
+)
+from oracles import (
+    homography,
     homography_loss_numeric,
     scalar_form_oracle,
     sensor_grid_reproj,

@@ -161,6 +161,23 @@ class TestOptimize:
         ) == 0
         assert (read(run_csv), read(poses_txt)) == first
 
+    def test_no_visible_points_exit_2(self, tmp_path, capsys):
+        # A points file without V lines leaves every frame without visible
+        # points, so the per-epoch reprojection metric has nothing to average.
+        poses = str(tmp_path / "poses.txt")
+        pts = str(tmp_path / "pts.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [("f0", Pose.identity()),
+                                ("f1", Pose([1.0, 0.0, 0.0],
+                                            [1.0, 0.0, 0.0, 0.0]))])
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]], {})
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--poses", poses, "--points", pts,
+                "--loss", "posenet", "--epochs", "2", "--out", out]
+        assert main(argv) == 2
+        assert "visible points" in capsys.readouterr().err
+
 
 class TestSlabs:
     def test_local_table(self, tmp_path):

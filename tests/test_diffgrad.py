@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import perturbed, random_pose
 from homoloss.diffgrad import (
@@ -17,6 +18,7 @@ from homoloss.geometry import InvalidInputError, Intrinsics, Pose
 from homoloss.losses import SlabParams
 
 K = Intrinsics(fx=320.0, fy=320.0, cx=320.0, cy=320.0, w=640, h=640)
+coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
 def make_ctx(rng):
@@ -85,6 +87,24 @@ class TestEvaluateWithGrad:
         _, g = evaluate_with_grad(kind, ctx.gt, ctx)
         # Pose part only: homoscedastic carries genuine nonzero s-gradients.
         np.testing.assert_array_equal(g[:7], np.zeros(7))
+
+    @pytest.mark.parametrize("kind", ["homography_local",
+                                      "homography_global"])
+    @given(q=st.tuples(coord, coord, coord, coord).filter(
+               lambda q: sum(c * c for c in q) > 1e-6),
+           t=st.tuples(coord, coord, coord),
+           n=st.tuples(coord, coord, coord),
+           x_min=st.floats(min_value=1e-3, max_value=1e3),
+           width=st.floats(min_value=1e-3, max_value=1e3))
+    def test_homography_exact_zero_at_any_gt(self, kind, q, t, n, x_min,
+                                             width):
+        # Any gt quaternion, unit or not, whether or not its rotation matrix
+        # is exact in floating point.
+        gt = Pose(t, q)
+        ctx = LossContext(gt=gt, slab=SlabParams(x_min, x_min + width, n))
+        val, g = evaluate_with_grad(kind, gt, ctx)
+        assert val == 0.0
+        np.testing.assert_array_equal(g, np.zeros(7))
 
     def test_param_counts(self):
         assert param_count("homoscedastic") == 9

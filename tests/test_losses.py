@@ -5,12 +5,10 @@ import pytest
 
 from conftest import random_pose, random_rotation
 from homoloss.geometry import (
-    Homography,
     InvalidInputError,
     Intrinsics,
     Pose,
     RelativePose,
-    homography,
     quat_from_axis_angle,
     quat_to_rotmat,
 )
@@ -20,10 +18,14 @@ from homoloss.losses import (
     geometric_loss,
     homography_loss,
     homography_loss_closed,
-    homography_loss_numeric,
     homoscedastic_loss,
     max_error_loss,
     posenet_loss,
+)
+from oracles import (
+    Homography,
+    homography,
+    homography_loss_numeric,
     scalar_form_oracle,
     sensor_grid_reproj,
     sensor_weighted_reproj,

@@ -16,13 +16,13 @@ from homoloss.scene import (
     local_slabs,
     parse_points,
     parse_pose_list,
-    point_depth,
     scene_from_files,
     synth_scene,
     write_points,
     write_pose_list,
     _percentile_bounds,
 )
+from oracles import point_depth
 
 
 def sorted_percentile_oracle(values, p):
