@@ -4,7 +4,11 @@ sweeps, gradient checks, pose optimization, slab tables, and evaluation.
 Every command writes a manifest.json alongside its outputs; re-running via
 --from-manifest reproduces the outputs byte-identically.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error,
+`optimize` writes errors.txt (one line per skipped frame or abort) into
+--out whenever the run records an error, and exits 2 after writing all its
+outputs if the run aborted.
+
+Exit codes: 0 success, 1 usage error, 2 data/parse error or aborted run,
 3 numeric-tolerance failure.
 """
 
@@ -20,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, diffgrad, losses, optim, scene as scene_mod
-from .geometry import InvalidInputError, Intrinsics
+from .geometry import InvalidInputError, Intrinsics, Pose, quat_normalize
 from .losses import LossHyperParams
 from .optim import (
     INDOOR_THRESHOLDS,
@@ -279,16 +283,21 @@ def run_optimize(config):
         warmstart_epochs=config.get("warmstart", 0),
     )
     record = optim.optimize_poses(scene, init, cfg)
+    final = [(fid, Pose(p.t, quat_normalize(p.q)))
+             for fid, p in record.final_poses]
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "run.csv"), "w") as f:
         record.write_csv(f)
     with open(os.path.join(out, "final_poses.txt"), "w") as f:
-        write_pose_list(f, record.final_poses)
+        write_pose_list(f, final)
+    if record.errors:
+        with open(os.path.join(out, "errors.txt"), "w") as f:
+            f.writelines(e + "\n" for e in record.errors)
     _write_manifest(out, "optimize", config)
-    est = [p for _, p in record.final_poses]
+    est = [p for _, p in final]
     gt = [f.gt_pose for f in scene.frames]
-    mrd = mean_reproj_distance(record.final_poses, scene)
+    mrd = mean_reproj_distance(final, scene)
     parts = [f"loss={kind}", f"final_train_mrd_px={mrd:.6g}"]
     for t_th, r_th in OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS:
         frac = pct_within(est, gt, t_th, r_th)
@@ -296,6 +305,8 @@ def run_optimize(config):
     if record.aborted:
         parts.append("aborted=true")
     print(" ".join(parts))
+    if record.aborted:
+        raise InvalidInputError(f"run aborted, see {out}/errors.txt")
     return 0
 
 

@@ -82,6 +82,18 @@ def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
     return p
 
 
+def _flat_params(kind, est, ctx):
+    """est (a Pose or a flat vector) as the parameter vector of kind."""
+    n = param_count(kind)
+    params = params_for(kind, est, ctx) if isinstance(est, Pose) \
+        else np.asarray(est, dtype=float)
+    if params.shape != (n,):
+        raise InvalidInputError(
+            f"{kind} expects {n} parameters, got {params.shape}"
+        )
+    return params
+
+
 def loss_value(kind: str, params, ctx: LossContext) -> float:
     """Plain (non-differentiated) evaluation at a flat parameter vector."""
     _check_kind(kind)
@@ -94,19 +106,9 @@ def evaluate_with_grad(kind: str, est, ctx: LossContext):
     `est` may be a Pose or a flat parameter vector of length param_count(kind).
     Returns (value, gradient).
     """
-    _check_kind(kind)
-    n = param_count(kind)
-    if isinstance(est, Pose):
-        params = params_for(kind, est, ctx)
-    else:
-        params = np.asarray(est, dtype=float)
-    if params.shape != (n,):
-        raise InvalidInputError(
-            f"{kind} expects {n} parameters, got {params.shape}"
-        )
-    duals = dual.seed(params, n)
-    out = _dispatch(kind, duals, ctx)
-    return float(dual.value(out)), dual.gradient(out, n)
+    params = _flat_params(kind, est, ctx)
+    out = _dispatch(kind, dual.seed(params), ctx)
+    return float(dual.value(out)), dual.gradient(out, len(params))
 
 
 def finite_diff_grad(kind: str, est, ctx: LossContext,
@@ -114,14 +116,9 @@ def finite_diff_grad(kind: str, est, ctx: LossContext,
     """Central finite differences on each parameter (the gradient oracle)."""
     if step <= 0:
         raise InvalidInputError("finite-difference step must be positive")
-    _check_kind(kind)
-    n = param_count(kind)
-    if isinstance(est, Pose):
-        params = params_for(kind, est, ctx)
-    else:
-        params = np.asarray(est, dtype=float)
-    grad = np.zeros(n)
-    for i in range(n):
+    params = _flat_params(kind, est, ctx)
+    grad = np.zeros(len(params))
+    for i in range(len(params)):
         hi = params.copy()
         lo = params.copy()
         hi[i] += step
@@ -129,8 +126,8 @@ def finite_diff_grad(kind: str, est, ctx: LossContext,
         try:
             f_hi = loss_value(kind, hi, ctx)
             f_lo = loss_value(kind, lo, ctx)
-        except Exception as e:
-            raise type(e)(
+        except InvalidInputError as e:
+            raise InvalidInputError(
                 f"loss evaluation failed probing coordinate {i}: {e}"
             ) from e
         grad[i] = (f_hi - f_lo) / (2.0 * step)

@@ -22,10 +22,6 @@ class DiffScalar:
         self.val = float(val)
         self.grad = np.asarray(grad, dtype=float)
 
-    @staticmethod
-    def constant(val, n):
-        return DiffScalar(val, np.zeros(n))
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -84,20 +80,6 @@ class DiffScalar:
             return DiffScalar(-self.val, -self.grad)
         return DiffScalar(0.0, np.zeros_like(self.grad))
 
-    # -- comparisons dispatch on the value --------------------------------
-
-    def __lt__(self, other):
-        return self.val < value(other)
-
-    def __le__(self, other):
-        return self.val <= value(other)
-
-    def __gt__(self, other):
-        return self.val > value(other)
-
-    def __ge__(self, other):
-        return self.val >= value(other)
-
     def __repr__(self):
         return f"DiffScalar({self.val!r}, grad={self.grad!r})"
 
@@ -112,6 +94,16 @@ def gradient(x, n):
     if isinstance(x, DiffScalar):
         return np.array(x.grad, dtype=float)
     return np.zeros(n)
+
+
+def lift(val, grad, inputs):
+    """A value computed outside DiffScalar arithmetic, given its partials
+    grad w.r.t. inputs, chained into the inputs' gradients; the plain value
+    when no input is a DiffScalar."""
+    duals = [(g, x) for g, x in zip(grad, inputs) if isinstance(x, DiffScalar)]
+    if not duals:
+        return val
+    return DiffScalar(val, sum(g * x.grad for g, x in duals))
 
 
 def seed(values, n=None):
@@ -141,24 +133,6 @@ def exp(x):
         e = math.exp(x.val)
         return DiffScalar(e, e * x.grad)
     return math.exp(x)
-
-
-def log(x):
-    if isinstance(x, DiffScalar):
-        return DiffScalar(math.log(x.val), x.grad / x.val)
-    return math.log(x)
-
-
-def cos(x):
-    if isinstance(x, DiffScalar):
-        return DiffScalar(math.cos(x.val), -math.sin(x.val) * x.grad)
-    return math.cos(x)
-
-
-def sin(x):
-    if isinstance(x, DiffScalar):
-        return DiffScalar(math.sin(x.val), math.cos(x.val) * x.grad)
-    return math.sin(x)
 
 
 def acos(x):

@@ -17,6 +17,11 @@ entry points. From a pose pair the three scalars are computed so that they
 are exactly 0 when the estimate equals the ground truth, for any gt
 quaternion: the loss is then exactly 0 with an exactly zero gradient.
 
+The geometric loss projects the gt and the estimate with project_points in
+one numpy pass, computes its gradient from the same arrays and hands both to
+the DiffScalar machinery through dual.lift; it too is exactly 0, with an
+exactly zero gradient, at the gt for any gt quaternion.
+
 The oracles that validate the closed form (midpoint quadrature, an
 independent algebraic reduction, sensor-integrated reprojection) are used
 only by the tests and live in tests/oracles.py.
@@ -37,6 +42,9 @@ from .geometry import (
     Intrinsics,
     Pose,
     RelativePose,
+    project_points,
+    quat_multiply,
+    quat_to_rotmat,
     rotmat_elems,
 )
 
@@ -108,44 +116,44 @@ def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose):
     )
 
 
-def _camera_frame_points(t_est, q_est, world_points):
-    """Camera-frame coordinates of world points under the estimated pose,
-    generic over scalar types."""
-    R = rotmat_elems(q_est)
-    out = []
-    for P in world_points:
-        d = [P[0] - t_est[0], P[1] - t_est[1], P[2] - t_est[2]]
-        # camera frame: R^T d
-        Xc = [sum(R[k][i] * d[k] for k in range(3)) for i in range(3)]
-        out.append(Xc)
-    return out
-
-
 def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
-    if len(points) == 0:
+    """Mean clipped L1 reprojection error. A point whose estimated depth is
+    below DEPTH_EPS, or whose L1 residual d reaches the clip, contributes the
+    clip and a zero gradient; sign() gives the zero subgradient at an L1
+    kink."""
+    if points is None or len(points) == 0:
         raise InvalidInputError("geometric loss needs a non-empty point set")
-    world = [list(map(float, P)) for P in points]
-    # Same arithmetic path as the estimate so the loss is exactly 0 (with a
-    # zero subgradient) when the poses coincide.
-    gt_pix = []
-    for Xc in _camera_frame_points(list(map(float, gt.t)),
-                                   list(map(float, gt.q)), world):
-        gt_pix.append((
-            K.fx * Xc[0] / Xc[2] + K.cx,
-            K.fy * Xc[1] / Xc[2] + K.cy,
-        ))
-    cams = _camera_frame_points(t_est, q_est, world)
-    total = 0.0
-    for (u0, v0), Xc in zip(gt_pix, cams):
-        X, Y, Z = Xc
-        if abs(value(Z)) < DEPTH_EPS:
-            total = total + clip  # projected to infinity: contributes the clip
-            continue
-        u = K.fx * X / Z + K.cx
-        v = K.fy * Y / Z + K.cy
-        d = abs(u - u0) + abs(v - v0)
-        total = total + (d if d < clip else clip)
-    return total / len(points)
+    inputs = [*t_est, *q_est]
+    est = Pose.from_params([value(c) for c in inputs])
+    uv_gt, z_gt = project_points(gt, K, points)
+    if np.any(z_gt == 0.0):
+        raise InvalidInputError("a visible point lies at zero gt depth")
+    uv, z = project_points(est, K, points)
+    res = uv - uv_gt
+    d = np.abs(res).sum(axis=1)
+    live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
+    n = len(z)
+    val = float(np.sum(np.where(live, d, clip))) / n
+
+    # Per live point, with x = X/Z, y = Y/Z and s the residual signs,
+    # dd/dX_c = g = h / Z where h = (a, b, c) = (s_u fx, s_v fy,
+    # -s_u fx x - s_v fy y). From X_c = R^T (P - t), dd/dt = -R g. A change
+    # dq turns the camera by the body rotation w = 2 vec(conj(q) dq) / |q|^2,
+    # which moves X_c by X_c x w, so dd/dq = 2 q * (0, g x X_c) / |q|^2
+    # (quaternion product), where g x X_c = h x (x, y, 1). The loss sums
+    # these over the live points and divides by n.
+    x = (uv[live, 0] - K.cx) / K.fx
+    y = (uv[live, 1] - K.cy) / K.fy
+    su, sv = np.sign(res[live]).T
+    a, b = su * K.fx, sv * K.fy
+    c = -a * x - b * y
+    inv_z = 1.0 / z[live]
+    g_sum = np.array([a @ inv_z, b @ inv_z, c @ inv_z])
+    gx_sum = np.array([np.sum(b - c * y), np.sum(c * x - a),
+                       np.sum(a * y - b * x)])
+    grad_t = -quat_to_rotmat(est.q) @ g_sum / n
+    grad_q = quat_multiply(est.q, [0.0, *gx_sum]) * (2.0 / (est.q @ est.q)) / n
+    return dual.lift(val, np.concatenate([grad_t, grad_q]), inputs)
 
 
 def _maxerror_core(t_est, q_est, gt: Pose, reg_weight):
@@ -164,7 +172,7 @@ def _maxerror_core(t_est, q_est, gt: Pose, reg_weight):
     else:
         angle = dual.acos(absdot) * (360.0 / math.pi)
     # Exact ties take the translation branch.
-    err = trans_cm if trans_cm >= angle else angle
+    err = trans_cm if value(trans_cm) >= value(angle) else angle
     return err + reg
 
 
@@ -221,7 +229,8 @@ def geometric_loss(est: Pose, gt: Pose, points, K: Intrinsics,
     """Mean clipped L1 reprojection error over the visible points.
 
     A point projecting to infinity under the estimate contributes exactly
-    the clip; with clip=inf the loss is non-finite in that case.
+    the clip; with clip=inf the loss is non-finite in that case. A point at
+    exactly zero gt depth has no gt pixel and raises InvalidInputError.
     """
     t, q = _split(est)
     return float(value(_geometric_core(t, q, gt, points, K, clip)))

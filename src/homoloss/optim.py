@@ -131,19 +131,22 @@ def mean_reproj_distance(est_poses, scene: Scene,
     """Mean over frames of the mean clipped L2 pixel distance between gt and
     estimated projections of the frame's visible points. Projections to
     infinity count as the clip. Frames without visible points are skipped;
-    raises InvalidInputError when no frame has one."""
+    raises InvalidInputError when no frame has one, or when a visible point
+    lies at zero gt depth."""
     K = scene.intrinsics
     per_frame = []
     for (fid, est), frame in zip(est_poses, scene.frames):
         pts = scene.visible_points(frame)
         if len(pts) == 0:
             continue
-        uv_gt, _ = project_points(frame.gt_pose, K, pts)
+        uv_gt, z_gt = project_points(frame.gt_pose, K, pts)
+        if np.any(z_gt == 0.0):
+            raise InvalidInputError(
+                f"frame {frame.id}: a visible point lies at zero gt depth"
+            )
         uv, z = project_points(est, K, pts)
-        finite = np.abs(z) >= DEPTH_EPS
-        d = np.full(len(pts), clip)
-        dist = np.hypot(*(uv - uv_gt).T)
-        d[finite] = np.minimum(clip, dist[finite])
+        dist = np.minimum(clip, np.hypot(*(uv - uv_gt).T))
+        d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
         per_frame.append(float(np.mean(d)))
     if not per_frame:
         raise InvalidInputError(
@@ -206,7 +209,8 @@ def landscape_sweep(gt: Pose, axis: str, offsets, loss_kinds,
     """Loss values over a 1-D or 2-D grid of pose offsets around gt.
 
     Returns {loss_kind: list of rows}, each row (offset[, offset2], value);
-    per-cell evaluation errors record a NaN value.
+    a cell whose evaluation raises InvalidInputError records a NaN value;
+    any other exception propagates.
     """
     offsets = np.asarray(offsets, dtype=float)
     if len(offsets) < 2:
@@ -230,7 +234,7 @@ def _safe_value(kind, est: Pose, ctx: LossContext) -> float:
     try:
         params = diffgrad.params_for(kind, est, ctx)
         return diffgrad.loss_value(kind, params, ctx)
-    except Exception:
+    except InvalidInputError:
         return float("nan")
 
 
@@ -273,8 +277,9 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
 
     init_poses: list of Pose, one per scene frame, in frame order.
     Deterministic given the config seed. Frames whose loss evaluation fails
-    in a step are skipped and logged; the run aborts if more than half the
-    frames error within one epoch.
+    with InvalidInputError in a step are skipped and logged (any other
+    exception propagates); the run aborts if more than half the frames
+    error within one epoch.
     """
     frames = scene.frames
     if len(init_poses) != len(frames):
@@ -332,7 +337,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
                     val, g = diffgrad.evaluate_with_grad(
                         kind, frame_params(i), ctxs[i]
                     )
-                except Exception as e:
+                except InvalidInputError as e:
                     record.errors.append(
                         f"epoch {epoch} frame {frames[i].id}: {e}"
                     )

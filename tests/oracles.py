@@ -4,7 +4,8 @@ They back the checks of the library's closed forms: single-plane
 homographies and their Frobenius error, the sensor-integrated reprojection
 error and its dense-grid quadrature, the midpoint quadrature of the slab
 integral, an independent algebraic reduction of the closed form, pose
-composition, and one-point projection and depth.
+composition, one-point projection and depth, and the per-point DiffScalar
+form of the geometric loss that its numpy kernel replaced.
 """
 
 import math
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from homoloss import dual
 from homoloss.geometry import (
     DEPTH_EPS,
     InvalidInputError,
@@ -20,6 +22,7 @@ from homoloss.geometry import (
     RelativePose,
     project_points,
     quat_to_rotmat,
+    rotmat_elems,
     rotmat_to_quat,
 )
 from homoloss.losses import SlabParams
@@ -150,3 +153,22 @@ def scalar_form_oracle(rel: RelativePose, slab: SlabParams) -> float:
     )
     term_c = float(t @ t) * float(n @ n) / (slab.x_min * slab.x_max)
     return term_a + term_b + term_c
+
+
+def geometric_loop(est: Pose, gt: Pose, points, K: Intrinsics, clip):
+    """Geometric loss and its gradient w.r.t. (t, q), one point at a time
+    in DiffScalar arithmetic."""
+    params = dual.seed(est.params())
+    t, q = params[:3], params[3:]
+    R = rotmat_elems(q)
+    total = 0.0
+    for P, (u0, v0) in zip(points, project_points(gt, K, points)[0]):
+        d = [P[k] - t[k] for k in range(3)]
+        X, Y, Z = [sum(R[k][i] * d[k] for k in range(3)) for i in range(3)]
+        if abs(Z.val) < DEPTH_EPS:
+            total = total + clip
+            continue
+        err = abs(K.fx * X / Z + K.cx - u0) + abs(K.fy * Y / Z + K.cy - v0)
+        total = total + (err if err.val < clip else clip)
+    total = total / len(points)
+    return dual.value(total), dual.gradient(total, 7)

@@ -179,6 +179,49 @@ class TestOptimize:
         assert "visible points" in capsys.readouterr().err
 
 
+    def test_aborted_run_exits_2_and_writes_errors(self, tmp_path, capsys):
+        # Only one of eight frames has visible points, so the geometric loss
+        # fails on seven and the run aborts in its first epoch.
+        poses = str(tmp_path / "poses.txt")
+        pts = str(tmp_path / "pts.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [(f"f{i}", Pose([0.1 * i, 0.0, 0.0],
+                                               [1.0, 0.0, 0.0, 0.0]))
+                                for i in range(8)])
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
+                         {"f0": (0, 1)})
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--poses", poses, "--points", pts,
+                "--loss", "geometric", "--epochs", "3", "--out", out]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "aborted=true" in captured.out
+        assert "aborted" in captured.err
+        errors = read(os.path.join(out, "errors.txt")).splitlines()
+        assert len(errors) == 8  # seven skipped frames and the abort
+        assert "aborted" in errors[-1]
+        for name in ("run.csv", "final_poses.txt", "manifest.json"):
+            assert os.path.exists(os.path.join(out, name))
+
+    def test_final_quaternions_are_unit(self, tmp_path):
+        # Adam moves q off the unit sphere; the written poses are normalized.
+        out = str(tmp_path / "o")
+        argv = [
+            "optimize", "--synthetic", "--n-frames", "3", "--n-points", "40",
+            "--loss", "homography", "--epochs", "50", "--lr", "3e-3",
+            "--out", out,
+        ]
+        assert main(argv) == 0
+        assert not os.path.exists(os.path.join(out, "errors.txt"))
+        # Raw columns: parse_pose_list would normalize q on read.
+        rows = read(os.path.join(out, "final_poses.txt")).splitlines()[1:]
+        qs = np.array([[float(v) for v in r.split()[4:8]] for r in rows])
+        assert len(qs) == 3
+        np.testing.assert_allclose(np.linalg.norm(qs, axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+
+
 class TestSlabs:
     def test_local_table(self, tmp_path):
         out = str(tmp_path / "o")

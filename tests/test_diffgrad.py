@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +11,11 @@ from homoloss.diffgrad import (
     LossContext,
     evaluate_with_grad,
     finite_diff_grad,
-    grad_report,
     loss_value,
     param_count,
     params_for,
 )
+from homoloss import losses
 from homoloss.geometry import InvalidInputError, Intrinsics, Pose
 from homoloss.losses import SlabParams
 
@@ -38,15 +40,39 @@ def make_ctx(rng):
     )
 
 
+FD_STEPS = (5e-7, 1e-6, 2e-6)
+
+
+def check_against_finite_differences(kind, seed):
+    """Analytic gradient vs central differences on 20 random draws.
+
+    A norm or clip kink inside the stencil makes the central difference
+    step-dependent, so, as in acceptance criterion 4, a coordinate whose
+    difference changes across FD_STEPS is excluded; at most 10% may be.
+    """
+    rng = np.random.default_rng(seed)
+    excluded = total = 0
+    for _ in range(20):
+        ctx = make_ctx(rng)
+        est = perturbed(ctx.gt, rng, max_t=0.3, max_deg=10.0)
+        params = params_for(kind, est, ctx)
+        _, analytic = evaluate_with_grad(kind, params, ctx)
+        fds = np.stack([finite_diff_grad(kind, params, ctx, step=s)
+                        for s in FD_STEPS])
+        smooth = np.ptp(fds, axis=0) <= 1e-6 * (
+            1.0 + np.abs(analytic) + np.abs(fds[1]))
+        if smooth.any():
+            rel = GradReport(analytic[smooth], fds[1][smooth]).max_rel_err
+            assert rel < 1e-5, (kind, rel)
+        excluded += int(np.sum(~smooth))
+        total += smooth.size
+    assert excluded <= 0.1 * total, (kind, excluded, total)
+
+
 class TestEvaluateWithGrad:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_matches_finite_differences(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
-        for _ in range(20):
-            ctx = make_ctx(rng)
-            est = perturbed(ctx.gt, rng, max_t=0.3, max_deg=10.0)
-            rep = grad_report(kind, est, ctx)
-            assert rep.max_rel_err < 1e-5, (kind, rep.max_rel_err)
+        check_against_finite_differences(kind, zlib.crc32(kind.encode()))
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_value_matches_plain_evaluation(self, kind):
@@ -88,7 +114,7 @@ class TestEvaluateWithGrad:
         # Pose part only: homoscedastic carries genuine nonzero s-gradients.
         np.testing.assert_array_equal(g[:7], np.zeros(7))
 
-    @pytest.mark.parametrize("kind", ["homography_local",
+    @pytest.mark.parametrize("kind", ["geometric", "homography_local",
                                       "homography_global"])
     @given(q=st.tuples(coord, coord, coord, coord).filter(
                lambda q: sum(c * c for c in q) > 1e-6),
@@ -96,12 +122,18 @@ class TestEvaluateWithGrad:
            n=st.tuples(coord, coord, coord),
            x_min=st.floats(min_value=1e-3, max_value=1e3),
            width=st.floats(min_value=1e-3, max_value=1e3))
-    def test_homography_exact_zero_at_any_gt(self, kind, q, t, n, x_min,
-                                             width):
+    def test_exact_zero_at_any_gt(self, kind, q, t, n, x_min, width):
         # Any gt quaternion, unit or not, whether or not its rotation matrix
-        # is exact in floating point.
+        # is exact in floating point; the geometric loss sees 12 points in
+        # front of the gt camera.
+        from homoloss.geometry import quat_to_rotmat
+
         gt = Pose(t, q)
-        ctx = LossContext(gt=gt, slab=SlabParams(x_min, x_min + width, n))
+        cam = np.random.default_rng(5).uniform([-1, -1, 2], [1, 1, 6],
+                                               (12, 3))
+        ctx = LossContext(gt=gt, points=cam @ quat_to_rotmat(q).T + gt.t,
+                          intrinsics=K,
+                          slab=SlabParams(x_min, x_min + width, n))
         val, g = evaluate_with_grad(kind, gt, ctx)
         assert val == 0.0
         np.testing.assert_array_equal(g, np.zeros(7))
@@ -157,6 +189,25 @@ class TestFiniteDiff:
         bad = np.zeros(9)
         with pytest.raises(InvalidInputError, match="coordinate 0"):
             finite_diff_grad("homoscedastic", bad, ctx)
+
+
+    def test_foreign_exception_propagates_unchanged(self, monkeypatch):
+        # Only domain errors are rewrapped; anything else is a bug and
+        # leaves finite_diff_grad as raised, whatever its constructor takes.
+        class TwoArgError(Exception):
+            def __init__(self, a, b):
+                super().__init__(a, b)
+
+        err = TwoArgError(1, 2)
+
+        def broken(*args):
+            raise err
+
+        monkeypatch.setattr(losses, "_posenet_core", broken)
+        with pytest.raises(TwoArgError) as info:
+            finite_diff_grad("posenet", Pose.identity(),
+                             LossContext(gt=Pose.identity()))
+        assert info.value is err
 
 
 class TestGradReport:

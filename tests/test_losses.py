@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pose, random_rotation
+from conftest import perturbed, random_pose, random_rotation
+from homoloss.diffgrad import evaluate_with_grad
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
@@ -22,8 +23,10 @@ from homoloss.losses import (
     max_error_loss,
     posenet_loss,
 )
+from homoloss.optim import frame_context
 from oracles import (
     Homography,
+    geometric_loop,
     homography,
     homography_loss_numeric,
     scalar_form_oracle,
@@ -122,6 +125,13 @@ class TestGeometricLoss:
         val = geometric_loss(gt, gt, pts, self.K, clip=80.0)
         assert val == pytest.approx(40.0)  # (0 + 80) / 2
 
+    def test_zero_gt_depth_rejected(self):
+        # A visible point in the gt camera's x-y plane has no gt pixel.
+        pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        with pytest.raises(InvalidInputError, match="zero gt depth"):
+            geometric_loss(Pose.identity(), Pose.identity(), pts, self.K,
+                           clip=80.0)
+
     def test_unclipped_infinity_is_nonfinite(self):
         gt = Pose.identity()
         pts = np.array([[0.5, 0.5, 1e-12]])
@@ -131,6 +141,26 @@ class TestGeometricLoss:
     def test_empty_points_rejected(self):
         with pytest.raises(InvalidInputError):
             geometric_loss(Pose.identity(), Pose.identity(), [], self.K, 10.0)
+
+    @pytest.mark.parametrize("clip", [20.0, 100.0])
+    def test_kernel_matches_per_point_loop(self, scene, clip):
+        # With clip 20 about half the draws mix clipped and live points and
+        # half clip every point; with clip 100 every point is live. Sums run
+        # in another order, so agreement is to rounding.
+        rng = np.random.default_rng(12)
+        hyper = LossHyperParams(reproj_clip=clip)
+        for _ in range(40):
+            frame = scene.frames[int(rng.integers(len(scene.frames)))]
+            ctx = frame_context(scene, frame, "geometric", hyper)
+            est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
+            val, grad = evaluate_with_grad("geometric", est, ctx)
+            ref_val, ref_grad = geometric_loop(est, frame.gt_pose,
+                                               ctx.points, ctx.intrinsics,
+                                               clip)
+            assert val == pytest.approx(ref_val, rel=1e-13)
+            np.testing.assert_allclose(
+                grad, ref_grad, rtol=0,
+                atol=1e-12 * max(1.0, np.max(np.abs(ref_grad))))
 
 
 class TestMaxErrorLoss:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import perturbed
+from homoloss import losses
 from homoloss.diffgrad import LossContext
 from homoloss.geometry import (
     InvalidInputError,
@@ -127,6 +128,16 @@ class TestMetrics:
         est = Pose([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
         assert mean_reproj_distance([("f0", est)], scene, clip=77.0) == 77.0
 
+    def test_mrd_zero_gt_depth_rejected(self):
+        from homoloss.scene import Frame, Scene
+
+        scene = self.small_scene()
+        flat = Scene(points=np.array([[0.5, 0.0, 0.0]]),
+                     frames=[Frame("f0", Pose.identity(), (0,))],
+                     intrinsics=scene.intrinsics)
+        with pytest.raises(InvalidInputError, match="zero gt depth"):
+            mean_reproj_distance([("f0", Pose.identity())], flat)
+
     def test_pct_within_boundary_inclusive(self):
         gt = [Pose.identity()]
         est = [Pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
@@ -207,6 +218,16 @@ class TestSweeps:
             LossContext(gt=Pose.identity()),
         )
         assert all(math.isnan(v) for _, v in grids["geometric"])
+
+    def test_sweep_propagates_non_domain_errors(self, monkeypatch):
+        # Only InvalidInputError becomes a NaN cell; a bug must surface.
+        def broken(*args):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(losses, "_posenet_core", broken)
+        with pytest.raises(ZeroDivisionError):
+            landscape_sweep(Pose.identity(), "tx", [-1, 0, 1], ["posenet"],
+                            self.ctx())
 
     def test_too_few_steps(self):
         with pytest.raises(InvalidInputError):
@@ -332,6 +353,17 @@ class TestOptimizePoses:
         rec = optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
         assert rec.aborted
         assert any("aborted" in e for e in rec.errors)
+
+    def test_non_domain_errors_propagate(self, tiny, monkeypatch):
+        # Only InvalidInputError skips a frame; a bug must not be logged
+        # away as a skipped frame.
+        def broken(*args):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(losses, "_posenet_core", broken)
+        cfg = OptimConfig(loss_kind="posenet", epochs=2, seed=0)
+        with pytest.raises(ZeroDivisionError):
+            optimize_poses(tiny, [f.gt_pose for f in tiny.frames], cfg)
 
     def test_slab_required_for_homography(self, tiny):
         cfg = OptimConfig(loss_kind="homography_local", epochs=1)
