@@ -1,5 +1,5 @@
 """Homography-slab camera pose loss, baseline pose-regression losses, exact
-forward-mode gradients, and a desk-scale pose-refinement harness."""
+closed-form gradients, and a desk-scale pose-refinement harness."""
 
 __version__ = "0.1.0"
 

@@ -4,9 +4,10 @@ sweeps, gradient checks, pose optimization, slab tables, and evaluation.
 Every command writes a manifest.json alongside its outputs; re-running via
 --from-manifest reproduces the outputs byte-identically.
 
-`optimize` writes errors.txt (one line per skipped frame or abort) into
---out whenever the run records an error, and exits 2 after writing all its
-outputs if the run aborted.
+`optimize` writes errors.txt (one line per skipped frame and message, with
+its first epoch and step count, plus the abort) into --out whenever the run
+records an error, and exits 2 after writing all its outputs if the run
+aborted.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error or aborted run,
 3 numeric-tolerance failure.
@@ -17,13 +18,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, diffgrad, losses, optim, scene as scene_mod
+from . import __version__, diffgrad, optim, scene as scene_mod
 from .geometry import InvalidInputError, Intrinsics, Pose, quat_normalize
 from .losses import LossHyperParams
 from .optim import (

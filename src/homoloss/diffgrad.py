@@ -1,5 +1,6 @@
-"""Exact forward-mode gradients of every registered loss with respect to the
-pose parameters, plus the central finite-difference oracle."""
+"""One entry point over every registered loss kind: the value and the
+closed-form gradient with respect to the pose parameters, both from the
+loss's one kernel in `losses`, plus the central finite-difference oracle."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual, losses
+from . import losses
 from .geometry import InvalidInputError, Intrinsics, Pose
 from .losses import LossHyperParams, SlabParams
 
@@ -52,6 +53,7 @@ def _check_kind(kind):
 
 
 def _dispatch(kind, params, ctx: LossContext):
+    """(value, gradient) of kind's kernel at the float parameter list."""
     t = params[0:3]
     q = params[3:7]
     if kind == "posenet":
@@ -95,20 +97,20 @@ def _flat_params(kind, est, ctx):
 
 
 def loss_value(kind: str, params, ctx: LossContext) -> float:
-    """Plain (non-differentiated) evaluation at a flat parameter vector."""
+    """The loss at a flat parameter vector (evaluate_with_grad's value)."""
     _check_kind(kind)
-    return float(dual.value(_dispatch(kind, [float(x) for x in params], ctx)))
+    return float(_dispatch(kind, [float(x) for x in params], ctx)[0])
 
 
 def evaluate_with_grad(kind: str, est, ctx: LossContext):
-    """Loss value and exact forward-mode gradient.
+    """Loss value and closed-form gradient.
 
     `est` may be a Pose or a flat parameter vector of length param_count(kind).
     Returns (value, gradient).
     """
     params = _flat_params(kind, est, ctx)
-    out = _dispatch(kind, dual.seed(params), ctx)
-    return float(dual.value(out)), dual.gradient(out, len(params))
+    val, grad = _dispatch(kind, [float(x) for x in params], ctx)
+    return float(val), grad
 
 
 def finite_diff_grad(kind: str, est, ctx: LossContext,

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual
-
 DEPTH_EPS = 1e-9  # |Z| below this is treated as a projection to infinity
 
 
@@ -122,17 +120,15 @@ def quat_from_axis_angle(axis, angle_rad):
 
 
 def rotmat_elems(q):
-    """Rotation matrix entries from a quaternion, as nested lists.
+    """Rotation matrix entries from a quaternion, as nested lists of floats.
 
-    Generic over floats and DiffScalars; the quaternion is normalized
-    internally so non-unit inputs are valid.
+    The quaternion is normalized internally so non-unit inputs are valid.
     """
-    qw, qx, qy, qz = q
-    s = dual.sum_squares([qw, qx, qy, qz])
-    if dual.value(s) == 0.0:
+    w, x, y, z = q
+    s = w * w + x * x + y * y + z * z
+    if s == 0.0:
         raise InvalidInputError("zero-norm quaternion")
     inv = 1.0 / s
-    w, x, y, z = qw, qx, qy, qz
     return [
         [
             (w * w + x * x - y * y - z * z) * inv,

@@ -9,22 +9,19 @@ Losses:
     - homography_loss_closed / homography_loss: slab integral of the squared
                            Frobenius homographic error, in closed form
 
-The slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] reduces to
-three scalars, ||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |n|^2 |t|^2 with
-c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max); one routine,
-_closed_form, evaluates it for both the relative-pose and the pose-pair
-entry points. From a pose pair the three scalars are computed so that they
-are exactly 0 when the estimate equals the ground truth, for any gt
-quaternion: the loss is then exactly 0 with an exactly zero gradient.
+Each loss has one kernel, _<kind>_core: it takes the estimated pose as 7
+floats (9 for the homoscedastic loss, which learns its log-variances) and
+returns the value and its closed-form gradient, so every entry point gets
+the same value from the same float arithmetic.
 
-The geometric loss projects the gt and the estimate with project_points in
-one numpy pass, computes its gradient from the same arrays and hands both to
-the DiffScalar machinery through dual.lift; it too is exactly 0, with an
-exactly zero gradient, at the gt for any gt quaternion.
+The slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] is
+||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |n|^2 |t|^2, with c1 and c2 from
+_slab_weights. From a pose pair these terms, like the geometric loss's
+residuals, are exactly 0 when the estimate equals the ground truth, for any
+gt quaternion, and so are the loss and its gradient.
 
-The oracles that validate the closed form (midpoint quadrature, an
-independent algebraic reduction, sensor-integrated reprojection) are used
-only by the tests and live in tests/oracles.py.
+The oracles that validate the closed forms are used only by the tests and
+live in tests/.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dual
-from .dual import value
 from .geometry import (
     DEPTH_EPS,
     InvalidInputError,
@@ -43,7 +39,6 @@ from .geometry import (
     Pose,
     RelativePose,
     project_points,
-    quat_multiply,
     quat_to_rotmat,
     rotmat_elems,
 )
@@ -82,15 +77,14 @@ class LossHyperParams:
             raise InvalidInputError("reproj_clip must be positive")
 
 
-# -- generic cores: est pose given as 7 (or 9) scalar parameters -----------
+# -- kernels: est pose as 7 (or 9) floats -> (value, gradient) -------------
 
-def _closed_form(rot, cross, tsq, slab: SlabParams):
-    """Slab integral of ||I - H(x)||_F^2 for H(x) = R - t n^T / x, from the
-    scalars rot = ||I - R||_F^2, cross = t^T (I - R) n and tsq = |t|^2."""
+def _slab_weights(slab: SlabParams):
+    """Weights (2 c1, c2 |n|^2) of cross and tsq in the closed form, with
+    c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max)."""
     c1 = math.log(slab.x_max / slab.x_min) / (slab.x_max - slab.x_min)
     c2 = 1.0 / (slab.x_min * slab.x_max)
-    nn = float(slab.n @ slab.n)
-    return rot + 2.0 * c1 * cross + c2 * nn * tsq
+    return 2.0 * c1, c2 * float(slab.n @ slab.n)
 
 
 def _posenet_core(t_est, q_est, gt: Pose, beta):
@@ -98,22 +92,28 @@ def _posenet_core(t_est, q_est, gt: Pose, beta):
     qg = gt.q / np.linalg.norm(gt.q)
     dt = [t_est[i] - gt.t[i] for i in range(3)]
     dq = [q_est[i] - qg[i] for i in range(4)]
-    return dual.norm2(dt) + beta * dual.norm2(dq)
+    norm_t, grad_t = dual.norm2(dt)
+    norm_q, grad_q = dual.norm2(dq)
+    return norm_t + beta * norm_q, np.concatenate([grad_t, beta * grad_q])
 
 
 def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose):
-    norm = dual.norm2(q_est)
-    if value(norm) == 0.0:
+    """Gradient w.r.t. (t, q, s_t, s_q). With u = q/|q|, dq = qg - u and
+    du/dq = (I - u u^T)/|q|, the L1 quaternion term has gradient
+    e^-s_q (u (u . sign(dq)) - sign(dq)) / |q|."""
+    norm, u = dual.norm2(q_est)
+    if norm == 0.0:
         raise InvalidInputError("zero-norm estimated quaternion")
     qg = gt.q / np.linalg.norm(gt.q)
     dt = [t_est[i] - gt.t[i] for i in range(3)]
     dq = [qg[i] - q_est[i] / norm for i in range(4)]
-    return (
-        dual.norm1(dt) * dual.exp(-s_t)
-        + s_t
-        + dual.norm1(dq) * dual.exp(-s_q)
-        + s_q
-    )
+    l1_t, sign_t = dual.norm1(dt)
+    l1_q, sign_q = dual.norm1(dq)
+    w_t, w_q = math.exp(-s_t), math.exp(-s_q)
+    val = l1_t * w_t + s_t + l1_q * w_q + s_q
+    grad_q = w_q * (u * (u @ sign_q) - sign_q) / norm
+    return val, np.concatenate([sign_t * w_t, grad_q,
+                                [1.0 - l1_t * w_t, 1.0 - l1_q * w_q]])
 
 
 def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
@@ -123,8 +123,7 @@ def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
     kink."""
     if points is None or len(points) == 0:
         raise InvalidInputError("geometric loss needs a non-empty point set")
-    inputs = [*t_est, *q_est]
-    est = Pose.from_params([value(c) for c in inputs])
+    est = Pose.from_params([*t_est, *q_est])
     uv_gt, z_gt = project_points(gt, K, points)
     if np.any(z_gt == 0.0):
         raise InvalidInputError("a visible point lies at zero gt depth")
@@ -137,11 +136,10 @@ def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
 
     # Per live point, with x = X/Z, y = Y/Z and s the residual signs,
     # dd/dX_c = g = h / Z where h = (a, b, c) = (s_u fx, s_v fy,
-    # -s_u fx x - s_v fy y). From X_c = R^T (P - t), dd/dt = -R g. A change
-    # dq turns the camera by the body rotation w = 2 vec(conj(q) dq) / |q|^2,
-    # which moves X_c by X_c x w, so dd/dq = 2 q * (0, g x X_c) / |q|^2
-    # (quaternion product), where g x X_c = h x (x, y, 1). The loss sums
-    # these over the live points and divides by n.
+    # -s_u fx x - s_v fy y). From X_c = R^T (P - t), dd/dt = -R g. A body
+    # rotation w of the camera moves X_c by X_c x w, so d has gradient
+    # g x X_c = h x (x, y, 1) w.r.t. w. The loss sums these over the live
+    # points and divides by n.
     x = (uv[live, 0] - K.cx) / K.fx
     y = (uv[live, 1] - K.cy) / K.fy
     su, sv = np.sign(res[live]).T
@@ -152,37 +150,50 @@ def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
     gx_sum = np.array([np.sum(b - c * y), np.sum(c * x - a),
                        np.sum(a * y - b * x)])
     grad_t = -quat_to_rotmat(est.q) @ g_sum / n
-    grad_q = quat_multiply(est.q, [0.0, *gx_sum]) * (2.0 / (est.q @ est.q)) / n
-    return dual.lift(val, np.concatenate([grad_t, grad_q]), inputs)
+    grad_q = dual.rotation_grad(est.q, gx_sum) / n
+    return val, np.concatenate([grad_t, grad_q])
 
 
 def _maxerror_core(t_est, q_est, gt: Pose, reg_weight):
+    """With u = q/|q| and dot = u . qg, d|dot|/dq = sign(dot) (qg - dot u)
+    / |q| and d acos(a)/da = -1/sqrt(1 - a^2); the regularizer has gradient
+    2 reg_weight (|q| - 1) u."""
     qg = gt.q / np.linalg.norm(gt.q)
-    qn = dual.norm2(q_est)
+    qn, u = dual.norm2(q_est)
     reg = reg_weight * (qn - 1.0) ** 2
-    trans_cm = dual.norm2([(t_est[i] - gt.t[i]) * 100.0 for i in range(3)])
-    if value(qn) == 0.0:
+    grad_reg = 2.0 * (qn - 1.0) * u * reg_weight
+    trans_cm, grad_cm = dual.norm2(
+        [(t_est[i] - gt.t[i]) * 100.0 for i in range(3)])
+    trans = trans_cm + reg, np.concatenate([100.0 * grad_cm, grad_reg])
+    if qn == 0.0:
         # Degenerate attractor: the angle is undefined, only the regularizer
         # and translation terms act.
-        return trans_cm + reg
+        return trans
     dot = sum(q_est[i] * qg[i] for i in range(4)) / qn
     absdot = abs(dot)
-    if value(absdot) >= 1.0:
-        angle = 0.0 * absdot  # acos clamped at 1; derivative taken as 0
-    else:
-        angle = dual.acos(absdot) * (360.0 / math.pi)
+    if absdot >= 1.0:
+        return trans  # acos clamped at 1, angle 0; derivative taken as 0
+    angle = math.acos(absdot) * (360.0 / math.pi)
     # Exact ties take the translation branch.
-    err = trans_cm if value(trans_cm) >= value(angle) else angle
-    return err + reg
+    if trans_cm >= angle:
+        return trans
+    grad_angle = -1.0 / math.sqrt(1.0 - absdot * absdot) * (
+        np.sign(dot) * (qg - dot * u) * (1.0 / qn)) * (360.0 / math.pi)
+    return angle + reg, np.concatenate([np.zeros(3), grad_angle + grad_reg])
 
 
 def _homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
-    """Closed form from the pose pair, using |t_rel| = |d| and
-    R_e R_e^T = I: rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part
-    of conj(q_e) * q_g, cross = d^T (R_e - R_g) n, tsq = |d|^2, where
-    d = t_gt - t_est. Each component of v sums products that cancel pairwise,
-    so v, d and R_e - R_g are exactly 0 when est == gt, for any gt
-    quaternion, and so are the loss and its gradient."""
+    """Closed form from the pose pair, using |t_rel| = |d| and R_e R_e^T = I:
+    rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part of
+    conj(q_e) * q_g, cross = d^T m with m = (R_e - R_g) n, tsq = |d|^2,
+    where d = t_gt - t_est. Each component of v sums products that cancel
+    pairwise, so v, d and m are exactly 0 when est == gt, for any gt
+    quaternion, and so are the loss and its gradient.
+
+    v = B q_e is linear in q_e, so d rot/dq_e = 16 B^T v / (|q_e|^2 |q_g|^2)
+    - 2 rot q_e / |q_e|^2; dL/dt_est = -k1 m - 2 k2 d; a body rotation w of
+    the estimate changes d^T R_e n by w . (n x R_e^T d).
+    """
     q_gt = [float(c) for c in gt.q]
     R_e = rotmat_elems(q_est)  # normalizes internally
     R_g = rotmat_elems(q_gt)
@@ -193,16 +204,31 @@ def _homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
         (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2),
         (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2),
     ]
-    rot = 8.0 * dual.sum_squares(v) / (
-        dual.sum_squares(q_est) * dual.sum_squares(q_gt)
-    )
+    qq_e = dual.sum_squares(q_est)
+    qq_g = dual.sum_squares(q_gt)
+    rot = 8.0 * dual.sum_squares(v) / (qq_e * qq_g)
     n = [float(c) for c in slab.n]
     d = [float(gt.t[i]) - t_est[i] for i in range(3)]
-    cross = sum(
-        d[i] * sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
-        for i in range(3)
-    )
-    return _closed_form(rot, cross, dual.sum_squares(d), slab)
+    m = [sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
+         for i in range(3)]
+    cross = sum(d[i] * m[i] for i in range(3))
+    k1, k2 = _slab_weights(slab)
+    val = rot + k1 * cross + k2 * dual.sum_squares(d)
+
+    v0, v1, v2 = v
+    btv = [x2 * v0 + y2 * v1 + z2 * v2,
+           -w2 * v0 + z2 * v1 - y2 * v2,
+           -z2 * v0 - w2 * v1 + x2 * v2,
+           y2 * v0 - x2 * v1 - w2 * v2]
+    p = [sum(R_e[i][j] * d[i] for i in range(3)) for j in range(3)]
+    body = [n[1] * p[2] - n[2] * p[1],
+            n[2] * p[0] - n[0] * p[2],
+            n[0] * p[1] - n[1] * p[0]]
+    a, b = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e
+    grad_q = np.array([a * btv[k] - b * q_est[k] for k in range(4)]) \
+        + k1 * dual.rotation_grad(q_est, body)
+    grad_t = [-k1 * m[i] - 2.0 * k2 * d[i] for i in range(3)]
+    return val, np.concatenate([grad_t, grad_q])
 
 
 # -- public float-facing API ------------------------------------------------
@@ -214,14 +240,12 @@ def _split(est: Pose):
 def posenet_loss(est: Pose, gt: Pose, beta: float) -> float:
     """L2 translation error + beta * L2 quaternion difference (gt normalized,
     estimate raw)."""
-    t, q = _split(est)
-    return float(value(_posenet_core(t, q, gt, beta)))
+    return float(_posenet_core(*_split(est), gt, beta)[0])
 
 
 def homoscedastic_loss(est: Pose, gt: Pose, s_t: float, s_q: float) -> float:
     """L1 errors weighted by learnable log-variances s_t, s_q."""
-    t, q = _split(est)
-    return float(value(_homoscedastic_core(t, q, s_t, s_q, gt)))
+    return float(_homoscedastic_core(*_split(est), s_t, s_q, gt)[0])
 
 
 def geometric_loss(est: Pose, gt: Pose, points, K: Intrinsics,
@@ -232,25 +256,23 @@ def geometric_loss(est: Pose, gt: Pose, points, K: Intrinsics,
     the clip; with clip=inf the loss is non-finite in that case. A point at
     exactly zero gt depth has no gt pixel and raises InvalidInputError.
     """
-    t, q = _split(est)
-    return float(value(_geometric_core(t, q, gt, points, K, clip)))
+    return float(_geometric_core(*_split(est), gt, points, K, clip)[0])
 
 
 def max_error_loss(est: Pose, gt: Pose, reg_weight: float) -> float:
     """max(rotation angle in degrees, translation in cm) plus
     reg_weight * (||q_est|| - 1)^2."""
-    t, q = _split(est)
-    return float(value(_maxerror_core(t, q, gt, reg_weight)))
+    return float(_maxerror_core(*_split(est), gt, reg_weight)[0])
 
 
 def homography_loss_closed(rel: RelativePose, slab: SlabParams) -> float:
     """Closed-form slab integral of the squared Frobenius homographic error."""
     M = np.eye(3) - rel.R
-    return float(_closed_form(float(np.sum(M * M)), float(rel.t @ M @ slab.n),
-                              float(rel.t @ rel.t), slab))
+    k1, k2 = _slab_weights(slab)
+    return float(np.sum(M * M) + k1 * float(rel.t @ M @ slab.n)
+                 + k2 * float(rel.t @ rel.t))
 
 
 def homography_loss(est: Pose, gt: Pose, slab: SlabParams) -> float:
     """Closed-form homography loss straight from a pose pair."""
-    t, q = _split(est)
-    return float(value(_homography_core(t, q, gt, slab)))
+    return float(_homography_core(*_split(est), gt, slab)[0])

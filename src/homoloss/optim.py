@@ -277,9 +277,10 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
 
     init_poses: list of Pose, one per scene frame, in frame order.
     Deterministic given the config seed. Frames whose loss evaluation fails
-    with InvalidInputError in a step are skipped and logged (any other
-    exception propagates); the run aborts if more than half the frames
-    error within one epoch.
+    with InvalidInputError in a step are skipped (any other exception
+    propagates) and logged once per frame and message, with the first epoch
+    and the number of steps skipped; the run aborts if more than half the
+    frames error within one epoch.
     """
     frames = scene.frames
     if len(init_poses) != len(frames):
@@ -308,6 +309,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     state = AdamState.zeros(n_params)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(loss_kind=kind, epochs=[], final_poses=[])
+    skipped = {}  # (frame id, message) -> [first epoch, steps skipped]
 
     def frame_params(i):
         p = params[7 * i:7 * i + 7]
@@ -338,9 +340,8 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
                         kind, frame_params(i), ctxs[i]
                     )
                 except InvalidInputError as e:
-                    record.errors.append(
-                        f"epoch {epoch} frame {frames[i].id}: {e}"
-                    )
+                    key = (frames[i].id, str(e))
+                    skipped.setdefault(key, [epoch, 0])[1] += 1
                     epoch_errors += 1
                     continue
                 grads[7 * i:7 * i + 7] += g[:7]
@@ -369,5 +370,9 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         if with_s:
             stats.s_t, stats.s_q = s_start
         record.epochs.append(stats)
+    record.errors[:0] = [  # the skipped frames, before any abort line
+        f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
+        for (fid, msg), (first, steps) in skipped.items()
+    ]
     record.final_poses = current_poses()
     return record

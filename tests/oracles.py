@@ -4,8 +4,9 @@ They back the checks of the library's closed forms: single-plane
 homographies and their Frobenius error, the sensor-integrated reprojection
 error and its dense-grid quadrature, the midpoint quadrature of the slab
 integral, an independent algebraic reduction of the closed form, pose
-composition, one-point projection and depth, and the per-point DiffScalar
-form of the geometric loss that its numpy kernel replaced.
+composition, one-point projection and depth, the per-point DiffScalar
+form of the geometric loss that its numpy kernel replaced, and the
+DiffScalar value and gradient of every loss kind.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homoloss import dual
+import diffscalar
 from homoloss.geometry import (
     DEPTH_EPS,
     InvalidInputError,
@@ -22,7 +23,6 @@ from homoloss.geometry import (
     RelativePose,
     project_points,
     quat_to_rotmat,
-    rotmat_elems,
     rotmat_to_quat,
 )
 from homoloss.losses import SlabParams
@@ -158,9 +158,9 @@ def scalar_form_oracle(rel: RelativePose, slab: SlabParams) -> float:
 def geometric_loop(est: Pose, gt: Pose, points, K: Intrinsics, clip):
     """Geometric loss and its gradient w.r.t. (t, q), one point at a time
     in DiffScalar arithmetic."""
-    params = dual.seed(est.params())
+    params = diffscalar.seed(est.params())
     t, q = params[:3], params[3:]
-    R = rotmat_elems(q)
+    R = diffscalar.rotmat_elems(q)
     total = 0.0
     for P, (u0, v0) in zip(points, project_points(gt, K, points)[0]):
         d = [P[k] - t[k] for k in range(3)]
@@ -171,4 +171,24 @@ def geometric_loop(est: Pose, gt: Pose, points, K: Intrinsics, clip):
         err = abs(K.fx * X / Z + K.cx - u0) + abs(K.fy * Y / Z + K.cy - v0)
         total = total + (err if err.val < clip else clip)
     total = total / len(points)
-    return dual.value(total), dual.gradient(total, 7)
+    return diffscalar.value(total), diffscalar.gradient(total, 7)
+
+
+def reference_grad(kind, params, ctx):
+    """(value, gradient) of a loss kind at a flat parameter vector, from the
+    DiffScalar cores (geometric: geometric_loop), dispatched as
+    diffgrad.evaluate_with_grad dispatches to the kernels."""
+    if kind == "geometric":
+        return geometric_loop(Pose.from_params(params), ctx.gt, ctx.points,
+                              ctx.intrinsics, ctx.hyper.reproj_clip)
+    seeded = diffscalar.seed(params)
+    t, q = seeded[0:3], seeded[3:7]
+    if kind == "posenet":
+        out = diffscalar.posenet_core(t, q, ctx.gt, ctx.hyper.beta)
+    elif kind == "homoscedastic":
+        out = diffscalar.homoscedastic_core(t, q, seeded[7], seeded[8], ctx.gt)
+    elif kind == "maxerror":
+        out = diffscalar.maxerror_core(t, q, ctx.gt, ctx.hyper.quat_reg_weight)
+    else:
+        out = diffscalar.homography_core(t, q, ctx.gt, ctx.slab)
+    return diffscalar.value(out), diffscalar.gradient(out, len(params))

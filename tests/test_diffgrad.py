@@ -2,9 +2,10 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import perturbed, random_pose
+from oracles import reference_grad
 from homoloss.diffgrad import (
     LOSS_KINDS,
     GradReport,
@@ -16,8 +17,14 @@ from homoloss.diffgrad import (
     params_for,
 )
 from homoloss import losses
-from homoloss.geometry import InvalidInputError, Intrinsics, Pose
-from homoloss.losses import SlabParams
+from homoloss.geometry import (
+    InvalidInputError,
+    Intrinsics,
+    Pose,
+    quat_from_axis_angle,
+    quat_to_rotmat,
+)
+from homoloss.losses import LossHyperParams, SlabParams
 
 K = Intrinsics(fx=320.0, fy=320.0, cx=320.0, cy=320.0, w=640, h=640)
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -81,7 +88,21 @@ class TestEvaluateWithGrad:
         est = perturbed(ctx.gt, rng, max_t=0.2, max_deg=5.0)
         params = params_for(kind, est, ctx)
         val, _ = evaluate_with_grad(kind, params, ctx)
-        # The dual-number path must reproduce the float path bit for bit.
+        # The value of the gradient path is the plain value, bit for bit.
+        assert val == loss_value(kind, params, ctx)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_value_paths_agree_where_pow_and_product_differ(self, kind):
+        # (w - 1)**2 and (w - 1)*(w - 1) round differently for this w, which
+        # once made maxerror's value depend on whether its gradient was
+        # taken.
+        w = 1.1700778987007547
+        assert (w - 1.0) ** 2 != (w - 1.0) * (w - 1.0)
+        gt = Pose.identity()
+        ctx = LossContext(gt=gt, intrinsics=K, slab=SlabParams(2.0, 6.0),
+                          points=points_before(gt, np.random.default_rng(4)))
+        params = params_for(kind, Pose(np.zeros(3), [w, 0.0, 0.0, 0.0]), ctx)
+        val, _ = evaluate_with_grad(kind, params, ctx)
         assert val == loss_value(kind, params, ctx)
 
     def test_posenet_translation_direction(self):
@@ -153,6 +174,118 @@ class TestEvaluateWithGrad:
         ctx = LossContext(gt=Pose.identity())
         with pytest.raises(InvalidInputError):
             evaluate_with_grad("posenet", np.zeros(9), ctx)
+
+
+def assert_matches_reference(kind, params, ctx):
+    """Kernel value to 1e-13 relative and gradient to 1e-12 of its largest
+    entry, against the DiffScalar form in tests/.
+
+    The geometric loss is a mean of differences of pixel coordinates that
+    the two forms round differently, so its value is compared relative to
+    the pixel scale when the residuals are far below a pixel.
+    """
+    val, grad = evaluate_with_grad(kind, params, ctx)
+    ref_val, ref_grad = reference_grad(kind, params, ctx)
+    scale = abs(ref_val)
+    if kind == "geometric":
+        scale = max(scale, ctx.intrinsics.fx + ctx.intrinsics.cx)
+    assert abs(val - ref_val) <= 1e-13 * scale, (kind, val, ref_val)
+    err = np.max(np.abs(grad - ref_grad))
+    assert err <= 1e-12 * np.max(np.abs(ref_grad)), (kind, grad, ref_grad)
+
+
+def points_before(gt, rng, n=12):
+    """n world points at depths 2..6 in front of the gt camera."""
+    cam = rng.uniform([-1, -1, 2], [1, 1, 6], (n, 3))
+    return cam @ quat_to_rotmat(gt.q).T + gt.t
+
+
+class TestDiffScalarParity:
+    """Each closed-form kernel against its DiffScalar core in
+    tests/diffscalar.py (geometric: oracles.geometric_loop)."""
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           unit_gt=st.booleans(), unit_est=st.booleans(),
+           flip_est=st.booleans(),
+           max_t=st.sampled_from([1e-6, 1e-2, 0.3, 2.0]),
+           max_deg=st.sampled_from([1e-4, 1.0, 10.0, 90.0]),
+           beta=st.floats(1e-2, 1e3), s_t=st.floats(-5.0, 5.0),
+           s_q=st.floats(-5.0, 5.0), reg=st.floats(0.0, 10.0),
+           clip=st.floats(1.0, 1e3), x_min=st.floats(0.1, 10.0),
+           width=st.floats(1e-2, 100.0))
+    def test_random_poses(self, kind, seed, unit_gt, unit_est, flip_est,
+                          max_t, max_deg, beta, s_t, s_q, reg, clip, x_min,
+                          width):
+        rng = np.random.default_rng(seed)
+        gt = random_pose(rng, scale=1.0)
+        if not unit_gt:
+            gt = Pose(gt.t, gt.q * rng.uniform(0.5, 2.0))
+        est = perturbed(gt, rng, max_t=max_t, max_deg=max_deg)
+        if not unit_est:
+            est = Pose(est.t, est.q * rng.uniform(0.5, 2.0))
+        if flip_est:  # the other quaternion of the same rotation
+            est = Pose(est.t, -est.q)
+        ctx = LossContext(
+            gt=gt,
+            hyper=LossHyperParams(beta=beta, s_t=s_t, s_q=s_q,
+                                  reproj_clip=clip, quat_reg_weight=reg),
+            points=points_before(gt, rng), intrinsics=K,
+            slab=SlabParams(x_min, x_min + width, rng.normal(size=3)),
+        )
+        assert_matches_reference(kind, params_for(kind, est, ctx), ctx)
+
+    def ctx(self, gt, reg=1.0):
+        return LossContext(gt=gt, hyper=LossHyperParams(quat_reg_weight=reg),
+                           points=points_before(gt, np.random.default_rng(6)),
+                           intrinsics=K, slab=SlabParams(2.0, 6.0))
+
+    @pytest.mark.parametrize("q_est", [[0.0, 0.0, 0.0, 0.0],
+                                       [2.0, 0.0, 0.0, 0.0],
+                                       [-0.5, 0.0, 0.0, 0.0]])
+    def test_maxerror_zero_quaternion_and_clamped_dot(self, q_est):
+        # q = 0 leaves only translation and regularizer; |dot| >= 1 clamps
+        # the angle at 0.
+        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
+        params = np.array([0.7, -1.2, 2.1, *q_est])
+        assert_matches_reference("maxerror", params, ctx)
+
+    def test_maxerror_exact_tie_takes_translation(self):
+        # An x offset whose translation error in cm is exactly the angle:
+        # not every angle is a float product tx * 100, so try a few.
+        ctx = self.ctx(Pose.identity(), reg=0.0)
+        for deg in np.linspace(0.3, 0.5, 20):
+            q = quat_from_axis_angle([0.3, -1.0, 0.2], np.radians(deg))
+            angle = loss_value("maxerror", [0.0, 0.0, 0.0, *q], ctx)
+            near = angle / 100.0
+            ties = [x for x in (np.nextafter(near, 0.0), near,
+                                np.nextafter(near, 1.0))
+                    if x * 100.0 == angle]
+            if ties:
+                break
+        assert ties
+        params = np.array([ties[0], 0.0, 0.0, *q])
+        assert_matches_reference("maxerror", params, ctx)
+        _, grad = evaluate_with_grad("maxerror", params, ctx)
+        assert grad[0] == 100.0 and np.all(grad[1:] == 0.0)
+
+    def test_homoscedastic_zero_components(self):
+        # dq = qg - q/|q| and dt have components that are exactly 0.
+        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
+        params = np.array([0.5, -0.8, 2.0, 1.0, 0.5, 0.0, 0.0, 0.3, -2.0])
+        assert_matches_reference("homoscedastic", params, ctx)
+
+    def test_posenet_zero_translation_error(self):
+        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
+        params = np.array([0.5, -1.0, 2.0, 0.6, 0.5, 0.4, 0.5])
+        assert_matches_reference("posenet", params, ctx)
+
+    @pytest.mark.parametrize("kind", [k for k in LOSS_KINDS
+                                      if k != "geometric"])
+    def test_at_gt(self, kind):
+        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
+        assert_matches_reference(kind, params_for(kind, ctx.gt, ctx), ctx)
 
 
 class TestFiniteDiff:

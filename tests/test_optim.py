@@ -347,6 +347,16 @@ class TestOptimizePoses:
         assert any("f000" in e for e in rec.errors)
         assert len(rec.epochs) == 2
 
+    def test_skipped_frame_logged_once(self, tiny):
+        # A frame that errors on every step is one line, not one per step.
+        scene = self.make_partial_scene(tiny, n_empty=1)
+        cfg = OptimConfig(loss_kind="geometric", epochs=6, seed=0)
+        rec = optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
+        assert not rec.aborted
+        assert len(rec.errors) == 1
+        assert rec.errors[0].startswith(f"frame {scene.frames[0].id}: ")
+        assert rec.errors[0].endswith("(skipped from epoch 0, 6 steps)")
+
     def test_aborts_when_most_frames_error(self, tiny):
         scene = self.make_partial_scene(tiny, n_empty=len(tiny.frames) - 1)
         cfg = OptimConfig(loss_kind="geometric", epochs=5, seed=0)
