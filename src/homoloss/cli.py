@@ -194,6 +194,10 @@ def _parse_range(text):
 
 def run_landscape(config):
     scene = _build_scene(config)
+    if not 0 <= config["frame"] < len(scene.frames):
+        raise InvalidInputError(
+            f"--frame {config['frame']} is out of range for a scene of "
+            f"{len(scene.frames)} frames (0 to {len(scene.frames) - 1})")
     frame = scene.frames[config["frame"]]
     lo, hi = _parse_range(config["range"])
     offsets = np.linspace(lo, hi, config["steps"])
@@ -226,6 +230,9 @@ def run_landscape(config):
 
 
 def run_gradcheck(config):
+    if config["samples"] < 1:
+        raise UsageError(
+            f"--samples must be at least 1, got {config['samples']}")
     scene = _build_scene(config)
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])

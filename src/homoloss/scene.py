@@ -10,7 +10,7 @@ File formats (plain text, UTF-8, whitespace separated, '#' comments):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,8 @@ class Scene:
     intrinsics: Intrinsics
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", np.asarray(self.points, dtype=float).reshape(-1, 3)
-        )
+        points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "frames", tuple(self.frames))
         if len(self.frames) < 1:
             raise InvalidInputError("scene needs at least one frame")
@@ -103,47 +102,60 @@ class DepthSlab:
 # -- depths and percentiles ------------------------------------------------
 
 def frame_depths(scene: Scene, frame: Frame) -> np.ndarray:
-    pts = scene.visible_points(frame)
-    if len(pts) == 0:
-        return np.zeros(0)
     R = quat_to_rotmat(frame.gt_pose.q)
-    return (pts - frame.gt_pose.t) @ R[:, 2]
+    return (scene.visible_points(frame) - frame.gt_pose.t) @ R[:, 2]
+
+
+def _group_percentiles(groups, lo, hi):
+    """Per group of depths, in one numpy pass: the count of positive depths
+    and their lo and hi quantiles, bit for bit those of
+    np.quantile(..., method="linear"); NaN for fewer than 2 of them."""
+    flat = np.concatenate([np.zeros(0), *groups])
+    group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    flat, group = flat[flat > 0], group[flat > 0]
+    flat = flat[np.lexsort((flat, group))]
+    n = np.bincount(group, minlength=len(groups))
+    ok = n >= 2
+    m, start = n[ok], (np.cumsum(n) - n)[ok]
+    virtual = (m - 1) * np.array([[lo], [hi]])  # at most m - 1 as p <= 1
+    i = np.floor(virtual)
+    a = flat[start + i.astype(np.intp)]
+    b = flat[start + np.minimum(i + 1, m - 1).astype(np.intp)]
+    g = virtual - i
+    bounds = np.full((2, len(groups)), np.nan)
+    # numpy's _lerp, which interpolates from the nearer end
+    bounds[:, ok] = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+    return n, bounds
+
+
+def _slab_params(groups, lo, hi, frame_ids):
+    """SlabParams per group of depths; DegenerateDepthError for the first
+    group with fewer than 2 positive depths or with x_min >= x_max."""
+    if not 0.0 <= lo < hi <= 1.0:
+        raise InvalidInputError("need 0 <= lo < hi <= 1")
+    n, (x_min, x_max) = _group_percentiles(groups, lo, hi)
+    for k in np.flatnonzero(~(x_min < x_max))[:1]:  # the first failing
+        why = (f"needs at least 2 positive-depth points, got {n[k]}"
+               if n[k] < 2 else "degenerate depth distribution, "
+               f"x_min={x_min[k]} >= x_max={x_max[k]}")
+        raise DegenerateDepthError(f"frame {frame_ids[k]}: {why}",
+                                   frame_id=frame_ids[k])
+    return [SlabParams(x_min=a, x_max=b)
+            for a, b in zip(x_min.tolist(), x_max.tolist())]
 
 
 def _percentile_bounds(depths, lo, hi, frame_id=None):
-    """Slab bounds from positive depths by linear interpolation between
-    order statistics. Non-positive depths are excluded."""
-    depths = np.asarray(depths, dtype=float)
-    positive = depths[depths > 0]
-    if len(positive) < 2:
-        raise DegenerateDepthError(
-            f"frame {frame_id}: needs at least 2 positive-depth points, "
-            f"got {len(positive)}",
-            frame_id=frame_id,
-        )
-    x_min = float(np.quantile(positive, lo))
-    x_max = float(np.quantile(positive, hi))
-    if not x_min < x_max:
-        raise DegenerateDepthError(
-            f"frame {frame_id}: degenerate depth distribution, "
-            f"x_min={x_min} >= x_max={x_max}",
-            frame_id=frame_id,
-        )
-    return SlabParams(x_min=x_min, x_max=x_max)
+    """Slab bounds of one group of depths (see _slab_params)."""
+    return _slab_params([depths], lo, hi, [frame_id])[0]
 
 
 def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Per-frame slab bounds from each frame's own depth distribution."""
-    if not 0.0 <= lo < hi <= 1.0:
-        raise InvalidInputError("need 0 <= lo < hi <= 1")
-    per_frame = {}
-    for f in scene.frames:
-        per_frame[f.id] = _percentile_bounds(
-            frame_depths(scene, f), lo, hi, frame_id=f.id
-        )
-    return DepthSlab(mode="local", percentile_lo=lo, percentile_hi=hi,
-                     per_frame=per_frame)
+    ids = [f.id for f in scene.frames]
+    bounds = _slab_params([frame_depths(scene, f) for f in scene.frames],
+                          lo, hi, ids)
+    return DepthSlab("local", lo, hi, per_frame=dict(zip(ids, bounds)))
 
 
 def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
@@ -157,19 +169,38 @@ def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
                 f"manual bounds need 0 < x_min < x_max, got ({x_min}, {x_max})"
             )
         single = SlabParams(x_min=float(x_min), x_max=float(x_max))
-        return DepthSlab(mode="global", percentile_lo=lo, percentile_hi=hi,
-                         single=single)
-    if scene is None:
+    elif scene is None:
         raise InvalidInputError("need a scene or manual bounds")
-    if not 0.0 <= lo < hi <= 1.0:
-        raise InvalidInputError("need 0 <= lo < hi <= 1")
-    pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
-    single = _percentile_bounds(pooled, lo, hi, frame_id="<global>")
-    return DepthSlab(mode="global", percentile_lo=lo, percentile_hi=hi,
-                     single=single)
+    else:
+        pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
+        single = _percentile_bounds(pooled, lo, hi, frame_id="<global>")
+    return DepthSlab("global", lo, hi, single=single)
 
 
 # -- text ingestion --------------------------------------------------------
+
+def _records(stream):
+    """(line number, fields) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
+
+
+def _numbers(fields, count, lineno):
+    """The `count` finite floats that follow a line's first field."""
+    if len(fields) != count + 1:
+        raise ParseError(f"{fields[0]!r} needs {count} numbers, got "
+                         f"{len(fields) - 1}", line=lineno)
+    try:
+        vals = [float(x) for x in fields[1:]]
+    except ValueError as e:
+        raise ParseError(f"non-numeric field: {e}", line=lineno) from e
+    for x, v in zip(fields[1:], vals):
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite field {x!r}", line=lineno)
+    return vals
+
 
 def parse_pose_list(stream):
     """Parse `name tx ty tz qw qx qy qz` lines into (id, Pose) pairs.
@@ -178,23 +209,10 @@ def parse_pose_list(stream):
     and blank lines are skipped. Errors carry the 1-based line number.
     """
     out = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise ParseError(
-                f"expected 8 fields (name + 7 floats), got {len(fields)}",
-                line=lineno,
-            )
-        name = fields[0]
-        try:
-            vals = [float(x) for x in fields[1:]]
-        except ValueError as e:
-            raise ParseError(f"non-numeric field: {e}", line=lineno) from e
+    for lineno, fields in _records(stream):
+        vals = _numbers(fields, 7, lineno)
         q = quat_canonical(np.array(vals[3:7]))
-        out.append((name, Pose(np.array(vals[:3]), q)))
+        out.append((fields[0], Pose(np.array(vals[:3]), q)))
     return out
 
 
@@ -214,45 +232,27 @@ def parse_points(stream):
     P/V line order does not matter.
     """
     points = []
-    vis = {}
-    vis_lines = {}
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    vis = {}  # frame id -> (line number, visibility tuple)
+    for lineno, fields in _records(stream):
         tag = fields[0]
         if tag == "P":
-            if len(fields) != 4:
-                raise ParseError(
-                    f"P line expects 3 coordinates, got {len(fields) - 1}",
-                    line=lineno,
-                )
-            try:
-                points.append([float(x) for x in fields[1:]])
-            except ValueError as e:
-                raise ParseError(f"non-numeric field: {e}", line=lineno) from e
+            points.append(_numbers(fields, 3, lineno))
         elif tag == "V":
             if len(fields) < 2:
                 raise ParseError("V line expects a frame id", line=lineno)
-            fid = fields[1]
             try:
-                idx = [int(x) for x in fields[2:]]
+                vis[fields[1]] = (lineno, tuple(int(x) for x in fields[2:]))
             except ValueError as e:
                 raise ParseError(f"non-integer index: {e}", line=lineno) from e
-            vis[fid] = tuple(idx)
-            vis_lines[fid] = lineno
         else:
             raise ParseError(f"unknown record tag {tag!r}", line=lineno)
     n = len(points)
-    for fid, idx in vis.items():
-        for i in idx:
-            if i < 0 or i >= n:
-                raise ParseError(
-                    f"frame {fid}: visibility index {i} out of range "
-                    f"(have {n} points)",
-                    line=vis_lines[fid],
-                )
+    for fid, (lineno, idx) in vis.items():
+        bad = [i for i in idx if not 0 <= i < n]
+        if bad:
+            raise ParseError(f"frame {fid}: visibility index {bad[0]} out of "
+                             f"range (have {n} points)", line=lineno)
+    vis = {fid: idx for fid, (_, idx) in vis.items()}
     return np.asarray(points, dtype=float).reshape(-1, 3), vis
 
 

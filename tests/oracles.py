@@ -5,8 +5,9 @@ homographies and their Frobenius error, the sensor-integrated reprojection
 error and its dense-grid quadrature, the midpoint quadrature of the slab
 integral, an independent algebraic reduction of the closed form, pose
 composition, one-point projection and depth, the per-point DiffScalar
-form of the geometric loss that its numpy kernel replaced, and the
-DiffScalar value and gradient of every loss kind.
+form of the geometric loss that its numpy kernel replaced, the DiffScalar
+value and gradient of every loss kind, and the per-frame np.quantile slab
+estimation that the batched percentile routine replaced.
 """
 
 import math
@@ -26,6 +27,7 @@ from homoloss.geometry import (
     rotmat_to_quat,
 )
 from homoloss.losses import SlabParams
+from homoloss.scene import DegenerateDepthError
 
 
 class InvalidDepthError(ValueError):
@@ -192,3 +194,33 @@ def reference_grad(kind, params, ctx):
     else:
         out = diffscalar.homography_core(t, q, ctx.gt, ctx.slab)
     return diffscalar.value(out), diffscalar.gradient(out, len(params))
+
+
+def quantile_bounds(depths, lo, hi):
+    """(count, x_min, x_max) of a group's positive depths, the bounds from
+    np.quantile(..., method="linear"); NaN bounds below 2 positive depths."""
+    depths = np.asarray(depths, dtype=float)
+    positive = depths[depths > 0]
+    if len(positive) < 2:
+        return len(positive), math.nan, math.nan
+    return (len(positive), float(np.quantile(positive, lo)),
+            float(np.quantile(positive, hi)))
+
+
+def slab_loop(groups, lo, hi, frame_ids):
+    """Slab bounds [(x_min, x_max)] one frame at a time, raising
+    DegenerateDepthError for the first frame, in order, with fewer than 2
+    positive depths or with x_min >= x_max."""
+    out = []
+    for depths, fid in zip(groups, frame_ids):
+        n, x_min, x_max = quantile_bounds(depths, lo, hi)
+        if n < 2:
+            raise DegenerateDepthError(
+                f"frame {fid}: needs at least 2 positive-depth points, "
+                f"got {n}", frame_id=fid)
+        if not x_min < x_max:
+            raise DegenerateDepthError(
+                f"frame {fid}: degenerate depth distribution, "
+                f"x_min={x_min} >= x_max={x_max}", frame_id=fid)
+        out.append((x_min, x_max))
+    return out

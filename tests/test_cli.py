@@ -87,6 +87,12 @@ class TestLandscape:
         assert m["command"] == "landscape"
         assert m["config"]["steps"] == 51
 
+    @pytest.mark.parametrize("frame", ["99", "8", "-1"])
+    def test_frame_out_of_range_exit_2(self, tmp_path, capsys, frame):
+        out = str(tmp_path / "o")
+        assert main(landscape_args(out, **{"--frame": frame})) == 2
+        assert "scene of 8 frames" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def base(self, out, loss="homography", extra=()):
@@ -113,6 +119,13 @@ class TestGradcheck:
     def test_other_losses(self, tmp_path, loss):
         out = str(tmp_path / loss)
         assert main(self.base(out, loss=loss)) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_a_usage_error(self, tmp_path, capsys, samples):
+        out = str(tmp_path / "o")
+        assert main(self.base(out, extra=["--samples", samples])) == 1
+        assert "--samples must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "gradcheck.csv"))
 
 
 class TestOptimize:
@@ -337,6 +350,26 @@ class TestExitCodes:
         argv = ["slabs", "--poses", bad, "--points", pts, "--out", out]
         assert main(argv) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loss", ["geometric", "homography", "posenet"])
+    @pytest.mark.parametrize("bad", ["pose", "point"])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, loss, bad):
+        poses = str(tmp_path / "poses.txt")
+        with open(poses, "w") as f:
+            f.write("f0 0 0 0 1 0 0 0\n" if bad == "point"
+                    else "f0 inf 0 0 1 0 0 0\n")
+        pts = str(tmp_path / "pts.txt")
+        with open(pts, "w") as f:
+            f.write("P 0 0 4\nP 1 0 5\nP 0 1 6\n")
+            f.write("P nan 0 1\n" if bad == "point" else "")
+            f.write("V f0 0 1 2\n")
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--poses", poses, "--points", pts, "--loss", loss,
+                "--epochs", "2", "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("line 4" if bad == "point" else "line 1") in err
+        assert "non-finite" in err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homoloss.geometry import InvalidInputError, Pose, quat_to_rotmat
 from homoloss.scene import (
@@ -20,9 +21,26 @@ from homoloss.scene import (
     synth_scene,
     write_points,
     write_pose_list,
+    _group_percentiles,
     _percentile_bounds,
+    _slab_params,
 )
-from oracles import point_depth
+from oracles import point_depth, quantile_bounds, slab_loop
+
+# Ragged groups of depths: empty groups, non-positive, NaN and infinite
+# depths, and depths rounded to one decimal so that groups have ties.
+depth = st.one_of(
+    st.floats(1e-3, 100.0),
+    st.floats(0.5, 4.0).map(lambda x: round(x, 1)),
+    st.sampled_from([0.0, -2.5, math.nan, math.inf]),
+)
+depth_groups = st.lists(st.lists(depth, max_size=30), min_size=1, max_size=8)
+# 0, 0.25, 0.5, 0.75 and 1 give integer virtual indices for many sizes
+percentiles = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0]),
+              st.floats(0.0, 1.0)),
+    min_size=2, max_size=2,
+).map(sorted)
 
 
 def sorted_percentile_oracle(values, p):
@@ -86,6 +104,64 @@ class TestPercentileBounds:
             for lo in (0.0, 0.1, 0.3, 0.5)
         ]
         assert mins == sorted(mins)
+
+
+class TestBatchedPercentiles:
+    """The one-pass percentile routine against per-frame np.quantile."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(groups=depth_groups, p=percentiles)
+    @example(groups=[[], [3.0, 1.5], [2.0, -1.0, math.nan, 2.0],
+                     [5.0, 1.0, 4.0, 2.0, 3.0]], p=[0.0, 1.0])
+    @example(groups=[[5.0, 1.0, 4.0, 2.0, 3.0], [0.5, 0.5, 0.7]],
+             p=[0.25, 0.5])
+    def test_bounds_equal_quantile(self, groups, p):
+        lo, hi = p
+        arrays = [np.asarray(g, dtype=float) for g in groups]
+        with np.errstate(invalid="ignore"):
+            n, (x_min, x_max) = _group_percentiles(arrays, lo, hi)
+            ref = [quantile_bounds(g, lo, hi) for g in arrays]
+        assert n.tolist() == [r[0] for r in ref]
+        # exact, with NaN equal to NaN
+        np.testing.assert_array_equal(x_min, [r[1] for r in ref])
+        np.testing.assert_array_equal(x_max, [r[2] for r in ref])
+
+    @settings(deadline=None, max_examples=300)
+    @given(groups=depth_groups, p=percentiles)
+    @example(groups=[[1.0, 2.0], [2.0, 2.0, 2.0], [7.0]], p=[0.025, 0.975])
+    @example(groups=[[1.0, 2.0], [7.0], [2.0, 2.0, 2.0]], p=[0.025, 0.975])
+    def test_errors_match_per_frame_loop(self, groups, p):
+        lo, hi = p
+        assume(lo < hi)
+        arrays = [np.asarray(g, dtype=float) for g in groups]
+        ids = [f"f{k:03d}" for k in range(len(groups))]
+        with np.errstate(invalid="ignore"):
+            try:
+                expected = slab_loop(arrays, lo, hi, ids)
+            except DegenerateDepthError as e:
+                with pytest.raises(DegenerateDepthError) as got:
+                    _slab_params(arrays, lo, hi, ids)
+                assert str(got.value) == str(e)
+                assert got.value.frame_id == e.frame_id
+                return
+            got = _slab_params(arrays, lo, hi, ids)
+        assert [(s.x_min, s.x_max) for s in got] == expected
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+    def test_local_slabs_raise_for_first_failing_frame(self, order):
+        # identity poses: a point's depth is its z
+        points = np.array([[0, 0, 2.0], [0, 0, 3.0], [0, 0, 5.0],
+                           [0, 0, -1.0]])
+        visible = [(0, 1, 2), (0, 0, 0), (3, 0)]  # fine, constant, 1 positive
+        frames = [Frame(f"f{k}", Pose.identity(), visible[k]) for k in order]
+        scene = Scene(points, frames, default_intrinsics())
+        with pytest.raises(DegenerateDepthError) as got:
+            local_slabs(scene)
+        with pytest.raises(DegenerateDepthError) as expected:
+            slab_loop([frame_depths(scene, f) for f in frames],
+                      0.025, 0.975, [f.id for f in frames])
+        assert got.value.frame_id == frames[1].id
+        assert str(got.value) == str(expected.value)
 
 
 class TestDepths:
@@ -175,6 +251,20 @@ class TestParsing:
     def test_pose_non_numeric_error(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_pose_list(io.StringIO("f0 0 0 zzz 1 0 0 0\n"))
+
+    @pytest.mark.parametrize("line", ["f1 inf 0 0 1 0 0 0",
+                                      "f1 0 0 0 nan 0 0 1",
+                                      "f1 0 -Infinity 0 1 0 0 0"])
+    def test_pose_non_finite_error(self, line):
+        text = f"f0 0 0 0 1 0 0 0\n{line}\n"
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_pose_list(io.StringIO(text))
+
+    @pytest.mark.parametrize("line", ["P nan 0 1", "P 0 inf 1", "P 0 0 -inf"])
+    def test_points_non_finite_error(self, line):
+        text = f"P 0 0 1\n{line}\nV f0 0 1\n"
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_points(io.StringIO(text))
 
     def test_points_round_trip(self):
         pts = np.array([[0.0, 1.5, -2.0], [3.25, 0.0, 9.0]])
