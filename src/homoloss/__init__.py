@@ -7,22 +7,11 @@ from .geometry import (
     Intrinsics,
     InvalidInputError,
     Pose,
-    RelativePose,
     angle_between,
     project_points,
     quat_to_rotmat,
-    relative_pose,
 )
-from .losses import (
-    LossHyperParams,
-    SlabParams,
-    geometric_loss,
-    homography_loss,
-    homography_loss_closed,
-    homoscedastic_loss,
-    max_error_loss,
-    posenet_loss,
-)
+from .losses import LossHyperParams, SlabParams
 from .diffgrad import (
     GradReport,
     LossContext,

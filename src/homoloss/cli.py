@@ -126,7 +126,8 @@ def _add_scene_args(p):
 def _intrinsics(config) -> Intrinsics:
     if config.get("fx") is None:
         return scene_mod.default_intrinsics(config["fov"])
-    return Intrinsics(fx=config["fx"], fy=config["fy"] or config["fx"],
+    fy = config["fx"] if config["fy"] is None else config["fy"]
+    return Intrinsics(fx=config["fx"], fy=fy,
                       cx=config["cx"], cy=config["cy"],
                       w=config["width"], h=config["height"])
 

@@ -4,7 +4,7 @@ loss's one kernel in `losses`, plus the central finite-difference oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,18 +142,17 @@ class GradReport:
 
     analytic: np.ndarray
     numeric: np.ndarray
-    max_rel_err: float = None
+    max_rel_err: float = field(init=False)
 
     def __post_init__(self):
         self.analytic = np.asarray(self.analytic, dtype=float)
         self.numeric = np.asarray(self.numeric, dtype=float)
-        if self.max_rel_err is None:
-            denom = np.maximum(
-                REL_ERR_FLOOR, np.abs(self.analytic) + np.abs(self.numeric)
-            )
-            self.max_rel_err = float(
-                np.max(np.abs(self.analytic - self.numeric) / denom)
-            )
+        denom = np.maximum(
+            REL_ERR_FLOOR, np.abs(self.analytic) + np.abs(self.numeric)
+        )
+        self.max_rel_err = float(
+            np.max(np.abs(self.analytic - self.numeric) / denom)
+        )
 
 
 def grad_report(kind: str, est, ctx: LossContext,

@@ -1,11 +1,9 @@
-"""SE(3)/quaternion primitives, relative poses and pinhole projection.
+"""SE(3)/quaternion primitives and pinhole projection.
 
 Conventions:
     - Poses are world-from-camera: ``t`` is the camera position in the world
       frame, ``q`` the camera orientation quaternion in (w, x, y, z) order.
     - A world point P maps into the camera frame as ``R(q)^T (P - t)``.
-    - The relative pose of the ground truth expressed in the estimated frame
-      is ``R_rel = R_est^T R_gt``, ``t_rel = R_est^T (t_gt - t_est)``.
 """
 
 from __future__ import annotations
@@ -50,18 +48,6 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class RelativePose:
-    """Ground-truth camera frame expressed in the estimated camera frame."""
-
-    R: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-
-
-@dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsics. w/h are pixel extents for datasets, or unitless
     normalized extents when used inside sensor-integral checks."""
@@ -76,11 +62,6 @@ class Intrinsics:
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0 or self.w <= 0 or self.h <= 0:
             raise InvalidInputError("fx, fy, w, h must be positive")
-
-    @staticmethod
-    def normalized():
-        """Identity-like intrinsics with a unit sensor, for integral checks."""
-        return Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, w=1.0, h=1.0)
 
 
 # -- quaternion algebra ----------------------------------------------------
@@ -200,16 +181,7 @@ def angle_between(q1, q2):
     return 2.0 * math.acos(d) * 180.0 / math.pi
 
 
-# -- pose algebra ----------------------------------------------------------
-
-def relative_pose(gt: Pose, est: Pose) -> RelativePose:
-    """Ground-truth pose expressed in the (normalized) estimated frame."""
-    R_gt = quat_to_rotmat(gt.q)
-    R_est = quat_to_rotmat(est.q)
-    R = R_est.T @ R_gt
-    t = R_est.T @ (gt.t - est.t)
-    return RelativePose(R, t)
-
+# -- projection ------------------------------------------------------------
 
 def project_points(pose: Pose, K: Intrinsics, points):
     """Pinhole projection of world points (N, 3) under pose.

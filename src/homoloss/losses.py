@@ -1,20 +1,21 @@
 """The five pose-regression losses.
 
 Losses:
-    - posenet_loss:        weighted L2 translation + quaternion difference
-    - homoscedastic_loss:  L1 terms scaled by learnable log-variances
-    - geometric_loss:      clipped mean L1 reprojection error of scene points
-    - max_error_loss:      max(angle in degrees, translation in cm) + unit
-                           quaternion regularizer
-    - homography_loss_closed / homography_loss: slab integral of the squared
-                           Frobenius homographic error, in closed form
+    - posenet:        weighted L2 translation + quaternion difference
+    - homoscedastic:  L1 terms scaled by learnable log-variances
+    - geometric:      clipped mean L1 reprojection error of scene points
+    - maxerror:       max(angle in degrees, translation in cm) + unit
+                      quaternion regularizer
+    - homography:     slab integral of the squared Frobenius homographic
+                      error, in closed form
 
 Each loss has one kernel, _<kind>_core: it takes the estimated pose as 7
 floats (9 for the homoscedastic loss, which learns its log-variances) and
-returns the value and its closed-form gradient, so every entry point gets
-the same value from the same float arithmetic.
+returns the value and its closed-form gradient. diffgrad.loss_value and
+diffgrad.evaluate_with_grad are the entry points to the kernels.
 
-The slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] is
+With R, t the ground-truth camera expressed in the estimated camera frame,
+the slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] is
 ||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |n|^2 |t|^2, with c1 and c2 from
 _slab_weights. From a pose pair these terms, like the geometric loss's
 residuals, are exactly 0 when the estimate equals the ground truth, for any
@@ -37,7 +38,6 @@ from .geometry import (
     InvalidInputError,
     Intrinsics,
     Pose,
-    RelativePose,
     project_points,
     quat_to_rotmat,
     rotmat_elems,
@@ -229,50 +229,3 @@ def _homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
         + k1 * dual.rotation_grad(q_est, body)
     grad_t = [-k1 * m[i] - 2.0 * k2 * d[i] for i in range(3)]
     return val, np.concatenate([grad_t, grad_q])
-
-
-# -- public float-facing API ------------------------------------------------
-
-def _split(est: Pose):
-    return list(map(float, est.t)), list(map(float, est.q))
-
-
-def posenet_loss(est: Pose, gt: Pose, beta: float) -> float:
-    """L2 translation error + beta * L2 quaternion difference (gt normalized,
-    estimate raw)."""
-    return float(_posenet_core(*_split(est), gt, beta)[0])
-
-
-def homoscedastic_loss(est: Pose, gt: Pose, s_t: float, s_q: float) -> float:
-    """L1 errors weighted by learnable log-variances s_t, s_q."""
-    return float(_homoscedastic_core(*_split(est), s_t, s_q, gt)[0])
-
-
-def geometric_loss(est: Pose, gt: Pose, points, K: Intrinsics,
-                   clip: float) -> float:
-    """Mean clipped L1 reprojection error over the visible points.
-
-    A point projecting to infinity under the estimate contributes exactly
-    the clip; with clip=inf the loss is non-finite in that case. A point at
-    exactly zero gt depth has no gt pixel and raises InvalidInputError.
-    """
-    return float(_geometric_core(*_split(est), gt, points, K, clip)[0])
-
-
-def max_error_loss(est: Pose, gt: Pose, reg_weight: float) -> float:
-    """max(rotation angle in degrees, translation in cm) plus
-    reg_weight * (||q_est|| - 1)^2."""
-    return float(_maxerror_core(*_split(est), gt, reg_weight)[0])
-
-
-def homography_loss_closed(rel: RelativePose, slab: SlabParams) -> float:
-    """Closed-form slab integral of the squared Frobenius homographic error."""
-    M = np.eye(3) - rel.R
-    k1, k2 = _slab_weights(slab)
-    return float(np.sum(M * M) + k1 * float(rel.t @ M @ slab.n)
-                 + k2 * float(rel.t @ rel.t))
-
-
-def homography_loss(est: Pose, gt: Pose, slab: SlabParams) -> float:
-    """Closed-form homography loss straight from a pose pair."""
-    return float(_homography_core(*_split(est), gt, slab)[0])

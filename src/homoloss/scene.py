@@ -88,8 +88,6 @@ class DepthSlab:
     """Per-frame (local) or shared (global) slab bounds."""
 
     mode: str  # "local" | "global"
-    percentile_lo: float
-    percentile_hi: float
     per_frame: dict = None      # frame id -> SlabParams, local mode
     single: SlabParams = None   # shared bounds, global mode
 
@@ -155,7 +153,7 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
     ids = [f.id for f in scene.frames]
     bounds = _slab_params([frame_depths(scene, f) for f in scene.frames],
                           lo, hi, ids)
-    return DepthSlab("local", lo, hi, per_frame=dict(zip(ids, bounds)))
+    return DepthSlab("local", per_frame=dict(zip(ids, bounds)))
 
 
 def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
@@ -174,7 +172,7 @@ def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
     else:
         pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
         single = _percentile_bounds(pooled, lo, hi, frame_id="<global>")
-    return DepthSlab("global", lo, hi, single=single)
+    return DepthSlab("global", single=single)
 
 
 # -- text ingestion --------------------------------------------------------
@@ -206,11 +204,17 @@ def parse_pose_list(stream):
     """Parse `name tx ty tz qw qx qy qz` lines into (id, Pose) pairs.
 
     Quaternions are normalized and canonicalized (qw >= 0). '#'-prefixed
-    and blank lines are skipped. Errors carry the 1-based line number.
+    and blank lines are skipped. Errors carry the 1-based line number; a
+    repeated name is an error naming both lines.
     """
     out = []
+    seen = {}  # name -> line number
     for lineno, fields in _records(stream):
         vals = _numbers(fields, 7, lineno)
+        if fields[0] in seen:
+            raise ParseError(f"frame name {fields[0]!r} already on line "
+                             f"{seen[fields[0]]}", line=lineno)
+        seen[fields[0]] = lineno
         q = quat_canonical(np.array(vals[3:7]))
         out.append((fields[0], Pose(np.array(vals[:3]), q)))
     return out

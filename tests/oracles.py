@@ -1,13 +1,16 @@
 """Reference implementations used only by the tests.
 
-They back the checks of the library's closed forms: single-plane
-homographies and their Frobenius error, the sensor-integrated reprojection
-error and its dense-grid quadrature, the midpoint quadrature of the slab
-integral, an independent algebraic reduction of the closed form, pose
-composition, one-point projection and depth, the per-point DiffScalar
-form of the geometric loss that its numpy kernel replaced, the DiffScalar
-value and gradient of every loss kind, and the per-frame np.quantile slab
-estimation that the batched percentile routine replaced.
+They back the checks of the library's closed forms: the relative pose of
+the ground truth expressed in the estimated camera frame, R_rel = R_est^T
+R_gt and t_rel = R_est^T (t_gt - t_est), and the slab loss's closed form
+from it; single-plane homographies and their Frobenius error, the
+sensor-integrated reprojection error and its dense-grid quadrature, the
+midpoint quadrature of the slab integral, an independent algebraic
+reduction of the closed form, pose composition, one-point projection and
+depth, the per-point DiffScalar form of the geometric loss that its numpy
+kernel replaced, the DiffScalar value and gradient of every loss kind, and
+the per-frame np.quantile slab estimation that the batched percentile
+routine replaced.
 """
 
 import math
@@ -21,12 +24,11 @@ from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
     Pose,
-    RelativePose,
     project_points,
     quat_to_rotmat,
     rotmat_to_quat,
 )
-from homoloss.losses import SlabParams
+from homoloss.losses import SlabParams, _slab_weights
 from homoloss.scene import DegenerateDepthError
 
 
@@ -36,6 +38,35 @@ class InvalidDepthError(ValueError):
 
 class PointAtInfinity(Exception):
     """Raised when a point lies in the camera x-y plane (|Z| < DEPTH_EPS)."""
+
+
+@dataclass(frozen=True)
+class RelativePose:
+    """Ground-truth camera frame expressed in the estimated camera frame."""
+
+    R: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
+
+
+def relative_pose(gt: Pose, est: Pose) -> RelativePose:
+    """Ground-truth pose expressed in the (normalized) estimated frame."""
+    R_gt = quat_to_rotmat(gt.q)
+    R_est = quat_to_rotmat(est.q)
+    R = R_est.T @ R_gt
+    t = R_est.T @ (gt.t - est.t)
+    return RelativePose(R, t)
+
+
+def homography_loss_closed(rel: RelativePose, slab: SlabParams) -> float:
+    """Closed-form slab integral of the squared Frobenius homographic error."""
+    M = np.eye(3) - rel.R
+    k1, k2 = _slab_weights(slab)
+    return float(np.sum(M * M) + k1 * float(rel.t @ M @ slab.n)
+                 + k2 * float(rel.t @ rel.t))
 
 
 @dataclass(frozen=True)
@@ -132,9 +163,14 @@ def homography_loss_numeric(rel: RelativePose, slab: SlabParams,
     x = slab.x_min + (np.arange(n_samples) + 0.5) * (
         (slab.x_max - slab.x_min) / n_samples
     )
+    M = np.eye(3) - rel.R
     tn = np.outer(rel.t, slab.n)
-    D = (np.eye(3) - rel.R)[None, :, :] + tn[None, :, :] / x[:, None, None]
-    vals = np.sum(D * D, axis=(1, 2))
+    # ||M + tn/x||_F^2 at every sample, summed one matrix entry at a time
+    vals = np.zeros(n_samples)
+    for i in range(3):
+        for j in range(3):
+            d = M[i, j] + tn[i, j] / x
+            vals += d * d
     return float(np.mean(vals))
 
 

@@ -16,19 +16,16 @@ from homoloss.cli import main as cli_main
 from homoloss.diffgrad import LOSS_KINDS, LossContext, grad_report
 from homoloss.geometry import (
     Pose,
-    RelativePose,
     angle_between,
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
 )
-from homoloss.losses import (
-    LossHyperParams,
-    SlabParams,
-    homography_loss_closed,
-)
+from homoloss.losses import LossHyperParams, SlabParams
 from oracles import (
+    RelativePose,
     homography,
+    homography_loss_closed,
     homography_loss_numeric,
     scalar_form_oracle,
     sensor_grid_reproj,

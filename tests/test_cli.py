@@ -313,6 +313,20 @@ class TestEval:
         assert lines[1].startswith("mean_reproj_distance_px,")
         assert float(lines[1].split(",")[1]) > 0.0
 
+    def test_zero_fy_exit_2(self, tmp_path, capsys):
+        # --fy 0 is invalid intrinsics; only an absent --fy defaults to --fx
+        gt_path, est_path = self.write_scene_files(tmp_path)
+        pts_path = str(tmp_path / "pts.txt")
+        with open(pts_path, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
+                         {"f0": (0, 1), "f1": (0, 1)})
+        out = str(tmp_path / "o")
+        argv = ["eval", "--gt-poses", gt_path, "--est-poses", est_path,
+                "--points", pts_path, "--fx", "500", "--fy", "0",
+                "--out", out]
+        assert main(argv) == 2
+        assert "fy" in capsys.readouterr().err
+
     def test_no_common_frames_exit_2(self, tmp_path, capsys):
         gt_path, _ = self.write_scene_files(tmp_path)
         other = str(tmp_path / "other.txt")
@@ -350,6 +364,22 @@ class TestExitCodes:
         argv = ["slabs", "--poses", bad, "--points", pts, "--out", out]
         assert main(argv) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["slabs", "eval"])
+    def test_duplicate_frame_name_exit_2(self, tmp_path, capsys, command):
+        poses = str(tmp_path / "poses.txt")
+        with open(poses, "w") as f:
+            f.write("f0 0 0 0 1 0 0 0\nf1 1 0 0 1 0 0 0\n"
+                    "f0 0 0 -1 1 0 0 0\n")
+        pts = str(tmp_path / "pts.txt")
+        with open(pts, "w") as f:
+            f.write("P 0 0 4\nP 1 0 5\nP 0 1 6\nV f0 0 1 2\nV f1 0 1 2\n")
+        argv = (["slabs", "--poses", poses, "--points", pts]
+                if command == "slabs"
+                else ["eval", "--gt-poses", poses, "--est-poses", poses])
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "line 3: frame name 'f0' already on line 1" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("loss", ["geometric", "homography", "posenet"])
     @pytest.mark.parametrize("bad", ["pose", "point"])

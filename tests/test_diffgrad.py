@@ -22,6 +22,7 @@ from homoloss.geometry import (
     Intrinsics,
     Pose,
     quat_from_axis_angle,
+    quat_multiply,
     quat_to_rotmat,
 )
 from homoloss.losses import LossHyperParams, SlabParams
@@ -286,6 +287,64 @@ class TestDiffScalarParity:
     def test_at_gt(self, kind):
         ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
         assert_matches_reference(kind, params_for(kind, ctx.gt, ctx), ctx)
+
+
+# What each kind's definition ignores in the estimated q: its sign and
+# scale when the loss uses only the rotation R(q), the scale when it uses
+# q/|q|, the sign when it uses |q| and |q . q_gt|. Posenet uses q itself.
+Q_INVARIANCES = {
+    "homoscedastic": ("scale",),
+    "geometric": ("sign", "scale"),
+    "maxerror": ("sign",),
+    "homography_local": ("sign", "scale"),
+    "homography_global": ("sign", "scale"),
+}
+
+
+class TestQuaternionInvariance:
+    """The loss keeps its value when the estimated q changes only in what
+    the definition ignores: exactly for -1 and powers of two, which scale
+    without rounding, and to 1e-13 relative for any other scale."""
+
+    @pytest.mark.parametrize("kind", list(Q_INVARIANCES))
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), unit_gt=st.booleans(),
+           power=st.integers(-8, 8).filter(bool),
+           scale=st.floats(0.1, 10.0))
+    def test_sign_and_scale(self, kind, seed, unit_gt, power, scale):
+        rng = np.random.default_rng(seed)
+        gt = random_pose(rng, scale=1.0)
+        if not unit_gt:
+            gt = Pose(gt.t, gt.q * rng.uniform(0.5, 2.0))
+        # At least 5 degrees and 5 cm from the gt, so that rounding in the
+        # scaled q stays far below 1e-13 of the loss.
+        step = rng.normal(size=3)
+        dq = quat_from_axis_angle(rng.normal(size=3),
+                                  np.radians(rng.uniform(5.0, 60.0)))
+        est = Pose(gt.t + step / np.linalg.norm(step) * rng.uniform(0.05, 1.0),
+                   quat_multiply(gt.q, dq))
+        x_min = rng.uniform(0.1, 10.0)
+        ctx = LossContext(
+            gt=gt,
+            # s_t = s_q = 0 keeps the homoscedastic loss a positive sum
+            hyper=LossHyperParams(s_t=0.0, s_q=0.0),
+            points=points_before(gt, rng), intrinsics=K,
+            slab=SlabParams(x_min, x_min + rng.uniform(1e-2, 100.0),
+                            rng.normal(size=3)),
+        )
+        params = params_for(kind, est, ctx)
+
+        def value(factor):
+            p = params.copy()
+            p[3:7] *= factor
+            return loss_value(kind, p, ctx)
+
+        base = value(1.0)
+        if "sign" in Q_INVARIANCES[kind]:
+            assert value(-1.0) == base
+        if "scale" in Q_INVARIANCES[kind]:
+            assert value(2.0 ** power) == base
+            assert abs(value(scale) - base) <= 1e-13 * abs(base)
 
 
 class TestFiniteDiff:

@@ -4,36 +4,40 @@ import numpy as np
 import pytest
 
 from conftest import perturbed, random_pose, random_rotation
-from homoloss.diffgrad import evaluate_with_grad
+from homoloss.diffgrad import (
+    LossContext,
+    evaluate_with_grad,
+    loss_value,
+    params_for,
+)
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
     Pose,
-    RelativePose,
     quat_from_axis_angle,
     quat_to_rotmat,
 )
-from homoloss.losses import (
-    LossHyperParams,
-    SlabParams,
-    geometric_loss,
-    homography_loss,
-    homography_loss_closed,
-    homoscedastic_loss,
-    max_error_loss,
-    posenet_loss,
-)
+from homoloss.losses import LossHyperParams, SlabParams
 from homoloss.optim import frame_context
 from oracles import (
     Homography,
+    RelativePose,
     geometric_loop,
     homography,
+    homography_loss_closed,
     homography_loss_numeric,
+    relative_pose,
     scalar_form_oracle,
     sensor_grid_reproj,
     sensor_weighted_reproj,
     single_plane_error,
 )
+
+
+def loss(kind, est, gt, points=None, K=None, slab=None, **hyper):
+    """The loss of kind at est through its one entry point, loss_value."""
+    ctx = LossContext(gt, LossHyperParams(**hyper), points, K, slab)
+    return loss_value(kind, params_for(kind, est, ctx), ctx)
 
 
 def rz(theta):
@@ -57,41 +61,43 @@ class TestPoseNetLoss:
     def test_zero_at_gt(self):
         rng = np.random.default_rng(0)
         p = random_pose(rng)
-        assert posenet_loss(p, p, beta=500.0) == 0.0
+        assert loss("posenet", p, p, beta=500.0) == 0.0
 
     def test_arithmetic(self):
         # |dt| = 1, |dq| = 0.01, beta = 500 -> 6
         gt = Pose.identity()
         est = Pose([1.0, 0.0, 0.0], [1.01, 0.0, 0.0, 0.0])
-        assert posenet_loss(est, gt, beta=500.0) == pytest.approx(6.0)
+        assert loss("posenet", est, gt, beta=500.0) == pytest.approx(6.0)
 
     def test_gt_quaternion_normalized_est_raw(self):
         gt = Pose([0, 0, 0], [2.0, 0.0, 0.0, 0.0])  # non-unit gt
         est = Pose([0, 0, 0], [2.0, 0.0, 0.0, 0.0])  # same raw values
         # gt is normalized to (1,0,0,0); est stays raw -> |dq| = 1
-        assert posenet_loss(est, gt, beta=10.0) == pytest.approx(10.0)
+        assert loss("posenet", est, gt, beta=10.0) == pytest.approx(10.0)
 
 
 class TestHomoscedasticLoss:
     def test_zero_at_gt(self):
         rng = np.random.default_rng(1)
         p = random_pose(rng)
-        assert homoscedastic_loss(p, p, 0.0, 0.0) == 0.0
+        assert loss("homoscedastic", p, p, s_t=0.0, s_q=0.0) == 0.0
 
     def test_log_variance_offset(self):
         rng = np.random.default_rng(2)
         p = random_pose(rng)
-        assert homoscedastic_loss(p, p, 0.0, -3.0) == pytest.approx(-3.0)
+        assert loss("homoscedastic", p, p, s_t=0.0, s_q=-3.0) == \
+            pytest.approx(-3.0)
 
     def test_l1_translation(self):
         gt = Pose.identity()
         est = Pose([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0])
-        assert homoscedastic_loss(est, gt, 0.0, 0.0) == pytest.approx(6.0)
+        assert loss("homoscedastic", est, gt, s_t=0.0, s_q=0.0) == \
+            pytest.approx(6.0)
 
     def test_zero_quaternion_rejected(self):
         est = Pose([0, 0, 0], [0, 0, 0, 0])
         with pytest.raises(InvalidInputError):
-            homoscedastic_loss(est, Pose.identity(), 0.0, 0.0)
+            loss("homoscedastic", est, Pose.identity(), s_t=0.0, s_q=0.0)
 
 
 class TestGeometricLoss:
@@ -101,14 +107,14 @@ class TestGeometricLoss:
         rng = np.random.default_rng(3)
         gt = Pose.identity()
         pts = rng.uniform(-1, 1, size=(10, 3)) + [0, 0, 4.0]
-        assert geometric_loss(gt, gt, pts, self.K, clip=100.0) == 0.0
+        assert loss("geometric", gt, gt, pts, self.K, reproj_clip=100.0) == 0.0
 
     def test_single_point_l1(self):
         gt = Pose.identity()
         # point at depth 1 on axis; shift est left so pixel moves by (3, 4)
         est = Pose([-0.03, -0.04, 0.0], [1.0, 0.0, 0.0, 0.0])
         pts = np.array([[0.0, 0.0, 1.0]])
-        val = geometric_loss(est, gt, pts, self.K, clip=100.0)
+        val = loss("geometric", est, gt, pts, self.K, reproj_clip=100.0)
         assert val == pytest.approx(7.0)
 
     def test_clip_saturation_at_180(self):
@@ -116,31 +122,32 @@ class TestGeometricLoss:
         gt = Pose.identity()
         pts = rng.uniform(-0.5, 0.5, size=(20, 3)) + [0, 0, 4.0]
         est = Pose([0, 0, 0], quat_from_axis_angle([0, 1, 0], math.pi))
-        val = geometric_loss(est, gt, pts, self.K, clip=50.0)
+        val = loss("geometric", est, gt, pts, self.K, reproj_clip=50.0)
         assert val <= 50.0
 
     def test_infinity_contributes_clip(self):
         gt = Pose.identity()
         pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 1e-12]])
-        val = geometric_loss(gt, gt, pts, self.K, clip=80.0)
+        val = loss("geometric", gt, gt, pts, self.K, reproj_clip=80.0)
         assert val == pytest.approx(40.0)  # (0 + 80) / 2
 
     def test_zero_gt_depth_rejected(self):
         # A visible point in the gt camera's x-y plane has no gt pixel.
         pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         with pytest.raises(InvalidInputError, match="zero gt depth"):
-            geometric_loss(Pose.identity(), Pose.identity(), pts, self.K,
-                           clip=80.0)
+            loss("geometric", Pose.identity(), Pose.identity(), pts, self.K,
+                 reproj_clip=80.0)
 
     def test_unclipped_infinity_is_nonfinite(self):
         gt = Pose.identity()
         pts = np.array([[0.5, 0.5, 1e-12]])
-        val = geometric_loss(gt, gt, pts, self.K, clip=math.inf)
+        val = loss("geometric", gt, gt, pts, self.K, reproj_clip=math.inf)
         assert math.isinf(val)
 
     def test_empty_points_rejected(self):
         with pytest.raises(InvalidInputError):
-            geometric_loss(Pose.identity(), Pose.identity(), [], self.K, 10.0)
+            loss("geometric", Pose.identity(), Pose.identity(), [], self.K,
+                 reproj_clip=10.0)
 
     @pytest.mark.parametrize("clip", [20.0, 100.0])
     def test_kernel_matches_per_point_loop(self, scene, clip):
@@ -167,26 +174,29 @@ class TestMaxErrorLoss:
     def test_zero_at_gt(self):
         # Exactly-unit quaternion so the norm regularizer is exactly zero.
         p = Pose([1.5, -2.0, 0.25], [0.5, 0.5, 0.5, 0.5])
-        assert max_error_loss(p, p, reg_weight=1.0) == 0.0
+        assert loss("maxerror", p, p, quat_reg_weight=1.0) == 0.0
 
     def test_translation_branch(self):
         # 3 degrees vs 250 cm -> 250
         gt = Pose.identity()
         est = Pose([2.5, 0, 0], quat_from_axis_angle([0, 0, 1],
                                                      math.radians(3.0)))
-        assert max_error_loss(est, gt, 1.0) == pytest.approx(250.0)
+        assert loss("maxerror", est, gt, quat_reg_weight=1.0) == \
+            pytest.approx(250.0)
 
     def test_rotation_branch(self):
         # 10 degrees vs 5 cm -> 10
         gt = Pose.identity()
         est = Pose([0.05, 0, 0], quat_from_axis_angle([0, 0, 1],
                                                       math.radians(10.0)))
-        assert max_error_loss(est, gt, 1.0) == pytest.approx(10.0)
+        assert loss("maxerror", est, gt, quat_reg_weight=1.0) == \
+            pytest.approx(10.0)
 
     def test_null_quaternion_hits_regularizer(self):
         gt = Pose.identity()
         est = Pose([0, 0, 0], [0.0, 0.0, 0.0, 0.0])
-        assert max_error_loss(est, gt, reg_weight=2.0) == pytest.approx(2.0)
+        assert loss("maxerror", est, gt, quat_reg_weight=2.0) == \
+            pytest.approx(2.0)
 
 
 class TestSinglePlaneError:
@@ -362,11 +372,10 @@ class TestMinimumUniqueness:
 
 def test_pose_level_homography_loss_matches_relative_form():
     rng = np.random.default_rng(13)
-    from homoloss.geometry import relative_pose
     slab = SlabParams(1.0, 5.0)
     for _ in range(50):
         gt = random_pose(rng, scale=2.0)
         est = random_pose(rng, scale=2.0)
-        via_pose = homography_loss(est, gt, slab)
+        via_pose = loss("homography_local", est, gt, slab=slab)
         via_rel = homography_loss_closed(relative_pose(gt, est), slab)
         assert via_pose == pytest.approx(via_rel, rel=1e-12, abs=1e-12)

@@ -252,6 +252,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 1"):
             parse_pose_list(io.StringIO("f0 0 0 zzz 1 0 0 0\n"))
 
+    def test_pose_duplicate_name_error_names_both_lines(self):
+        text = "f0 0 0 0 1 0 0 0\n# c\nf1 0 0 0 1 0 0 0\nf0 0 0 -1 1 0 0 0\n"
+        with pytest.raises(ParseError,
+                           match="line 4: frame name 'f0' already on line 1"):
+            parse_pose_list(io.StringIO(text))
+
     @pytest.mark.parametrize("line", ["f1 inf 0 0 1 0 0 0",
                                       "f1 0 0 0 nan 0 0 1",
                                       "f1 0 -Infinity 0 1 0 0 0"])
