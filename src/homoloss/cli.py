@@ -2,14 +2,17 @@
 sweeps, gradient checks, pose optimization, slab tables, and evaluation.
 
 Every command writes a manifest.json alongside its outputs; re-running via
---from-manifest reproduces the outputs byte-identically.
+--from-manifest reproduces the outputs byte-identically. Synthetic and file
+scenes take one camera: --fx defaults to the focal length of --fov across
+--width, and --fy to --fx.
 
 `optimize` writes errors.txt (one line per skipped frame and message, with
 its first epoch and step count, plus the abort) into --out whenever the run
 records an error, and exits 2 after writing all its outputs if the run
 aborted.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error or aborted run,
+Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
+2 data/parse error (a manifest lacking an option, too), or aborted run,
 3 numeric-tolerance failure.
 """
 
@@ -38,13 +41,13 @@ from .optim import (
     perturb_pose,
 )
 from .scene import (
-    DegenerateDepthError,
-    GenerationError,
+    Frame,
     ParseError,
     Scene,
     frame_depths,
     global_slab,
     local_slabs,
+    parse_points,
     parse_pose_list,
     scene_from_files,
     synth_scene,
@@ -67,8 +70,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
+def _write_csv(path, header, rows):
+    """A CSV file: the header line, then one line per row with floats in
+    round-trip form (.17g) and every other cell as str()."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(format(v, ".17g") if isinstance(v, float)
+                             else str(v) for v in row) + "\n")
 
 
 def _sha256(path):
@@ -120,40 +129,45 @@ def _add_scene_args(p):
     p.add_argument("--n-frames", type=int, default=8)
     p.add_argument("--depth-min", type=float, default=2.0)
     p.add_argument("--depth-max", type=float, default=8.0)
+    p.add_argument("--lo", type=float, default=scene_mod.DEFAULT_PERCENTILE_LO)
+    p.add_argument("--hi", type=float, default=scene_mod.DEFAULT_PERCENTILE_HI)
     _add_intrinsics_args(p)
 
 
 def _intrinsics(config) -> Intrinsics:
-    if config.get("fx") is None:
-        return scene_mod.default_intrinsics(config["fov"])
-    fy = config["fx"] if config["fy"] is None else config["fy"]
-    return Intrinsics(fx=config["fx"], fy=fy,
+    """The camera of both scene sources: --fx defaults to the focal length
+    of --fov across --width, and --fy to --fx."""
+    fx = config["fx"]
+    if fx is None:
+        fx = scene_mod.focal_length(config["fov"], config["width"])
+    return Intrinsics(fx=fx, fy=fx if config["fy"] is None else config["fy"],
                       cx=config["cx"], cy=config["cy"],
                       w=config["width"], h=config["height"])
 
 
 def _build_scene(config) -> Scene:
-    if config.get("synthetic"):
+    if config["synthetic"]:
         return synth_scene(
             seed=config["scene_seed"],
             n_points=config["n_points"],
             n_frames=config["n_frames"],
             depth_range=(config["depth_min"], config["depth_max"]),
-            fov=config["fov"],
+            intrinsics=_intrinsics(config),
         )
-    if not config.get("poses") or not config.get("points"):
+    if not config["poses"] or not config["points"]:
         raise UsageError("need --synthetic or both --poses and --points")
     with open(config["poses"]) as pf, open(config["points"]) as xf:
         return scene_from_files(pf, xf, _intrinsics(config))
 
 
 def _add_hyper_args(p):
-    p.add_argument("--beta", type=float, default=500.0)
-    p.add_argument("--clip", type=float, default=100.0,
+    d = LossHyperParams()
+    p.add_argument("--beta", type=float, default=d.beta)
+    p.add_argument("--clip", type=float, default=d.reproj_clip,
                    help="geometric-loss reprojection clip in px")
-    p.add_argument("--quat-reg", type=float, default=1.0)
-    p.add_argument("--s-t", type=float, default=0.0)
-    p.add_argument("--s-q", type=float, default=-3.0)
+    p.add_argument("--quat-reg", type=float, default=d.quat_reg_weight)
+    p.add_argument("--s-t", type=float, default=d.s_t)
+    p.add_argument("--s-q", type=float, default=d.s_q)
 
 
 def _hyper(config) -> LossHyperParams:
@@ -175,7 +189,7 @@ def _resolve_loss(name):
 
 def _depth_slab(scene, kind, config):
     """Slab bounds for the homography kinds, None for the others."""
-    lo, hi = config.get("lo", 0.025), config.get("hi", 0.975)
+    lo, hi = config["lo"], config["hi"]
     if kind == "homography_global":
         return global_slab(scene, lo=lo, hi=hi)
     if kind == "homography_local":
@@ -194,6 +208,9 @@ def _parse_range(text):
 # -- commands --------------------------------------------------------------
 
 def run_landscape(config):
+    axis2 = config["axis2"]
+    if bool(axis2) != bool(config["range2"]):
+        raise UsageError("--axis2 and --range2 go together")
     scene = _build_scene(config)
     if not 0 <= config["frame"] < len(scene.frames):
         raise InvalidInputError(
@@ -203,28 +220,21 @@ def run_landscape(config):
     lo, hi = _parse_range(config["range"])
     offsets = np.linspace(lo, hi, config["steps"])
     kinds = [_resolve_loss(s) for s in config["losses"].split(",")]
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    axis2 = config.get("axis2")
     offsets2 = None
     if axis2:
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, config["steps2"])
+    out = config["out"]
+    os.makedirs(out, exist_ok=True)
     for kind in kinds:
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
         grids = landscape_sweep(frame.gt_pose, config["axis"], offsets,
                                 [kind], ctx, axis2=axis2, offsets2=offsets2)
-        path = os.path.join(out, f"landscape_{kind}.csv")
-        with open(path, "w") as f:
-            if axis2:
-                f.write("offset,offset2,loss_value\n")
-                for o1, o2, v in grids[kind]:
-                    f.write(f"{_fmt(o1)},{_fmt(o2)},{_fmt(v)}\n")
-            else:
-                f.write("offset,loss_value\n")
-                for o, v in grids[kind]:
-                    f.write(f"{_fmt(o)},{_fmt(v)}\n")
+        header = "offset,offset2,loss_value" if axis2 \
+            else "offset,loss_value"
+        _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header,
+                   grids[kind])
     _write_manifest(out, "landscape", config)
     print(f"wrote {len(kinds)} landscape CSV(s) to {out}")
     return 0
@@ -252,10 +262,8 @@ def run_gradcheck(config):
         val, _ = diffgrad.evaluate_with_grad(kind, est, ctx)
         rows.append((s, val, report.max_rel_err))
         worst = max(worst, report.max_rel_err)
-    with open(os.path.join(out, "gradcheck.csv"), "w") as f:
-        f.write("sample,loss_value,max_rel_err\n")
-        for s, val, err in rows:
-            f.write(f"{s},{_fmt(val)},{_fmt(err)}\n")
+    _write_csv(os.path.join(out, "gradcheck.csv"),
+               "sample,loss_value,max_rel_err", rows)
     _write_manifest(out, "gradcheck", config)
     n_fail = sum(1 for _, _, err in rows if err > tol)
     print(f"gradcheck {kind}: {len(rows)} samples, worst max_rel_err "
@@ -274,7 +282,7 @@ def run_optimize(config):
     init = []
     for frame in scene.frames:
         pose = frame.gt_pose
-        if config.get("adversarial_roty"):
+        if config["adversarial_roty"]:
             pose = apply_offset(pose, "roty", config["adversarial_roty"])
         pose = perturb_pose(pose, rng, config["perturb_t"],
                             config["perturb_deg"])
@@ -282,13 +290,13 @@ def run_optimize(config):
     cfg = OptimConfig(
         loss_kind=kind,
         lr=config["lr"],
-        adam_eps=config.get("adam_eps"),
+        adam_eps=config["adam_eps"],
         epochs=config["epochs"],
         batch_size=config["batch_size"],
         seed=config["seed"],
         hyper=_hyper(config),
         slab=_depth_slab(scene, kind, config),
-        warmstart_epochs=config.get("warmstart", 0),
+        warmstart_epochs=config["warmstart"],
     )
     record = optim.optimize_poses(scene, init, cfg)
     final = [(fid, Pose(p.t, quat_normalize(p.q)))
@@ -319,34 +327,26 @@ def run_optimize(config):
 
 
 def run_slabs(config):
+    manual = (config["xmin"], config["xmax"])
+    if manual != (None, None) and (None in manual
+                                   or config["mode"] != "global"):
+        raise UsageError("--xmin and --xmax go together, with --mode global")
     scene = _build_scene(config)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    rows = []
     if config["mode"] == "global":
-        if config.get("xmin") is not None:
-            slab = global_slab(x_min=config["xmin"], x_max=config["xmax"])
-        else:
-            slab = global_slab(scene, lo=config["lo"], hi=config["hi"])
-        rows.append(("global", slab.single.x_min, slab.single.x_max))
+        slabs = {"global": global_slab(scene, config["lo"], config["hi"],
+                                       *manual).single}
     else:
-        slab = local_slabs(scene, lo=config["lo"], hi=config["hi"])
-        for f in scene.frames:
-            sp = slab.per_frame[f.id]
-            rows.append((f.id, sp.x_min, sp.x_max))
-    with open(os.path.join(out, "slabs.csv"), "w") as f:
-        f.write("frame_id,x_min,x_max\n")
-        for fid, a, b in rows:
-            f.write(f"{fid},{_fmt(a)},{_fmt(b)}\n")
-    if config.get("hist"):
+        slabs = local_slabs(scene, config["lo"], config["hi"]).per_frame
+    rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
+    _write_csv(os.path.join(out, "slabs.csv"), "frame_id,x_min,x_max", rows)
+    if config["hist"]:
         for frame in scene.frames:
             depths = np.sort(frame_depths(scene, frame))
-            depths = depths[depths > 0]
-            path = os.path.join(out, f"hist_{frame.id}.csv")
-            with open(path, "w") as f:
-                f.write("depth,cumulative_count\n")
-                for i, d in enumerate(depths, start=1):
-                    f.write(f"{_fmt(d)},{i}\n")
+            _write_csv(os.path.join(out, f"hist_{frame.id}.csv"),
+                       "depth,cumulative_count",
+                       ((d, i) for i, d in enumerate(depths[depths > 0], 1)))
     _write_manifest(out, "slabs", config)
     print(f"wrote slab table ({len(rows)} row(s)) to {out}")
     return 0
@@ -367,22 +367,19 @@ def run_eval(config):
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     lines = []
-    if config.get("points"):
-        with open(config["gt_poses"]) as pf, open(config["points"]) as xf:
-            scene = scene_from_files(pf, xf, _intrinsics(config))
-        keep = [f for f in scene.frames if f.id in est_map]
-        sub = Scene(points=scene.points, frames=keep,
-                    intrinsics=scene.intrinsics)
-        pairs = [(f.id, est_map[f.id]) for f in keep]
-        mrd = mean_reproj_distance(pairs, sub, clip=config["eval_clip"])
+    if config["points"]:
+        with open(config["points"]) as f:
+            points, vis = parse_points(f)
+        frames = [Frame(n, gt_map[n], vis.get(n, ())) for n in common]
+        scene = Scene(points=points, frames=frames,
+                      intrinsics=_intrinsics(config))
+        mrd = mean_reproj_distance(list(zip(common, est_list)), scene,
+                                   clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
     for t_th, r_th in OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS:
         frac = pct_within(est_list, gt_list, t_th, r_th)
         lines.append((f"pct_{t_th:g}m_{r_th:g}deg", frac))
-    with open(os.path.join(out, "eval.csv"), "w") as f:
-        f.write("metric,value\n")
-        for name, v in lines:
-            f.write(f"{name},{_fmt(v)}\n")
+    _write_csv(os.path.join(out, "eval.csv"), "metric,value", lines)
     _write_manifest(out, "eval", config)
     for name, v in lines:
         print(f"{name}={v:.6g}")
@@ -417,9 +414,6 @@ def build_parser():
     p.add_argument("--steps2", type=int, default=41)
     p.add_argument("--losses", required=True,
                    help="comma-separated loss kinds")
-    p.add_argument("--lo", type=float, default=0.025)
-    p.add_argument("--hi", type=float, default=0.975)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("gradcheck", help="analytic vs finite-diff gradients")
     _add_scene_args(p)
@@ -430,9 +424,6 @@ def build_parser():
     p.add_argument("--step", type=float, default=1e-6)
     p.add_argument("--perturb-t", type=float, default=0.3)
     p.add_argument("--perturb-deg", type=float, default=10.0)
-    p.add_argument("--lo", type=float, default=0.025)
-    p.add_argument("--hi", type=float, default=0.975)
-    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("optimize", help="gradient-based pose refinement")
@@ -449,31 +440,48 @@ def build_parser():
                    help="rotate every init by this many degrees about Y")
     p.add_argument("--warmstart", type=int, default=0,
                    help="homoscedastic warm-start epochs")
-    p.add_argument("--lo", type=float, default=0.025)
-    p.add_argument("--hi", type=float, default=0.975)
-    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("slabs", help="depth-percentile slab table")
     _add_scene_args(p)
     p.add_argument("--mode", choices=("local", "global"), default="local")
-    p.add_argument("--lo", type=float, default=0.025)
-    p.add_argument("--hi", type=float, default=0.975)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
     p.add_argument("--hist", action="store_true",
                    help="also write per-frame cumulative depth histograms")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="metrics on provided pose files")
     p.add_argument("--gt-poses", required=True)
     p.add_argument("--est-poses", required=True)
     p.add_argument("--points", default=None)
-    p.add_argument("--eval-clip", type=float, default=1000.0)
+    p.add_argument("--eval-clip", type=float, default=optim.EVAL_REPROJ_CLIP)
     _add_intrinsics_args(p)
-    p.add_argument("--out", required=True)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
+    parser.commands = sub.choices
     return parser
+
+
+def _read_manifest(parser, path):
+    """(command, config) of a manifest, whose config must hold every option
+    of its command."""
+    with open(path) as f:
+        manifest = json.load(f)
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if command not in COMMANDS:
+        raise InvalidInputError(f"manifest {path}: command {command!r} is "
+                                f"not one of {', '.join(COMMANDS)}")
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"manifest {path}: config is not an object")
+    options = [a.dest for a in parser.commands[command]._actions
+               if a.dest != "help"]
+    missing = [k for k in options if k not in config]
+    if missing:
+        raise InvalidInputError(f"manifest {path}: {command} config lacks "
+                                f"{', '.join(missing)}")
+    return command, config
 
 
 def main(argv=None) -> int:
@@ -481,10 +489,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.from_manifest:
-            with open(args.from_manifest) as f:
-                manifest = json.load(f)
-            command = manifest["command"]
-            config = manifest["config"]
+            command, config = _read_manifest(parser, args.from_manifest)
         else:
             if not args.command:
                 raise UsageError("a subcommand is required")
@@ -495,8 +500,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, InvalidInputError, DegenerateDepthError,
-            GenerationError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (InvalidInputError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ToleranceFailure as e:

@@ -43,36 +43,27 @@ class LossContext:
 def param_count(kind: str) -> int:
     """7 pose parameters, plus the two log-variances for the homoscedastic
     loss (optimized jointly with the poses)."""
-    _check_kind(kind)
+    if kind not in LOSS_KINDS:
+        raise InvalidInputError(f"unknown loss kind {kind!r}")
     return 9 if kind == "homoscedastic" else 7
 
 
-def _check_kind(kind):
-    if kind not in LOSS_KINDS:
-        raise InvalidInputError(f"unknown loss kind {kind!r}")
-
-
 def _dispatch(kind, params, ctx: LossContext):
-    """(value, gradient) of kind's kernel at the float parameter list."""
+    """(value, gradient) of kind's kernel at the float parameter list, which
+    _flat_params has checked."""
     t = params[0:3]
     q = params[3:7]
     if kind == "posenet":
         return losses._posenet_core(t, q, ctx.gt, ctx.hyper.beta)
     if kind == "homoscedastic":
-        if len(params) >= 9:
-            s_t, s_q = params[7], params[8]
-        else:
-            s_t, s_q = ctx.hyper.s_t, ctx.hyper.s_q
-        return losses._homoscedastic_core(t, q, s_t, s_q, ctx.gt)
+        return losses._homoscedastic_core(t, q, params[7], params[8], ctx.gt)
     if kind == "geometric":
         return losses._geometric_core(
             t, q, ctx.gt, ctx.points, ctx.intrinsics, ctx.hyper.reproj_clip
         )
     if kind == "maxerror":
         return losses._maxerror_core(t, q, ctx.gt, ctx.hyper.quat_reg_weight)
-    if kind in HOMOGRAPHY_KINDS:
-        return losses._homography_core(t, q, ctx.gt, ctx.slab)
-    _check_kind(kind)
+    return losses._homography_core(t, q, ctx.gt, ctx.slab)  # both slab modes
 
 
 def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
@@ -86,9 +77,10 @@ def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
 
 def _flat_params(kind, est, ctx):
     """est (a Pose or a flat vector) as the parameter vector of kind."""
+    if isinstance(est, Pose):
+        return params_for(kind, est, ctx)
+    params = np.asarray(est, dtype=float)
     n = param_count(kind)
-    params = params_for(kind, est, ctx) if isinstance(est, Pose) \
-        else np.asarray(est, dtype=float)
     if params.shape != (n,):
         raise InvalidInputError(
             f"{kind} expects {n} parameters, got {params.shape}"
@@ -96,9 +88,10 @@ def _flat_params(kind, est, ctx):
     return params
 
 
-def loss_value(kind: str, params, ctx: LossContext) -> float:
-    """The loss at a flat parameter vector (evaluate_with_grad's value)."""
-    _check_kind(kind)
+def loss_value(kind: str, est, ctx: LossContext) -> float:
+    """The loss at est, a Pose or a flat parameter vector of length
+    param_count(kind) (evaluate_with_grad's value)."""
+    params = _flat_params(kind, est, ctx)
     return float(_dispatch(kind, [float(x) for x in params], ctx)[0])
 
 

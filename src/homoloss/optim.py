@@ -23,6 +23,8 @@ from .losses import LossHyperParams
 from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 
 # Threshold pairs (meters, degrees) for the localization-percentage metric.
 OUTDOOR_THRESHOLDS = ((2.0, 2.0), (3.0, 5.0))
@@ -42,8 +44,6 @@ class OptimConfig:
     loss_kind: str
     lr: float = 1e-4
     adam_eps: float = None  # resolved per loss kind when None
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     epochs: int = 5000
     batch_size: int = 64
     seed: int = 0
@@ -54,8 +54,6 @@ class OptimConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise InvalidInputError("lr must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise InvalidInputError("Adam betas must lie in (0, 1)")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.adam_eps is None:
@@ -83,10 +81,10 @@ def adam_update(params, grads, state: AdamState, config: OptimConfig):
             f"state {state.m.shape}"
         )
     t = state.step + 1
-    m = config.adam_beta1 * state.m + (1.0 - config.adam_beta1) * grads
-    v = config.adam_beta2 * state.v + (1.0 - config.adam_beta2) * grads**2
-    m_hat = m / (1.0 - config.adam_beta1**t)
-    v_hat = v / (1.0 - config.adam_beta2**t)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
     new_params = params - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
     return new_params, AdamState(m=m, v=v, step=t)
 
@@ -232,8 +230,7 @@ def landscape_sweep(gt: Pose, axis: str, offsets, loss_kinds,
 
 def _safe_value(kind, est: Pose, ctx: LossContext) -> float:
     try:
-        params = diffgrad.params_for(kind, est, ctx)
-        return diffgrad.loss_value(kind, params, ctx)
+        return diffgrad.loss_value(kind, est, ctx)
     except InvalidInputError:
         return float("nan")
 
@@ -261,11 +258,8 @@ def frame_context(scene: Scene, frame, kind: str, hyper: LossHyperParams,
 def _epoch_batches(order, batch_size):
     """Batches of frame indices; the last smaller batch is dropped when more
     than one batch exists."""
-    n = len(order)
-    if n <= batch_size:
-        return [list(order)]
     batches = [list(order[i:i + batch_size])
-               for i in range(0, n, batch_size)]
+               for i in range(0, len(order), batch_size)]
     if len(batches) > 1 and len(batches[-1]) < batch_size:
         batches.pop()
     return batches
@@ -304,18 +298,16 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
     )
     n_params = len(params)
+    # row i: the indices of frame i's parameters in params, its pose and
+    # then the shared s_t/s_q; unique, so fancy-indexed += adds each once
+    index = np.hstack([np.arange(7 * F).reshape(F, 7),
+                       np.tile(np.arange(7 * F, n_params), (F, 1))])
     ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
             for f in frames]
     state = AdamState.zeros(n_params)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(loss_kind=kind, epochs=[], final_poses=[])
     skipped = {}  # (frame id, message) -> [first epoch, steps skipped]
-
-    def frame_params(i):
-        p = params[7 * i:7 * i + 7]
-        if with_s:
-            return np.concatenate([p, params[7 * F:]])
-        return p
 
     def current_poses():
         return [
@@ -337,16 +329,14 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
             for i in sorted(batch):  # fixed reduction order per batch
                 try:
                     val, g = diffgrad.evaluate_with_grad(
-                        kind, frame_params(i), ctxs[i]
+                        kind, params[index[i]], ctxs[i]
                     )
                 except InvalidInputError as e:
                     key = (frames[i].id, str(e))
                     skipped.setdefault(key, [epoch, 0])[1] += 1
                     epoch_errors += 1
                     continue
-                grads[7 * i:7 * i + 7] += g[:7]
-                if with_s:
-                    grads[7 * F:] += g[7:]
+                grads[index[i]] += g
                 batch_loss += val
                 ok += 1
             if ok == 0:

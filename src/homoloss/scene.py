@@ -31,7 +31,7 @@ DEFAULT_PERCENTILE_LO = 0.025
 DEFAULT_PERCENTILE_HI = 0.975
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInputError):
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:
@@ -39,11 +39,11 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class GenerationError(RuntimeError):
+class GenerationError(InvalidInputError):
     pass
 
 
-class DegenerateDepthError(ValueError):
+class DegenerateDepthError(InvalidInputError):
     def __init__(self, message, frame_id=None):
         self.frame_id = frame_id
         super().__init__(message)
@@ -162,10 +162,8 @@ def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
     """Shared slab bounds: manual (x_min, x_max) or pooled depth percentiles
     over every frame of the scene."""
     if x_min is not None or x_max is not None:
-        if x_min is None or x_max is None or not 0.0 < x_min < x_max:
-            raise InvalidInputError(
-                f"manual bounds need 0 < x_min < x_max, got ({x_min}, {x_max})"
-            )
+        if x_min is None or x_max is None:
+            raise InvalidInputError("manual bounds need x_min and x_max")
         single = SlabParams(x_min=float(x_min), x_max=float(x_max))
     elif scene is None:
         raise InvalidInputError("need a scene or manual bounds")
@@ -233,7 +231,8 @@ def parse_points(stream):
 
     Returns (points array, {frame_id: visibility tuple}). Visibility indices
     are validated against the point count after the whole file is read, so
-    P/V line order does not matter.
+    P/V line order does not matter; a second V line for one frame is an
+    error naming both lines.
     """
     points = []
     vis = {}  # frame id -> (line number, visibility tuple)
@@ -244,6 +243,9 @@ def parse_points(stream):
         elif tag == "V":
             if len(fields) < 2:
                 raise ParseError("V line expects a frame id", line=lineno)
+            if fields[1] in vis:
+                raise ParseError(f"V line of frame {fields[1]!r} already on "
+                                 f"line {vis[fields[1]][0]}", line=lineno)
             try:
                 vis[fields[1]] = (lineno, tuple(int(x) for x in fields[2:]))
             except ValueError as e:
@@ -283,9 +285,17 @@ def scene_from_files(pose_stream, points_stream,
 
 # -- synthetic scenes ------------------------------------------------------
 
+def focal_length(fov_deg: float, w: float) -> float:
+    """Pinhole focal length (px) of a horizontal field of view across w px."""
+    if not 0.0 < fov_deg < 180.0:
+        raise InvalidInputError(
+            f"field of view must lie in (0, 180) degrees, got {fov_deg}")
+    return (w / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
+
+
 def default_intrinsics(fov_deg: float = 65.0, w: int = 640,
                        h: int = 640) -> Intrinsics:
-    f = (w / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
+    f = focal_length(fov_deg, w)
     return Intrinsics(fx=f, fy=f, cx=w / 2.0, cy=h / 2.0, w=w, h=h)
 
 
@@ -308,13 +318,14 @@ def _look_at(position, target, up, roll_rad=0.0):
 
 
 def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
-                depth_range=(2.0, 8.0), fov: float = 65.0) -> Scene:
+                depth_range=(2.0, 8.0),
+                intrinsics: Intrinsics = None) -> Scene:
     """Deterministic desk-scale scene: a point cloud in a box and cameras
     looking at it from random directions.
 
     Visibility is the set of points with positive depth that project inside
-    the sensor. Camera distances are chosen so each frame's depths fall
-    inside depth_range.
+    the sensor of intrinsics (default_intrinsics() when None). Camera
+    distances are chosen so each frame's depths fall inside depth_range.
     """
     if n_points < 10:
         raise InvalidInputError("need at least 10 points")
@@ -328,7 +339,7 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
     extent = 0.25 * span            # half-extent of the point box
     mid = 0.5 * (lo + hi)
     points = rng.uniform(-extent, extent, size=(n_points, 3))
-    K = default_intrinsics(fov)
+    K = default_intrinsics() if intrinsics is None else intrinsics
     frames = []
     for i in range(n_frames):
         direction = rng.normal(size=3)
@@ -345,8 +356,8 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
         )
         if len(visible) < 2:
             raise GenerationError(
-                f"frame {i} sees only {len(visible)} points; adjust fov, "
-                f"depth_range, or n_points"
+                f"frame {i} sees only {len(visible)} points; adjust the "
+                f"intrinsics, depth_range, or n_points"
             )
         frames.append(Frame(id=f"f{i:03d}", gt_pose=pose, visible=visible))
     return Scene(points=points, frames=frames, intrinsics=K)

@@ -6,7 +6,13 @@ import pytest
 
 from homoloss.cli import main
 from homoloss.geometry import Pose
-from homoloss.scene import parse_pose_list, write_pose_list, write_points
+from homoloss.scene import (
+    DepthSlab,
+    focal_length,
+    parse_pose_list,
+    write_pose_list,
+    write_points,
+)
 
 
 def read(path):
@@ -86,6 +92,14 @@ class TestLandscape:
         assert m["tool"] == "homoloss"
         assert m["command"] == "landscape"
         assert m["config"]["steps"] == 51
+
+    @pytest.mark.parametrize("given", [{"--axis2": "roty"},
+                                       {"--range2": "-10:10"}])
+    def test_axis2_and_range2_go_together(self, tmp_path, capsys, given):
+        out = str(tmp_path / "o")
+        assert main(landscape_args(out, **given)) == 1
+        assert "--axis2 and --range2 go together" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("frame", ["99", "8", "-1"])
     def test_frame_out_of_range_exit_2(self, tmp_path, capsys, frame):
@@ -255,6 +269,33 @@ class TestSlabs:
         lines = read(os.path.join(out, "slabs.csv")).splitlines()
         assert lines[1] == "global,1.5,4"
 
+    @pytest.mark.parametrize("extra", [
+        ["--mode", "global", "--xmin", "1.5"],
+        ["--mode", "global", "--xmax", "4"],
+        ["--xmin", "1.5", "--xmax", "4"],
+    ])
+    def test_manual_bounds_need_both_and_global_mode(self, tmp_path, capsys,
+                                                     extra):
+        out = str(tmp_path / "o")
+        assert main(["slabs", "--synthetic", *extra, "--out", out]) == 1
+        assert "--xmin and --xmax go together, with --mode global" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_repeated_visibility_line_exit_2(self, tmp_path, capsys):
+        poses = str(tmp_path / "poses.txt")
+        with open(poses, "w") as f:
+            f.write("f0 0 0 0 1 0 0 0\n")
+        pts = str(tmp_path / "pts.txt")
+        with open(pts, "w") as f:
+            f.write("P 0 0 4\nP 0 0 5\nP 0 0 6\nP 0 0 9\n"
+                    "V f0 0 1 2\nV f0 1 2 3\n")
+        argv = ["slabs", "--poses", poses, "--points", pts,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "line 6: V line of frame 'f0' already on line 5" in \
+            capsys.readouterr().err
+
     def test_histograms_cdf_nondecreasing(self, tmp_path):
         out = str(tmp_path / "o")
         argv = ["slabs", "--synthetic", "--n-frames", "2", "--hist",
@@ -336,6 +377,118 @@ class TestEval:
         argv = ["eval", "--gt-poses", gt_path, "--est-poses", other,
                 "--out", out]
         assert main(argv) == 2
+
+
+class TestIntrinsics:
+    """Synthetic and file scenes take the camera from the same options."""
+
+    def visible_counts(self, tmp_path, name, extra):
+        out = str(tmp_path / name)
+        argv = ["slabs", "--synthetic", "--n-frames", "3", "--hist", *extra,
+                "--out", out]
+        assert main(argv) == 0
+        return [len(read(os.path.join(out, f"hist_f00{i}.csv")).splitlines())
+                for i in range(3)]
+
+    def test_synthetic_scene_takes_the_camera(self, tmp_path):
+        default = self.visible_counts(tmp_path, "default", [])
+        # the same focal length given explicitly changes nothing
+        f = str(focal_length(65.0, 640.0))
+        assert self.visible_counts(tmp_path, "fx", ["--fx", f]) == default
+        # a longer focal length, an off-centre principal point or a shorter
+        # sensor each leave fewer of the 60 points inside the image
+        for extra in (["--fx", "900"], ["--cx", "100"], ["--height", "300"]):
+            counts = self.visible_counts(tmp_path, extra[0][2:], extra)
+            assert all(c <= d for c, d in zip(counts, default)), extra
+            assert counts != default, extra
+
+    def test_narrow_synthetic_camera_exit_2(self, tmp_path, capsys):
+        argv = ["slabs", "--synthetic", "--fx", "1e5",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "sees only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fov", ["0", "180", "-10"])
+    def test_field_of_view_out_of_range_exit_2(self, tmp_path, capsys, fov):
+        argv = ["slabs", "--synthetic", f"--fov={fov}",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "field of view" in capsys.readouterr().err
+        # with --fx given, --fov is not used
+        assert main(argv + ["--fx", "500"]) == 0
+
+    def test_file_scene_width_sets_the_default_focal_length(self, tmp_path):
+        gt = [("f0", Pose.identity())]
+        est = [("f0", Pose([0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))]
+        paths = {}
+        for name, poses in (("gt", gt), ("est", est)):
+            paths[name] = str(tmp_path / f"{name}.txt")
+            with open(paths[name], "w") as f:
+                write_pose_list(f, poses)
+        pts = str(tmp_path / "pts.txt")
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
+                         {"f0": (0, 1)})
+        mrd = {}
+        for width in ("640", "800"):
+            out = str(tmp_path / width)
+            argv = ["eval", "--gt-poses", paths["gt"], "--est-poses",
+                    paths["est"], "--points", pts, "--width", width,
+                    "--out", out]
+            assert main(argv) == 0
+            table = dict(r.split(",") for r in
+                         read(os.path.join(out, "eval.csv")).splitlines())
+            mrd[width] = float(table["mean_reproj_distance_px"])
+        # all points lie on the x axis, so the distance scales with fx
+        assert mrd["800"] == pytest.approx(
+            mrd["640"] * focal_length(65.0, 800.0) / focal_length(65.0, 640.0),
+            rel=1e-12)
+
+
+class TestManifest:
+    def replay(self, tmp_path, edit):
+        out = str(tmp_path / "o")
+        assert main(["slabs", "--synthetic", "--n-frames", "2",
+                     "--out", out]) == 0
+        manifest = json.loads(read(os.path.join(out, "manifest.json")))
+        path = str(tmp_path / "edited.json")
+        with open(path, "w") as f:
+            json.dump(edit(manifest), f)
+        return main(["--from-manifest", path])
+
+    def test_missing_option_exit_2(self, tmp_path, capsys):
+        def edit(m):
+            del m["config"]["lo"], m["config"]["hist"]
+            return m
+        assert self.replay(tmp_path, edit) == 2
+        assert "slabs config lacks lo, hist" in capsys.readouterr().err
+
+    def test_unknown_command_exit_2(self, tmp_path, capsys):
+        assert self.replay(tmp_path,
+                           lambda m: {**m, "command": "frobnicate"}) == 2
+        assert "command 'frobnicate' is not one of landscape, gradcheck" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [[1, 2], "x", None])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, config):
+        assert self.replay(tmp_path, lambda m: {**m, "config": config}) == 2
+        assert "config is not an object" in capsys.readouterr().err
+
+    def test_manifest_not_an_object_exit_2(self, tmp_path, capsys):
+        assert self.replay(tmp_path, lambda m: [m]) == 2
+        assert "command None is not one of" in capsys.readouterr().err
+
+    def test_library_key_error_is_not_a_data_error(self, tmp_path,
+                                                   monkeypatch):
+        # A KeyError inside the library is a programming error: it must
+        # surface, not be reported as bad input with exit 2.
+        def broken(self, frame_id):
+            raise KeyError(frame_id)
+        monkeypatch.setattr(DepthSlab, "for_frame", broken)
+        argv = ["gradcheck", "--synthetic", "--loss", "homography",
+                "--samples", "1", "--out", str(tmp_path / "o")]
+        with pytest.raises(KeyError):
+            main(argv)
 
 
 class TestExitCodes:

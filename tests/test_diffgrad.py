@@ -177,6 +177,33 @@ class TestEvaluateWithGrad:
             evaluate_with_grad("posenet", np.zeros(9), ctx)
 
 
+class TestLossValue:
+    @pytest.mark.parametrize("kind,n", [("posenet", 5), ("posenet", 8),
+                                        ("homoscedastic", 7),
+                                        ("homography_local", 9)])
+    def test_wrong_param_length_rejected(self, kind, n):
+        # Before, an 8-entry posenet vector dropped its last entry, a 5-entry
+        # one raised IndexError and a 7-entry homoscedastic one took s_t/s_q
+        # from ctx.hyper.
+        ctx = make_ctx(np.random.default_rng(2))
+        params = np.r_[ctx.gt.params(), 0.0, -3.0][:n]
+        with pytest.raises(InvalidInputError, match=f"got \\({n},\\)"):
+            loss_value(kind, params, ctx)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown loss kind"):
+            loss_value("frobnicate", np.zeros(7),
+                       LossContext(gt=Pose.identity()))
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_accepts_a_pose(self, kind):
+        rng = np.random.default_rng(3)
+        ctx = make_ctx(rng)
+        est = perturbed(ctx.gt, rng, max_t=0.2, max_deg=5.0)
+        assert loss_value(kind, est, ctx) == \
+            loss_value(kind, params_for(kind, est, ctx), ctx)
+
+
 def assert_matches_reference(kind, params, ctx):
     """Kernel value to 1e-13 relative and gradient to 1e-12 of its largest
     entry, against the DiffScalar form in tests/.

@@ -87,8 +87,6 @@ class TestAdam:
             OptimConfig(loss_kind="posenet", lr=0.0)
         with pytest.raises(InvalidInputError):
             OptimConfig(loss_kind="posenet", batch_size=0)
-        with pytest.raises(InvalidInputError):
-            OptimConfig(loss_kind="posenet", adam_beta1=1.0)
 
 
 class TestMetrics:

@@ -219,6 +219,21 @@ class TestSlabs:
             local_slabs(scene, lo=0.9, hi=0.1)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def points_files(draw):
+    """(points, visibility) for write_points: any finite coordinates, and
+    frames that see no point or repeat an index."""
+    pts = draw(st.lists(st.tuples(finite, finite, finite), max_size=8))
+    seen = st.lists(st.integers(0, len(pts) - 1), max_size=6) if pts \
+        else st.just([])
+    ids = draw(st.lists(st.text("abfXZ019_-.", min_size=1, max_size=5),
+                        unique=True, max_size=4))
+    return pts, {fid: tuple(draw(seen)) for fid in ids}
+
+
 class TestParsing:
     def test_pose_round_trip(self):
         poses = [
@@ -280,6 +295,26 @@ class TestParsing:
         back_pts, back_vis = parse_points(io.StringIO(buf.getvalue()))
         np.testing.assert_array_equal(back_pts, pts)
         assert back_vis == vis
+
+    @settings(deadline=None, max_examples=200)
+    @given(files=points_files())
+    @example(files=([(-0.0, 5e-324, 1e308), (-1e308, -5e-324, 0.0)],
+                    {"f0": (), "f1": (1, 1, 0)}))
+    def test_points_round_trip_property(self, files):
+        pts, vis = files
+        buf = io.StringIO()
+        write_points(buf, pts, vis)
+        back_pts, back_vis = parse_points(io.StringIO(buf.getvalue()))
+        want = np.asarray(pts, dtype=float).reshape(-1, 3)
+        assert back_pts.shape == want.shape
+        assert back_pts.tobytes() == want.tobytes()  # bits, so -0.0 too
+        assert list(back_vis.items()) == list(vis.items())
+
+    def test_points_duplicate_frame_error_names_both_lines(self):
+        text = "P 0 0 4\nV f0 0\n# c\nV f1 0\nV f0 0\n"
+        with pytest.raises(ParseError, match="line 5: V line of frame 'f0' "
+                                             "already on line 2"):
+            parse_points(io.StringIO(text))
 
     def test_points_order_independent_validation(self):
         # V before P is fine as long as the indices end up valid.
