@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -205,6 +206,12 @@ def _parse_range(text):
         raise UsageError(f"bad range {text!r}, expected lo:hi") from e
 
 
+def _pct_rows(est_poses, gt_poses):
+    """(pct_<t>m_<r>deg, fraction within) per outdoor and indoor pair."""
+    return [(f"pct_{t:g}m_{r:g}deg", pct_within(est_poses, gt_poses, t, r))
+            for t, r in OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS]
+
+
 # -- commands --------------------------------------------------------------
 
 def run_landscape(config):
@@ -229,12 +236,11 @@ def run_landscape(config):
     for kind in kinds:
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
-        grids = landscape_sweep(frame.gt_pose, config["axis"], offsets,
-                                [kind], ctx, axis2=axis2, offsets2=offsets2)
+        rows = landscape_sweep(kind, ctx, config["axis"], offsets,
+                               axis2, offsets2)
         header = "offset,offset2,loss_value" if axis2 \
             else "offset,loss_value"
-        _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header,
-                   grids[kind])
+        _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header, rows)
     _write_manifest(out, "landscape", config)
     print(f"wrote {len(kinds)} landscape CSV(s) to {out}")
     return 0
@@ -303,21 +309,20 @@ def run_optimize(config):
              for fid, p in record.final_poses]
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "run.csv"), "w") as f:
-        record.write_csv(f)
+    cols = ["epoch", "mean_loss", "train_mrd_px"]
+    cols += ["s_t", "s_q"] if kind == "homoscedastic" else []  # epoch start
+    _write_csv(os.path.join(out, "run.csv"), ",".join(cols),
+               (dataclasses.astuple(e)[:len(cols)] for e in record.epochs))
     with open(os.path.join(out, "final_poses.txt"), "w") as f:
         write_pose_list(f, final)
     if record.errors:
         with open(os.path.join(out, "errors.txt"), "w") as f:
             f.writelines(e + "\n" for e in record.errors)
     _write_manifest(out, "optimize", config)
-    est = [p for _, p in final]
-    gt = [f.gt_pose for f in scene.frames]
     mrd = mean_reproj_distance(final, scene)
     parts = [f"loss={kind}", f"final_train_mrd_px={mrd:.6g}"]
-    for t_th, r_th in OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS:
-        frac = pct_within(est, gt, t_th, r_th)
-        parts.append(f"pct_{t_th:g}m_{r_th:g}deg={100 * frac:.1f}%")
+    parts += [f"{name}={100 * frac:.1f}%" for name, frac in _pct_rows(
+        [p for _, p in final], [f.gt_pose for f in scene.frames])]
     if record.aborted:
         parts.append("aborted=true")
     print(" ".join(parts))
@@ -376,9 +381,7 @@ def run_eval(config):
         mrd = mean_reproj_distance(list(zip(common, est_list)), scene,
                                    clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
-    for t_th, r_th in OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS:
-        frac = pct_within(est_list, gt_list, t_th, r_th)
-        lines.append((f"pct_{t_th:g}m_{r_th:g}deg", frac))
+    lines += _pct_rows(est_list, gt_list)
     _write_csv(os.path.join(out, "eval.csv"), "metric,value", lines)
     _write_manifest(out, "eval", config)
     for name, v in lines:

@@ -100,26 +100,10 @@ class EpochStats:
 
 @dataclass
 class RunRecord:
-    loss_kind: str
     epochs: list
     final_poses: list  # (frame id, Pose) pairs
     errors: list = field(default_factory=list)
     aborted: bool = False
-
-    def write_csv(self, stream):
-        with_s = self.loss_kind == "homoscedastic"
-        header = "epoch,mean_loss,train_mrd_px"
-        if with_s:
-            header += ",s_t,s_q"
-        stream.write(header + "\n")
-        for e in self.epochs:
-            row = (
-                f"{e.epoch},{format(e.mean_loss, '.17g')},"
-                f"{format(e.train_mrd, '.17g')}"
-            )
-            if with_s:
-                row += f",{format(e.s_t, '.17g')},{format(e.s_q, '.17g')}"
-            stream.write(row + "\n")
 
 
 # -- evaluation metrics ----------------------------------------------------
@@ -178,17 +162,15 @@ SWEEP_AXES = ("tx", "ty", "tz", "rotx", "roty", "rotz")
 def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
     """Perturb a pose along one sweep axis. Translations are in meters,
     rotations in degrees about the camera's own axis."""
-    if axis in ("tx", "ty", "tz"):
-        i = ("tx", "ty", "tz").index(axis)
+    if axis not in SWEEP_AXES:
+        raise InvalidInputError(f"unknown sweep axis {axis!r}")
+    i = SWEEP_AXES.index(axis)
+    if i < 3:
         t = gt.t.copy()
         t[i] += offset
         return Pose(t, gt.q.copy())
-    if axis in ("rotx", "roty", "rotz"):
-        unit = np.zeros(3)
-        unit[("rotx", "roty", "rotz").index(axis)] = 1.0
-        dq = quat_from_axis_angle(unit, math.radians(offset))
-        return Pose(gt.t.copy(), quat_multiply(gt.q, dq))
-    raise InvalidInputError(f"unknown sweep axis {axis!r}")
+    dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
+    return Pose(gt.t.copy(), quat_multiply(gt.q, dq))
 
 
 def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
@@ -202,30 +184,28 @@ def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
     return Pose(t, quat_multiply(pose.q, dq))
 
 
-def landscape_sweep(gt: Pose, axis: str, offsets, loss_kinds,
-                    ctx: LossContext, axis2: str = None, offsets2=None):
-    """Loss values over a 1-D or 2-D grid of pose offsets around gt.
+def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
+                    axis2: str = None, offsets2=None):
+    """Values of one loss kind over a 1-D or 2-D grid of pose offsets
+    around ctx.gt.
 
-    Returns {loss_kind: list of rows}, each row (offset[, offset2], value);
-    a cell whose evaluation raises InvalidInputError records a NaN value;
-    any other exception propagates.
+    Returns the rows (offset[, offset2], value); a cell whose evaluation
+    raises InvalidInputError records a NaN value; any other exception
+    propagates.
     """
     offsets = np.asarray(offsets, dtype=float)
     if len(offsets) < 2:
         raise InvalidInputError("need at least 2 sweep steps")
-    grids = {}
-    for kind in loss_kinds:
-        rows = []
-        for off in offsets:
-            est1 = apply_offset(gt, axis, off)
-            if axis2 is None:
-                rows.append((off, _safe_value(kind, est1, ctx)))
-            else:
-                for off2 in np.asarray(offsets2, dtype=float):
-                    est = apply_offset(est1, axis2, off2)
-                    rows.append((off, off2, _safe_value(kind, est, ctx)))
-        grids[kind] = rows
-    return grids
+    rows = []
+    for off in offsets:
+        est1 = apply_offset(ctx.gt, axis, off)
+        if axis2 is None:
+            rows.append((off, _safe_value(kind, est1, ctx)))
+        else:
+            for off2 in np.asarray(offsets2, dtype=float):
+                est = apply_offset(est1, axis2, off2)
+                rows.append((off, off2, _safe_value(kind, est, ctx)))
+    return rows
 
 
 def _safe_value(kind, est: Pose, ctx: LossContext) -> float:
@@ -306,7 +286,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
             for f in frames]
     state = AdamState.zeros(n_params)
     rng = np.random.default_rng(config.seed)
-    record = RunRecord(loss_kind=kind, epochs=[], final_poses=[])
+    record = RunRecord(epochs=[], final_poses=[])
     skipped = {}  # (frame id, message) -> [first epoch, steps skipped]
 
     def current_poses():
@@ -350,16 +330,11 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
                 f"epoch {epoch}: aborted, {epoch_errors}/{F} frames errored"
             )
             break
-        mrd = mean_reproj_distance(current_poses(), scene)
-        stats = EpochStats(
-            epoch=epoch,
-            mean_loss=float(np.mean(epoch_losses)) if epoch_losses
-            else float("nan"),
-            train_mrd=mrd,
-        )
-        if with_s:
-            stats.s_t, stats.s_q = s_start
-        record.epochs.append(stats)
+        mean_loss = float(np.mean(epoch_losses)) if epoch_losses \
+            else float("nan")
+        record.epochs.append(EpochStats(
+            epoch, mean_loss, mean_reproj_distance(current_poses(), scene),
+            *s_start))
     record.errors[:0] = [  # the skipped frames, before any abort line
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()

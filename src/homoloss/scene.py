@@ -85,14 +85,13 @@ class Scene:
 
 @dataclass(frozen=True)
 class DepthSlab:
-    """Per-frame (local) or shared (global) slab bounds."""
+    """Per-frame (local, per_frame set) or shared (global) slab bounds."""
 
-    mode: str  # "local" | "global"
-    per_frame: dict = None      # frame id -> SlabParams, local mode
-    single: SlabParams = None   # shared bounds, global mode
+    per_frame: dict = None      # frame id -> SlabParams, local
+    single: SlabParams = None   # shared bounds, global
 
     def for_frame(self, frame_id: str) -> SlabParams:
-        if self.mode == "local":
+        if self.per_frame is not None:
             return self.per_frame[frame_id]
         return self.single
 
@@ -153,7 +152,7 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
     ids = [f.id for f in scene.frames]
     bounds = _slab_params([frame_depths(scene, f) for f in scene.frames],
                           lo, hi, ids)
-    return DepthSlab("local", per_frame=dict(zip(ids, bounds)))
+    return DepthSlab(per_frame=dict(zip(ids, bounds)))
 
 
 def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
@@ -170,7 +169,7 @@ def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
     else:
         pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
         single = _percentile_bounds(pooled, lo, hi, frame_id="<global>")
-    return DepthSlab("global", single=single)
+    return DepthSlab(single=single)
 
 
 # -- text ingestion --------------------------------------------------------

@@ -217,8 +217,8 @@ def test_criterion_06_rotation_sweep():
     frame = scene.frames[0]
     ctx = _sweep_ctx(scene, slabs, frame)
     offsets = np.arange(-180.0, 181.0)  # 1 degree resolution
-    grids = landscape_sweep(frame.gt_pose, "roty", offsets,
-                            ["geometric", "homography_local"], ctx)
+    grids = {kind: landscape_sweep(kind, ctx, "roty", offsets)
+             for kind in ("geometric", "homography_local")}
     clip = ctx.hyper.reproj_clip
     geo = [v for _, v in grids["geometric"]]
     # longest contiguous run of exactly clip-valued (zero-gradient) samples
@@ -244,9 +244,8 @@ def test_criterion_07_posenet_landscapes(tmp_path):
     argmin_ok = True
     for beta in (5.0, 500.0, 5000.0):
         ctx.hyper = LossHyperParams(beta=beta)
-        grids = landscape_sweep(gt, "tz", tz, ["posenet"], ctx,
-                                axis2="roty", offsets2=roty)
-        rows = grids["posenet"]
+        rows = landscape_sweep("posenet", ctx, "tz", tz,
+                               axis2="roty", offsets2=roty)
         path = tmp_path / f"posenet_beta{beta:g}.csv"
         with open(path, "w") as f:
             f.write("tz,roty,loss_value\n")

@@ -152,9 +152,22 @@ class TestOptimize:
         assert main(argv) == 0
         lines = read(os.path.join(out, "run.csv")).splitlines()
         assert lines[0] == "epoch,mean_loss,train_mrd_px,s_t,s_q"
+        assert lines[1].endswith(",0,-3")
         first = lines[1].split(",")
         assert float(first[3]) == 0.0
         assert float(first[4]) == -3.0
+
+    def test_two_runs_write_identical_run_csv(self, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert main(["optimize", "--synthetic", "--n-frames", "3",
+                         "--n-points", "40", "--loss", "posenet",
+                         "--epochs", "20", "--seed", "5", "--out", out]) == 0
+            runs.append(read(os.path.join(out, "run.csv")))
+        assert runs[0] == runs[1]
+        assert runs[0].splitlines()[0] == "epoch,mean_loss,train_mrd_px"
+        assert len(runs[0].splitlines()) == 21
 
     def test_outputs_and_summary(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -190,32 +189,27 @@ class TestSweeps:
 
     def test_sweep_1d_shape_and_minimum(self):
         offsets = np.linspace(-1.0, 1.0, 21)
-        grids = landscape_sweep(
-            Pose.identity(), "tx", offsets,
-            ["posenet", "homography_local"], self.ctx()
-        )
-        for kind, rows in grids.items():
+        for kind in ("posenet", "homography_local"):
+            rows = landscape_sweep(kind, self.ctx(), "tx", offsets)
             assert len(rows) == 21
             vals = [v for _, v in rows]
             assert np.argmin(vals) == 10
             assert vals[10] == 0.0
 
     def test_sweep_2d_shape(self):
-        grids = landscape_sweep(
-            Pose.identity(), "tx", [-1, 0, 1], ["posenet"], self.ctx(),
+        rows = landscape_sweep(
+            "posenet", self.ctx(), "tx", [-1, 0, 1],
             axis2="roty", offsets2=[-5, 0, 5],
         )
-        rows = grids["posenet"]
         assert len(rows) == 9
         assert rows[4] == (0.0, 0.0, 0.0)
 
     def test_sweep_nan_on_error(self):
         # geometric kind without points -> every cell evaluates to NaN
-        grids = landscape_sweep(
-            Pose.identity(), "tx", [-1, 0, 1], ["geometric"],
-            LossContext(gt=Pose.identity()),
+        rows = landscape_sweep(
+            "geometric", LossContext(gt=Pose.identity()), "tx", [-1, 0, 1],
         )
-        assert all(math.isnan(v) for _, v in grids["geometric"])
+        assert all(math.isnan(v) for _, v in rows)
 
     def test_sweep_propagates_non_domain_errors(self, monkeypatch):
         # Only InvalidInputError becomes a NaN cell; a bug must surface.
@@ -224,13 +218,11 @@ class TestSweeps:
 
         monkeypatch.setattr(losses, "_posenet_core", broken)
         with pytest.raises(ZeroDivisionError):
-            landscape_sweep(Pose.identity(), "tx", [-1, 0, 1], ["posenet"],
-                            self.ctx())
+            landscape_sweep("posenet", self.ctx(), "tx", [-1, 0, 1])
 
     def test_too_few_steps(self):
         with pytest.raises(InvalidInputError):
-            landscape_sweep(Pose.identity(), "tx", [0.0], ["posenet"],
-                            self.ctx())
+            landscape_sweep("posenet", self.ctx(), "tx", [0.0])
 
     def test_perturb_pose_within_bounds(self):
         rng = np.random.default_rng(0)
@@ -303,12 +295,7 @@ class TestOptimizePoses:
         init = [perturbed(f.gt_pose, rng, 0.1, 3.0) for f in tiny.frames]
         cfg = OptimConfig(loss_kind="posenet", epochs=20, seed=5)
         a, b = (optimize_poses(tiny, init, cfg) for _ in range(2))
-        bufs = []
-        for rec in (a, b):
-            buf = io.StringIO()
-            rec.write_csv(buf)
-            bufs.append(buf.getvalue())
-        assert bufs[0] == bufs[1]
+        assert a.epochs == b.epochs
         for (_, pa), (_, pb) in zip(a.final_poses, b.final_poses):
             np.testing.assert_array_equal(pa.t, pb.t)
             np.testing.assert_array_equal(pa.q, pb.q)
@@ -319,11 +306,6 @@ class TestOptimizePoses:
         rec = optimize_poses(tiny, [f.gt_pose for f in tiny.frames], cfg)
         assert rec.epochs[0].s_t == 0.0
         assert rec.epochs[0].s_q == -3.0
-        buf = io.StringIO()
-        rec.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "epoch,mean_loss,train_mrd_px,s_t,s_q"
-        assert lines[1].endswith(",0,-3")
 
     def make_partial_scene(self, tiny, n_empty):
         # Copies of the tiny scene where the first n_empty frames see no

@@ -181,7 +181,6 @@ class TestDepths:
 
 class TestSlabs:
     def test_local_one_slab_per_frame(self, scene, slabs):
-        assert slabs.mode == "local"
         assert set(slabs.per_frame) == {f.id for f in scene.frames}
         for f in scene.frames:
             s = slabs.for_frame(f.id)
