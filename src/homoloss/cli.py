@@ -2,9 +2,10 @@
 sweeps, gradient checks, pose optimization, slab tables, and evaluation.
 
 Every command writes a manifest.json alongside its outputs; re-running via
---from-manifest reproduces the outputs byte-identically. Synthetic and file
-scenes take one camera: --fx defaults to the focal length of --fov across
---width, and --fy to --fx.
+--from-manifest checks each config value and input file sha256, then
+reproduces the outputs byte-identically. Synthetic and file scenes take one
+camera: --fx defaults to the focal length of --fov across --width, --fy to
+--fx, and --cx/--cy to the sensor centre.
 
 `optimize` writes errors.txt (one line per skipped frame and message, with
 its first epoch and step count, plus the abort) into --out whenever the run
@@ -12,8 +13,8 @@ records an error, and exits 2 after writing all its outputs if the run
 aborted.
 
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
-2 data/parse error (a manifest lacking an option, too), or aborted run,
-3 numeric-tolerance failure.
+2 data/parse error (a bad manifest or a changed input file, too), or
+aborted run, 3 numeric-tolerance failure.
 """
 
 from __future__ import annotations
@@ -89,19 +90,21 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _input_hashes(config):
+    """{option: sha256} of each input file the config names."""
+    return {key: _sha256(config[key])
+            for key in ("poses", "points", "gt_poses", "est_poses")
+            if config.get(key)}
+
+
 def _write_manifest(out_dir, command, config):
-    inputs = {}
-    for key in ("poses", "points", "gt_poses", "est_poses"):
-        path = config.get(key)
-        if path:
-            inputs[key] = _sha256(path)
     manifest = {
         "tool": "homoloss",
         "version": __version__,
         "command": command,
         "config": config,
         "seed": config.get("seed"),
-        "inputs": inputs,
+        "inputs": _input_hashes(config),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -114,8 +117,8 @@ def _add_intrinsics_args(p):
     p.add_argument("--fov", type=float, default=65.0)
     p.add_argument("--fx", type=float, default=None)
     p.add_argument("--fy", type=float, default=None)
-    p.add_argument("--cx", type=float, default=320.0)
-    p.add_argument("--cy", type=float, default=320.0)
+    p.add_argument("--cx", type=float, default=None)
+    p.add_argument("--cy", type=float, default=None)
     p.add_argument("--width", type=float, default=640.0)
     p.add_argument("--height", type=float, default=640.0)
 
@@ -137,13 +140,14 @@ def _add_scene_args(p):
 
 def _intrinsics(config) -> Intrinsics:
     """The camera of both scene sources: --fx defaults to the focal length
-    of --fov across --width, and --fy to --fx."""
-    fx = config["fx"]
+    of --fov across --width, --fy to --fx and --cx/--cy to the centre."""
+    w, h, fx, fy, cx, cy = (config[k] for k in ("width", "height", "fx",
+                                                "fy", "cx", "cy"))
     if fx is None:
-        fx = scene_mod.focal_length(config["fov"], config["width"])
-    return Intrinsics(fx=fx, fy=fx if config["fy"] is None else config["fy"],
-                      cx=config["cx"], cy=config["cy"],
-                      w=config["width"], h=config["height"])
+        fx = scene_mod.focal_length(config["fov"], w)
+    return Intrinsics(fx=fx, fy=fx if fy is None else fy,
+                      cx=w / 2 if cx is None else cx,
+                      cy=h / 2 if cy is None else cy, w=w, h=h)
 
 
 def _build_scene(config) -> Scene:
@@ -225,12 +229,13 @@ def run_landscape(config):
             f"{len(scene.frames)} frames (0 to {len(scene.frames) - 1})")
     frame = scene.frames[config["frame"]]
     lo, hi = _parse_range(config["range"])
-    offsets = np.linspace(lo, hi, config["steps"])
+    # a negative step count reaches landscape_sweep's check as no steps
+    offsets = np.linspace(lo, hi, max(config["steps"], 0))
     kinds = [_resolve_loss(s) for s in config["losses"].split(",")]
     offsets2 = None
     if axis2:
         lo2, hi2 = _parse_range(config["range2"])
-        offsets2 = np.linspace(lo2, hi2, config["steps2"])
+        offsets2 = np.linspace(lo2, hi2, max(config["steps2"], 0))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     for kind in kinds:
@@ -467,8 +472,8 @@ def build_parser():
 
 
 def _read_manifest(parser, path):
-    """(command, config) of a manifest, whose config must hold every option
-    of its command."""
+    """(command, config) of a manifest whose config holds a valid value of
+    every option of its command and whose input files kept their sha256."""
     with open(path) as f:
         manifest = json.load(f)
     command = manifest.get("command") if isinstance(manifest, dict) else None
@@ -478,12 +483,26 @@ def _read_manifest(parser, path):
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise InvalidInputError(f"manifest {path}: config is not an object")
-    options = [a.dest for a in parser.commands[command]._actions
+    options = [a for a in parser.commands[command]._actions
                if a.dest != "help"]
-    missing = [k for k in options if k not in config]
+    missing = [a.dest for a in options if a.dest not in config]
     if missing:
         raise InvalidInputError(f"manifest {path}: {command} config lacks "
                                 f"{', '.join(missing)}")
+    for a in options:  # null only where an optional option defaults to it
+        value = config[a.dest]
+        types = (bool,) if a.nargs == 0 else \
+            {float: (int, float), int: (int,)}.get(a.type, (str,))
+        if value is None and a.default is None and not a.required or \
+                type(value) in types and value in (a.choices or [value]):
+            continue
+        raise InvalidInputError(f"manifest {path}: {value!r} is not a valid "
+                                f"{a.option_strings[0]} value")
+    recorded = manifest.get("inputs")
+    for key, digest in _input_hashes(config).items():
+        if not isinstance(recorded, dict) or recorded.get(key) != digest:
+            raise InvalidInputError(f"manifest {path}: input {config[key]} "
+                                    f"does not match its recorded sha256")
     return command, config
 
 

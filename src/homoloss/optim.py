@@ -56,6 +56,8 @@ class OptimConfig:
             raise InvalidInputError("lr must be positive")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
+        if min(self.epochs, self.warmstart_epochs) < 0:
+            raise InvalidInputError("epochs and warmstart_epochs must be >= 0")
         if self.adam_eps is None:
             self.adam_eps = default_adam_eps(self.loss_kind)
 
@@ -111,10 +113,12 @@ class RunRecord:
 def mean_reproj_distance(est_poses, scene: Scene,
                          clip: float = EVAL_REPROJ_CLIP) -> float:
     """Mean over frames of the mean clipped L2 pixel distance between gt and
-    estimated projections of the frame's visible points. Projections to
-    infinity count as the clip. Frames without visible points are skipped;
-    raises InvalidInputError when no frame has one, or when a visible point
-    lies at zero gt depth."""
+    estimated projections of the frame's visible points; est_poses holds one
+    (frame id, Pose) per scene frame, in order. Projections to infinity count
+    as the clip. Frames without visible points are skipped; InvalidInputError
+    when no frame has one or a visible point lies at zero gt depth."""
+    if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
+        raise InvalidInputError("need one estimate per scene frame, in order")
     K = scene.intrinsics
     per_frame = []
     for (fid, est), frame in zip(est_poses, scene.frames):
@@ -141,10 +145,9 @@ def pct_within(est_poses, gt_poses, t_thresh: float,
                r_thresh: float) -> float:
     """Fraction of frames with translation error <= t_thresh (m) and rotation
     error <= r_thresh (deg). Exactly-at-threshold counts as within."""
-    if len(est_poses) != len(gt_poses):
-        raise InvalidInputError(
-            f"pose list length mismatch: {len(est_poses)} vs {len(gt_poses)}"
-        )
+    if len(est_poses) != len(gt_poses) or not est_poses:
+        raise InvalidInputError(f"need one estimate per gt pose and at least "
+                                f"one: {len(est_poses)} vs {len(gt_poses)}")
     ok = 0
     for est, gt in zip(est_poses, gt_poses):
         dt = float(np.linalg.norm(est.t - gt.t))
@@ -187,15 +190,15 @@ def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
 def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
                     axis2: str = None, offsets2=None):
     """Values of one loss kind over a 1-D or 2-D grid of pose offsets
-    around ctx.gt.
+    around ctx.gt, at least 2 per axis.
 
     Returns the rows (offset[, offset2], value); a cell whose evaluation
     raises InvalidInputError records a NaN value; any other exception
     propagates.
     """
     offsets = np.asarray(offsets, dtype=float)
-    if len(offsets) < 2:
-        raise InvalidInputError("need at least 2 sweep steps")
+    if len(offsets) < 2 or (axis2 is not None and len(offsets2) < 2):
+        raise InvalidInputError("need at least 2 sweep steps per axis")
     rows = []
     for off in offsets:
         est1 = apply_offset(ctx.gt, axis, off)

@@ -2,8 +2,10 @@
 
 `perfbench/run.py --trace 1` fails unless every traced call count equals
 what the workload's inputs imply (module names, function names and call
-counts are pinned there). Running each workload once here makes a change
-that breaks such a count fail the tests, not only the traced benchmark.
+counts are pinned there), and unless replaying each call's manifest
+reproduces its outputs byte for byte. Running and replaying each workload
+once here makes a change that breaks either fail the tests, not only the
+traced benchmark.
 """
 
 import os
@@ -33,3 +35,5 @@ def test_one_traced_operation_meets_the_contract(name, tmp_path):
         t.uninstall()
     assert runner.problems == []
     run._check_trace(workload, counts)
+    runner.replay()  # each call's manifest reproduces its outputs
+    assert runner.problems == []

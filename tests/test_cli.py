@@ -10,6 +10,7 @@ from homoloss.scene import (
     DepthSlab,
     focal_length,
     parse_pose_list,
+    synth_scene,
     write_pose_list,
     write_points,
 )
@@ -101,6 +102,15 @@ class TestLandscape:
         assert "--axis2 and --range2 go together" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("over", [
+        {"--steps": "1"}, {"--steps": "-1"},
+        *({"--axis2": "roty", "--range2": "-10:10", "--steps2": steps2}
+          for steps2 in ("0", "1", "-2"))])
+    def test_too_few_steps_exit_2(self, tmp_path, capsys, over):
+        argv = landscape_args(str(tmp_path / "o"), **{"--steps": "5", **over})
+        assert main(argv) == 2
+        assert "at least 2 sweep steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("frame", ["99", "8", "-1"])
     def test_frame_out_of_range_exit_2(self, tmp_path, capsys, frame):
         out = str(tmp_path / "o")
@@ -168,6 +178,15 @@ class TestOptimize:
         assert runs[0] == runs[1]
         assert runs[0].splitlines()[0] == "epoch,mean_loss,train_mrd_px"
         assert len(runs[0].splitlines()) == 21
+
+    @pytest.mark.parametrize("option", ["--epochs=-3", "--warmstart=-1"])
+    def test_negative_epochs_exit_2(self, tmp_path, capsys, option):
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--synthetic", "--n-frames", "2", "--loss",
+                "geometric", "--epochs", "2", option, "--out", out]
+        assert main(argv) == 2
+        assert "epochs must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "run.csv"))
 
     def test_outputs_and_summary(self, tmp_path, capsys):
         out = str(tmp_path / "o")
@@ -415,6 +434,20 @@ class TestIntrinsics:
             assert all(c <= d for c, d in zip(counts, default)), extra
             assert counts != default, extra
 
+    def test_principal_point_defaults_to_the_sensor_centre(self, tmp_path):
+        tables = []
+        for name, extra in (("default", []),
+                            ("given", ["--cx", "640", "--cy", "320"])):
+            out = str(tmp_path / name)
+            assert main(["slabs", "--synthetic", "--width", "1280", *extra,
+                         "--out", out]) == 0
+            tables.append(read(os.path.join(out, "slabs.csv")))
+        assert tables[0] == tables[1]
+        manifest = json.loads(read(str(tmp_path / "default" /
+                                       "manifest.json")))
+        assert manifest["config"]["cx"] is None
+        assert manifest["config"]["cy"] is None
+
     def test_narrow_synthetic_camera_exit_2(self, tmp_path, capsys):
         argv = ["slabs", "--synthetic", "--fx", "1e5",
                 "--out", str(tmp_path / "o")]
@@ -475,6 +508,62 @@ class TestManifest:
             return m
         assert self.replay(tmp_path, edit) == 2
         assert "slabs config lacks lo, hist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, option", [
+        ("lo", "0.1", "--lo"),
+        ("lo", None, "--lo"),
+        ("lo", True, "--lo"),
+        ("n_frames", 2.5, "--n-frames"),
+        ("n_frames", True, "--n-frames"),
+        ("mode", "bogus", "--mode"),
+        ("hist", 0, "--hist"),
+        ("poses", ["p.txt"], "--poses"),
+        ("out", None, "--out"),
+    ])
+    def test_invalid_value_exit_2(self, tmp_path, capsys, key, value,
+                                  option):
+        def edit(m):
+            m["config"][key] = value
+            return m
+        assert self.replay(tmp_path, edit) == 2
+        assert f"{value!r} is not a valid {option} value" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("lo", 0), ("fx", None), ("cx", 320.0), ("mode", "global"),
+        ("hist", True)])
+    def test_valid_value_replays(self, tmp_path, key, value):
+        def edit(m):
+            m["config"][key] = value
+            return m
+        assert self.replay(tmp_path, edit) == 0
+
+    def test_edited_input_file_exit_2(self, tmp_path, capsys):
+        scene = synth_scene(0, n_frames=2)
+        poses = str(tmp_path / "poses.txt")
+        points = str(tmp_path / "points.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [(fr.id, fr.gt_pose) for fr in scene.frames])
+        with open(points, "w") as f:
+            write_points(f, scene.points,
+                         {fr.id: fr.visible for fr in scene.frames})
+        out = str(tmp_path / "o")
+        assert main(["slabs", "--poses", poses, "--points", points,
+                     "--out", out]) == 0
+        manifest = os.path.join(out, "manifest.json")
+        assert main(["--from-manifest", manifest]) == 0
+        with open(poses) as f:
+            lines = f.read().splitlines()
+        fields = lines[-1].split()
+        fields[3] = repr(float(fields[3]) + 0.5)  # move the last frame's tz
+        lines[-1] = " ".join(fields)
+        with open(poses, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        before = read(os.path.join(out, "slabs.csv"))
+        assert main(["--from-manifest", manifest]) == 2
+        assert f"input {poses} does not match its recorded sha256" in \
+            capsys.readouterr().err
+        assert read(os.path.join(out, "slabs.csv")) == before
 
     def test_unknown_command_exit_2(self, tmp_path, capsys):
         assert self.replay(tmp_path,

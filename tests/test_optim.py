@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import perturbed
 from homoloss import losses
-from homoloss.diffgrad import LossContext
+from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
@@ -17,10 +18,12 @@ from homoloss.geometry import (
 from homoloss.losses import LossHyperParams, SlabParams
 from homoloss.optim import (
     AdamState,
+    SWEEP_AXES,
     OptimConfig,
     adam_update,
     apply_offset,
     default_adam_eps,
+    frame_context,
     landscape_sweep,
     mean_reproj_distance,
     optimize_poses,
@@ -28,7 +31,7 @@ from homoloss.optim import (
     perturb_pose,
     _epoch_batches,
 )
-from homoloss.scene import local_slabs, synth_scene
+from homoloss.scene import global_slab, local_slabs, synth_scene
 
 
 class TestAdam:
@@ -86,6 +89,12 @@ class TestAdam:
             OptimConfig(loss_kind="posenet", lr=0.0)
         with pytest.raises(InvalidInputError):
             OptimConfig(loss_kind="posenet", batch_size=0)
+
+    @pytest.mark.parametrize("field", ["epochs", "warmstart_epochs"])
+    def test_rejects_negative_epochs(self, field):
+        OptimConfig(loss_kind="posenet", **{field: 0})
+        with pytest.raises(InvalidInputError, match="epochs"):
+            OptimConfig(loss_kind="posenet", **{field: -1})
 
 
 class TestMetrics:
@@ -158,6 +167,20 @@ class TestMetrics:
         with pytest.raises(InvalidInputError):
             pct_within([Pose.identity()], [], 1.0, 1.0)
 
+    def test_pct_within_needs_a_pose(self):
+        with pytest.raises(InvalidInputError):
+            pct_within([], [], 1.0, 1.0)
+
+    def test_mrd_pairs_estimates_with_frames(self, scene):
+        rng = np.random.default_rng(0)
+        est = [(f.id, perturb_pose(f.gt_pose, rng, 0.1, 2.0))
+               for f in scene.frames]
+        assert mean_reproj_distance(est, scene) > 0.0
+        for bad in (est[::-1], est[:1], est[:-1], est + est[:1],
+                    [("other", p) for _, p in est]):
+            with pytest.raises(InvalidInputError, match="per scene frame"):
+                mean_reproj_distance(bad, scene)
+
 
 class TestSweeps:
     def ctx(self):
@@ -223,6 +246,46 @@ class TestSweeps:
     def test_too_few_steps(self):
         with pytest.raises(InvalidInputError):
             landscape_sweep("posenet", self.ctx(), "tx", [0.0])
+
+    @pytest.mark.parametrize("offsets2", [[], [0.0]])
+    def test_too_few_steps_on_the_second_axis(self, offsets2):
+        with pytest.raises(InvalidInputError, match="per axis"):
+            landscape_sweep("posenet", self.ctx(), "tx", [-1.0, 1.0],
+                            axis2="roty", offsets2=offsets2)
+
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(LOSS_KINDS + ("geometric without points",)),
+           frame=st.integers(0, 7),
+           axis=st.sampled_from(SWEEP_AXES),
+           axis2=st.none() | st.sampled_from(SWEEP_AXES),
+           offsets=st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=4),
+           offsets2=st.lists(st.floats(-90.0, 90.0), min_size=2,
+                             max_size=4))
+    def test_sweep_cells_are_loss_values(self, scene, slabs, kind, frame,
+                                         axis, axis2, offsets, offsets2):
+        # Each cell is loss_value at its offset pose, bit for bit, or NaN
+        # where that evaluation is a domain error.
+        f = scene.frames[frame]
+        if kind == "geometric without points":
+            kind, ctx = "geometric", LossContext(gt=f.gt_pose)
+        else:
+            slab = global_slab(scene) if kind == "homography_global" \
+                else slabs
+            ctx = frame_context(scene, f, kind, LossHyperParams(), slab)
+        rows = landscape_sweep(kind, ctx, axis, offsets, axis2, offsets2)
+        cells = [(o,) for o in offsets] if axis2 is None else \
+            [(o, o2) for o in offsets for o2 in offsets2]
+        assert len(rows) == len(cells)
+        for row, cell in zip(rows, cells):
+            assert row[:-1] == cell
+            est = apply_offset(ctx.gt, axis, cell[0])
+            if axis2 is not None:
+                est = apply_offset(est, axis2, cell[1])
+            try:
+                want = loss_value(kind, est, ctx)
+            except InvalidInputError:
+                want = float("nan")
+            assert repr(row[-1]) == repr(want)
 
     def test_perturb_pose_within_bounds(self):
         rng = np.random.default_rng(0)
