@@ -522,10 +522,8 @@ class TestManifest:
     ])
     def test_invalid_value_exit_2(self, tmp_path, capsys, key, value,
                                   option):
-        def edit(m):
-            m["config"][key] = value
-            return m
-        assert self.replay(tmp_path, edit) == 2
+        assert self.replay(tmp_path, lambda m: {
+            **m, "config": {**m["config"], key: value}}) == 2
         assert f"{value!r} is not a valid {option} value" in \
             capsys.readouterr().err
 
@@ -533,10 +531,8 @@ class TestManifest:
         ("lo", 0), ("fx", None), ("cx", 320.0), ("mode", "global"),
         ("hist", True)])
     def test_valid_value_replays(self, tmp_path, key, value):
-        def edit(m):
-            m["config"][key] = value
-            return m
-        assert self.replay(tmp_path, edit) == 0
+        assert self.replay(tmp_path, lambda m: {
+            **m, "config": {**m["config"], key: value}}) == 0
 
     def test_edited_input_file_exit_2(self, tmp_path, capsys):
         scene = synth_scene(0, n_frames=2)
