@@ -43,13 +43,11 @@ from .optim import (
     perturb_pose,
 )
 from .scene import (
-    Frame,
     ParseError,
     Scene,
     frame_depths,
     global_slab,
     local_slabs,
-    parse_points,
     parse_pose_list,
     scene_from_files,
     synth_scene,
@@ -162,7 +160,7 @@ def _build_scene(config) -> Scene:
     if not config["poses"] or not config["points"]:
         raise UsageError("need --synthetic or both --poses and --points")
     with open(config["poses"]) as pf, open(config["points"]) as xf:
-        return scene_from_files(pf, xf, _intrinsics(config))
+        return scene_from_files(parse_pose_list(pf), xf, _intrinsics(config))
 
 
 def _add_hyper_args(p):
@@ -269,10 +267,10 @@ def run_gradcheck(config):
                            config["perturb_t"], config["perturb_deg"])
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
-        report = diffgrad.grad_report(kind, est, ctx, step=config["step"])
+        err = diffgrad.grad_report(kind, est, ctx, step=config["step"])
         val, _ = diffgrad.evaluate_with_grad(kind, est, ctx)
-        rows.append((s, val, report.max_rel_err))
-        worst = max(worst, report.max_rel_err)
+        rows.append((s, val, err))
+        worst = max(worst, err)
     _write_csv(os.path.join(out, "gradcheck.csv"),
                "sample,loss_value,max_rel_err", rows)
     _write_manifest(out, "gradcheck", config)
@@ -337,18 +335,11 @@ def run_optimize(config):
 
 
 def run_slabs(config):
-    manual = (config["xmin"], config["xmax"])
-    if manual != (None, None) and (None in manual
-                                   or config["mode"] != "global"):
-        raise UsageError("--xmin and --xmax go together, with --mode global")
     scene = _build_scene(config)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    if config["mode"] == "global":
-        slabs = {"global": global_slab(scene, config["lo"], config["hi"],
-                                       *manual).single}
-    else:
-        slabs = local_slabs(scene, config["lo"], config["hi"]).per_frame
+    slab = _depth_slab(scene, f"homography_{config['mode']}", config)
+    slabs = slab.per_frame or {"global": slab.single}
     rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
     _write_csv(os.path.join(out, "slabs.csv"), "frame_id,x_min,x_max", rows)
     if config["hist"]:
@@ -379,10 +370,8 @@ def run_eval(config):
     lines = []
     if config["points"]:
         with open(config["points"]) as f:
-            points, vis = parse_points(f)
-        frames = [Frame(n, gt_map[n], vis.get(n, ())) for n in common]
-        scene = Scene(points=points, frames=frames,
-                      intrinsics=_intrinsics(config))
+            scene = scene_from_files(list(zip(common, gt_list)), f,
+                                     _intrinsics(config))
         mrd = mean_reproj_distance(list(zip(common, est_list)), scene,
                                    clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
@@ -453,8 +442,6 @@ def build_parser():
     p = sub.add_parser("slabs", help="depth-percentile slab table")
     _add_scene_args(p)
     p.add_argument("--mode", choices=("local", "global"), default="local")
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=None)
     p.add_argument("--hist", action="store_true",
                    help="also write per-frame cumulative depth histograms")
 

@@ -30,14 +30,10 @@ class LossContext:
     """Everything a loss needs besides the estimated pose parameters."""
 
     gt: Pose
-    hyper: LossHyperParams = None
+    hyper: LossHyperParams = field(default_factory=LossHyperParams)
     points: np.ndarray = None      # (N, 3) world points visible in the frame
     intrinsics: Intrinsics = None
     slab: SlabParams = None
-
-    def __post_init__(self):
-        if self.hyper is None:
-            self.hyper = LossHyperParams()
 
 
 def param_count(kind: str) -> int:
@@ -129,27 +125,17 @@ def finite_diff_grad(kind: str, est, ctx: LossContext,
     return grad
 
 
-@dataclass
-class GradReport:
-    """Analytic vs finite-difference gradient comparison."""
-
-    analytic: np.ndarray
-    numeric: np.ndarray
-    max_rel_err: float = field(init=False)
-
-    def __post_init__(self):
-        self.analytic = np.asarray(self.analytic, dtype=float)
-        self.numeric = np.asarray(self.numeric, dtype=float)
-        denom = np.maximum(
-            REL_ERR_FLOOR, np.abs(self.analytic) + np.abs(self.numeric)
-        )
-        self.max_rel_err = float(
-            np.max(np.abs(self.analytic - self.numeric) / denom)
-        )
+def max_rel_err(analytic, numeric) -> float:
+    """Largest |a - n| / max(REL_ERR_FLOOR, |a| + |n|) over the entries of
+    an analytic and a numeric gradient."""
+    a = np.asarray(analytic, dtype=float)
+    n = np.asarray(numeric, dtype=float)
+    return float(np.max(np.abs(a - n) / np.maximum(REL_ERR_FLOOR,
+                                                     np.abs(a) + np.abs(n))))
 
 
 def grad_report(kind: str, est, ctx: LossContext,
-                step: float = 1e-6) -> GradReport:
+                step: float = 1e-6) -> float:
+    """max_rel_err of the closed-form gradient against finite differences."""
     _, analytic = evaluate_with_grad(kind, est, ctx)
-    numeric = finite_diff_grad(kind, est, ctx, step)
-    return GradReport(analytic, numeric)
+    return max_rel_err(analytic, finite_diff_grad(kind, est, ctx, step))

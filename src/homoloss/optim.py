@@ -31,19 +31,12 @@ OUTDOOR_THRESHOLDS = ((2.0, 2.0), (3.0, 5.0))
 INDOOR_THRESHOLDS = ((0.25, 10.0), (0.5, 15.0))
 
 
-def default_adam_eps(loss_kind: str) -> float:
-    """1e-14 for the homography losses (they reach ~1e-4 values where the
-    default 1e-8 epsilon distorts steps), 1e-8 otherwise."""
-    if loss_kind in HOMOGRAPHY_KINDS:
-        return 1e-14
-    return 1e-8
-
-
 @dataclass
 class OptimConfig:
     loss_kind: str
     lr: float = 1e-4
-    adam_eps: float = None  # resolved per loss kind when None
+    adam_eps: float = None  # None: 1e-14 for the homography losses (their
+    # ~1e-4 values make the usual 1e-8 distort the steps), 1e-8 otherwise
     epochs: int = 5000
     batch_size: int = 64
     seed: int = 0
@@ -59,7 +52,8 @@ class OptimConfig:
         if min(self.epochs, self.warmstart_epochs) < 0:
             raise InvalidInputError("epochs and warmstart_epochs must be >= 0")
         if self.adam_eps is None:
-            self.adam_eps = default_adam_eps(self.loss_kind)
+            self.adam_eps = 1e-14 if self.loss_kind in HOMOGRAPHY_KINDS \
+                else 1e-8
 
 
 @dataclass
@@ -266,7 +260,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         warm_cfg = replace(
             config,
             loss_kind="homoscedastic",
-            adam_eps=default_adam_eps("homoscedastic"),
+            adam_eps=None,
             warmstart_epochs=0,
             epochs=config.warmstart_epochs,
         )

@@ -33,10 +33,7 @@ DEFAULT_PERCENTILE_HI = 0.975
 
 class ParseError(InvalidInputError):
     def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}" if line else message)
 
 
 class GenerationError(InvalidInputError):
@@ -141,11 +138,6 @@ def _slab_params(groups, lo, hi, frame_ids):
             for a, b in zip(x_min.tolist(), x_max.tolist())]
 
 
-def _percentile_bounds(depths, lo, hi, frame_id=None):
-    """Slab bounds of one group of depths (see _slab_params)."""
-    return _slab_params([depths], lo, hi, [frame_id])[0]
-
-
 def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Per-frame slab bounds from each frame's own depth distribution."""
@@ -155,21 +147,11 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
     return DepthSlab(per_frame=dict(zip(ids, bounds)))
 
 
-def global_slab(scene: Scene = None, lo: float = DEFAULT_PERCENTILE_LO,
-                hi: float = DEFAULT_PERCENTILE_HI,
-                x_min: float = None, x_max: float = None) -> DepthSlab:
-    """Shared slab bounds: manual (x_min, x_max) or pooled depth percentiles
-    over every frame of the scene."""
-    if x_min is not None or x_max is not None:
-        if x_min is None or x_max is None:
-            raise InvalidInputError("manual bounds need x_min and x_max")
-        single = SlabParams(x_min=float(x_min), x_max=float(x_max))
-    elif scene is None:
-        raise InvalidInputError("need a scene or manual bounds")
-    else:
-        pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
-        single = _percentile_bounds(pooled, lo, hi, frame_id="<global>")
-    return DepthSlab(single=single)
+def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
+                hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
+    """Shared slab bounds from the depths pooled over every frame."""
+    pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
+    return DepthSlab(single=_slab_params([pooled], lo, hi, ["<global>"])[0])
 
 
 # -- text ingestion --------------------------------------------------------
@@ -271,9 +253,9 @@ def write_points(stream, points, visibility):
         stream.write(f"V {fid} {idx}\n")
 
 
-def scene_from_files(pose_stream, points_stream,
-                     intrinsics: Intrinsics) -> Scene:
-    poses = parse_pose_list(pose_stream)
+def scene_from_files(poses, points_stream, intrinsics: Intrinsics) -> Scene:
+    """The scene of parsed (id, Pose) pairs and a points file; a frame
+    without a V line sees no point."""
     points, vis = parse_points(points_stream)
     frames = [
         Frame(id=name, gt_pose=pose, visible=vis.get(name, ()))

@@ -10,7 +10,7 @@ reduction of the closed form, pose composition, one-point projection and
 depth, the per-point DiffScalar form of the geometric loss that its numpy
 kernel replaced, the DiffScalar value and gradient of every loss kind, and
 the per-frame np.quantile slab estimation that the batched percentile
-routine replaced.
+routine replaced, and the library's slab bounds of one group of depths.
 """
 
 import math
@@ -29,7 +29,7 @@ from homoloss.geometry import (
     rotmat_to_quat,
 )
 from homoloss.losses import SlabParams, _slab_weights
-from homoloss.scene import DegenerateDepthError
+from homoloss.scene import DegenerateDepthError, _slab_params
 
 
 class InvalidDepthError(ValueError):
@@ -260,3 +260,9 @@ def slab_loop(groups, lo, hi, frame_ids):
                 f"x_min={x_min} >= x_max={x_max}", frame_id=fid)
         out.append((x_min, x_max))
     return out
+
+
+def percentile_bounds(depths, lo, hi, frame_id=None):
+    """The library's SlabParams of one group of depths (scene._slab_params
+    on a single group)."""
+    return _slab_params([depths], lo, hi, [frame_id])[0]

@@ -27,6 +27,7 @@ from oracles import (
     homography,
     homography_loss_closed,
     homography_loss_numeric,
+    percentile_bounds,
     scalar_form_oracle,
     sensor_grid_reproj,
     sensor_weighted_reproj,
@@ -38,12 +39,7 @@ from homoloss.optim import (
     optimize_poses,
     perturb_pose,
 )
-from homoloss.scene import (
-    frame_depths,
-    local_slabs,
-    synth_scene,
-    _percentile_bounds,
-)
+from homoloss.scene import frame_depths, local_slabs, synth_scene
 
 
 def report(num, desc, ok, detail=""):
@@ -335,7 +331,7 @@ def test_criterion_09_percentile_contract():
         # random subsample so the 50 "frames" differ
         keep = rng.integers(5, len(depths))
         sub = rng.choice(depths, size=keep, replace=False)
-        slab = _percentile_bounds(sub, 0.025, 0.975)
+        slab = percentile_bounds(sub, 0.025, 0.975)
         worst = max(
             worst,
             abs(slab.x_min - oracle(sub, 0.025)),

@@ -9,6 +9,7 @@ from homoloss.geometry import Pose
 from homoloss.scene import (
     DepthSlab,
     focal_length,
+    global_slab,
     parse_pose_list,
     synth_scene,
     write_pose_list,
@@ -293,26 +294,24 @@ class TestSlabs:
             _, a, b = row.split(",")
             assert 0.0 < float(a) < float(b)
 
-    def test_global_manual(self, tmp_path):
+    def test_no_manual_bounds(self, tmp_path, capsys):
+        # the slab bounds are depth percentiles (--lo/--hi), as in the losses
         out = str(tmp_path / "o")
         argv = ["slabs", "--synthetic", "--mode", "global",
                 "--xmin", "1.5", "--xmax", "4", "--out", out]
-        assert main(argv) == 0
-        lines = read(os.path.join(out, "slabs.csv")).splitlines()
-        assert lines[1] == "global,1.5,4"
-
-    @pytest.mark.parametrize("extra", [
-        ["--mode", "global", "--xmin", "1.5"],
-        ["--mode", "global", "--xmax", "4"],
-        ["--xmin", "1.5", "--xmax", "4"],
-    ])
-    def test_manual_bounds_need_both_and_global_mode(self, tmp_path, capsys,
-                                                     extra):
-        out = str(tmp_path / "o")
-        assert main(["slabs", "--synthetic", *extra, "--out", out]) == 1
-        assert "--xmin and --xmax go together, with --mode global" in \
+        assert main(argv) == 1
+        assert "unrecognized arguments: --xmin 1.5 --xmax 4" in \
             capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_global_table_is_the_pooled_slab(self, tmp_path):
+        out = str(tmp_path / "o")
+        argv = ["slabs", "--synthetic", "--mode", "global", "--lo", "0.1",
+                "--hi", "0.8", "--out", out]
+        assert main(argv) == 0
+        s = global_slab(synth_scene(0), 0.1, 0.8).single
+        assert read(os.path.join(out, "slabs.csv")).splitlines()[1:] == \
+            [f"global,{s.x_min:.17g},{s.x_max:.17g}"]
 
     def test_repeated_visibility_line_exit_2(self, tmp_path, capsys):
         poses = str(tmp_path / "poses.txt")

@@ -22,7 +22,6 @@ from homoloss.optim import (
     OptimConfig,
     adam_update,
     apply_offset,
-    default_adam_eps,
     frame_context,
     landscape_sweep,
     mean_reproj_distance,
@@ -74,10 +73,10 @@ class TestAdam:
         assert abs(outs[1]) > abs(outs[0])  # smaller eps, bigger step
 
     def test_default_eps_per_kind(self):
-        assert default_adam_eps("homography_local") == 1e-14
-        assert default_adam_eps("homography_global") == 1e-14
-        assert default_adam_eps("posenet") == 1e-8
-        assert default_adam_eps("geometric") == 1e-8
+        assert OptimConfig("homography_local").adam_eps == 1e-14
+        assert OptimConfig("homography_global").adam_eps == 1e-14
+        assert OptimConfig("posenet").adam_eps == 1e-8
+        assert OptimConfig("geometric").adam_eps == 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
