@@ -2,10 +2,11 @@
 sweeps, gradient checks, pose optimization, slab tables, and evaluation.
 
 Every command writes a manifest.json alongside its outputs; re-running via
---from-manifest checks each config value and input file sha256, then
-reproduces the outputs byte-identically. Synthetic and file scenes take one
-camera: --fx defaults to the focal length of --fov across --width, --fy to
---fx, and --cx/--cy to the sensor centre.
+--from-manifest checks each config value (a key that is no option of the
+command must be null) and input file sha256, then reproduces the outputs
+byte-identically. Synthetic and file scenes take one camera: --fx defaults
+to the focal length of --fov across --width, --fy to --fx, and --cx/--cy to
+the sensor centre. `slabs` writes the slab the homography losses use.
 
 `optimize` writes errors.txt (one line per skipped frame and message, with
 its first epoch and step count, plus the abort) into --out whenever the run
@@ -13,8 +14,9 @@ records an error, and exits 2 after writing all its outputs if the run
 aborted.
 
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
-2 data/parse error (a bad manifest or a changed input file, too), or
-aborted run, 3 numeric-tolerance failure.
+2 data/parse error (a NaN option value, a bad manifest or a changed input
+file, too), or aborted run, 3 numeric-tolerance failure (a NaN gradient
+error included).
 """
 
 from __future__ import annotations
@@ -260,7 +262,6 @@ def run_gradcheck(config):
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     rows = []
-    worst = 0.0
     for s in range(config["samples"]):
         frame = scene.frames[int(rng.integers(len(scene.frames)))]
         est = perturb_pose(frame.gt_pose, rng,
@@ -270,11 +271,12 @@ def run_gradcheck(config):
         err = diffgrad.grad_report(kind, est, ctx, step=config["step"])
         val, _ = diffgrad.evaluate_with_grad(kind, est, ctx)
         rows.append((s, val, err))
-        worst = max(worst, err)
     _write_csv(os.path.join(out, "gradcheck.csv"),
                "sample,loss_value,max_rel_err", rows)
     _write_manifest(out, "gradcheck", config)
-    n_fail = sum(1 for _, _, err in rows if err > tol)
+    errs = np.array([err for _, _, err in rows])
+    worst = errs.max()  # NaN if any error is, and a NaN is above tolerance
+    n_fail = int(np.sum(~(errs <= tol)))
     print(f"gradcheck {kind}: {len(rows)} samples, worst max_rel_err "
           f"{worst:.3e}, {n_fail} above tolerance {tol:g}")
     if n_fail:
@@ -476,6 +478,11 @@ def _read_manifest(parser, path):
     if missing:
         raise InvalidInputError(f"manifest {path}: {command} config lacks "
                                 f"{', '.join(missing)}")
+    unknown = [k for k, v in config.items() if v is not None
+               and k not in {a.dest for a in options}]
+    if unknown:  # a setting replay would drop may only be null
+        raise InvalidInputError(f"manifest {path}: {command} has no option "
+                                f"{unknown[0]!r}, so it must be null")
     for a in options:  # null only where an optional option defaults to it
         value = config[a.dest]
         types = (bool,) if a.nargs == 0 else \
@@ -505,6 +512,10 @@ def main(argv=None) -> int:
             command = args.command
             config = {k: v for k, v in vars(args).items()
                       if k not in ("command", "from_manifest")}
+        for key, value in config.items():  # inf stays: --clip inf, no clip
+            if isinstance(value, float) and np.isnan(value):
+                option = "--" + key.replace("_", "-")
+                raise InvalidInputError(f"{option} must not be nan")
         return COMMANDS[command](config)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -105,7 +105,7 @@ def evaluate_with_grad(kind: str, est, ctx: LossContext):
 def finite_diff_grad(kind: str, est, ctx: LossContext,
                      step: float = 1e-6) -> np.ndarray:
     """Central finite differences on each parameter (the gradient oracle)."""
-    if step <= 0:
+    if not step > 0:
         raise InvalidInputError("finite-difference step must be positive")
     params = _flat_params(kind, est, ctx)
     grad = np.zeros(len(params))

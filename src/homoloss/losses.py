@@ -71,9 +71,9 @@ class LossHyperParams:
     quat_reg_weight: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise InvalidInputError("beta must be positive")
-        if self.reproj_clip <= 0:
+        if not self.reproj_clip > 0:
             raise InvalidInputError("reproj_clip must be positive")
 
 

@@ -45,7 +45,7 @@ class OptimConfig:
     warmstart_epochs: int = 0        # homoscedastic pre-phase (geometric runs)
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise InvalidInputError("lr must be positive")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
@@ -173,6 +173,8 @@ def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
 def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
     """Random perturbation: translation within a ball of radius max_t, and a
     rotation of at most max_deg about a random axis."""
+    if not (max_t >= 0 and max_deg >= 0):
+        raise InvalidInputError("perturbation bounds must be >= 0")
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     t = pose.t + direction * rng.uniform(0.0, max_t)

@@ -5,10 +5,15 @@ what the workload's inputs imply (module names, function names and call
 counts are pinned there), and unless replaying each call's manifest
 reproduces its outputs byte for byte. Running and replaying each workload
 once here makes a change that breaks either fail the tests, not only the
-traced benchmark.
+traced benchmark. The tests also run what the suite otherwise never runs:
+a fresh interpreter that imports one module of the package first, and
+`perfbench/setup_once.py`, whose fresh-interpreter set-up is the
+benchmark's `setup_s`.
 """
 
+import glob
 import os
+import subprocess
 import sys
 
 import pytest
@@ -16,8 +21,9 @@ import pytest
 import homoloss
 from homoloss import cli
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -37,3 +43,26 @@ def test_one_traced_operation_meets_the_contract(name, tmp_path):
     run._check_trace(workload, counts)
     runner.replay()  # each call's manifest reproduces its outputs
     assert runner.problems == []
+
+
+def _fresh_python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", sorted(
+    "homoloss" if name == "__init__" else f"homoloss.{name}"
+    for name in (os.path.basename(p)[:-3]
+                 for p in glob.glob(os.path.join(SRC, "homoloss", "*.py")))))
+def test_each_module_imports_first(module):
+    done = _fresh_python("-c", f"import {module}")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_setup_once_runs(name, tmp_path):
+    done = _fresh_python("perfbench/setup_once.py", "--workload", name,
+                         "--seed", "7", "--dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.splitlines()[-1]) > 0

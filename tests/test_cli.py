@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from homoloss import diffgrad
 from homoloss.cli import main
 from homoloss.geometry import Pose
 from homoloss.scene import (
@@ -139,6 +140,22 @@ class TestGradcheck:
         code = main(self.base(out, extra=["--tolerance", "1e-15"]))
         assert code == 3
         assert "tolerance failure" in capsys.readouterr().err
+
+    def test_nan_error_is_above_tolerance(self, tmp_path, capsys,
+                                          monkeypatch):
+        real, calls = diffgrad.finite_diff_grad, []
+
+        def nan_first(*args, **kwargs):  # the first sample's error is NaN
+            calls.append(None)
+            grad = real(*args, **kwargs)
+            return grad * np.nan if len(calls) == 1 else grad
+        monkeypatch.setattr(diffgrad, "finite_diff_grad", nan_first)
+        out = str(tmp_path / "o")
+        assert main(self.base(out, extra=["--samples", "3"])) == 3
+        assert "worst max_rel_err nan, 1 above tolerance 1e-05" in \
+            capsys.readouterr().out
+        rows = read(os.path.join(out, "gradcheck.csv")).splitlines()
+        assert rows[1].endswith(",nan") and len(rows) == 4
 
     @pytest.mark.parametrize("loss", ["posenet", "geometric", "maxerror"])
     def test_other_losses(self, tmp_path, loss):
@@ -385,6 +402,18 @@ class TestEval:
         assert lines[1].startswith("mean_reproj_distance_px,")
         assert float(lines[1].split(",")[1]) > 0.0
 
+    def test_nan_eval_clip_exit_2(self, tmp_path, capsys):
+        gt_path, est_path = self.write_scene_files(tmp_path)
+        pts_path = str(tmp_path / "pts.txt")
+        with open(pts_path, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0]], {"f0": (0,), "f1": (0,)})
+        out = str(tmp_path / "o")
+        argv = ["eval", "--gt-poses", gt_path, "--est-poses", est_path,
+                "--points", pts_path, "--eval-clip", "nan", "--out", out]
+        assert main(argv) == 2
+        assert "--eval-clip must not be nan" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_zero_fy_exit_2(self, tmp_path, capsys):
         # --fy 0 is invalid intrinsics; only an absent --fy defaults to --fx
         gt_path, est_path = self.write_scene_files(tmp_path)
@@ -533,6 +562,30 @@ class TestManifest:
         assert self.replay(tmp_path, lambda m: {
             **m, "config": {**m["config"], key: value}}) == 0
 
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_setting_without_an_option_exit_2(self, tmp_path, capsys, mode):
+        # slabs has no --xmin/--xmax: replay must not drop them silently
+        assert self.replay(tmp_path, lambda m: {**m, "config": {
+            **m["config"], "mode": mode, "xmin": 1.5, "xmax": 4.0}}) == 2
+        assert "slabs has no option 'xmin', so it must be null" in \
+            capsys.readouterr().err
+
+    def test_null_setting_without_an_option_replays(self, tmp_path):
+        # manifests written while slabs took --xmin/--xmax record them null
+        table, before = os.path.join(str(tmp_path / "o"), "slabs.csv"), []
+
+        def edit(m):
+            before.append(read(table))
+            return {**m, "config": {**m["config"], "xmin": None,
+                                    "xmax": None}}
+        assert self.replay(tmp_path, edit) == 0
+        assert read(table) == before[0]
+
+    def test_nan_value_exit_2(self, tmp_path, capsys):
+        assert self.replay(tmp_path, lambda m: {
+            **m, "config": {**m["config"], "depth_max": float("nan")}}) == 2
+        assert "--depth-max must not be nan" in capsys.readouterr().err
+
     def test_edited_input_file_exit_2(self, tmp_path, capsys):
         scene = synth_scene(0, n_frames=2)
         poses = str(tmp_path / "poses.txt")
@@ -650,6 +703,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("line 4" if bad == "point" else "line 1") in err
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--loss", "homography", "--tolerance", "nan"],
+        ["gradcheck", "--loss", "homography", "--step", "nan"],
+        ["optimize", "--loss", "posenet", "--lr", "nan"],
+        ["optimize", "--loss", "posenet", "--beta", "nan"],
+        ["optimize", "--loss", "posenet", "--adam-eps", "nan"],
+        ["optimize", "--loss", "geometric", "--clip", "nan"],
+        ["optimize", "--loss", "homoscedastic", "--s-q", "NaN"],
+    ])
+    def test_nan_option_exit_2(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "o")
+        assert main([*argv, "--synthetic", "--out", out]) == 2
+        assert f"{argv[-2]} must not be nan" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_infinite_clip_is_no_clip(self, tmp_path):
+        argv = ["optimize", "--synthetic", "--loss", "geometric", "--epochs",
+                "1", "--clip", "inf", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("command", ["optimize", "gradcheck"])
+    @pytest.mark.parametrize("option", ["--perturb-t=-1", "--perturb-deg=-2"])
+    def test_negative_perturbation_exit_2(self, tmp_path, capsys, command,
+                                          option):
+        argv = [command, "--synthetic", "--loss", "posenet", option,
+                "--epochs" if command == "optimize" else "--samples", "1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "perturbation bounds must be >= 0" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "o")

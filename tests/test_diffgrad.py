@@ -400,6 +400,8 @@ class TestFiniteDiff:
         ctx = LossContext(gt=Pose.identity())
         with pytest.raises(InvalidInputError):
             finite_diff_grad("posenet", Pose.identity(), ctx, step=0.0)
+        with pytest.raises(InvalidInputError, match="step must be positive"):
+            finite_diff_grad("posenet", Pose.identity(), ctx, step=np.nan)
 
     def test_error_reports_coordinate(self):
         # A null estimated quaternion fails inside the loss at the first

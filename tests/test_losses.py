@@ -57,6 +57,14 @@ class TestSlabParams:
             SlabParams(lo, hi)
 
 
+class TestHyperParams:
+    @pytest.mark.parametrize("field", ["beta", "reproj_clip"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_not_positive_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            LossHyperParams(**{field: value})
+
+
 class TestPoseNetLoss:
     def test_zero_at_gt(self):
         rng = np.random.default_rng(0)

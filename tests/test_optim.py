@@ -88,6 +88,8 @@ class TestAdam:
             OptimConfig(loss_kind="posenet", lr=0.0)
         with pytest.raises(InvalidInputError):
             OptimConfig(loss_kind="posenet", batch_size=0)
+        with pytest.raises(InvalidInputError, match="lr must be positive"):
+            OptimConfig(loss_kind="posenet", lr=math.nan)
 
     @pytest.mark.parametrize("field", ["epochs", "warmstart_epochs"])
     def test_rejects_negative_epochs(self, field):
@@ -293,6 +295,17 @@ class TestSweeps:
             p = perturb_pose(base, rng, max_t=0.3, max_deg=5.0)
             assert np.linalg.norm(p.t) <= 0.3
             assert angle_between(p.q, base.q) <= 5.0 + 1e-9
+
+    @pytest.mark.parametrize("max_t, max_deg", [
+        (-0.1, 5.0), (0.3, -1.0), (math.nan, 5.0), (0.3, math.nan)])
+    def test_perturb_pose_rejects_bad_bounds(self, max_t, max_deg):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError, match="perturbation bounds"):
+            perturb_pose(Pose.identity(), rng, max_t, max_deg)
+
+    def test_perturb_pose_zero_bounds_keep_the_pose(self):
+        p = perturb_pose(Pose.identity(), np.random.default_rng(0), 0.0, 0.0)
+        assert np.all(p.t == 0.0) and angle_between(p.q, [1, 0, 0, 0]) == 0
 
 
 class TestEpochBatches:
