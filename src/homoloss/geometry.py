@@ -101,13 +101,14 @@ def quat_from_axis_angle(axis, angle_rad):
 
 
 def rotmat_elems(q):
-    """Rotation matrix entries from a quaternion, as nested lists of floats.
+    """Rotation matrix entries from a quaternion, as nested lists of floats,
+    or of (F,) arrays, elementwise the same operations, for a (4, F) stack.
 
     The quaternion is normalized internally so non-unit inputs are valid.
     """
     w, x, y, z = q
     s = w * w + x * x + y * y + z * z
-    if s == 0.0:
+    if (s == 0.0) if isinstance(s, float) else not s.all():
         raise InvalidInputError("zero-norm quaternion")
     inv = 1.0 / s
     return [
@@ -130,8 +131,11 @@ def rotmat_elems(q):
 
 
 def quat_to_rotmat(q):
-    """3x3 rotation matrix of (possibly non-unit) quaternion q."""
-    return np.array(rotmat_elems(np.asarray(q, dtype=float)), dtype=float)
+    """3x3 rotation matrix of (possibly non-unit) quaternion q (4,), or
+    (F, 3, 3) matrices of q (F, 4)."""
+    q = np.asarray(q, dtype=float)
+    R = np.array(rotmat_elems(q.T), dtype=float)
+    return R if q.ndim == 1 else np.ascontiguousarray(R.transpose(2, 0, 1))
 
 
 def rotmat_to_quat(R):
@@ -177,24 +181,28 @@ def angle_between(q1, q2):
     """Geodesic rotation angle between two quaternions, in degrees."""
     u1 = quat_normalize(q1)
     u2 = quat_normalize(q2)
-    d = min(1.0, abs(float(np.dot(u1, u2))))
+    d = min(abs(float(np.dot(u1, u2))), 1.0)  # keeps a NaN, unlike min(1, .)
     return 2.0 * math.acos(d) * 180.0 / math.pi
 
 
 # -- projection ------------------------------------------------------------
 
-def project_points(pose: Pose, K: Intrinsics, points):
-    """Pinhole projection of world points (N, 3) under pose.
+def project_points(pose, K: Intrinsics, points):
+    """Pinhole projection of world points (N, 3) under a Pose, or of
+    (F, N, 3) points under F poses t (F, 3), q (F, 4), with the same
+    operations per frame.
 
-    Returns (pixels (N, 2), signed camera depths (N,)). Backside points
-    (Z < 0) project to a valid pixel with negative depth; points in the
-    camera x-y plane get non-finite or huge pixels, so callers mask by
+    Returns (pixels (..., N, 2), signed camera depths (..., N)). Backside
+    points (Z < 0) project to a valid pixel with negative depth; points in
+    the camera x-y plane get non-finite or huge pixels, so callers mask by
     |depth| >= DEPTH_EPS (or by depth > 0).
     """
-    R = quat_to_rotmat(pose.q)
-    cam = (np.asarray(points, dtype=float) - pose.t) @ R
-    z = cam[:, 2]
+    if isinstance(pose, Pose):
+        t, R = pose.t, quat_to_rotmat(pose.q)
+    else:
+        t, R = pose[0][:, None, :], quat_to_rotmat(pose[1])
+    cam = (np.asarray(points, dtype=float) - t) @ R
+    z = cam[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = K.fx * cam[:, 0] / z + K.cx
-        v = K.fy * cam[:, 1] / z + K.cy
-    return np.column_stack([u, v]), z
+        uv = cam[..., :2] * (K.fx, K.fy) / z[..., None] + (K.cx, K.cy)
+    return uv, z

@@ -71,8 +71,8 @@ class LossHyperParams:
     quat_reg_weight: float = 1.0
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InvalidInputError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise InvalidInputError("beta must be positive and finite")
         if not self.reproj_clip > 0:
             raise InvalidInputError("reproj_clip must be positive")
 

@@ -45,8 +45,8 @@ class OptimConfig:
     warmstart_epochs: int = 0        # homoscedastic pre-phase (geometric runs)
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise InvalidInputError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise InvalidInputError("lr must be positive and finite")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if min(self.epochs, self.warmstart_epochs) < 0:
@@ -54,6 +54,8 @@ class OptimConfig:
         if self.adam_eps is None:
             self.adam_eps = 1e-14 if self.loss_kind in HOMOGRAPHY_KINDS \
                 else 1e-8
+        if not 0 <= self.adam_eps < math.inf:
+            raise InvalidInputError("adam_eps must be >= 0 and finite")
 
 
 @dataclass
@@ -110,29 +112,36 @@ def mean_reproj_distance(est_poses, scene: Scene,
     estimated projections of the frame's visible points; est_poses holds one
     (frame id, Pose) per scene frame, in order. Projections to infinity count
     as the clip. Frames without visible points are skipped; InvalidInputError
-    when no frame has one or a visible point lies at zero gt depth."""
+    when no frame has one, or for the first where a visible point lies at
+    zero gt depth or the estimate q has zero norm. One stacked projection
+    (scene.stacked); np.mean over blocks of frames of one visible count
+    gives each frame's mean the bits of its own np.mean."""
     if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
         raise InvalidInputError("need one estimate per scene frame, in order")
-    K = scene.intrinsics
-    per_frame = []
-    for (fid, est), frame in zip(est_poses, scene.frames):
-        pts = scene.visible_points(frame)
-        if len(pts) == 0:
-            continue
-        uv_gt, z_gt = project_points(frame.gt_pose, K, pts)
-        if np.any(z_gt == 0.0):
-            raise InvalidInputError(
-                f"frame {frame.id}: a visible point lies at zero gt depth"
-            )
-        uv, z = project_points(est, K, pts)
-        dist = np.minimum(clip, np.hypot(*(uv - uv_gt).T))
-        d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
-        per_frame.append(float(np.mean(d)))
-    if not per_frame:
+    view = scene.stacked
+    seen = view.counts > 0
+    t = np.array([p.t for _, p in est_poses])
+    q = np.array([p.q for _, p in est_poses])
+    zero_q = ~np.any(q * q, axis=1)  # |q|^2 == 0 in rotmat_elems
+    for i in np.flatnonzero(seen & (view.zero_gt_depth | zero_q))[:1]:
+        if view.zero_gt_depth[i]:
+            raise InvalidInputError(f"frame {scene.frames[i].id}: a visible "
+                                    f"point lies at zero gt depth")
+        raise InvalidInputError("zero-norm quaternion")
+    if not seen.any():
         raise InvalidInputError(
             "mean reprojection distance needs a frame with visible points"
         )
-    return float(np.mean(per_frame))
+    q[zero_q] = (1.0, 0.0, 0.0, 0.0)  # frames without a point to project
+    uv, z = project_points((t, q), scene.intrinsics, view.points)
+    duv = uv - view.gt_uv
+    dist = np.minimum(clip, np.hypot(duv[..., 0], duv[..., 1]))
+    d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
+    means = np.zeros(len(seen))
+    for n in np.flatnonzero(np.bincount(view.counts)[1:]) + 1:
+        rows = np.flatnonzero(view.counts == n)
+        means[rows] = np.mean(d[rows, :n], axis=1)
+    return float(np.mean(means[seen]))
 
 
 def pct_within(est_poses, gt_poses, t_thresh: float,

@@ -10,7 +10,9 @@ File formats (plain text, UTF-8, whitespace separated, '#' comments):
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +81,39 @@ class Scene:
     def visible_points(self, frame: Frame) -> np.ndarray:
         return self.points[list(frame.visible)]
 
+    @cached_property
+    def stacked(self) -> StackedFrames:
+        """The frames stacked, each row zero-padded past its visible count:
+        points (F, Nmax, 3), counts (F,), valid (F, Nmax), gt_uv (F, Nmax, 2)
+        the gt projections, zero_gt_depth (F,) a visible point at zero gt
+        depth, depths (F, Nmax) those of frame_depths. Built on first use;
+        the arrays are read-only."""
+        counts = np.array([len(f.visible) for f in self.frames])
+        valid = np.arange(counts.max()) < counts[:, None]
+        points = np.zeros(valid.shape + (3,))
+        points[valid] = self.points[[i for f in self.frames
+                                     for i in f.visible]]
+        t = np.array([f.gt_pose.t for f in self.frames])
+        q = np.array([f.gt_pose.q for f in self.frames])
+        gt_uv, z = project_points((t, q), self.intrinsics, points)
+        # Per frame, the depths are (n, 3) @ R[:, 2]: a matrix-vector product
+        # whose rows differ from column 2 of the full one, and for n = 1 a dot
+        # product, whose bits differ from a matrix row's.
+        R = quat_to_rotmat(q)
+        depths = (points - t[:, None, :]) @ R[:, :, 2:3]
+        one = counts == 1
+        depths[one, :1] = (points[one, :1] - t[one, None, :]) \
+            @ R[one][:, :, 2:3]
+        view = StackedFrames(points, counts, valid, gt_uv, np.any(
+            valid & (z == 0.0), axis=1), depths[..., 0])
+        for a in view:
+            a.flags.writeable = False
+        return view
+
+
+StackedFrames = namedtuple(
+    "StackedFrames", "points counts valid gt_uv zero_gt_depth depths")
+
 
 @dataclass(frozen=True)
 class DepthSlab:
@@ -96,8 +131,12 @@ class DepthSlab:
 # -- depths and percentiles ------------------------------------------------
 
 def frame_depths(scene: Scene, frame: Frame) -> np.ndarray:
-    R = quat_to_rotmat(frame.gt_pose.q)
-    return (scene.visible_points(frame) - frame.gt_pose.t) @ R[:, 2]
+    """The gt depths of a scene frame's visible points (read-only)."""
+    view = scene.stacked
+    for i, f in enumerate(scene.frames):
+        if f is frame:
+            return view.depths[i, :view.counts[i]]
+    raise InvalidInputError(f"frame {frame.id} is not a frame of the scene")
 
 
 def _group_percentiles(groups, lo, hi):
@@ -142,7 +181,8 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Per-frame slab bounds from each frame's own depth distribution."""
     ids = [f.id for f in scene.frames]
-    bounds = _slab_params([frame_depths(scene, f) for f in scene.frames],
+    view = scene.stacked
+    bounds = _slab_params([d[:n] for d, n in zip(view.depths, view.counts)],
                           lo, hi, ids)
     return DepthSlab(per_frame=dict(zip(ids, bounds)))
 
@@ -150,7 +190,7 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
 def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Shared slab bounds from the depths pooled over every frame."""
-    pooled = np.concatenate([frame_depths(scene, f) for f in scene.frames])
+    pooled = scene.stacked.depths[scene.stacked.valid]
     return DepthSlab(single=_slab_params([pooled], lo, hi, ["<global>"])[0])
 
 

@@ -10,7 +10,9 @@ reduction of the closed form, pose composition, one-point projection and
 depth, the per-point DiffScalar form of the geometric loss that its numpy
 kernel replaced, the DiffScalar value and gradient of every loss kind, and
 the per-frame np.quantile slab estimation that the batched percentile
-routine replaced, and the library's slab bounds of one group of depths.
+routine replaced, the library's slab bounds of one group of depths, and
+the per-frame projection, gt depths and reprojection metric that the
+scene's stacked view replaced.
 """
 
 import math
@@ -29,6 +31,7 @@ from homoloss.geometry import (
     rotmat_to_quat,
 )
 from homoloss.losses import SlabParams, _slab_weights
+from homoloss.optim import EVAL_REPROJ_CLIP
 from homoloss.scene import DegenerateDepthError, _slab_params
 
 
@@ -266,3 +269,52 @@ def percentile_bounds(depths, lo, hi, frame_id=None):
     """The library's SlabParams of one group of depths (scene._slab_params
     on a single group)."""
     return _slab_params([depths], lo, hi, [frame_id])[0]
+
+
+def project_points_2d(pose: Pose, K: Intrinsics, points):
+    """The projection of (N, 3) points under one pose as one (N, 3) @ (3, 3)
+    product, as project_points computed it before its stacked form."""
+    R = quat_to_rotmat(pose.q)
+    cam = (np.asarray(points, dtype=float) - pose.t) @ R
+    z = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = K.fx * cam[:, 0] / z + K.cx
+        v = K.fy * cam[:, 1] / z + K.cy
+    return np.column_stack([u, v]), z
+
+
+def frame_depths_loop(scene, frame):
+    """One frame's gt depths, computed from its own points."""
+    R = quat_to_rotmat(frame.gt_pose.q)
+    return (scene.visible_points(frame) - frame.gt_pose.t) @ R[:, 2]
+
+
+def mean_reproj_distance_loop(est_poses, scene,
+                              clip: float = EVAL_REPROJ_CLIP) -> float:
+    """Mean over frames of the mean clipped L2 pixel distance between gt and
+    estimated projections of the frame's visible points; est_poses holds one
+    (frame id, Pose) per scene frame, in order. Projections to infinity count
+    as the clip. Frames without visible points are skipped; InvalidInputError
+    when no frame has one or a visible point lies at zero gt depth."""
+    if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
+        raise InvalidInputError("need one estimate per scene frame, in order")
+    K = scene.intrinsics
+    per_frame = []
+    for (fid, est), frame in zip(est_poses, scene.frames):
+        pts = scene.visible_points(frame)
+        if len(pts) == 0:
+            continue
+        uv_gt, z_gt = project_points(frame.gt_pose, K, pts)
+        if np.any(z_gt == 0.0):
+            raise InvalidInputError(
+                f"frame {frame.id}: a visible point lies at zero gt depth"
+            )
+        uv, z = project_points(est, K, pts)
+        dist = np.minimum(clip, np.hypot(*(uv - uv_gt).T))
+        d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
+        per_frame.append(float(np.mean(d)))
+    if not per_frame:
+        raise InvalidInputError(
+            "mean reprojection distance needs a frame with visible points"
+        )
+    return float(np.mean(per_frame))

@@ -66,3 +66,21 @@ def test_setup_once_runs(name, tmp_path):
                          "--seed", "7", "--dir", str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.splitlines()[-1]) > 0
+
+
+def test_refine_and_gradcheck_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, which adds about 1.3 MB
+    # to the benchmark's peak_rss_mb; the per-epoch metric and the slabs
+    # must not need it.
+    argv = [workloads.refine_homography(7, str(tmp_path / "r")).calls[0].argv,
+            workloads.probe(7, str(tmp_path / "p")).calls[0].argv]
+    assert [a[0] for a in argv] == ["optimize", "gradcheck"]
+    done = _fresh_python("-c", f"""
+import sys
+from homoloss import cli
+for argv in {argv!r}:
+    assert cli.main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -719,6 +719,21 @@ class TestExitCodes:
         assert f"{argv[-2]} must not be nan" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("option, message", [
+        ("--lr=inf", "lr must be positive and finite"),
+        ("--beta=inf", "beta must be positive and finite"),
+        ("--adam-eps=-1", "adam_eps must be >= 0 and finite"),
+        ("--adam-eps=inf", "adam_eps must be >= 0 and finite"),
+    ])
+    def test_non_finite_hyperparameter_exit_2(self, tmp_path, capsys, option,
+                                              message):
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--synthetic", "--loss", "posenet", "--epochs",
+                "3", option, "--out", out]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_infinite_clip_is_no_clip(self, tmp_path):
         argv = ["optimize", "--synthetic", "--loss", "geometric", "--epochs",
                 "1", "--clip", "inf", "--out", str(tmp_path / "o")]

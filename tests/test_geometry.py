@@ -215,6 +215,12 @@ class TestAngleBetween:
         with pytest.raises(InvalidInputError):
             angle_between([0, 0, 0, 0], [1, 0, 0, 0])
 
+    def test_nan_quaternion_gives_nan(self):
+        # a diverged estimate is within no threshold, not at angle 0
+        nan = [math.nan] * 4
+        assert math.isnan(angle_between(nan, [1, 0, 0, 0]))
+        assert math.isnan(angle_between([1, 0, 0, 0], nan))
+
 
 def test_rotmat_quat_round_trip():
     rng = np.random.default_rng(8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed
+from conftest import perturbed, random_unit_quat
 from homoloss import losses
 from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value
 from homoloss.geometry import (
@@ -12,11 +12,13 @@ from homoloss.geometry import (
     Intrinsics,
     Pose,
     angle_between,
+    project_points,
     quat_from_axis_angle,
     quat_to_rotmat,
 )
 from homoloss.losses import LossHyperParams, SlabParams
 from homoloss.optim import (
+    EVAL_REPROJ_CLIP,
     AdamState,
     SWEEP_AXES,
     OptimConfig,
@@ -30,7 +32,10 @@ from homoloss.optim import (
     perturb_pose,
     _epoch_batches,
 )
-from homoloss.scene import global_slab, local_slabs, synth_scene
+from homoloss.scene import Frame, Scene, frame_depths, global_slab, \
+    local_slabs, synth_scene
+from oracles import frame_depths_loop, mean_reproj_distance_loop, \
+    project_points_2d
 
 
 class TestAdam:
@@ -90,6 +95,15 @@ class TestAdam:
             OptimConfig(loss_kind="posenet", batch_size=0)
         with pytest.raises(InvalidInputError, match="lr must be positive"):
             OptimConfig(loss_kind="posenet", lr=math.nan)
+        for lr in (math.inf, -math.inf):
+            with pytest.raises(InvalidInputError, match="finite"):
+                OptimConfig(loss_kind="posenet", lr=lr)
+        OptimConfig(loss_kind="posenet", adam_eps=0.0)
+        for eps in (-1e-8, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="adam_eps"):
+                OptimConfig(loss_kind="posenet", adam_eps=eps)
+        with pytest.raises(InvalidInputError, match="beta"):
+            LossHyperParams(beta=math.inf)
 
     @pytest.mark.parametrize("field", ["epochs", "warmstart_epochs"])
     def test_rejects_negative_epochs(self, field):
@@ -145,6 +159,64 @@ class TestMetrics:
         with pytest.raises(InvalidInputError, match="zero gt depth"):
             mean_reproj_distance([("f0", Pose.identity())], flat)
 
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), n_frames=st.integers(1, 6),
+           n_points=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           clip=st.sampled_from([1.0, 100.0, EVAL_REPROJ_CLIP]))
+    def test_stacked_view_and_metric_equal_the_frame_loop(
+            self, data, n_frames, n_points, seed, clip):
+        # Ragged frames, some without a visible point; a frame with an
+        # identity gt pose sees point 0, if at all, at zero gt depth, and a
+        # frame with a zero estimate q errors only when it has points.
+        rng = np.random.default_rng(seed)
+        K = Intrinsics(fx=300.0, fy=310.0, cx=320.0, cy=240.0, w=640, h=480)
+        points = rng.normal(size=(n_points, 3)) * 3.0
+        points[0, 2] = 0.0
+        some = st.sets(st.integers(0, n_frames - 1), max_size=2)
+        flat, zero_q = data.draw(some), data.draw(some)
+        frames = [Frame(f"f{i}", Pose.identity() if i in flat else Pose(
+                      rng.normal(size=3), random_unit_quat(rng)),
+                        data.draw(st.lists(st.integers(0, n_points - 1),
+                                           max_size=n_points)))
+                  for i in range(n_frames)]
+        scene = Scene(points=points, frames=frames, intrinsics=K)
+        est = [(f.id, Pose(f.gt_pose.t + rng.normal(size=3) * 0.3,
+                           f.gt_pose.q + rng.normal(size=4) * 0.1))
+               for f in frames]
+
+        view = scene.stacked
+        uv, z = project_points((np.array([p.t for _, p in est]),
+                                np.array([p.q for _, p in est])), K,
+                               view.points)
+        for i, (f, (_, p)) in enumerate(zip(frames, est)):
+            pts, n = scene.visible_points(f), len(f.visible)
+            assert view.counts[i] == n
+            assert np.array_equal(view.points[i, :n], pts)
+            assert not view.points[i, n:].any()
+            gt_uv, gt_z = project_points_2d(f.gt_pose, K, pts)
+            assert np.array_equal(view.gt_uv[i, :n], gt_uv)
+            assert view.zero_gt_depth[i] == np.any(gt_z == 0.0)
+            assert np.array_equal(view.depths[i, :n],
+                                  frame_depths_loop(scene, f))
+            assert np.array_equal(frame_depths(scene, f),
+                                  frame_depths_loop(scene, f))
+            for one in (project_points(p, K, pts), (uv[i, :n], z[i, :n])):
+                assert np.array_equal(one[0], project_points_2d(p, K, pts)[0],
+                                      equal_nan=True)
+                assert np.array_equal(one[1], project_points_2d(p, K, pts)[1])
+
+        est = [(fid, Pose(p.t, np.zeros(4)) if i in zero_q else p)
+               for i, (fid, p) in enumerate(est)]
+
+        def outcome(metric, pairs):
+            try:
+                return metric(pairs, scene, clip=clip)
+            except InvalidInputError as e:
+                return str(e)
+        for pairs in (est, est[::-1], est[:-1]):  # the last two unpaired
+            assert outcome(mean_reproj_distance, pairs) == \
+                outcome(mean_reproj_distance_loop, pairs)
+
     def test_pct_within_boundary_inclusive(self):
         gt = [Pose.identity()]
         est = [Pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
@@ -163,6 +235,10 @@ class TestMetrics:
             Pose.identity(),
         ]
         assert pct_within(est, gt, 1.0, 5.0) == 0.5
+
+    def test_pct_within_nan_rotation_not_within(self):
+        est = [Pose([0.0, 0.0, 0.0], [math.nan] * 4), Pose.identity()]
+        assert pct_within(est, [Pose.identity()] * 2, 1.0, 180.0) == 0.5
 
     def test_pct_within_length_mismatch(self):
         with pytest.raises(InvalidInputError):

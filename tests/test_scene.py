@@ -177,6 +177,20 @@ class TestDepths:
         for d, p in zip(depths, scene.visible_points(f)):
             assert d == pytest.approx(point_depth(f.gt_pose, p), abs=1e-12)
 
+    def test_stacked_view_is_built_once_and_read_only(self, scene):
+        # a write would desynchronise the cache from the frozen scene
+        view = scene.stacked
+        assert scene.stacked is view
+        for a in view:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            frame_depths(scene, scene.frames[0])[0] = 1.0
+
+    def test_frame_depths_of_a_frame_not_in_the_scene(self, scene):
+        with pytest.raises(InvalidInputError, match="not a frame"):
+            frame_depths(scene, Frame("f000", Pose.identity(), (0,)))
+
 
 class TestSlabs:
     def test_local_one_slab_per_frame(self, scene, slabs):
