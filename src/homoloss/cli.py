@@ -47,7 +47,6 @@ from .optim import (
 from .scene import (
     ParseError,
     Scene,
-    frame_depths,
     global_slab,
     local_slabs,
     parse_pose_list,
@@ -345,8 +344,8 @@ def run_slabs(config):
     rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
     _write_csv(os.path.join(out, "slabs.csv"), "frame_id,x_min,x_max", rows)
     if config["hist"]:
-        for frame in scene.frames:
-            depths = np.sort(frame_depths(scene, frame))
+        for frame, depths in zip(scene.frames, scene.stacked.depths):
+            depths = np.sort(depths)
             _write_csv(os.path.join(out, f"hist_{frame.id}.csv"),
                        "depth,cumulative_count",
                        ((d, i) for i, d in enumerate(depths[depths > 0], 1)))

@@ -60,8 +60,11 @@ class Intrinsics:
     h: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0 or self.w <= 0 or self.h <= 0:
-            raise InvalidInputError("fx, fy, w, h must be positive")
+        sizes = (self.fx, self.fy, self.w, self.h)
+        if not (all(0 < v < math.inf for v in sizes)
+                and math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise InvalidInputError(
+                "fx, fy, w, h must be positive and finite, cx, cy finite")
 
 
 # -- quaternion algebra ----------------------------------------------------

@@ -113,9 +113,9 @@ def mean_reproj_distance(est_poses, scene: Scene,
     (frame id, Pose) per scene frame, in order. Projections to infinity count
     as the clip. Frames without visible points are skipped; InvalidInputError
     when no frame has one, or for the first where a visible point lies at
-    zero gt depth or the estimate q has zero norm. One stacked projection
-    (scene.stacked); np.mean over blocks of frames of one visible count
-    gives each frame's mean the bits of its own np.mean."""
+    zero gt depth or the estimate q has zero norm. One projection and one
+    np.mean per visible-count bucket of scene.stacked, which give each frame
+    the bits of its own."""
     if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
         raise InvalidInputError("need one estimate per scene frame, in order")
     view = scene.stacked
@@ -132,15 +132,13 @@ def mean_reproj_distance(est_poses, scene: Scene,
         raise InvalidInputError(
             "mean reprojection distance needs a frame with visible points"
         )
-    q[zero_q] = (1.0, 0.0, 0.0, 0.0)  # frames without a point to project
-    uv, z = project_points((t, q), scene.intrinsics, view.points)
-    duv = uv - view.gt_uv
-    dist = np.minimum(clip, np.hypot(duv[..., 0], duv[..., 1]))
-    d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
     means = np.zeros(len(seen))
-    for n in np.flatnonzero(np.bincount(view.counts)[1:]) + 1:
-        rows = np.flatnonzero(view.counts == n)
-        means[rows] = np.mean(d[rows, :n], axis=1)
+    for rows, points, gt_uv in view.buckets:
+        uv, z = project_points((t[rows], q[rows]), scene.intrinsics, points)
+        duv = uv - gt_uv
+        dist = np.minimum(clip, np.hypot(duv[..., 0], duv[..., 1]))
+        means[rows] = np.mean(np.where(np.abs(z) >= DEPTH_EPS, dist, clip),
+                              axis=1)
     return float(np.mean(means[seen]))
 
 
@@ -338,11 +336,9 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
                 f"epoch {epoch}: aborted, {epoch_errors}/{F} frames errored"
             )
             break
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses \
-            else float("nan")
         record.epochs.append(EpochStats(
-            epoch, mean_loss, mean_reproj_distance(current_poses(), scene),
-            *s_start))
+            epoch, float(np.mean(epoch_losses)),
+            mean_reproj_distance(current_poses(), scene), *s_start))
     record.errors[:0] = [  # the skipped frames, before any abort line
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()

@@ -83,36 +83,38 @@ class Scene:
 
     @cached_property
     def stacked(self) -> StackedFrames:
-        """The frames stacked, each row zero-padded past its visible count:
-        points (F, Nmax, 3), counts (F,), valid (F, Nmax), gt_uv (F, Nmax, 2)
-        the gt projections, zero_gt_depth (F,) a visible point at zero gt
-        depth, depths (F, Nmax) those of frame_depths. Built on first use;
-        the arrays are read-only."""
+        """The frames grouped by visible count, unpadded: per count n > 0 a
+        Bucket of the frames' indices rows (k,), their points (k, n, 3) and
+        gt projections gt_uv (k, n, 2); per frame, counts (F,), zero_gt_depth
+        (F,) a visible point at zero gt depth, and depths, its (n,) gt depths.
+        Each product has one frame's shape, so its bits are those of the frame
+        alone. Built on first use; the arrays are read-only."""
         counts = np.array([len(f.visible) for f in self.frames])
-        valid = np.arange(counts.max()) < counts[:, None]
-        points = np.zeros(valid.shape + (3,))
-        points[valid] = self.points[[i for f in self.frames
-                                     for i in f.visible]]
         t = np.array([f.gt_pose.t for f in self.frames])
         q = np.array([f.gt_pose.q for f in self.frames])
-        gt_uv, z = project_points((t, q), self.intrinsics, points)
-        # Per frame, the depths are (n, 3) @ R[:, 2]: a matrix-vector product
-        # whose rows differ from column 2 of the full one, and for n = 1 a dot
-        # product, whose bits differ from a matrix row's.
-        R = quat_to_rotmat(q)
-        depths = (points - t[:, None, :]) @ R[:, :, 2:3]
-        one = counts == 1
-        depths[one, :1] = (points[one, :1] - t[one, None, :]) \
-            @ R[one][:, :, 2:3]
-        view = StackedFrames(points, counts, valid, gt_uv, np.any(
-            valid & (z == 0.0), axis=1), depths[..., 0])
-        for a in view:
+        zero = np.zeros(len(counts), dtype=bool)  # zero_gt_depth
+        depths = [np.zeros(0)] * len(counts)
+        buckets = []
+        for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+            rows = np.flatnonzero(counts == n)
+            points = self.points[np.array([self.frames[i].visible
+                                           for i in rows])]
+            gt_uv, z = project_points((t[rows], q[rows]), self.intrinsics,
+                                      points)
+            zero[rows] = np.any(z == 0.0, axis=1)
+            R = quat_to_rotmat(q[rows])  # (n, 3) @ R[:, 2]; z's bits differ
+            d = ((points - t[rows, None, :]) @ R[:, :, 2:3])[..., 0]
+            for i, row in zip(rows.tolist(), d):
+                depths[i] = row
+            buckets.append(Bucket(rows, points, gt_uv))
+        for a in (counts, zero, *depths, *(x for b in buckets for x in b)):
             a.flags.writeable = False
-        return view
+        return StackedFrames(counts, zero, tuple(depths), tuple(buckets))
 
 
-StackedFrames = namedtuple(
-    "StackedFrames", "points counts valid gt_uv zero_gt_depth depths")
+StackedFrames = namedtuple("StackedFrames",
+                           "counts zero_gt_depth depths buckets")
+Bucket = namedtuple("Bucket", "rows points gt_uv")
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,6 @@ class DepthSlab:
 
 
 # -- depths and percentiles ------------------------------------------------
-
-def frame_depths(scene: Scene, frame: Frame) -> np.ndarray:
-    """The gt depths of a scene frame's visible points (read-only)."""
-    view = scene.stacked
-    for i, f in enumerate(scene.frames):
-        if f is frame:
-            return view.depths[i, :view.counts[i]]
-    raise InvalidInputError(f"frame {frame.id} is not a frame of the scene")
-
 
 def _group_percentiles(groups, lo, hi):
     """Per group of depths, in one numpy pass: the count of positive depths
@@ -181,16 +174,14 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Per-frame slab bounds from each frame's own depth distribution."""
     ids = [f.id for f in scene.frames]
-    view = scene.stacked
-    bounds = _slab_params([d[:n] for d, n in zip(view.depths, view.counts)],
-                          lo, hi, ids)
+    bounds = _slab_params(scene.stacked.depths, lo, hi, ids)
     return DepthSlab(per_frame=dict(zip(ids, bounds)))
 
 
 def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Shared slab bounds from the depths pooled over every frame."""
-    pooled = scene.stacked.depths[scene.stacked.valid]
+    pooled = np.concatenate(scene.stacked.depths)
     return DepthSlab(single=_slab_params([pooled], lo, hi, ["<global>"])[0])
 
 
@@ -353,8 +344,8 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
     if n_frames < 1:
         raise InvalidInputError("need at least 1 frame")
     lo, hi = float(depth_range[0]), float(depth_range[1])
-    if not 0.0 < lo < hi:
-        raise InvalidInputError("depth_range must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise InvalidInputError("depth_range must satisfy 0 < lo < hi < inf")
     rng = np.random.default_rng(seed)
     span = hi - lo
     extent = 0.25 * span            # half-extent of the point box

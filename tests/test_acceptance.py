@@ -39,7 +39,7 @@ from homoloss.optim import (
     optimize_poses,
     perturb_pose,
 )
-from homoloss.scene import frame_depths, local_slabs, synth_scene
+from homoloss.scene import local_slabs, synth_scene
 
 
 def report(num, desc, ok, detail=""):
@@ -325,8 +325,7 @@ def test_criterion_09_percentile_contract():
     worst = 0.0
     checked = 0
     while checked < 50:
-        frame = scene.frames[int(rng.integers(len(scene.frames)))]
-        depths = frame_depths(scene, frame)
+        depths = scene.stacked.depths[int(rng.integers(len(scene.frames)))]
         depths = depths[depths > 0]
         # random subsample so the 50 "frames" differ
         keep = rng.integers(5, len(depths))

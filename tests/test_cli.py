@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -6,7 +7,8 @@ import pytest
 
 from homoloss import diffgrad
 from homoloss.cli import main
-from homoloss.geometry import Pose
+from homoloss.geometry import Pose, quat_normalize
+from homoloss.optim import apply_offset
 from homoloss.scene import (
     DepthSlab,
     focal_length,
@@ -281,6 +283,24 @@ class TestOptimize:
         for name in ("run.csv", "final_poses.txt", "manifest.json"):
             assert os.path.exists(os.path.join(out, name))
 
+    def test_adversarial_roty_rotates_every_init(self, tmp_path):
+        # No perturbation and no epoch: the final poses are the gt poses
+        # turned about their camera's y axis, normalized as every written q.
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--synthetic", "--n-frames", "3", "--loss",
+                "posenet", "--epochs", "0", "--perturb-t", "0",
+                "--perturb-deg", "0", "--adversarial-roty", "7.5",
+                "--out", out]
+        assert main(argv) == 0
+        final = []
+        for f in synth_scene(seed=0, n_frames=3).frames:
+            p = apply_offset(f.gt_pose, "roty", 7.5)
+            final.append((f.id, Pose(p.t, quat_normalize(p.q))))
+        expected = io.StringIO()
+        write_pose_list(expected, final)
+        assert read(os.path.join(out, "final_poses.txt")) == \
+            expected.getvalue()
+
     def test_final_quaternions_are_unit(self, tmp_path):
         # Adam moves q off the unit sphere; the written poses are normalized.
         out = str(tmp_path / "o")
@@ -490,6 +510,25 @@ class TestIntrinsics:
         assert "field of view" in capsys.readouterr().err
         # with --fx given, --fov is not used
         assert main(argv + ["--fx", "500"]) == 0
+
+    @pytest.mark.parametrize("option", ["--fx=inf", "--fy=inf", "--cx=inf",
+                                        "--cy=-inf", "--width=inf",
+                                        "--height=inf"])
+    def test_non_finite_camera_exit_2(self, tmp_path, capsys, option):
+        poses, pts = str(tmp_path / "poses.txt"), str(tmp_path / "pts.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [("f0", Pose.identity())])
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
+                         {"f0": (0, 1)})
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--poses", poses, "--points", pts, "--loss",
+                "geometric", "--epochs", "2", "--fx", "500", option,
+                "--out", out]
+        assert main(argv) == 2
+        assert "fx, fy, w, h must be positive and finite, cx, cy finite" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_file_scene_width_sets_the_default_focal_length(self, tmp_path):
         gt = [("f0", Pose.identity())]
@@ -732,6 +771,15 @@ class TestExitCodes:
                 "3", option, "--out", out]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["optimize", "slabs"])
+    def test_infinite_depth_range_exit_2(self, tmp_path, capsys, command):
+        out = str(tmp_path / "o")
+        argv = [command, "--synthetic", "--depth-max=inf", "--out", out]
+        assert main(argv + (["--loss", "posenet"] if command == "optimize"
+                            else [])) == 2
+        assert "0 < lo < hi < inf" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_infinite_clip_is_no_clip(self, tmp_path):

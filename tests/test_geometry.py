@@ -231,3 +231,15 @@ def test_rotmat_quat_round_trip():
         np.testing.assert_allclose(
             rotmat_to_quat(quat_to_rotmat(q)), q, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Pose([0.0, 0.0], [1.0, 0.0, 0.0, 0.0]), "3-vector t"),
+    (lambda: Pose(np.zeros((1, 3)), [1.0, 0.0, 0.0, 0.0]), "3-vector t"),
+    (lambda: Pose(np.zeros(3), [1.0, 0.0, 0.0]), "4-vector q"),
+    (lambda: quat_from_axis_angle([0.0, 0.0, 0.0], 0.5),
+     "zero-norm rotation axis"),
+], ids=["short-t", "row-t", "short-q", "zero-axis"])
+def test_invalid_input_rejected(make, message):
+    with pytest.raises(InvalidInputError, match=message):
+        make()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import perturbed, random_unit_quat
-from homoloss import losses
+from homoloss import losses, optim
 from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value
 from homoloss.geometry import (
     InvalidInputError,
@@ -32,8 +32,8 @@ from homoloss.optim import (
     perturb_pose,
     _epoch_batches,
 )
-from homoloss.scene import Frame, Scene, frame_depths, global_slab, \
-    local_slabs, synth_scene
+from homoloss.scene import Frame, Scene, global_slab, local_slabs, \
+    synth_scene
 from oracles import frame_depths_loop, mean_reproj_distance_loop, \
     project_points_2d
 
@@ -162,22 +162,33 @@ class TestMetrics:
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), n_frames=st.integers(1, 6),
            n_points=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           clip=st.sampled_from([1.0, 100.0, EVAL_REPROJ_CLIP]))
+           clip=st.sampled_from([1.0, 100.0, EVAL_REPROJ_CLIP]),
+           tail=st.booleans())
     def test_stacked_view_and_metric_equal_the_frame_loop(
-            self, data, n_frames, n_points, seed, clip):
+            self, data, n_frames, n_points, seed, clip, tail):
         # Ragged frames, some without a visible point; a frame with an
         # identity gt pose sees point 0, if at all, at zero gt depth, and a
-        # frame with a zero estimate q errors only when it has points.
+        # frame with a zero estimate q errors only when it has points. In a
+        # long-tail scene one frame sees up to all of 50 times more points
+        # and the others see 0, 1 or 2.
         rng = np.random.default_rng(seed)
         K = Intrinsics(fx=300.0, fy=310.0, cx=320.0, cy=240.0, w=640, h=480)
+        n_points *= 50 if tail else 1
         points = rng.normal(size=(n_points, 3)) * 3.0
         points[0, 2] = 0.0
         some = st.sets(st.integers(0, n_frames - 1), max_size=2)
         flat, zero_q = data.draw(some), data.draw(some)
+        big = data.draw(st.integers(0, n_frames - 1))
+        index = st.integers(0, n_points - 1)
+
+        def visible(i):
+            if tail and i == big:
+                n = data.draw(st.integers(0, n_points))
+                return rng.choice(n_points, n, replace=False)
+            return data.draw(st.lists(index, max_size=2 if tail
+                                      else n_points))
         frames = [Frame(f"f{i}", Pose.identity() if i in flat else Pose(
-                      rng.normal(size=3), random_unit_quat(rng)),
-                        data.draw(st.lists(st.integers(0, n_points - 1),
-                                           max_size=n_points)))
+                      rng.normal(size=3), random_unit_quat(rng)), visible(i))
                   for i in range(n_frames)]
         scene = Scene(points=points, frames=frames, intrinsics=K)
         est = [(f.id, Pose(f.gt_pose.t + rng.normal(size=3) * 0.3,
@@ -185,22 +196,30 @@ class TestMetrics:
                for f in frames]
 
         view = scene.stacked
-        uv, z = project_points((np.array([p.t for _, p in est]),
-                                np.array([p.q for _, p in est])), K,
-                               view.points)
+        counts = [len(f.visible) for f in frames]
+        assert view.counts.tolist() == counts
+        assert [b.points.shape[1] for b in view.buckets] == \
+            sorted(set(counts) - {0})
+        t = np.array([p.t for _, p in est])
+        q = np.array([p.q for _, p in est])
+        slot = {}  # frame index -> its points, gt and estimate projections
+        for rows, pts, gt_uv in view.buckets:
+            assert rows.tolist() == [i for i, n in enumerate(counts)
+                                     if n == pts.shape[1]]
+            uv, z = project_points((t[rows], q[rows]), K, pts)
+            slot.update(zip(rows.tolist(), zip(pts, gt_uv, uv, z)))
         for i, (f, (_, p)) in enumerate(zip(frames, est)):
-            pts, n = scene.visible_points(f), len(f.visible)
-            assert view.counts[i] == n
-            assert np.array_equal(view.points[i, :n], pts)
-            assert not view.points[i, n:].any()
+            pts = scene.visible_points(f)
             gt_uv, gt_z = project_points_2d(f.gt_pose, K, pts)
-            assert np.array_equal(view.gt_uv[i, :n], gt_uv)
             assert view.zero_gt_depth[i] == np.any(gt_z == 0.0)
-            assert np.array_equal(view.depths[i, :n],
+            assert np.array_equal(view.depths[i],
                                   frame_depths_loop(scene, f))
-            assert np.array_equal(frame_depths(scene, f),
-                                  frame_depths_loop(scene, f))
-            for one in (project_points(p, K, pts), (uv[i, :n], z[i, :n])):
+            projections = [project_points(p, K, pts)]
+            if i in slot:
+                assert np.array_equal(slot[i][0], pts)
+                assert np.array_equal(slot[i][1], gt_uv)
+                projections.append(slot[i][2:])
+            for one in projections:
                 assert np.array_equal(one[0], project_points_2d(p, K, pts)[0],
                                       equal_nan=True)
                 assert np.array_equal(one[1], project_points_2d(p, K, pts)[1])
@@ -487,6 +506,26 @@ class TestOptimizePoses:
         assert len(rec.errors) == 1
         assert rec.errors[0].startswith(f"frame {scene.frames[0].id}: ")
         assert rec.errors[0].endswith("(skipped from epoch 0, 6 steps)")
+
+    def test_batch_without_an_evaluated_frame_takes_no_step(
+            self, monkeypatch):
+        # Batches of one over four frames, one of which always errors: its
+        # batch has no loss to average, so Adam steps 3 times per epoch.
+        scene = self.make_partial_scene(
+            synth_scene(seed=3, n_points=40, n_frames=4), n_empty=1)
+        steps = []
+
+        def spy(*args):
+            steps.append(args[2].step)
+            return adam_update(*args)
+        monkeypatch.setattr(optim, "adam_update", spy)
+        cfg = OptimConfig(loss_kind="geometric", epochs=2, batch_size=1,
+                          seed=0)
+        rec = optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
+        assert steps == list(range(6))
+        assert not rec.aborted and len(rec.epochs) == 2
+        assert all(math.isfinite(e.mean_loss) for e in rec.epochs)
+        assert rec.errors[0].endswith("(skipped from epoch 0, 2 steps)")
 
     def test_aborts_when_most_frames_error(self, tiny):
         scene = self.make_partial_scene(tiny, n_empty=len(tiny.frames) - 1)

@@ -12,7 +12,6 @@ from homoloss.scene import (
     ParseError,
     Scene,
     default_intrinsics,
-    frame_depths,
     global_slab,
     local_slabs,
     parse_points,
@@ -24,7 +23,15 @@ from homoloss.scene import (
     _group_percentiles,
     _slab_params,
 )
-from oracles import percentile_bounds, point_depth, quantile_bounds, slab_loop
+from oracles import frame_depths_loop, percentile_bounds, point_depth, \
+    quantile_bounds, slab_loop
+
+
+def view_arrays(view):
+    """Every array of a scene's stacked view."""
+    return [view.counts, view.zero_gt_depth, *view.depths,
+            *(a for bucket in view.buckets for a in bucket)]
+
 
 # Ragged groups of depths: empty groups, non-positive, NaN and infinite
 # depths, and depths rounded to one decimal so that groups have ties.
@@ -157,7 +164,7 @@ class TestBatchedPercentiles:
         with pytest.raises(DegenerateDepthError) as got:
             local_slabs(scene)
         with pytest.raises(DegenerateDepthError) as expected:
-            slab_loop([frame_depths(scene, f) for f in frames],
+            slab_loop([frame_depths_loop(scene, f) for f in frames],
                       0.025, 0.975, [f.id for f in frames])
         assert got.value.frame_id == frames[1].id
         assert str(got.value) == str(expected.value)
@@ -173,7 +180,8 @@ class TestDepths:
 
     def test_frame_depths_matches_point_depth(self, scene):
         f = scene.frames[0]
-        depths = frame_depths(scene, f)
+        depths = scene.stacked.depths[0]
+        assert len(depths) == len(f.visible)
         for d, p in zip(depths, scene.visible_points(f)):
             assert d == pytest.approx(point_depth(f.gt_pose, p), abs=1e-12)
 
@@ -181,15 +189,25 @@ class TestDepths:
         # a write would desynchronise the cache from the frozen scene
         view = scene.stacked
         assert scene.stacked is view
-        for a in view:
+        for a in view_arrays(view):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            frame_depths(scene, scene.frames[0])[0] = 1.0
 
-    def test_frame_depths_of_a_frame_not_in_the_scene(self, scene):
-        with pytest.raises(InvalidInputError, match="not a frame"):
-            frame_depths(scene, Frame("f000", Pose.identity(), (0,)))
+    def test_stacked_view_size_is_linear_in_visible_points(self):
+        # One frame sees 5,000 points and 999 see 10: a view padded to the
+        # largest count would hold about 240 MB, the buckets under 1 MB.
+        rng = np.random.default_rng(5)
+        frames = [Frame(f"f{i}", Pose(rng.normal(size=3), [1.0, 0, 0, 0]),
+                        range(5000) if i == 0 else rng.choice(5000, 10))
+                  for i in range(1000)]
+        scene = Scene(rng.normal(size=(5000, 3)), frames,
+                      default_intrinsics())
+        view = scene.stacked
+        assert [b.points.shape[:2] for b in view.buckets] == \
+            [(999, 10), (1, 5000)]
+        visible = sum(len(f.visible) for f in frames)
+        assert sum(a.nbytes for a in view_arrays(view)) <= \
+            64 * visible + 64 * len(frames)
 
 
 class TestSlabs:
@@ -201,14 +219,14 @@ class TestSlabs:
 
     def test_local_matches_direct_computation(self, scene, slabs):
         f = scene.frames[0]
-        direct = percentile_bounds(frame_depths(scene, f), 0.025, 0.975)
+        direct = percentile_bounds(frame_depths_loop(scene, f), 0.025, 0.975)
         got = slabs.for_frame(f.id)
         assert (got.x_min, got.x_max) == (direct.x_min, direct.x_max)
 
     def test_global_pooled(self, scene):
         g = global_slab(scene)
         pooled = np.concatenate(
-            [frame_depths(scene, f) for f in scene.frames]
+            [frame_depths_loop(scene, f) for f in scene.frames]
         )
         direct = percentile_bounds(pooled, 0.025, 0.975)
         for f in scene.frames:
@@ -330,6 +348,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 1"):
             parse_points(io.StringIO(text))
 
+    @pytest.mark.parametrize("line, message", [
+        ("V", "V line expects a frame id"),
+        ("V f0 0 x", "non-integer index"),
+        ("V f0 1.5", "non-integer index"),
+    ])
+    def test_points_malformed_v_line(self, line, message):
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            parse_points(io.StringIO(f"P 0 0 1\n{line}\n"))
+
     def test_points_unknown_tag(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_points(io.StringIO("Q 1 2 3\n"))
@@ -351,6 +378,10 @@ class TestParsing:
                 intrinsics=default_intrinsics(),
             )
 
+
+    def test_scene_needs_a_frame(self):
+        with pytest.raises(InvalidInputError, match="at least one frame"):
+            Scene(np.zeros((2, 3)), [], default_intrinsics())
 
 class TestSynthScene:
     def test_deterministic(self):
@@ -384,8 +415,7 @@ class TestSynthScene:
             assert np.all((u >= 0) & (u <= K.w) & (v >= 0) & (v <= K.h))
 
     def test_depths_near_requested_range(self, scene):
-        for f in scene.frames:
-            d = frame_depths(scene, f)
+        for d in scene.stacked.depths:
             assert d.min() > 0.0
             assert d.max() < 12.0
 
@@ -401,3 +431,5 @@ class TestSynthScene:
             synth_scene(seed=0, n_frames=0)
         with pytest.raises(InvalidInputError):
             synth_scene(seed=0, depth_range=(5.0, 2.0))
+        with pytest.raises(InvalidInputError, match="hi < inf"):
+            synth_scene(seed=0, depth_range=(2.0, math.inf))
