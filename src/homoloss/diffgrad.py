@@ -5,6 +5,7 @@ loss's one kernel in `losses`, plus the central finite-difference oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,15 +26,33 @@ LOSS_KINDS = (
 HOMOGRAPHY_KINDS = ("homography_local", "homography_global")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossContext:
-    """Everything a loss needs besides the estimated pose parameters."""
+    """Everything a loss needs besides the estimated pose parameters, and the
+    kernels' constants, each built when a kind first needs it and then reused.
+    Frozen, so that no constant goes stale: change a field by a new context."""
 
     gt: Pose
     hyper: LossHyperParams = field(default_factory=LossHyperParams)
     points: np.ndarray = None      # (N, 3) world points visible in the frame
     intrinsics: Intrinsics = None
     slab: SlabParams = None
+
+    @cached_property
+    def unit_gt_q(self) -> np.ndarray:
+        """The target quaternion of posenet, homoscedastic and maxerror."""
+        return self.gt.q / np.linalg.norm(self.gt.q)
+
+    @cached_property
+    def gt_uv(self) -> np.ndarray:
+        """The geometric kernel's gt projection of the points; a failed check
+        raises InvalidInputError and caches nothing, so it raises each time."""
+        return losses._geometric_gt_uv(self.gt, self.points, self.intrinsics)
+
+    @cached_property
+    def homography(self) -> tuple:
+        """The gt and slab constants of the homography kernel."""
+        return losses._homography_consts(self.gt, self.slab)
 
 
 def param_count(kind: str) -> int:
@@ -47,19 +66,20 @@ def param_count(kind: str) -> int:
 def _dispatch(kind, params, ctx: LossContext):
     """(value, gradient) of kind's kernel at the float parameter list, which
     _flat_params has checked."""
-    t = params[0:3]
-    q = params[3:7]
+    t, q = params[0:3], params[3:7]
     if kind == "posenet":
-        return losses._posenet_core(t, q, ctx.gt, ctx.hyper.beta)
+        return losses._posenet_core(t, q, ctx.gt, ctx.unit_gt_q,
+                                    ctx.hyper.beta)
     if kind == "homoscedastic":
-        return losses._homoscedastic_core(t, q, params[7], params[8], ctx.gt)
+        return losses._homoscedastic_core(t, q, params[7], params[8], ctx.gt,
+                                          ctx.unit_gt_q)
     if kind == "geometric":
-        return losses._geometric_core(
-            t, q, ctx.gt, ctx.points, ctx.intrinsics, ctx.hyper.reproj_clip
-        )
+        return losses._geometric_core(t, q, ctx.gt_uv, ctx.points,
+                                      ctx.intrinsics, ctx.hyper.reproj_clip)
     if kind == "maxerror":
-        return losses._maxerror_core(t, q, ctx.gt, ctx.hyper.quat_reg_weight)
-    return losses._homography_core(t, q, ctx.gt, ctx.slab)  # both slab modes
+        return losses._maxerror_core(t, q, ctx.gt, ctx.unit_gt_q,
+                                     ctx.hyper.quat_reg_weight)
+    return losses._homography_core(t, q, ctx.homography)  # both slab modes
 
 
 def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
@@ -88,7 +108,7 @@ def loss_value(kind: str, est, ctx: LossContext) -> float:
     """The loss at est, a Pose or a flat parameter vector of length
     param_count(kind) (evaluate_with_grad's value)."""
     params = _flat_params(kind, est, ctx)
-    return float(_dispatch(kind, [float(x) for x in params], ctx)[0])
+    return float(_dispatch(kind, params.tolist(), ctx)[0])
 
 
 def evaluate_with_grad(kind: str, est, ctx: LossContext):
@@ -98,7 +118,7 @@ def evaluate_with_grad(kind: str, est, ctx: LossContext):
     Returns (value, gradient).
     """
     params = _flat_params(kind, est, ctx)
-    val, grad = _dispatch(kind, [float(x) for x in params], ctx)
+    val, grad = _dispatch(kind, params.tolist(), ctx)
     return float(val), grad
 
 

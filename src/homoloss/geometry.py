@@ -134,10 +134,10 @@ def rotmat_elems(q):
 
 
 def quat_to_rotmat(q):
-    """3x3 rotation matrix of (possibly non-unit) quaternion q (4,), or
-    (F, 3, 3) matrices of q (F, 4)."""
+    """3x3 rotation matrix of (possibly non-unit) quaternion q (4,), in
+    Python floats (numpy's operations, cheaper), or (F, 3, 3) of q (F, 4)."""
     q = np.asarray(q, dtype=float)
-    R = np.array(rotmat_elems(q.T), dtype=float)
+    R = np.array(rotmat_elems(q.tolist() if q.ndim == 1 else q.T))
     return R if q.ndim == 1 else np.ascontiguousarray(R.transpose(2, 0, 1))
 
 

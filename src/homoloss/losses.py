@@ -11,8 +11,10 @@ Losses:
 
 Each loss has one kernel, _<kind>_core: it takes the estimated pose as 7
 floats (9 for the homoscedastic loss, which learns its log-variances) and
-returns the value and its closed-form gradient. diffgrad.loss_value and
-diffgrad.evaluate_with_grad are the entry points to the kernels.
+the frame's constants, and returns the value and its closed-form gradient.
+diffgrad.LossContext builds the constants once per context, and
+diffgrad.loss_value and diffgrad.evaluate_with_grad are the entry points to
+the kernels.
 
 With R, t the ground-truth camera expressed in the estimated camera frame,
 the slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] is
@@ -87,9 +89,8 @@ def _slab_weights(slab: SlabParams):
     return 2.0 * c1, c2 * float(slab.n @ slab.n)
 
 
-def _posenet_core(t_est, q_est, gt: Pose, beta):
+def _posenet_core(t_est, q_est, gt: Pose, qg, beta):
     # Estimated quaternion enters raw; only the ground truth is normalized.
-    qg = gt.q / np.linalg.norm(gt.q)
     dt = [t_est[i] - gt.t[i] for i in range(3)]
     dq = [q_est[i] - qg[i] for i in range(4)]
     norm_t, grad_t = dual.norm2(dt)
@@ -97,14 +98,13 @@ def _posenet_core(t_est, q_est, gt: Pose, beta):
     return norm_t + beta * norm_q, np.concatenate([grad_t, beta * grad_q])
 
 
-def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose):
+def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose, qg):
     """Gradient w.r.t. (t, q, s_t, s_q). With u = q/|q|, dq = qg - u and
     du/dq = (I - u u^T)/|q|, the L1 quaternion term has gradient
     e^-s_q (u (u . sign(dq)) - sign(dq)) / |q|."""
     norm, u = dual.norm2(q_est)
     if norm == 0.0:
         raise InvalidInputError("zero-norm estimated quaternion")
-    qg = gt.q / np.linalg.norm(gt.q)
     dt = [t_est[i] - gt.t[i] for i in range(3)]
     dq = [qg[i] - q_est[i] / norm for i in range(4)]
     l1_t, sign_t = dual.norm1(dt)
@@ -116,23 +116,27 @@ def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose):
                                 [1.0 - l1_t * w_t, 1.0 - l1_q * w_q]])
 
 
-def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
-    """Mean clipped L1 reprojection error. A point whose estimated depth is
-    below DEPTH_EPS, or whose L1 residual d reaches the clip, contributes the
-    clip and a zero gradient; sign() gives the zero subgradient at an L1
-    kink."""
+def _geometric_gt_uv(gt: Pose, points, K: Intrinsics):
+    """The gt projection of the points, non-empty and at non-zero gt depth."""
     if points is None or len(points) == 0:
         raise InvalidInputError("geometric loss needs a non-empty point set")
-    est = Pose.from_params([*t_est, *q_est])
     uv_gt, z_gt = project_points(gt, K, points)
     if np.any(z_gt == 0.0):
         raise InvalidInputError("a visible point lies at zero gt depth")
-    uv, z = project_points(est, K, points)
+    return uv_gt
+
+
+def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip):
+    """Mean clipped L1 reprojection error against uv_gt, _geometric_gt_uv of
+    the points. A point whose estimated depth is below DEPTH_EPS, or whose
+    L1 residual d reaches the clip, contributes the clip and a zero
+    gradient; sign() gives the zero subgradient at an L1 kink."""
+    uv, z = project_points(Pose(t_est, q_est), K, points)
     res = uv - uv_gt
     d = np.abs(res).sum(axis=1)
     live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
     n = len(z)
-    val = float(np.sum(np.where(live, d, clip))) / n
+    val = float(np.where(live, d, clip).sum()) / n
 
     # Per live point, with x = X/Z, y = Y/Z and s the residual signs,
     # dd/dX_c = g = h / Z where h = (a, b, c) = (s_u fx, s_v fy,
@@ -147,18 +151,17 @@ def _geometric_core(t_est, q_est, gt: Pose, points, K: Intrinsics, clip):
     c = -a * x - b * y
     inv_z = 1.0 / z[live]
     g_sum = np.array([a @ inv_z, b @ inv_z, c @ inv_z])
-    gx_sum = np.array([np.sum(b - c * y), np.sum(c * x - a),
-                       np.sum(a * y - b * x)])
-    grad_t = -quat_to_rotmat(est.q) @ g_sum / n
-    grad_q = dual.rotation_grad(est.q, gx_sum) / n
+    gx_sum = np.array([(b - c * y).sum(), (c * x - a).sum(),
+                       (a * y - b * x).sum()])
+    grad_t = -quat_to_rotmat(q_est) @ g_sum / n
+    grad_q = dual.rotation_grad(q_est, gx_sum) / n
     return val, np.concatenate([grad_t, grad_q])
 
 
-def _maxerror_core(t_est, q_est, gt: Pose, reg_weight):
+def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight):
     """With u = q/|q| and dot = u . qg, d|dot|/dq = sign(dot) (qg - dot u)
     / |q| and d acos(a)/da = -1/sqrt(1 - a^2); the regularizer has gradient
     2 reg_weight (|q| - 1) u."""
-    qg = gt.q / np.linalg.norm(gt.q)
     qn, u = dual.norm2(q_est)
     reg = reg_weight * (qn - 1.0) ** 2
     grad_reg = 2.0 * (qn - 1.0) * u * reg_weight
@@ -182,7 +185,15 @@ def _maxerror_core(t_est, q_est, gt: Pose, reg_weight):
     return angle + reg, np.concatenate([np.zeros(3), grad_angle + grad_reg])
 
 
-def _homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
+def _homography_consts(gt: Pose, slab: SlabParams):
+    """_homography_core's constants of a gt pose and slab, as floats: gt q, its
+    rotmat_elems and sum of squares, the normal, _slab_weights and gt t."""
+    q_gt = gt.q.tolist()
+    return (q_gt, rotmat_elems(q_gt), dual.sum_squares(q_gt), slab.n.tolist(),
+            *_slab_weights(slab), gt.t.tolist())
+
+
+def _homography_core(t_est, q_est, consts):
     """Closed form from the pose pair, using |t_rel| = |d| and R_e R_e^T = I:
     rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part of
     conj(q_e) * q_g, cross = d^T m with m = (R_e - R_g) n, tsq = |d|^2,
@@ -194,25 +205,20 @@ def _homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
     - 2 rot q_e / |q_e|^2; dL/dt_est = -k1 m - 2 k2 d; a body rotation w of
     the estimate changes d^T R_e n by w . (n x R_e^T d).
     """
-    q_gt = [float(c) for c in gt.q]
+    (w2, x2, y2, z2), R_g, qq_g, n, k1, k2, t_gt = consts
     R_e = rotmat_elems(q_est)  # normalizes internally
-    R_g = rotmat_elems(q_gt)
     w1, x1, y1, z1 = q_est
-    w2, x2, y2, z2 = q_gt
     v = [
         (w1 * x2 - x1 * w2) + (z1 * y2 - y1 * z2),
         (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2),
         (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2),
     ]
     qq_e = dual.sum_squares(q_est)
-    qq_g = dual.sum_squares(q_gt)
     rot = 8.0 * dual.sum_squares(v) / (qq_e * qq_g)
-    n = [float(c) for c in slab.n]
-    d = [float(gt.t[i]) - t_est[i] for i in range(3)]
+    d = [t_gt[i] - t_est[i] for i in range(3)]
     m = [sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
          for i in range(3)]
     cross = sum(d[i] * m[i] for i in range(3))
-    k1, k2 = _slab_weights(slab)
     val = rot + k1 * cross + k2 * dual.sum_squares(d)
 
     v0, v1, v2 = v

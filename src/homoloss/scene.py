@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -70,13 +71,16 @@ class Scene:
         object.__setattr__(self, "frames", tuple(self.frames))
         if len(self.frames) < 1:
             raise InvalidInputError("scene needs at least one frame")
-        n = len(self.points)
-        for f in self.frames:
-            bad = [i for i in f.visible if i >= n or i < 0]
-            if bad:
-                raise InvalidInputError(
-                    f"frame {f.id}: visibility index {bad[0]} out of range"
-                )
+        ends = np.cumsum([len(f.visible) for f in self.frames])
+        try:
+            idx = np.fromiter(chain.from_iterable(
+                f.visible for f in self.frames), np.int64, ends[-1])
+        except OverflowError as e:
+            raise InvalidInputError("visibility index beyond int64") from e
+        for k in np.flatnonzero((idx < 0) | (idx >= len(self.points)))[:1]:
+            f = self.frames[np.searchsorted(ends, k, side="right")]
+            raise InvalidInputError(
+                f"frame {f.id}: visibility index {idx[k]} out of range")
 
     def visible_points(self, frame: Frame) -> np.ndarray:
         return self.points[list(frame.visible)]

@@ -233,13 +233,12 @@ def test_criterion_06_rotation_sweep():
 
 def test_criterion_07_posenet_landscapes(tmp_path):
     gt = Pose.identity()
-    ctx = LossContext(gt=gt)
     tz = np.linspace(-10.0, 10.0, 41)
     roty = np.linspace(-10.0, 10.0, 41)
     ratios = {}
     argmin_ok = True
     for beta in (5.0, 500.0, 5000.0):
-        ctx.hyper = LossHyperParams(beta=beta)
+        ctx = LossContext(gt=gt, hyper=LossHyperParams(beta=beta))
         rows = landscape_sweep("posenet", ctx, "tz", tz,
                                axis2="roty", offsets2=roty)
         path = tmp_path / f"posenet_beta{beta:g}.csv"

@@ -1,4 +1,5 @@
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,6 +264,28 @@ class TestDiffScalarParity:
             slab=SlabParams(x_min, x_min + width, rng.normal(size=3)),
         )
         assert_matches_reference(kind, params_for(kind, est, ctx), ctx)
+        # A second estimate reuses the constants the first one built, and
+        # gets the bits of a fresh context.
+        params = params_for(kind, perturbed(gt, rng, max_t, max_deg), ctx)
+        val, grad = evaluate_with_grad(kind, params, ctx)
+        fresh_val, fresh_grad = evaluate_with_grad(kind, params, replace(ctx))
+        assert val == fresh_val and np.array_equal(grad, fresh_grad)
+
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros((0, 3)), "non-empty point set"),
+        (np.array([[0.0, 0.2, 3.0], [1.0, 0.0, 0.0]]), "zero gt depth"),
+    ], ids=["empty", "zero_gt_depth"])
+    def test_reused_context_raises_again(self, points, message):
+        # A failed geometric constant is not cached: every evaluation on the
+        # context raises the same error.
+        ctx = LossContext(gt=Pose.identity(), points=points, intrinsics=K)
+        errors = []
+        for evaluate in (evaluate_with_grad, evaluate_with_grad, loss_value):
+            with pytest.raises(InvalidInputError, match=message) as info:
+                evaluate("geometric", [0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                         ctx)
+            errors.append(str(info.value))
+        assert errors == [errors[0]] * 3
 
     def ctx(self, gt, reg=1.0):
         return LossContext(gt=gt, hyper=LossHyperParams(quat_reg_weight=reg),

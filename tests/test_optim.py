@@ -497,15 +497,51 @@ class TestOptimizePoses:
         assert any("f000" in e for e in rec.errors)
         assert len(rec.epochs) == 2
 
-    def test_skipped_frame_logged_once(self, tiny):
+    def make_zero_depth_scene(self, tiny):
+        # The tiny scene, but its first frame, at the identity, sees one
+        # point at exactly zero gt depth.
+        from homoloss.scene import Frame, Scene
+        points = np.vstack([tiny.points, [1.0, 0.0, 0.0]])
+        first = Frame(tiny.frames[0].id, Pose.identity(), (len(points) - 1,))
+        return Scene(points=points, frames=(first, *tiny.frames[1:]),
+                     intrinsics=tiny.intrinsics)
+
+    @pytest.mark.parametrize("zero_depth", [False, True],
+                             ids=["no_points", "zero_gt_depth"])
+    def test_skipped_frame_logged_once(self, tiny, monkeypatch, zero_depth):
         # A frame that errors on every step is one line, not one per step.
-        scene = self.make_partial_scene(tiny, n_empty=1)
+        # The per-epoch metric rejects a point at zero gt depth by design
+        # (test_mrd_zero_gt_depth_rejected), so that case stubs it out.
+        if zero_depth:
+            scene = self.make_zero_depth_scene(tiny)
+            monkeypatch.setattr(optim, "mean_reproj_distance",
+                                lambda est, scene: 0.0)
+        else:
+            scene = self.make_partial_scene(tiny, n_empty=1)
         cfg = OptimConfig(loss_kind="geometric", epochs=6, seed=0)
         rec = optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
         assert not rec.aborted
         assert len(rec.errors) == 1
         assert rec.errors[0].startswith(f"frame {scene.frames[0].id}: ")
         assert rec.errors[0].endswith("(skipped from epoch 0, 6 steps)")
+
+    def test_gt_projected_once_per_frame(self, tiny, monkeypatch):
+        # Each frame's context projects its gt points on first use and
+        # reuses them in every later step; each estimate is projected anew.
+        calls = []
+
+        def spy(pose, K, points):
+            calls.append(next((i for i, f in enumerate(tiny.frames)
+                               if pose is f.gt_pose), None))
+            return project_points(pose, K, points)
+        monkeypatch.setattr(losses, "project_points", spy)
+        rng = np.random.default_rng(4)
+        init = [perturbed(f.gt_pose, rng, 0.1, 2.0) for f in tiny.frames]
+        cfg = OptimConfig(loss_kind="geometric", epochs=4, seed=0)
+        optimize_poses(tiny, init, cfg)
+        F = len(tiny.frames)
+        assert sorted(i for i in calls if i is not None) == list(range(F))
+        assert calls.count(None) == 4 * F
 
     def test_batch_without_an_evaluated_frame_takes_no_step(
             self, monkeypatch):

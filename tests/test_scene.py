@@ -370,11 +370,20 @@ class TestParsing:
         assert scene.frames[0].visible == (0, 1)
         assert scene.frames[1].visible == (1,)
 
-    def test_scene_rejects_bad_visibility(self):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize("bad, message", [
+        (7, "frame f1: visibility index 7 out of range"),
+        (-1, "frame f1: visibility index -1 out of range"),
+        (2, "frame f1: visibility index 2 out of range"),
+        (2**63, "visibility index beyond int64"),
+    ], ids=["beyond_n", "negative", "at_n", "beyond_int64"])
+    def test_scene_rejects_bad_visibility(self, bad, message):
+        # The first bad index of the first bad frame is reported.
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             Scene(
                 points=np.zeros((2, 3)),
-                frames=[Frame("f0", Pose.identity(), (0, 7))],
+                frames=[Frame("f0", Pose.identity(), (0, 1)),
+                        Frame("f1", Pose.identity(), (0, bad, 9)),
+                        Frame("f2", Pose.identity(), (5,))],
                 intrinsics=default_intrinsics(),
             )
 
