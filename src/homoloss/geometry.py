@@ -33,10 +33,6 @@ class Pose:
         if self.t.shape != (3,) or self.q.shape != (4,):
             raise InvalidInputError("pose needs a 3-vector t and 4-vector q")
 
-    @staticmethod
-    def identity():
-        return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
     def params(self):
         """Flat 7-vector (tx, ty, tz, qw, qx, qy, qz)."""
         return np.concatenate([self.t, self.q])
@@ -190,21 +186,17 @@ def angle_between(q1, q2):
 
 # -- projection ------------------------------------------------------------
 
-def project_points(pose, K: Intrinsics, points):
-    """Pinhole projection of world points (N, 3) under a Pose, or of
-    (F, N, 3) points under F poses t (F, 3), q (F, 4), with the same
-    operations per frame.
+def project_points(t, R, K: Intrinsics, points):
+    """Pinhole projection of world points (N, 3) under one pose, t (3,) and
+    R (3, 3) = quat_to_rotmat(q), or of (F, N, 3) points under F poses, t
+    (F, 3) and R (F, 3, 3), with the same operations per frame.
 
     Returns (pixels (..., N, 2), signed camera depths (..., N)). Backside
     points (Z < 0) project to a valid pixel with negative depth; points in
     the camera x-y plane get non-finite or huge pixels, so callers mask by
     |depth| >= DEPTH_EPS (or by depth > 0).
     """
-    if isinstance(pose, Pose):
-        t, R = pose.t, quat_to_rotmat(pose.q)
-    else:
-        t, R = pose[0][:, None, :], quat_to_rotmat(pose[1])
-    cam = (np.asarray(points, dtype=float) - t) @ R
+    cam = (np.asarray(points, dtype=float) - t[..., None, :]) @ R
     z = cam[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = cam[..., :2] * (K.fx, K.fy) / z[..., None] + (K.cx, K.cy)

@@ -120,7 +120,7 @@ def _geometric_gt_uv(gt: Pose, points, K: Intrinsics):
     """The gt projection of the points, non-empty and at non-zero gt depth."""
     if points is None or len(points) == 0:
         raise InvalidInputError("geometric loss needs a non-empty point set")
-    uv_gt, z_gt = project_points(gt, K, points)
+    uv_gt, z_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, points)
     if np.any(z_gt == 0.0):
         raise InvalidInputError("a visible point lies at zero gt depth")
     return uv_gt
@@ -131,7 +131,8 @@ def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip):
     the points. A point whose estimated depth is below DEPTH_EPS, or whose
     L1 residual d reaches the clip, contributes the clip and a zero
     gradient; sign() gives the zero subgradient at an L1 kink."""
-    uv, z = project_points(Pose(t_est, q_est), K, points)
+    R = quat_to_rotmat(q_est)
+    uv, z = project_points(np.array(t_est), R, K, points)
     res = uv - uv_gt
     d = np.abs(res).sum(axis=1)
     live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
@@ -153,7 +154,7 @@ def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip):
     g_sum = np.array([a @ inv_z, b @ inv_z, c @ inv_z])
     gx_sum = np.array([(b - c * y).sum(), (c * x - a).sum(),
                        (a * y - b * x).sum()])
-    grad_t = -quat_to_rotmat(q_est) @ g_sum / n
+    grad_t = -R @ g_sum / n
     grad_q = dual.rotation_grad(q_est, gx_sum) / n
     return val, np.concatenate([grad_t, grad_q])
 

@@ -18,11 +18,13 @@ from .geometry import (
     project_points,
     quat_from_axis_angle,
     quat_multiply,
+    quat_to_rotmat,
 )
 from .losses import LossHyperParams
 from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
+ZERO_GT_DEPTH = "frame {}: a visible point lies at zero gt depth"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 
@@ -125,8 +127,7 @@ def mean_reproj_distance(est_poses, scene: Scene,
     zero_q = ~np.any(q * q, axis=1)  # |q|^2 == 0 in rotmat_elems
     for i in np.flatnonzero(seen & (view.zero_gt_depth | zero_q))[:1]:
         if view.zero_gt_depth[i]:
-            raise InvalidInputError(f"frame {scene.frames[i].id}: a visible "
-                                    f"point lies at zero gt depth")
+            raise InvalidInputError(ZERO_GT_DEPTH.format(scene.frames[i].id))
         raise InvalidInputError("zero-norm quaternion")
     if not seen.any():
         raise InvalidInputError(
@@ -134,7 +135,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
         )
     means = np.zeros(len(seen))
     for rows, points, gt_uv in view.buckets:
-        uv, z = project_points((t[rows], q[rows]), scene.intrinsics, points)
+        uv, z = project_points(t[rows], quat_to_rotmat(q[rows]),
+                               scene.intrinsics, points)
         duv = uv - gt_uv
         dist = np.minimum(clip, np.hypot(duv[..., 0], duv[..., 1]))
         means[rows] = np.mean(np.where(np.abs(z) >= DEPTH_EPS, dist, clip),
@@ -260,11 +262,14 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     with InvalidInputError in a step are skipped (any other exception
     propagates) and logged once per frame and message, with the first epoch
     and the number of steps skipped; the run aborts if more than half the
-    frames error within one epoch.
+    frames error within one epoch. A scene that the per-epoch metric rejects
+    for a visible point at zero gt depth raises before the first step.
     """
     frames = scene.frames
     if len(init_poses) != len(frames):
         raise InvalidInputError("need one initial pose per frame")
+    for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
+        raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
     if config.warmstart_epochs > 0:
         warm_cfg = replace(
             config,

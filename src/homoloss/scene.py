@@ -13,7 +13,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -44,19 +43,22 @@ class GenerationError(InvalidInputError):
 
 
 class DegenerateDepthError(InvalidInputError):
-    def __init__(self, message, frame_id=None):
-        self.frame_id = frame_id
-        super().__init__(message)
+    pass
 
 
 @dataclass(frozen=True)
 class Frame:
     id: str
     gt_pose: Pose
-    visible: tuple  # indices into the scene point list
+    visible: np.ndarray  # int64 indices into the scene points, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "visible", tuple(int(i) for i in self.visible))
+        try:
+            visible = np.array(self.visible, dtype=np.int64)
+        except OverflowError as e:
+            raise InvalidInputError("visibility index beyond int64") from e
+        visible.flags.writeable = False
+        object.__setattr__(self, "visible", visible)
 
 
 @dataclass(frozen=True)
@@ -72,18 +74,14 @@ class Scene:
         if len(self.frames) < 1:
             raise InvalidInputError("scene needs at least one frame")
         ends = np.cumsum([len(f.visible) for f in self.frames])
-        try:
-            idx = np.fromiter(chain.from_iterable(
-                f.visible for f in self.frames), np.int64, ends[-1])
-        except OverflowError as e:
-            raise InvalidInputError("visibility index beyond int64") from e
+        idx = np.concatenate([f.visible for f in self.frames])
         for k in np.flatnonzero((idx < 0) | (idx >= len(self.points)))[:1]:
             f = self.frames[np.searchsorted(ends, k, side="right")]
             raise InvalidInputError(
                 f"frame {f.id}: visibility index {idx[k]} out of range")
 
     def visible_points(self, frame: Frame) -> np.ndarray:
-        return self.points[list(frame.visible)]
+        return self.points[frame.visible]
 
     @cached_property
     def stacked(self) -> StackedFrames:
@@ -101,12 +99,12 @@ class Scene:
         buckets = []
         for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             rows = np.flatnonzero(counts == n)
-            points = self.points[np.array([self.frames[i].visible
+            points = self.points[np.stack([self.frames[i].visible
                                            for i in rows])]
-            gt_uv, z = project_points((t[rows], q[rows]), self.intrinsics,
-                                      points)
+            R = quat_to_rotmat(q[rows])
+            gt_uv, z = project_points(t[rows], R, self.intrinsics, points)
             zero[rows] = np.any(z == 0.0, axis=1)
-            R = quat_to_rotmat(q[rows])  # (n, 3) @ R[:, 2]; z's bits differ
+            # not z: the depths keep the bits of (n, 3) @ R[:, 2]
             d = ((points - t[rows, None, :]) @ R[:, :, 2:3])[..., 0]
             for i, row in zip(rows.tolist(), d):
                 depths[i] = row
@@ -168,8 +166,7 @@ def _slab_params(groups, lo, hi, frame_ids):
         why = (f"needs at least 2 positive-depth points, got {n[k]}"
                if n[k] < 2 else "degenerate depth distribution, "
                f"x_min={x_min[k]} >= x_max={x_max[k]}")
-        raise DegenerateDepthError(f"frame {frame_ids[k]}: {why}",
-                                   frame_id=frame_ids[k])
+        raise DegenerateDepthError(f"frame {frame_ids[k]}: {why}")
     return [SlabParams(x_min=a, x_max=b)
             for a, b in zip(x_min.tolist(), x_max.tolist())]
 
@@ -365,7 +362,7 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
         roll = rng.uniform(-math.pi, math.pi)
         q = _look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
         pose = Pose(position, q)
-        uv, z = project_points(pose, K, points)
+        uv, z = project_points(position, quat_to_rotmat(q), K, points)
         u, v = uv.T
         visible = np.flatnonzero(
             (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)

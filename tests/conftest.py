@@ -27,6 +27,10 @@ def slabs(scene):
     return local_slabs(scene)
 
 
+def identity_pose():
+    return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+
+
 def random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)

@@ -97,7 +97,8 @@ def project(pose: Pose, K: Intrinsics, P):
     to a valid pixel with negative depth. Raises PointAtInfinity when the
     point lies in the camera x-y plane.
     """
-    uv, z = project_points(pose, K, np.asarray(P, dtype=float).reshape(1, 3))
+    uv, z = project_points(pose.t, quat_to_rotmat(pose.q), K,
+                           np.asarray(P, dtype=float).reshape(1, 3))
     if abs(z[0]) < DEPTH_EPS:
         raise PointAtInfinity(f"point {P} has camera depth {z[0]}")
     return uv[0], float(z[0])
@@ -203,7 +204,8 @@ def geometric_loop(est: Pose, gt: Pose, points, K: Intrinsics, clip):
     t, q = params[:3], params[3:]
     R = diffscalar.rotmat_elems(q)
     total = 0.0
-    for P, (u0, v0) in zip(points, project_points(gt, K, points)[0]):
+    uv_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, points)[0]
+    for P, (u0, v0) in zip(points, uv_gt):
         d = [P[k] - t[k] for k in range(3)]
         X, Y, Z = [sum(R[k][i] * d[k] for k in range(3)) for i in range(3)]
         if abs(Z.val) < DEPTH_EPS:
@@ -256,11 +258,11 @@ def slab_loop(groups, lo, hi, frame_ids):
         if n < 2:
             raise DegenerateDepthError(
                 f"frame {fid}: needs at least 2 positive-depth points, "
-                f"got {n}", frame_id=fid)
+                f"got {n}")
         if not x_min < x_max:
             raise DegenerateDepthError(
                 f"frame {fid}: degenerate depth distribution, "
-                f"x_min={x_min} >= x_max={x_max}", frame_id=fid)
+                f"x_min={x_min} >= x_max={x_max}")
         out.append((x_min, x_max))
     return out
 
@@ -304,12 +306,13 @@ def mean_reproj_distance_loop(est_poses, scene,
         pts = scene.visible_points(frame)
         if len(pts) == 0:
             continue
-        uv_gt, z_gt = project_points(frame.gt_pose, K, pts)
+        gt = frame.gt_pose
+        uv_gt, z_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, pts)
         if np.any(z_gt == 0.0):
             raise InvalidInputError(
                 f"frame {frame.id}: a visible point lies at zero gt depth"
             )
-        uv, z = project_points(est, K, pts)
+        uv, z = project_points(est.t, quat_to_rotmat(est.q), K, pts)
         dist = np.minimum(clip, np.hypot(*(uv - uv_gt).T))
         d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
         per_frame.append(float(np.mean(d)))

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_pose, random_rotation, random_unit_quat
+from conftest import identity_pose, random_pose, random_rotation, \
+    random_unit_quat
 from homoloss.cli import main as cli_main
 from homoloss.diffgrad import LOSS_KINDS, LossContext, grad_report
 from homoloss.geometry import (
@@ -232,7 +233,7 @@ def test_criterion_06_rotation_sweep():
 
 
 def test_criterion_07_posenet_landscapes(tmp_path):
-    gt = Pose.identity()
+    gt = identity_pose()
     tz = np.linspace(-10.0, 10.0, 41)
     roty = np.linspace(-10.0, 10.0, 41)
     ratios = {}

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import identity_pose
 from homoloss import diffgrad
 from homoloss.cli import main
 from homoloss.geometry import Pose, quat_normalize
@@ -246,7 +247,7 @@ class TestOptimize:
         poses = str(tmp_path / "poses.txt")
         pts = str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
-            write_pose_list(f, [("f0", Pose.identity()),
+            write_pose_list(f, [("f0", identity_pose()),
                                 ("f1", Pose([1.0, 0.0, 0.0],
                                             [1.0, 0.0, 0.0, 0.0]))])
         with open(pts, "w") as f:
@@ -452,7 +453,7 @@ class TestEval:
         gt_path, _ = self.write_scene_files(tmp_path)
         other = str(tmp_path / "other.txt")
         with open(other, "w") as f:
-            write_pose_list(f, [("zz", Pose.identity())])
+            write_pose_list(f, [("zz", identity_pose())])
         out = str(tmp_path / "o")
         argv = ["eval", "--gt-poses", gt_path, "--est-poses", other,
                 "--out", out]
@@ -517,7 +518,7 @@ class TestIntrinsics:
     def test_non_finite_camera_exit_2(self, tmp_path, capsys, option):
         poses, pts = str(tmp_path / "poses.txt"), str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
-            write_pose_list(f, [("f0", Pose.identity())])
+            write_pose_list(f, [("f0", identity_pose())])
         with open(pts, "w") as f:
             write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
                          {"f0": (0, 1)})
@@ -531,7 +532,7 @@ class TestIntrinsics:
         assert not os.path.exists(out)
 
     def test_file_scene_width_sets_the_default_focal_length(self, tmp_path):
-        gt = [("f0", Pose.identity())]
+        gt = [("f0", identity_pose())]
         est = [("f0", Pose([0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))]
         paths = {}
         for name, poses in (("gt", gt), ("est", est)):

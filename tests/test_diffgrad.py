@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed, random_pose
+from conftest import identity_pose, perturbed, random_pose
 from oracles import reference_grad
 from homoloss.diffgrad import (
     LOSS_KINDS,
@@ -100,7 +100,7 @@ class TestEvaluateWithGrad:
         # taken.
         w = 1.1700778987007547
         assert (w - 1.0) ** 2 != (w - 1.0) * (w - 1.0)
-        gt = Pose.identity()
+        gt = identity_pose()
         ctx = LossContext(gt=gt, intrinsics=K, slab=SlabParams(2.0, 6.0),
                           points=points_before(gt, np.random.default_rng(4)))
         params = params_for(kind, Pose(np.zeros(3), [w, 0.0, 0.0, 0.0]), ctx)
@@ -109,7 +109,7 @@ class TestEvaluateWithGrad:
 
     def test_posenet_translation_direction(self):
         # d|t_hat - t|/dt_hat is the unit vector toward the estimate.
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([3.0, 4.0, 0.0], [1.0, 0.0, 0.0, 0.0])
         _, g = evaluate_with_grad("posenet", est, LossContext(gt=gt))
         np.testing.assert_allclose(g[:3], [0.6, 0.8, 0.0], atol=1e-15)
@@ -169,11 +169,11 @@ class TestEvaluateWithGrad:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
-            evaluate_with_grad("frobnicate", Pose.identity(),
-                               LossContext(gt=Pose.identity()))
+            evaluate_with_grad("frobnicate", identity_pose(),
+                               LossContext(gt=identity_pose()))
 
     def test_wrong_param_length_rejected(self):
-        ctx = LossContext(gt=Pose.identity())
+        ctx = LossContext(gt=identity_pose())
         with pytest.raises(InvalidInputError):
             evaluate_with_grad("posenet", np.zeros(9), ctx)
 
@@ -194,7 +194,7 @@ class TestLossValue:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown loss kind"):
             loss_value("frobnicate", np.zeros(7),
-                       LossContext(gt=Pose.identity()))
+                       LossContext(gt=identity_pose()))
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_accepts_a_pose(self, kind):
@@ -278,7 +278,7 @@ class TestDiffScalarParity:
     def test_reused_context_raises_again(self, points, message):
         # A failed geometric constant is not cached: every evaluation on the
         # context raises the same error.
-        ctx = LossContext(gt=Pose.identity(), points=points, intrinsics=K)
+        ctx = LossContext(gt=identity_pose(), points=points, intrinsics=K)
         errors = []
         for evaluate in (evaluate_with_grad, evaluate_with_grad, loss_value):
             with pytest.raises(InvalidInputError, match=message) as info:
@@ -305,7 +305,7 @@ class TestDiffScalarParity:
     def test_maxerror_exact_tie_takes_translation(self):
         # An x offset whose translation error in cm is exactly the angle:
         # not every angle is a float product tx * 100, so try a few.
-        ctx = self.ctx(Pose.identity(), reg=0.0)
+        ctx = self.ctx(identity_pose(), reg=0.0)
         for deg in np.linspace(0.3, 0.5, 20):
             q = quat_from_axis_angle([0.3, -1.0, 0.2], np.radians(deg))
             angle = loss_value("maxerror", [0.0, 0.0, 0.0, *q], ctx)
@@ -401,7 +401,7 @@ class TestFiniteDiff:
     def test_quadratic_example(self):
         # posenet with t = (1,0,0): d|t|/dt_x = 1; central FD is exact on
         # the smooth branch up to rounding.
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
         g = finite_diff_grad("posenet", est, LossContext(gt=gt), step=1e-6)
         assert g[0] == pytest.approx(1.0, abs=1e-9)
@@ -420,16 +420,16 @@ class TestFiniteDiff:
             assert a / b == pytest.approx(4.0, rel=0.2)
 
     def test_nonpositive_step_rejected(self):
-        ctx = LossContext(gt=Pose.identity())
+        ctx = LossContext(gt=identity_pose())
         with pytest.raises(InvalidInputError):
-            finite_diff_grad("posenet", Pose.identity(), ctx, step=0.0)
+            finite_diff_grad("posenet", identity_pose(), ctx, step=0.0)
         with pytest.raises(InvalidInputError, match="step must be positive"):
-            finite_diff_grad("posenet", Pose.identity(), ctx, step=np.nan)
+            finite_diff_grad("posenet", identity_pose(), ctx, step=np.nan)
 
     def test_error_reports_coordinate(self):
         # A null estimated quaternion fails inside the loss at the first
         # probed coordinate; the re-raised error should name it.
-        ctx = LossContext(gt=Pose.identity())
+        ctx = LossContext(gt=identity_pose())
         bad = np.zeros(9)
         with pytest.raises(InvalidInputError, match="coordinate 0"):
             finite_diff_grad("homoscedastic", bad, ctx)
@@ -449,8 +449,8 @@ class TestFiniteDiff:
 
         monkeypatch.setattr(losses, "_posenet_core", broken)
         with pytest.raises(TwoArgError) as info:
-            finite_diff_grad("posenet", Pose.identity(),
-                             LossContext(gt=Pose.identity()))
+            finite_diff_grad("posenet", identity_pose(),
+                             LossContext(gt=identity_pose()))
         assert info.value is err
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import identity_pose
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
@@ -70,7 +71,7 @@ class TestRelativePose:
         np.testing.assert_allclose(rel.t, np.zeros(3), atol=1e-14)
 
     def test_pure_translation_sign(self):
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
         rel = relative_pose(gt, est)
         np.testing.assert_allclose(rel.R, np.eye(3))
@@ -103,26 +104,26 @@ class TestRelativePose:
     def test_zero_quaternion_rejected(self):
         bad = Pose([0, 0, 0], [0, 0, 0, 0])
         with pytest.raises(InvalidInputError):
-            relative_pose(bad, Pose.identity())
+            relative_pose(bad, identity_pose())
 
 
 class TestProject:
     def test_on_axis_point(self):
         K = Intrinsics(fx=500, fy=500, cx=320, cy=240, w=640, h=480)
-        pix, depth = project(Pose.identity(), K, [0, 0, 3.5])
+        pix, depth = project(identity_pose(), K, [0, 0, 3.5])
         np.testing.assert_allclose(pix, [320, 240])
         assert depth == 3.5
 
     def test_backside_projection_signed_depth(self):
         K = Intrinsics(fx=500, fy=500, cx=320, cy=240, w=640, h=480)
-        pix, depth = project(Pose.identity(), K, [0.1, 0.0, -2.0])
+        pix, depth = project(identity_pose(), K, [0.1, 0.0, -2.0])
         assert depth == -2.0
         assert np.all(np.isfinite(pix))
 
     def test_point_at_infinity(self):
         K = Intrinsics(fx=500, fy=500, cx=320, cy=240, w=640, h=480)
         with pytest.raises(PointAtInfinity):
-            project(Pose.identity(), K, [1.0, 1.0, 1e-12])
+            project(identity_pose(), K, [1.0, 1.0, 1e-12])
 
     def test_homography_consistency(self):
         # Points on a plane at depth x in the gt frame map between the two

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import perturbed, random_pose, random_rotation
+from conftest import identity_pose, perturbed, random_pose, random_rotation
+from homoloss import geometry
 from homoloss.diffgrad import (
     LossContext,
     evaluate_with_grad,
@@ -16,6 +17,7 @@ from homoloss.geometry import (
     Pose,
     quat_from_axis_angle,
     quat_to_rotmat,
+    rotmat_elems,
 )
 from homoloss.losses import LossHyperParams, SlabParams
 from homoloss.optim import frame_context
@@ -73,7 +75,7 @@ class TestPoseNetLoss:
 
     def test_arithmetic(self):
         # |dt| = 1, |dq| = 0.01, beta = 500 -> 6
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([1.0, 0.0, 0.0], [1.01, 0.0, 0.0, 0.0])
         assert loss("posenet", est, gt, beta=500.0) == pytest.approx(6.0)
 
@@ -97,7 +99,7 @@ class TestHomoscedasticLoss:
             pytest.approx(-3.0)
 
     def test_l1_translation(self):
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0])
         assert loss("homoscedastic", est, gt, s_t=0.0, s_q=0.0) == \
             pytest.approx(6.0)
@@ -105,7 +107,7 @@ class TestHomoscedasticLoss:
     def test_zero_quaternion_rejected(self):
         est = Pose([0, 0, 0], [0, 0, 0, 0])
         with pytest.raises(InvalidInputError):
-            loss("homoscedastic", est, Pose.identity(), s_t=0.0, s_q=0.0)
+            loss("homoscedastic", est, identity_pose(), s_t=0.0, s_q=0.0)
 
 
 class TestGeometricLoss:
@@ -113,12 +115,12 @@ class TestGeometricLoss:
 
     def test_zero_at_gt(self):
         rng = np.random.default_rng(3)
-        gt = Pose.identity()
+        gt = identity_pose()
         pts = rng.uniform(-1, 1, size=(10, 3)) + [0, 0, 4.0]
         assert loss("geometric", gt, gt, pts, self.K, reproj_clip=100.0) == 0.0
 
     def test_single_point_l1(self):
-        gt = Pose.identity()
+        gt = identity_pose()
         # point at depth 1 on axis; shift est left so pixel moves by (3, 4)
         est = Pose([-0.03, -0.04, 0.0], [1.0, 0.0, 0.0, 0.0])
         pts = np.array([[0.0, 0.0, 1.0]])
@@ -127,14 +129,14 @@ class TestGeometricLoss:
 
     def test_clip_saturation_at_180(self):
         rng = np.random.default_rng(4)
-        gt = Pose.identity()
+        gt = identity_pose()
         pts = rng.uniform(-0.5, 0.5, size=(20, 3)) + [0, 0, 4.0]
         est = Pose([0, 0, 0], quat_from_axis_angle([0, 1, 0], math.pi))
         val = loss("geometric", est, gt, pts, self.K, reproj_clip=50.0)
         assert val <= 50.0
 
     def test_infinity_contributes_clip(self):
-        gt = Pose.identity()
+        gt = identity_pose()
         pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 1e-12]])
         val = loss("geometric", gt, gt, pts, self.K, reproj_clip=80.0)
         assert val == pytest.approx(40.0)  # (0 + 80) / 2
@@ -143,18 +145,18 @@ class TestGeometricLoss:
         # A visible point in the gt camera's x-y plane has no gt pixel.
         pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         with pytest.raises(InvalidInputError, match="zero gt depth"):
-            loss("geometric", Pose.identity(), Pose.identity(), pts, self.K,
+            loss("geometric", identity_pose(), identity_pose(), pts, self.K,
                  reproj_clip=80.0)
 
     def test_unclipped_infinity_is_nonfinite(self):
-        gt = Pose.identity()
+        gt = identity_pose()
         pts = np.array([[0.5, 0.5, 1e-12]])
         val = loss("geometric", gt, gt, pts, self.K, reproj_clip=math.inf)
         assert math.isinf(val)
 
     def test_empty_points_rejected(self):
         with pytest.raises(InvalidInputError):
-            loss("geometric", Pose.identity(), Pose.identity(), [], self.K,
+            loss("geometric", identity_pose(), identity_pose(), [], self.K,
                  reproj_clip=10.0)
 
     @pytest.mark.parametrize("clip", [20.0, 100.0])
@@ -177,6 +179,25 @@ class TestGeometricLoss:
                 grad, ref_grad, rtol=0,
                 atol=1e-12 * max(1.0, np.max(np.abs(ref_grad))))
 
+    def test_one_rotation_per_evaluation(self, scene, monkeypatch):
+        # The projection and the translation gradient share the estimate's
+        # rotation matrix. The first evaluation also builds the context's gt
+        # projection, so the spy counts from the second on.
+        frame = scene.frames[0]
+        ctx = frame_context(scene, frame, "geometric", LossHyperParams())
+        rng = np.random.default_rng(5)
+        evaluate_with_grad("geometric", frame.gt_pose, ctx)
+        calls = []
+
+        def spy(q):
+            calls.append(q)
+            return rotmat_elems(q)
+        monkeypatch.setattr(geometry, "rotmat_elems", spy)
+        for n in range(1, 4):
+            est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
+            evaluate_with_grad("geometric", est, ctx)
+            assert len(calls) == n
+
 
 class TestMaxErrorLoss:
     def test_zero_at_gt(self):
@@ -186,7 +207,7 @@ class TestMaxErrorLoss:
 
     def test_translation_branch(self):
         # 3 degrees vs 250 cm -> 250
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([2.5, 0, 0], quat_from_axis_angle([0, 0, 1],
                                                      math.radians(3.0)))
         assert loss("maxerror", est, gt, quat_reg_weight=1.0) == \
@@ -194,14 +215,14 @@ class TestMaxErrorLoss:
 
     def test_rotation_branch(self):
         # 10 degrees vs 5 cm -> 10
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([0.05, 0, 0], quat_from_axis_angle([0, 0, 1],
                                                       math.radians(10.0)))
         assert loss("maxerror", est, gt, quat_reg_weight=1.0) == \
             pytest.approx(10.0)
 
     def test_null_quaternion_hits_regularizer(self):
-        gt = Pose.identity()
+        gt = identity_pose()
         est = Pose([0, 0, 0], [0.0, 0.0, 0.0, 0.0])
         assert loss("maxerror", est, gt, quat_reg_weight=2.0) == \
             pytest.approx(2.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perturbed, random_unit_quat
+from conftest import identity_pose, perturbed, random_unit_quat
 from homoloss import losses, optim
 from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value
 from homoloss.geometry import (
@@ -117,7 +117,7 @@ class TestMetrics:
         K = Intrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, w=200, h=200)
         from homoloss.scene import Frame, Scene
         pts = np.array([[0.0, 0.0, 1.0]])
-        frame = Frame("f0", Pose.identity(), (0,))
+        frame = Frame("f0", identity_pose(), (0,))
         return Scene(points=pts, frames=[frame], intrinsics=K)
 
     def test_mrd_three_four_five(self):
@@ -127,7 +127,7 @@ class TestMetrics:
 
     def test_mrd_zero_at_gt(self):
         scene = self.small_scene()
-        assert mean_reproj_distance([("f0", Pose.identity())], scene) == 0.0
+        assert mean_reproj_distance([("f0", identity_pose())], scene) == 0.0
 
     def test_mrd_clip_saturation(self):
         scene = self.small_scene()
@@ -154,10 +154,10 @@ class TestMetrics:
 
         scene = self.small_scene()
         flat = Scene(points=np.array([[0.5, 0.0, 0.0]]),
-                     frames=[Frame("f0", Pose.identity(), (0,))],
+                     frames=[Frame("f0", identity_pose(), (0,))],
                      intrinsics=scene.intrinsics)
         with pytest.raises(InvalidInputError, match="zero gt depth"):
-            mean_reproj_distance([("f0", Pose.identity())], flat)
+            mean_reproj_distance([("f0", identity_pose())], flat)
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), n_frames=st.integers(1, 6),
@@ -187,7 +187,7 @@ class TestMetrics:
                 return rng.choice(n_points, n, replace=False)
             return data.draw(st.lists(index, max_size=2 if tail
                                       else n_points))
-        frames = [Frame(f"f{i}", Pose.identity() if i in flat else Pose(
+        frames = [Frame(f"f{i}", identity_pose() if i in flat else Pose(
                       rng.normal(size=3), random_unit_quat(rng)), visible(i))
                   for i in range(n_frames)]
         scene = Scene(points=points, frames=frames, intrinsics=K)
@@ -206,7 +206,7 @@ class TestMetrics:
         for rows, pts, gt_uv in view.buckets:
             assert rows.tolist() == [i for i, n in enumerate(counts)
                                      if n == pts.shape[1]]
-            uv, z = project_points((t[rows], q[rows]), K, pts)
+            uv, z = project_points(t[rows], quat_to_rotmat(q[rows]), K, pts)
             slot.update(zip(rows.tolist(), zip(pts, gt_uv, uv, z)))
         for i, (f, (_, p)) in enumerate(zip(frames, est)):
             pts = scene.visible_points(f)
@@ -214,7 +214,7 @@ class TestMetrics:
             assert view.zero_gt_depth[i] == np.any(gt_z == 0.0)
             assert np.array_equal(view.depths[i],
                                   frame_depths_loop(scene, f))
-            projections = [project_points(p, K, pts)]
+            projections = [project_points(p.t, quat_to_rotmat(p.q), K, pts)]
             if i in slot:
                 assert np.array_equal(slot[i][0], pts)
                 assert np.array_equal(slot[i][1], gt_uv)
@@ -237,7 +237,7 @@ class TestMetrics:
                 outcome(mean_reproj_distance_loop, pairs)
 
     def test_pct_within_boundary_inclusive(self):
-        gt = [Pose.identity()]
+        gt = [identity_pose()]
         est = [Pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
                                                           math.radians(2.0)))]
         assert pct_within(est, gt, 2.0, 2.0) == 1.0
@@ -245,23 +245,23 @@ class TestMetrics:
         assert pct_within(est, gt, 2.0, 1.999) == 0.0
 
     def test_pct_within_counts(self):
-        gt = [Pose.identity()] * 4
+        gt = [identity_pose()] * 4
         est = [
             Pose([0.1, 0, 0], [1, 0, 0, 0]),
             Pose([5.0, 0, 0], [1, 0, 0, 0]),
             Pose([0, 0, 0], quat_from_axis_angle([1, 0, 0],
                                                  math.radians(30.0))),
-            Pose.identity(),
+            identity_pose(),
         ]
         assert pct_within(est, gt, 1.0, 5.0) == 0.5
 
     def test_pct_within_nan_rotation_not_within(self):
-        est = [Pose([0.0, 0.0, 0.0], [math.nan] * 4), Pose.identity()]
-        assert pct_within(est, [Pose.identity()] * 2, 1.0, 180.0) == 0.5
+        est = [Pose([0.0, 0.0, 0.0], [math.nan] * 4), identity_pose()]
+        assert pct_within(est, [identity_pose()] * 2, 1.0, 180.0) == 0.5
 
     def test_pct_within_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            pct_within([Pose.identity()], [], 1.0, 1.0)
+            pct_within([identity_pose()], [], 1.0, 1.0)
 
     def test_pct_within_needs_a_pose(self):
         with pytest.raises(InvalidInputError):
@@ -280,14 +280,14 @@ class TestMetrics:
 
 class TestSweeps:
     def ctx(self):
-        return LossContext(gt=Pose.identity(), slab=SlabParams(2.0, 6.0))
+        return LossContext(gt=identity_pose(), slab=SlabParams(2.0, 6.0))
 
     def test_apply_offset_translation(self):
-        p = apply_offset(Pose.identity(), "tz", 0.5)
+        p = apply_offset(identity_pose(), "tz", 0.5)
         np.testing.assert_array_equal(p.t, [0.0, 0.0, 0.5])
 
     def test_apply_offset_rotation_degrees(self):
-        p = apply_offset(Pose.identity(), "roty", 90.0)
+        p = apply_offset(identity_pose(), "roty", 90.0)
         R = quat_to_rotmat(p.q)
         np.testing.assert_allclose(R @ [0, 0, 1], [1, 0, 0], atol=1e-15)
 
@@ -304,7 +304,7 @@ class TestSweeps:
 
     def test_apply_offset_unknown_axis(self):
         with pytest.raises(InvalidInputError):
-            apply_offset(Pose.identity(), "qx", 0.1)
+            apply_offset(identity_pose(), "qx", 0.1)
 
     def test_sweep_1d_shape_and_minimum(self):
         offsets = np.linspace(-1.0, 1.0, 21)
@@ -326,7 +326,7 @@ class TestSweeps:
     def test_sweep_nan_on_error(self):
         # geometric kind without points -> every cell evaluates to NaN
         rows = landscape_sweep(
-            "geometric", LossContext(gt=Pose.identity()), "tx", [-1, 0, 1],
+            "geometric", LossContext(gt=identity_pose()), "tx", [-1, 0, 1],
         )
         assert all(math.isnan(v) for _, v in rows)
 
@@ -385,7 +385,7 @@ class TestSweeps:
 
     def test_perturb_pose_within_bounds(self):
         rng = np.random.default_rng(0)
-        base = Pose.identity()
+        base = identity_pose()
         for _ in range(200):
             p = perturb_pose(base, rng, max_t=0.3, max_deg=5.0)
             assert np.linalg.norm(p.t) <= 0.3
@@ -396,10 +396,10 @@ class TestSweeps:
     def test_perturb_pose_rejects_bad_bounds(self, max_t, max_deg):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError, match="perturbation bounds"):
-            perturb_pose(Pose.identity(), rng, max_t, max_deg)
+            perturb_pose(identity_pose(), rng, max_t, max_deg)
 
     def test_perturb_pose_zero_bounds_keep_the_pose(self):
-        p = perturb_pose(Pose.identity(), np.random.default_rng(0), 0.0, 0.0)
+        p = perturb_pose(identity_pose(), np.random.default_rng(0), 0.0, 0.0)
         assert np.all(p.t == 0.0) and angle_between(p.q, [1, 0, 0, 0]) == 0
 
 
@@ -502,22 +502,13 @@ class TestOptimizePoses:
         # point at exactly zero gt depth.
         from homoloss.scene import Frame, Scene
         points = np.vstack([tiny.points, [1.0, 0.0, 0.0]])
-        first = Frame(tiny.frames[0].id, Pose.identity(), (len(points) - 1,))
+        first = Frame(tiny.frames[0].id, identity_pose(), (len(points) - 1,))
         return Scene(points=points, frames=(first, *tiny.frames[1:]),
                      intrinsics=tiny.intrinsics)
 
-    @pytest.mark.parametrize("zero_depth", [False, True],
-                             ids=["no_points", "zero_gt_depth"])
-    def test_skipped_frame_logged_once(self, tiny, monkeypatch, zero_depth):
+    def test_skipped_frame_logged_once(self, tiny):
         # A frame that errors on every step is one line, not one per step.
-        # The per-epoch metric rejects a point at zero gt depth by design
-        # (test_mrd_zero_gt_depth_rejected), so that case stubs it out.
-        if zero_depth:
-            scene = self.make_zero_depth_scene(tiny)
-            monkeypatch.setattr(optim, "mean_reproj_distance",
-                                lambda est, scene: 0.0)
-        else:
-            scene = self.make_partial_scene(tiny, n_empty=1)
+        scene = self.make_partial_scene(tiny, n_empty=1)
         cfg = OptimConfig(loss_kind="geometric", epochs=6, seed=0)
         rec = optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
         assert not rec.aborted
@@ -525,15 +516,35 @@ class TestOptimizePoses:
         assert rec.errors[0].startswith(f"frame {scene.frames[0].id}: ")
         assert rec.errors[0].endswith("(skipped from epoch 0, 6 steps)")
 
+    @pytest.mark.parametrize("kind", ["geometric", "posenet"])
+    def test_zero_gt_depth_scene_rejected_before_any_step(
+            self, tiny, monkeypatch, kind):
+        # The per-epoch metric rejects a visible point at zero gt depth
+        # (test_mrd_zero_gt_depth_rejected), so the run raises its error
+        # before it evaluates any loss.
+        scene = self.make_zero_depth_scene(tiny)
+        evaluated = []
+        monkeypatch.setattr(optim.diffgrad, "evaluate_with_grad",
+                            lambda *args: evaluated.append(args))
+        cfg = OptimConfig(loss_kind=kind, epochs=6, seed=0)
+        with pytest.raises(InvalidInputError) as e:
+            optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
+        with pytest.raises(InvalidInputError) as metric:
+            mean_reproj_distance([(f.id, f.gt_pose) for f in scene.frames],
+                                 scene)
+        assert str(e.value) == str(metric.value) == f"frame " \
+            f"{scene.frames[0].id}: a visible point lies at zero gt depth"
+        assert evaluated == []
+
     def test_gt_projected_once_per_frame(self, tiny, monkeypatch):
         # Each frame's context projects its gt points on first use and
         # reuses them in every later step; each estimate is projected anew.
         calls = []
 
-        def spy(pose, K, points):
+        def spy(t, R, K, points):
             calls.append(next((i for i, f in enumerate(tiny.frames)
-                               if pose is f.gt_pose), None))
-            return project_points(pose, K, points)
+                               if t is f.gt_pose.t), None))
+            return project_points(t, R, K, points)
         monkeypatch.setattr(losses, "project_points", spy)
         rng = np.random.default_rng(4)
         init = [perturbed(f.gt_pose, rng, 0.1, 2.0) for f in tiny.frames]
@@ -589,7 +600,7 @@ class TestOptimizePoses:
     def test_init_count_mismatch(self, tiny):
         cfg = OptimConfig(loss_kind="posenet", epochs=1)
         with pytest.raises(InvalidInputError):
-            optimize_poses(tiny, [Pose.identity()], cfg)
+            optimize_poses(tiny, [identity_pose()], cfg)
 
     def test_warmstart_runs_pre_phase(self, tiny):
         rng = np.random.default_rng(9)
