@@ -1,6 +1,7 @@
-"""One entry point over every registered loss kind: the value and the
-closed-form gradient with respect to the pose parameters, both from the
-loss's one kernel in `losses`, plus the central finite-difference oracle."""
+"""Two entry points over every registered loss kind, both into the loss's
+one kernel in `losses`: the value alone, which skips the kernel's gradient
+block, and the value with the closed-form gradient with respect to the pose
+parameters; plus the central finite-difference oracle."""
 
 from __future__ import annotations
 
@@ -63,23 +64,24 @@ def param_count(kind: str) -> int:
     return 9 if kind == "homoscedastic" else 7
 
 
-def _dispatch(kind, params, ctx: LossContext):
+def _dispatch(kind, params, ctx: LossContext, grad: bool):
     """(value, gradient) of kind's kernel at the float parameter list, which
-    _flat_params has checked."""
+    _flat_params has checked; (value, None) when grad is false."""
     t, q = params[0:3], params[3:7]
     if kind == "posenet":
         return losses._posenet_core(t, q, ctx.gt, ctx.unit_gt_q,
-                                    ctx.hyper.beta)
+                                    ctx.hyper.beta, grad)
     if kind == "homoscedastic":
         return losses._homoscedastic_core(t, q, params[7], params[8], ctx.gt,
-                                          ctx.unit_gt_q)
+                                          ctx.unit_gt_q, grad)
     if kind == "geometric":
         return losses._geometric_core(t, q, ctx.gt_uv, ctx.points,
-                                      ctx.intrinsics, ctx.hyper.reproj_clip)
+                                      ctx.intrinsics, ctx.hyper.reproj_clip,
+                                      grad)
     if kind == "maxerror":
         return losses._maxerror_core(t, q, ctx.gt, ctx.unit_gt_q,
-                                     ctx.hyper.quat_reg_weight)
-    return losses._homography_core(t, q, ctx.homography)  # both slab modes
+                                     ctx.hyper.quat_reg_weight, grad)
+    return losses._homography_core(t, q, ctx.homography, grad)  # both slabs
 
 
 def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
@@ -106,9 +108,10 @@ def _flat_params(kind, est, ctx):
 
 def loss_value(kind: str, est, ctx: LossContext) -> float:
     """The loss at est, a Pose or a flat parameter vector of length
-    param_count(kind) (evaluate_with_grad's value)."""
+    param_count(kind): evaluate_with_grad's value, bit for bit, and its
+    domain errors, from the same kernel stopped before its gradient."""
     params = _flat_params(kind, est, ctx)
-    return float(_dispatch(kind, params.tolist(), ctx)[0])
+    return float(_dispatch(kind, params.tolist(), ctx, False)[0])
 
 
 def evaluate_with_grad(kind: str, est, ctx: LossContext):
@@ -118,7 +121,7 @@ def evaluate_with_grad(kind: str, est, ctx: LossContext):
     Returns (value, gradient).
     """
     params = _flat_params(kind, est, ctx)
-    val, grad = _dispatch(kind, params.tolist(), ctx)
+    val, grad = _dispatch(kind, params.tolist(), ctx, True)
     return float(val), grad
 
 

@@ -20,7 +20,7 @@ class InvalidInputError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: identity equality
 class Pose:
     """Camera pose: world-frame position (m) and orientation quaternion."""
 

@@ -10,11 +10,13 @@ Losses:
                       error, in closed form
 
 Each loss has one kernel, _<kind>_core: it takes the estimated pose as 7
-floats (9 for the homoscedastic loss, which learns its log-variances) and
-the frame's constants, and returns the value and its closed-form gradient.
+floats (9 for the homoscedastic loss, which learns its log-variances), the
+frame's constants and a grad flag. It computes the value first, then, when
+grad is true, its closed-form gradient; with grad false it returns
+(value, None) before the gradient block, after every domain check.
 diffgrad.LossContext builds the constants once per context, and
-diffgrad.loss_value and diffgrad.evaluate_with_grad are the entry points to
-the kernels.
+diffgrad.loss_value (grad false) and diffgrad.evaluate_with_grad (grad
+true) are the entry points to the kernels.
 
 With R, t the ground-truth camera expressed in the estimated camera frame,
 the slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] is
@@ -79,7 +81,7 @@ class LossHyperParams:
             raise InvalidInputError("reproj_clip must be positive")
 
 
-# -- kernels: est pose as 7 (or 9) floats -> (value, gradient) -------------
+# -- kernels: est pose as 7 (or 9) floats -> (value, gradient or None) -----
 
 def _slab_weights(slab: SlabParams):
     """Weights (2 c1, c2 |n|^2) of cross and tsq in the closed form, with
@@ -89,20 +91,23 @@ def _slab_weights(slab: SlabParams):
     return 2.0 * c1, c2 * float(slab.n @ slab.n)
 
 
-def _posenet_core(t_est, q_est, gt: Pose, qg, beta):
+def _posenet_core(t_est, q_est, gt: Pose, qg, beta, grad):
     # Estimated quaternion enters raw; only the ground truth is normalized.
     dt = [t_est[i] - gt.t[i] for i in range(3)]
     dq = [q_est[i] - qg[i] for i in range(4)]
+    if not grad:  # the values of dual.norm2, without the gradients
+        return math.sqrt(dual.sum_squares(dt)) \
+            + beta * math.sqrt(dual.sum_squares(dq)), None
     norm_t, grad_t = dual.norm2(dt)
     norm_q, grad_q = dual.norm2(dq)
     return norm_t + beta * norm_q, np.concatenate([grad_t, beta * grad_q])
 
 
-def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose, qg):
+def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose, qg, grad):
     """Gradient w.r.t. (t, q, s_t, s_q). With u = q/|q|, dq = qg - u and
     du/dq = (I - u u^T)/|q|, the L1 quaternion term has gradient
     e^-s_q (u (u . sign(dq)) - sign(dq)) / |q|."""
-    norm, u = dual.norm2(q_est)
+    norm = math.sqrt(dual.sum_squares(q_est))
     if norm == 0.0:
         raise InvalidInputError("zero-norm estimated quaternion")
     dt = [t_est[i] - gt.t[i] for i in range(3)]
@@ -111,6 +116,9 @@ def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose, qg):
     l1_q, sign_q = dual.norm1(dq)
     w_t, w_q = math.exp(-s_t), math.exp(-s_q)
     val = l1_t * w_t + s_t + l1_q * w_q + s_q
+    if not grad:
+        return val, None
+    _, u = dual.norm2(q_est)
     grad_q = w_q * (u * (u @ sign_q) - sign_q) / norm
     return val, np.concatenate([sign_t * w_t, grad_q,
                                 [1.0 - l1_t * w_t, 1.0 - l1_q * w_q]])
@@ -126,7 +134,7 @@ def _geometric_gt_uv(gt: Pose, points, K: Intrinsics):
     return uv_gt
 
 
-def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip):
+def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip, grad):
     """Mean clipped L1 reprojection error against uv_gt, _geometric_gt_uv of
     the points. A point whose estimated depth is below DEPTH_EPS, or whose
     L1 residual d reaches the clip, contributes the clip and a zero
@@ -138,6 +146,8 @@ def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip):
     live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
     n = len(z)
     val = float(np.where(live, d, clip).sum()) / n
+    if not grad:
+        return val, None
 
     # Per live point, with x = X/Z, y = Y/Z and s the residual signs,
     # dd/dX_c = g = h / Z where h = (a, b, c) = (s_u fx, s_v fy,
@@ -159,31 +169,37 @@ def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip):
     return val, np.concatenate([grad_t, grad_q])
 
 
-def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight):
+def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight, grad):
     """With u = q/|q| and dot = u . qg, d|dot|/dq = sign(dot) (qg - dot u)
     / |q| and d acos(a)/da = -1/sqrt(1 - a^2); the regularizer has gradient
     2 reg_weight (|q| - 1) u."""
-    qn, u = dual.norm2(q_est)
+    qn = math.sqrt(dual.sum_squares(q_est))
     reg = reg_weight * (qn - 1.0) ** 2
+    d_cm = [(t_est[i] - gt.t[i]) * 100.0 for i in range(3)]
+    trans_cm = math.sqrt(dual.sum_squares(d_cm))
+    # The translation branch, unless the angle is defined and wins: at
+    # qn == 0 the angle is undefined (a degenerate attractor where only the
+    # regularizer and translation act), at |dot| >= 1 acos is clamped at 1,
+    # angle 0, its derivative taken as 0, and exact ties take translation.
+    angle = None
+    if qn != 0.0:
+        dot = sum(q_est[i] * qg[i] for i in range(4)) / qn
+        absdot = abs(dot)
+        if not absdot >= 1.0:
+            angle = math.acos(absdot) * (360.0 / math.pi)
+            if trans_cm >= angle:
+                angle = None
+    val = trans_cm + reg if angle is None else angle + reg
+    if not grad:
+        return val, None
+    _, u = dual.norm2(q_est)
     grad_reg = 2.0 * (qn - 1.0) * u * reg_weight
-    trans_cm, grad_cm = dual.norm2(
-        [(t_est[i] - gt.t[i]) * 100.0 for i in range(3)])
-    trans = trans_cm + reg, np.concatenate([100.0 * grad_cm, grad_reg])
-    if qn == 0.0:
-        # Degenerate attractor: the angle is undefined, only the regularizer
-        # and translation terms act.
-        return trans
-    dot = sum(q_est[i] * qg[i] for i in range(4)) / qn
-    absdot = abs(dot)
-    if absdot >= 1.0:
-        return trans  # acos clamped at 1, angle 0; derivative taken as 0
-    angle = math.acos(absdot) * (360.0 / math.pi)
-    # Exact ties take the translation branch.
-    if trans_cm >= angle:
-        return trans
+    if angle is None:
+        _, grad_cm = dual.norm2(d_cm)
+        return val, np.concatenate([100.0 * grad_cm, grad_reg])
     grad_angle = -1.0 / math.sqrt(1.0 - absdot * absdot) * (
         np.sign(dot) * (qg - dot * u) * (1.0 / qn)) * (360.0 / math.pi)
-    return angle + reg, np.concatenate([np.zeros(3), grad_angle + grad_reg])
+    return val, np.concatenate([np.zeros(3), grad_angle + grad_reg])
 
 
 def _homography_consts(gt: Pose, slab: SlabParams):
@@ -194,7 +210,7 @@ def _homography_consts(gt: Pose, slab: SlabParams):
             *_slab_weights(slab), gt.t.tolist())
 
 
-def _homography_core(t_est, q_est, consts):
+def _homography_core(t_est, q_est, consts, grad):
     """Closed form from the pose pair, using |t_rel| = |d| and R_e R_e^T = I:
     rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part of
     conj(q_e) * q_g, cross = d^T m with m = (R_e - R_g) n, tsq = |d|^2,
@@ -221,6 +237,8 @@ def _homography_core(t_est, q_est, consts):
          for i in range(3)]
     cross = sum(d[i] * m[i] for i in range(3))
     val = rot + k1 * cross + k2 * dual.sum_squares(d)
+    if not grad:
+        return val, None
 
     v0, v1, v2 = v
     btv = [x2 * v0 + y2 * v1 + z2 * v2,

@@ -165,18 +165,25 @@ def pct_within(est_poses, gt_poses, t_thresh: float,
 SWEEP_AXES = ("tx", "ty", "tz", "rotx", "roty", "rotz")
 
 
-def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
-    """Perturb a pose along one sweep axis. Translations are in meters,
+def _offset_params(params, axis: str, offset: float) -> np.ndarray:
+    """A copy of params (t, q first, as Pose.params and params_for lay them
+    out) perturbed along one sweep axis. Translations are in meters,
     rotations in degrees about the camera's own axis."""
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}")
     i = SWEEP_AXES.index(axis)
+    params = params.copy()
     if i < 3:
-        t = gt.t.copy()
-        t[i] += offset
-        return Pose(t, gt.q.copy())
-    dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
-    return Pose(gt.t.copy(), quat_multiply(gt.q, dq))
+        params[i] += offset
+    else:
+        dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
+        params[3:7] = quat_multiply(params[3:7], dq)
+    return params
+
+
+def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
+    """A pose perturbed along one sweep axis, as _offset_params does it."""
+    return Pose.from_params(_offset_params(gt.params(), axis, offset))
 
 
 def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
@@ -204,19 +211,20 @@ def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
     offsets = np.asarray(offsets, dtype=float)
     if len(offsets) < 2 or (axis2 is not None and len(offsets2) < 2):
         raise InvalidInputError("need at least 2 sweep steps per axis")
+    gt = diffgrad.params_for(kind, ctx.gt, ctx)
     rows = []
     for off in offsets:
-        est1 = apply_offset(ctx.gt, axis, off)
+        est1 = _offset_params(gt, axis, off)
         if axis2 is None:
             rows.append((off, _safe_value(kind, est1, ctx)))
         else:
             for off2 in np.asarray(offsets2, dtype=float):
-                est = apply_offset(est1, axis2, off2)
+                est = _offset_params(est1, axis2, off2)
                 rows.append((off, off2, _safe_value(kind, est, ctx)))
     return rows
 
 
-def _safe_value(kind, est: Pose, ctx: LossContext) -> float:
+def _safe_value(kind, est, ctx: LossContext) -> float:
     try:
         return diffgrad.loss_value(kind, est, ctx)
     except InvalidInputError:

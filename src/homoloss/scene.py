@@ -46,7 +46,7 @@ class DegenerateDepthError(InvalidInputError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: identity equality
 class Frame:
     id: str
     gt_pose: Pose
@@ -113,6 +113,16 @@ class Scene:
             a.flags.writeable = False
         return StackedFrames(counts, zero, tuple(depths), tuple(buckets))
 
+    @cached_property
+    def positive_depths(self):
+        """_sorted_positive of the stacked depths, the input of local_slabs.
+        Built on its first use, so a run without slabs never sorts; the
+        arrays are read-only."""
+        positive = _sorted_positive(self.stacked.depths)
+        for a in positive:
+            a.flags.writeable = False
+        return positive
+
 
 StackedFrames = namedtuple("StackedFrames",
                            "counts zero_gt_depth depths buckets")
@@ -134,15 +144,21 @@ class DepthSlab:
 
 # -- depths and percentiles ------------------------------------------------
 
-def _group_percentiles(groups, lo, hi):
-    """Per group of depths, in one numpy pass: the count of positive depths
-    and their lo and hi quantiles, bit for bit those of
-    np.quantile(..., method="linear"); NaN for fewer than 2 of them."""
+def _sorted_positive(groups):
+    """(values, n): the positive depths of each group, sorted within it, one
+    group after the other, and the count n of them per group."""
     flat = np.concatenate([np.zeros(0), *groups])
     group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     flat, group = flat[flat > 0], group[flat > 0]
-    flat = flat[np.lexsort((flat, group))]
-    n = np.bincount(group, minlength=len(groups))
+    return (flat[np.lexsort((flat, group))],
+            np.bincount(group, minlength=len(groups)))
+
+
+def _group_percentiles(positive, lo, hi):
+    """Per group of _sorted_positive's (values, n), in one numpy pass: the
+    count n and the lo and hi quantiles, bit for bit those of np.quantile(...,
+    method="linear") of the group's positive depths; NaN for fewer than 2."""
+    flat, n = positive
     ok = n >= 2
     m, start = n[ok], (np.cumsum(n) - n)[ok]
     virtual = (m - 1) * np.array([[lo], [hi]])  # at most m - 1 as p <= 1
@@ -150,18 +166,19 @@ def _group_percentiles(groups, lo, hi):
     a = flat[start + i.astype(np.intp)]
     b = flat[start + np.minimum(i + 1, m - 1).astype(np.intp)]
     g = virtual - i
-    bounds = np.full((2, len(groups)), np.nan)
+    bounds = np.full((2, len(n)), np.nan)
     # numpy's _lerp, which interpolates from the nearer end
     bounds[:, ok] = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
     return n, bounds
 
 
-def _slab_params(groups, lo, hi, frame_ids):
-    """SlabParams per group of depths; DegenerateDepthError for the first
-    group with fewer than 2 positive depths or with x_min >= x_max."""
+def _slab_params(positive, lo, hi, frame_ids):
+    """SlabParams per group of _sorted_positive's (values, n);
+    DegenerateDepthError for the first group with fewer than 2 positive
+    depths or with x_min >= x_max."""
     if not 0.0 <= lo < hi <= 1.0:
         raise InvalidInputError("need 0 <= lo < hi <= 1")
-    n, (x_min, x_max) = _group_percentiles(groups, lo, hi)
+    n, (x_min, x_max) = _group_percentiles(positive, lo, hi)
     for k in np.flatnonzero(~(x_min < x_max))[:1]:  # the first failing
         why = (f"needs at least 2 positive-depth points, got {n[k]}"
                if n[k] < 2 else "degenerate depth distribution, "
@@ -175,15 +192,15 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Per-frame slab bounds from each frame's own depth distribution."""
     ids = [f.id for f in scene.frames]
-    bounds = _slab_params(scene.stacked.depths, lo, hi, ids)
+    bounds = _slab_params(scene.positive_depths, lo, hi, ids)
     return DepthSlab(per_frame=dict(zip(ids, bounds)))
 
 
 def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
     """Shared slab bounds from the depths pooled over every frame."""
-    pooled = np.concatenate(scene.stacked.depths)
-    return DepthSlab(single=_slab_params([pooled], lo, hi, ["<global>"])[0])
+    pooled = _sorted_positive([np.concatenate(scene.stacked.depths)])
+    return DepthSlab(single=_slab_params(pooled, lo, hi, ["<global>"])[0])
 
 
 # -- text ingestion --------------------------------------------------------

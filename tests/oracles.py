@@ -32,7 +32,8 @@ from homoloss.geometry import (
 )
 from homoloss.losses import SlabParams, _slab_weights
 from homoloss.optim import EVAL_REPROJ_CLIP
-from homoloss.scene import DegenerateDepthError, _slab_params
+from homoloss.scene import DegenerateDepthError, _slab_params, \
+    _sorted_positive
 
 
 class InvalidDepthError(ValueError):
@@ -270,7 +271,7 @@ def slab_loop(groups, lo, hi, frame_ids):
 def percentile_bounds(depths, lo, hi, frame_id=None):
     """The library's SlabParams of one group of depths (scene._slab_params
     on a single group)."""
-    return _slab_params([depths], lo, hi, [frame_id])[0]
+    return _slab_params(_sorted_positive([depths]), lo, hi, [frame_id])[0]
 
 
 def project_points_2d(pose: Pose, K: Intrinsics, points):

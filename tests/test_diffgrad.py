@@ -17,7 +17,7 @@ from homoloss.diffgrad import (
     param_count,
     params_for,
 )
-from homoloss import losses
+from homoloss import dual, losses
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
@@ -337,6 +337,108 @@ class TestDiffScalarParity:
     def test_at_gt(self, kind):
         ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
         assert_matches_reference(kind, params_for(kind, ctx.gt, ctx), ctx)
+
+
+def value_path_case(rng, case, points_kind, max_deg):
+    """(gt, est, hyper, points) of one TestValuePath draw; see there."""
+    hyper = LossHyperParams(beta=rng.uniform(1e-2, 1e3),
+                            s_t=rng.uniform(-5, 5), s_q=rng.uniform(-5, 5),
+                            reproj_clip=rng.choice([0.5, 10.0, 1e3]),
+                            quat_reg_weight=rng.uniform(0.0, 10.0))
+    gt = random_pose(rng, scale=1.0)
+    if rng.random() < 0.5:
+        gt = Pose(gt.t, gt.q * rng.uniform(0.5, 2.0))
+    est = perturbed(gt, rng, max_t=rng.choice([1e-6, 0.3, 2.0]),
+                    max_deg=max_deg)
+    if case == "non-unit":
+        est = Pose(est.t, est.q * rng.choice([-1.0, 1.0])
+                   * rng.uniform(0.5, 2.0))
+    elif case == "gt":
+        est = gt
+    elif case == "zero q":
+        est = Pose(est.t, np.zeros(4))
+    elif case == "clamped":
+        # A gt q with one non-zero entry normalizes exactly, so any estimate
+        # q along it has |dot| = 1: maxerror's clamped angle.
+        axis = np.eye(4)[rng.integers(4)]
+        gt = Pose(gt.t, axis * rng.uniform(-2.0, 2.0))
+        est = Pose(est.t, axis * rng.uniform(-2.0, 2.0))
+    elif case == "tie":
+        # The translation error in cm equal to maxerror's angle, bit for
+        # bit, where a draw of 20 angles finds such an x offset.
+        gt = identity_pose()
+        hyper = replace(hyper, quat_reg_weight=0.0)
+        ctx = LossContext(gt=gt, hyper=hyper)
+        for _ in range(20):
+            q = quat_from_axis_angle(rng.normal(size=3),
+                                     np.radians(rng.uniform(1e-3, 90.0)))
+            angle = loss_value("maxerror", [0.0, 0.0, 0.0, *q], ctx)
+            ties = [x for x in (np.nextafter(angle / 100.0, 0.0),
+                                angle / 100.0,
+                                np.nextafter(angle / 100.0, 1.0))
+                    if x * 100.0 == angle]
+            if ties:
+                break
+        est = Pose([ties[0] if ties else angle / 100.0, 0.0, 0.0], q)
+    R = quat_to_rotmat(gt.q)
+    cam = rng.uniform([-1, -1, 2], [1, 1, 6], (12, 3))
+    if points_kind == "behind":  # both sides of the gt camera
+        cam[::2, 2] *= -1.0
+    points = cam @ R.T + gt.t
+    if points_kind == "on est plane":  # at the estimate's centre: depth 0
+        points[0] = est.t
+    elif points_kind == "at gt depth 0":
+        points[0] = gt.t
+    elif points_kind == "none":
+        points = points[:0]
+    return gt, est, hyper, points
+
+
+class TestValuePath:
+    """loss_value stops the kernel before its gradient block: the value of
+    evaluate_with_grad, by ==, and the same domain errors."""
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1),
+           case=st.sampled_from(["perturbed", "non-unit", "gt", "zero q",
+                                 "clamped", "tie"]),
+           points=st.sampled_from(["front", "behind", "on est plane",
+                                   "at gt depth 0", "none"]),
+           max_deg=st.sampled_from([1e-4, 1.0, 10.0, 90.0]),
+           x_min=st.floats(0.1, 10.0), width=st.floats(1e-2, 100.0))
+    def test_value_is_the_gradient_paths_value(self, kind, seed, case,
+                                               points, max_deg, x_min,
+                                               width):
+        rng = np.random.default_rng(seed)
+        gt, est, hyper, pts = value_path_case(rng, case, points, max_deg)
+        ctx = LossContext(
+            gt=gt, hyper=hyper, points=pts, intrinsics=K,
+            slab=SlabParams(x_min, x_min + width, rng.normal(size=3)))
+        params = params_for(kind, est, ctx)
+        try:
+            want = evaluate_with_grad(kind, params, ctx)[0]
+        except InvalidInputError as e:
+            with pytest.raises(InvalidInputError) as got:
+                loss_value(kind, params, ctx)
+            assert str(got.value) == str(e)
+            return
+        assert loss_value(kind, params, ctx) == want
+
+    @pytest.mark.parametrize("kind", ["geometric", "homography_local",
+                                      "homography_global"])
+    def test_value_skips_the_rotation_gradient(self, kind, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the value path reached rotation_grad")
+
+        rng = np.random.default_rng(9)
+        ctx = make_ctx(rng)
+        params = params_for(kind, perturbed(ctx.gt, rng, 0.2, 5.0), ctx)
+        want = evaluate_with_grad(kind, params, ctx)[0]
+        monkeypatch.setattr(dual, "rotation_grad", reached)
+        assert loss_value(kind, params, ctx) == want
+        with pytest.raises(AssertionError, match="reached rotation_grad"):
+            evaluate_with_grad(kind, params, ctx)
 
 
 # What each kind's definition ignores in the estimated q: its sign and

@@ -244,3 +244,15 @@ def test_rotmat_quat_round_trip():
 def test_invalid_input_rejected(make, message):
     with pytest.raises(InvalidInputError, match=message):
         make()
+
+
+def test_pose_equality_is_identity():
+    # Comparing numpy fields would be ambiguous, so == is identity and a
+    # pose stays hashable.
+    def make():
+        return Pose([0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0])
+    p = make()
+    assert p == p
+    assert not p == make()
+    assert p != make()
+    assert len({p, make()}) == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import identity_pose
+from homoloss import scene as scene_module
 from homoloss.geometry import InvalidInputError, Pose, quat_to_rotmat
 from homoloss.scene import (
     DegenerateDepthError,
@@ -23,6 +24,7 @@ from homoloss.scene import (
     write_pose_list,
     _group_percentiles,
     _slab_params,
+    _sorted_positive,
 )
 from oracles import frame_depths_loop, percentile_bounds, point_depth, \
     quantile_bounds, slab_loop
@@ -126,7 +128,8 @@ class TestBatchedPercentiles:
         lo, hi = p
         arrays = [np.asarray(g, dtype=float) for g in groups]
         with np.errstate(invalid="ignore"):
-            n, (x_min, x_max) = _group_percentiles(arrays, lo, hi)
+            n, (x_min, x_max) = _group_percentiles(
+                _sorted_positive(arrays), lo, hi)
             ref = [quantile_bounds(g, lo, hi) for g in arrays]
         assert n.tolist() == [r[0] for r in ref]
         # exact, with NaN equal to NaN
@@ -147,10 +150,10 @@ class TestBatchedPercentiles:
                 expected = slab_loop(arrays, lo, hi, ids)
             except DegenerateDepthError as e:
                 with pytest.raises(DegenerateDepthError) as got:
-                    _slab_params(arrays, lo, hi, ids)
+                    _slab_params(_sorted_positive(arrays), lo, hi, ids)
                 assert str(got.value) == str(e)
                 return
-            got = _slab_params(arrays, lo, hi, ids)
+            got = _slab_params(_sorted_positive(arrays), lo, hi, ids)
         assert [(s.x_min, s.x_max) for s in got] == expected
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
@@ -193,6 +196,25 @@ class TestDepths:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
+    def test_positive_depths_sorted_once_and_read_only(self, monkeypatch):
+        # Every local_slabs call on a scene reads the one sort of its
+        # positive depths.
+        sort = scene_module._sorted_positive
+        calls = []
+        monkeypatch.setattr(scene_module, "_sorted_positive",
+                            lambda groups: calls.append(1) or sort(groups))
+        scene = synth_scene(1, n_frames=3)
+        local_slabs(scene)
+        local_slabs(scene, lo=0.1, hi=0.9)
+        assert len(calls) == 1
+        values, n = scene.positive_depths
+        want = [np.sort(d[d > 0]) for d in scene.stacked.depths]
+        assert n.tolist() == [len(w) for w in want]
+        assert np.array_equal(values, np.concatenate(want))
+        for a in (values, n):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     def test_stacked_view_size_is_linear_in_visible_points(self):
         # One frame sees 5,000 points and 999 see 10: a view padded to the
         # largest count would hold about 240 MB, the buckets under 1 MB.
@@ -208,6 +230,18 @@ class TestDepths:
         visible = sum(len(f.visible) for f in frames)
         assert sum(a.nbytes for a in view_arrays(view)) <= \
             64 * visible + 64 * len(frames)
+
+
+def test_frame_equality_is_identity():
+    # Comparing the numpy fields of pose and visible would be ambiguous, so
+    # == is identity and a frame stays hashable.
+    def make():
+        return Frame("a", identity_pose(), (0, 1))
+    f = make()
+    assert f == f
+    assert not f == make()
+    assert f != make()
+    assert len({f, make()}) == 2
 
 
 class TestSlabs:

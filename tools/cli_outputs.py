@@ -19,8 +19,9 @@ The set: `optimize` for every loss kind on a synthetic scene (30 epochs)
 and on a pose/point file scene (20 epochs); `gradcheck` for every kind (20
 samples); a geometric `optimize` with a homoscedastic warm start; 1-D and
 2-D `landscape` over every kind; local `slabs` with histograms and global
-`slabs`; `eval` with points; and a geometric `optimize` on a file scene
-whose first frame has no V line.
+`slabs`; `eval` with points; and, on a file scene whose first frame has
+no V line, a geometric `optimize` and a geometric and posenet `landscape`
+of that frame, whose geometric cells are all NaN.
 """
 
 import contextlib
@@ -91,6 +92,11 @@ def runs():
         "optimize", "--poses", "../inputs/poses.txt", "--points",
         "../inputs/points_no_f000.txt", "--loss", "geometric", "--epochs",
         "20", *PERTURB, "--seed", "4"]
+    yield "landscape_files_no_v_line", [
+        "landscape", "--poses", "../inputs/poses.txt", "--points",
+        "../inputs/points_no_f000.txt", "--losses", "geometric,posenet",
+        "--frame", "0", "--axis", "roty", "--range=-10:10", "--steps", "11",
+        "--axis2", "tz", "--range2=-1:1", "--steps2", "11"]
 
 
 def run(directory, argv):
