@@ -240,8 +240,12 @@ def run_landscape(config):
     for kind in kinds:
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
+        errors = []
         rows = landscape_sweep(kind, ctx, config["axis"], offsets,
-                               axis2, offsets2)
+                               axis2, offsets2, errors)
+        if errors:
+            print(f"landscape {kind}: {len(errors)} of {len(rows)} cells are "
+                  f"NaN: {errors[0]}", file=sys.stderr)
         header = "offset,offset2,loss_value" if axis2 \
             else "offset,loss_value"
         _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header, rows)

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .geometry import quat_multiply
-
 
 def sum_squares(vec):
     """Sum of squares, accumulated left to right (loss values depend on the
@@ -49,6 +47,14 @@ def rotation_grad(q, g):
     gradient w.r.t. a body rotation w of q is g: a change dq turns the frame
     by w = 2 vec(conj(q) dq) / |q|^2, so the gradient is 2 q * (0, g) / |q|^2
     (quaternion product), orthogonal to q since scaling q does not rotate.
+    Returned as 4 floats; the product keeps geometry.quat_multiply's terms
+    and their order, the zero ones too (they decide signed zeros).
     """
-    q = np.asarray(q, dtype=float)
-    return quat_multiply(q, [0.0, *g]) * (2.0 / (q @ q))
+    w, x, y, z = q
+    gx, gy, gz = g
+    qa = np.asarray(q, dtype=float)
+    s = float(2.0 / (qa @ qa))
+    return ((w * 0.0 - x * gx - y * gy - z * gz) * s,
+            (w * gx + x * 0.0 + y * gz - z * gy) * s,
+            (w * gy - x * gz + y * 0.0 + z * gx) * s,
+            (w * gz + x * gy - y * gx + z * 0.0) * s)

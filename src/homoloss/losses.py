@@ -50,7 +50,7 @@ from .geometry import (
 DEFAULT_PLANE_NORMAL = np.array([0.0, 0.0, -1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy field: identity equality
 class SlabParams:
     """Plane normal and depth bounds of the homography slab."""
 
@@ -165,7 +165,7 @@ def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip, grad):
     gx_sum = np.array([(b - c * y).sum(), (c * x - a).sum(),
                        (a * y - b * x).sum()])
     grad_t = -R @ g_sum / n
-    grad_q = dual.rotation_grad(q_est, gx_sum) / n
+    grad_q = np.array(dual.rotation_grad(q_est, gx_sum.tolist())) / n
     return val, np.concatenate([grad_t, grad_q])
 
 
@@ -183,7 +183,8 @@ def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight, grad):
     # angle 0, its derivative taken as 0, and exact ties take translation.
     angle = None
     if qn != 0.0:
-        dot = sum(q_est[i] * qg[i] for i in range(4)) / qn
+        dot = (0 + q_est[0] * qg[0] + q_est[1] * qg[1] + q_est[2] * qg[2]
+               + q_est[3] * qg[3]) / qn
         absdot = abs(dot)
         if not absdot >= 1.0:
             angle = math.acos(absdot) * (360.0 / math.pi)
@@ -203,10 +204,12 @@ def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight, grad):
 
 
 def _homography_consts(gt: Pose, slab: SlabParams):
-    """_homography_core's constants of a gt pose and slab, as floats: gt q, its
-    rotmat_elems and sum of squares, the normal, _slab_weights and gt t."""
+    """_homography_core's constants of a gt pose and slab, as floats: gt q,
+    its rotation matrix row by row and sum of squares, the normal,
+    _slab_weights and gt t."""
     q_gt = gt.q.tolist()
-    return (q_gt, rotmat_elems(q_gt), dual.sum_squares(q_gt), slab.n.tolist(),
+    R_g = [r for row in rotmat_elems(q_gt) for r in row]
+    return (q_gt, R_g, dual.sum_squares(q_gt), slab.n.tolist(),
             *_slab_weights(slab), gt.t.tolist())
 
 
@@ -222,35 +225,53 @@ def _homography_core(t_est, q_est, consts, grad):
     - 2 rot q_e / |q_e|^2; dL/dt_est = -k1 m - 2 k2 d; a body rotation w of
     the estimate changes d^T R_e n by w . (n x R_e^T d).
     """
-    (w2, x2, y2, z2), R_g, qq_g, n, k1, k2, t_gt = consts
-    R_e = rotmat_elems(q_est)  # normalizes internally
+    ((w2, x2, y2, z2), (g00, g01, g02, g10, g11, g12, g20, g21, g22), qq_g,
+     (n0, n1, n2), k1, k2, (tg0, tg1, tg2)) = consts
+    # Plain floats, in the operation order of geometry.rotmat_elems and of
+    # sum() (its int start kept as 0 +), so that every bit of the value and
+    # gradient, signed zeros too, is that of the nested-list form.
     w1, x1, y1, z1 = q_est
-    v = [
-        (w1 * x2 - x1 * w2) + (z1 * y2 - y1 * z2),
-        (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2),
-        (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2),
-    ]
-    qq_e = dual.sum_squares(q_est)
-    rot = 8.0 * dual.sum_squares(v) / (qq_e * qq_g)
-    d = [t_gt[i] - t_est[i] for i in range(3)]
-    m = [sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
-         for i in range(3)]
-    cross = sum(d[i] * m[i] for i in range(3))
-    val = rot + k1 * cross + k2 * dual.sum_squares(d)
+    ww, xx, yy, zz = w1 * w1, x1 * x1, y1 * y1, z1 * z1
+    qq_e = ww + xx + yy + zz
+    if qq_e == 0.0:
+        raise InvalidInputError("zero-norm quaternion")
+    inv = 1.0 / qq_e  # R_e = rotmat_elems(q_est), normalized
+    xy, xz, yz = x1 * y1, x1 * z1, y1 * z1
+    wx, wy, wz = w1 * x1, w1 * y1, w1 * z1
+    e00 = (ww + xx - yy - zz) * inv
+    e01 = 2.0 * (xy - wz) * inv
+    e02 = 2.0 * (xz + wy) * inv
+    e10 = 2.0 * (xy + wz) * inv
+    e11 = (ww - xx + yy - zz) * inv
+    e12 = 2.0 * (yz - wx) * inv
+    e20 = 2.0 * (xz - wy) * inv
+    e21 = 2.0 * (yz + wx) * inv
+    e22 = (ww - xx - yy + zz) * inv
+    v0 = (w1 * x2 - x1 * w2) + (z1 * y2 - y1 * z2)
+    v1 = (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2)
+    v2 = (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2)
+    rot = 8.0 * (v0 * v0 + v1 * v1 + v2 * v2) / (qq_e * qq_g)
+    d0, d1, d2 = tg0 - t_est[0], tg1 - t_est[1], tg2 - t_est[2]
+    m0 = 0 + (e00 - g00) * n0 + (e01 - g01) * n1 + (e02 - g02) * n2
+    m1 = 0 + (e10 - g10) * n0 + (e11 - g11) * n1 + (e12 - g12) * n2
+    m2 = 0 + (e20 - g20) * n0 + (e21 - g21) * n1 + (e22 - g22) * n2
+    cross = 0 + d0 * m0 + d1 * m1 + d2 * m2
+    val = rot + k1 * cross + k2 * (d0 * d0 + d1 * d1 + d2 * d2)
     if not grad:
         return val, None
 
-    v0, v1, v2 = v
-    btv = [x2 * v0 + y2 * v1 + z2 * v2,
-           -w2 * v0 + z2 * v1 - y2 * v2,
-           -z2 * v0 - w2 * v1 + x2 * v2,
-           y2 * v0 - x2 * v1 - w2 * v2]
-    p = [sum(R_e[i][j] * d[i] for i in range(3)) for j in range(3)]
-    body = [n[1] * p[2] - n[2] * p[1],
-            n[2] * p[0] - n[0] * p[2],
-            n[0] * p[1] - n[1] * p[0]]
-    a, b = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e
-    grad_q = np.array([a * btv[k] - b * q_est[k] for k in range(4)]) \
-        + k1 * dual.rotation_grad(q_est, body)
-    grad_t = [-k1 * m[i] - 2.0 * k2 * d[i] for i in range(3)]
-    return val, np.concatenate([grad_t, grad_q])
+    p0 = 0 + e00 * d0 + e10 * d1 + e20 * d2
+    p1 = 0 + e01 * d0 + e11 * d1 + e21 * d2
+    p2 = 0 + e02 * d0 + e12 * d1 + e22 * d2
+    r0, r1, r2, r3 = dual.rotation_grad(
+        q_est, [n1 * p2 - n2 * p1, n2 * p0 - n0 * p2, n0 * p1 - n1 * p0])
+    a, b, two_k2 = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e, 2.0 * k2
+    return val, np.array([
+        -k1 * m0 - two_k2 * d0,
+        -k1 * m1 - two_k2 * d1,
+        -k1 * m2 - two_k2 * d2,
+        a * (x2 * v0 + y2 * v1 + z2 * v2) - b * w1 + k1 * r0,
+        a * (-w2 * v0 + z2 * v1 - y2 * v2) - b * x1 + k1 * r1,
+        a * (-z2 * v0 - w2 * v1 + x2 * v2) - b * y1 + k1 * r2,
+        a * (y2 * v0 - x2 * v1 - w2 * v2) - b * z1 + k1 * r3,
+    ])

@@ -200,12 +200,13 @@ def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
 
 
 def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
-                    axis2: str = None, offsets2=None):
+                    axis2: str = None, offsets2=None, errors: list = None):
     """Values of one loss kind over a 1-D or 2-D grid of pose offsets
     around ctx.gt, at least 2 per axis.
 
     Returns the rows (offset[, offset2], value); a cell whose evaluation
-    raises InvalidInputError records a NaN value; any other exception
+    raises InvalidInputError records a NaN value, and its message is
+    appended to errors when a list is given; any other exception
     propagates.
     """
     offsets = np.asarray(offsets, dtype=float)
@@ -216,18 +217,20 @@ def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
     for off in offsets:
         est1 = _offset_params(gt, axis, off)
         if axis2 is None:
-            rows.append((off, _safe_value(kind, est1, ctx)))
+            rows.append((off, _safe_value(kind, est1, ctx, errors)))
         else:
             for off2 in np.asarray(offsets2, dtype=float):
                 est = _offset_params(est1, axis2, off2)
-                rows.append((off, off2, _safe_value(kind, est, ctx)))
+                rows.append((off, off2, _safe_value(kind, est, ctx, errors)))
     return rows
 
 
-def _safe_value(kind, est, ctx: LossContext) -> float:
+def _safe_value(kind, est, ctx: LossContext, errors) -> float:
     try:
         return diffgrad.loss_value(kind, est, ctx)
-    except InvalidInputError:
+    except InvalidInputError as e:
+        if errors is not None:
+            errors.append(str(e))
         return float("nan")
 
 

@@ -61,7 +61,7 @@ class Frame:
         object.__setattr__(self, "visible", visible)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: identity equality
 class Scene:
     points: np.ndarray  # (N, 3) world points, meters
     frames: tuple

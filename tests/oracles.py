@@ -12,7 +12,8 @@ kernel replaced, the DiffScalar value and gradient of every loss kind, and
 the per-frame np.quantile slab estimation that the batched percentile
 routine replaced, the library's slab bounds of one group of depths, and
 the per-frame projection, gt depths and reprojection metric that the
-scene's stacked view replaced.
+scene's stacked view replaced, and the nested-list homography kernel and
+array-form rotation gradient that the plain-float ones replaced.
 """
 
 import math
@@ -27,9 +28,12 @@ from homoloss.geometry import (
     Intrinsics,
     Pose,
     project_points,
+    quat_multiply,
     quat_to_rotmat,
+    rotmat_elems,
     rotmat_to_quat,
 )
+from homoloss.dual import sum_squares
 from homoloss.losses import SlabParams, _slab_weights
 from homoloss.optim import EVAL_REPROJ_CLIP
 from homoloss.scene import DegenerateDepthError, _slab_params, \
@@ -322,3 +326,49 @@ def mean_reproj_distance_loop(est_poses, scene,
             "mean reprojection distance needs a frame with visible points"
         )
     return float(np.mean(per_frame))
+
+
+def rotation_grad_array(q, g):
+    """dual.rotation_grad as a quaternion product of arrays, 2 q * (0, g)
+    / |q|^2."""
+    q = np.asarray(q, dtype=float)
+    return quat_multiply(q, [0.0, *g]) * (2.0 / (q @ q))
+
+
+def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad):
+    """losses._homography_core over nested lists, sum() reductions and small
+    arrays, its constants built from gt and slab."""
+    w2, x2, y2, z2 = q_gt = gt.q.tolist()
+    R_g, qq_g, n = rotmat_elems(q_gt), sum_squares(q_gt), slab.n.tolist()
+    (k1, k2), t_gt = _slab_weights(slab), gt.t.tolist()
+    R_e = rotmat_elems(q_est)
+    w1, x1, y1, z1 = q_est
+    v = [
+        (w1 * x2 - x1 * w2) + (z1 * y2 - y1 * z2),
+        (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2),
+        (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2),
+    ]
+    qq_e = sum_squares(q_est)
+    rot = 8.0 * sum_squares(v) / (qq_e * qq_g)
+    d = [t_gt[i] - t_est[i] for i in range(3)]
+    m = [sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
+         for i in range(3)]
+    cross = sum(d[i] * m[i] for i in range(3))
+    val = rot + k1 * cross + k2 * sum_squares(d)
+    if not grad:
+        return val, None
+
+    v0, v1, v2 = v
+    btv = [x2 * v0 + y2 * v1 + z2 * v2,
+           -w2 * v0 + z2 * v1 - y2 * v2,
+           -z2 * v0 - w2 * v1 + x2 * v2,
+           y2 * v0 - x2 * v1 - w2 * v2]
+    p = [sum(R_e[i][j] * d[i] for i in range(3)) for j in range(3)]
+    body = [n[1] * p[2] - n[2] * p[1],
+            n[2] * p[0] - n[0] * p[2],
+            n[0] * p[1] - n[1] * p[0]]
+    a, b = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e
+    grad_q = np.array([a * btv[k] - b * q_est[k] for k in range(4)]) \
+        + k1 * rotation_grad_array(q_est, body)
+    grad_t = [-k1 * m[i] - 2.0 * k2 * d[i] for i in range(3)]
+    return val, np.concatenate([grad_t, grad_q])

@@ -122,6 +122,38 @@ class TestLandscape:
         assert main(landscape_args(out, **{"--frame": frame})) == 2
         assert "scene of 8 frames" in capsys.readouterr().err
 
+    def test_nan_cells_reported_on_stderr(self, tmp_path, capsys):
+        # Frame f0 has no visible points, so every geometric cell raises and
+        # is NaN; posenet needs no points. The exit code stays 0.
+        poses = str(tmp_path / "poses.txt")
+        pts = str(tmp_path / "pts.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [("f0", identity_pose()),
+                                ("f1", Pose([1.0, 0.0, 0.0],
+                                            [1.0, 0.0, 0.0, 0.0]))])
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
+                         {"f1": (0, 1)})
+        out = str(tmp_path / "o")
+        argv = ["landscape", "--poses", poses, "--points", pts,
+                "--losses", "geometric,posenet", "--axis", "tx",
+                "--range=-1:1", "--steps", "5", "--axis2", "roty",
+                "--range2=-10:10", "--steps2", "3", "--out", out]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "landscape geometric: 15 of 15 cells are NaN: geometric loss "
+            "needs a non-empty point set"]
+        rows = read(os.path.join(out, "landscape_geometric.csv")).splitlines()
+        assert len(rows) == 16
+        assert all(r.endswith(",nan") for r in rows[1:])
+        rows = read(os.path.join(out, "landscape_posenet.csv")).splitlines()
+        assert not any("nan" in r for r in rows)
+
+    def test_no_stderr_without_nan_cells(self, tmp_path, capsys):
+        assert main(landscape_args(str(tmp_path / "o"),
+                                   **{"--steps": "5"})) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestGradcheck:
     def base(self, out, loss="homography", extra=()):

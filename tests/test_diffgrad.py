@@ -441,6 +441,21 @@ class TestValuePath:
             evaluate_with_grad(kind, params, ctx)
 
 
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_kernels_call_no_builtin_sum(kind, monkeypatch):
+    # From CPython 3.12 sum() of floats is compensated, so a kernel that
+    # used it would change its bits with the Python version.
+    def builtin_sum(*args):
+        raise AssertionError("a kernel called sum()")
+
+    rng = np.random.default_rng(10)
+    ctx = make_ctx(rng)
+    params = params_for(kind, perturbed(ctx.gt, rng, 0.2, 5.0), ctx)
+    monkeypatch.setattr(losses, "sum", builtin_sum, raising=False)
+    loss_value(kind, params, ctx)
+    evaluate_with_grad(kind, params, ctx)
+
+
 # What each kind's definition ignores in the estimated q: its sign and
 # scale when the loss uses only the rotation R(q), the scale when it uses
 # q/|q|, the sign when it uses |q| and |q . q_gt|. Posenet uses q itself.

@@ -4,12 +4,13 @@ value-and-gradient primitives (homoloss.dual)."""
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import diffscalar
 from diffscalar import DiffScalar
 from homoloss import dual
 from homoloss.geometry import quat_to_rotmat
+from oracles import rotation_grad_array
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero = finite.filter(lambda x: abs(x) > 1e-6)
@@ -148,3 +149,20 @@ def test_rotation_grad_matches_finite_differences():
                      - a @ quat_to_rotmat(q - e) @ b) / 2e-6
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
         assert abs(grad @ q) < 1e-12 * np.linalg.norm(grad) * np.linalg.norm(q)
+
+
+entry = st.one_of(st.just(0.0), st.just(-0.0), finite)
+
+
+@settings(max_examples=300)
+@given(st.tuples(entry, entry, entry, entry).filter(any),
+       st.tuples(entry, entry, entry))
+def test_rotation_grad_is_the_array_form(q, g):
+    # 4 floats equal, sign bits too, to the product of arrays it replaced;
+    # 2 / |q|^2 overflows where |q|^2 underflows
+    with np.errstate(all="ignore"):
+        got = dual.rotation_grad(list(q), list(g))
+        want = rotation_grad_array(q, g)
+    assert len(got) == 4 and all(type(x) is float for x in got)
+    np.testing.assert_array_equal(got, want)
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()

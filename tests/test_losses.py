@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import identity_pose, perturbed, random_pose, random_rotation
-from homoloss import geometry
+from homoloss import geometry, losses
 from homoloss.diffgrad import (
     LossContext,
     evaluate_with_grad,
@@ -26,6 +27,7 @@ from oracles import (
     RelativePose,
     geometric_loop,
     homography,
+    homography_core_nested,
     homography_loss_closed,
     homography_loss_numeric,
     relative_pose,
@@ -408,3 +410,71 @@ def test_pose_level_homography_loss_matches_relative_form():
         via_pose = loss("homography_local", est, gt, slab=slab)
         via_rel = homography_loss_closed(relative_pose(gt, est), slab)
         assert via_pose == pytest.approx(via_rel, rel=1e-12, abs=1e-12)
+
+
+def bits(x):
+    """Values with their sign bits, so that == tells -0.0 from 0.0."""
+    x = np.asarray(x, dtype=float)
+    return x.tolist(), np.signbit(x).tolist()
+
+
+class TestHomographyKernel:
+    """The plain-float kernel against the nested-list form it replaced
+    (oracles.homography_core_nested): the same value, gradient and sign
+    bits by ==, and the same domain error."""
+
+    # zero entries of either sign in the normal, so that signed zeros
+    # reach the products of m and of the body gradient
+    normal_entry = st.one_of(st.just(0.0), st.just(-0.0),
+                             st.floats(-3.0, 3.0))
+
+    @settings(deadline=None, max_examples=1000)
+    @given(seed=st.integers(0, 2**32 - 1),
+           gt_kind=st.sampled_from(["unit", "non-unit"]),
+           case=st.sampled_from(["perturbed", "gt", "-gt", "sign-flipped",
+                                 "non-unit", "zero q"]),
+           max_t=st.sampled_from([1e-6, 1e-3, 0.3, 3.0]),
+           max_deg=st.sampled_from([1e-5, 1e-2, 1.0, 30.0, 120.0]),
+           x_min=st.floats(0.1, 10.0), width=st.floats(1e-2, 100.0),
+           n=st.tuples(normal_entry, normal_entry, normal_entry),
+           zero_t=st.booleans())
+    def test_matches_the_nested_list_form(self, seed, gt_kind, case, max_t,
+                                          max_deg, x_min, width, n, zero_t):
+        rng = np.random.default_rng(seed)
+        gt = random_pose(rng, scale=1.0)
+        if zero_t:  # exact zeros in gt t, and in t_est where est == gt
+            gt = Pose(np.where(rng.random(3) < 0.5, 0.0, gt.t), gt.q)
+        if gt_kind == "non-unit":
+            gt = Pose(gt.t, gt.q * rng.uniform(0.2, 5.0))
+        est = perturbed(gt, rng, max_t=max_t, max_deg=max_deg)
+        if case == "gt":
+            est = gt
+        elif case == "-gt":
+            est = Pose(gt.t, -gt.q)
+        elif case == "sign-flipped":
+            est = Pose(est.t, -est.q)
+        elif case == "non-unit":
+            est = Pose(est.t, est.q * rng.choice([-1.0, 1.0])
+                       * rng.uniform(0.2, 5.0))
+        elif case == "zero q":
+            est = Pose(est.t, np.zeros(4))
+        slab = SlabParams(x_min, x_min + width, n)
+        t, q = est.t.tolist(), est.q.tolist()
+        consts = losses._homography_consts(gt, slab)
+        for grad in (False, True):
+            try:
+                want_val, want_grad = homography_core_nested(t, q, gt, slab,
+                                                             grad)
+            except InvalidInputError as e:
+                with pytest.raises(InvalidInputError) as got:
+                    losses._homography_core(t, q, consts, grad)
+                assert str(got.value) == str(e)
+                continue
+            val, g = losses._homography_core(t, q, consts, grad)
+            assert type(val) is float
+            assert bits(val) == bits(want_val)
+            if grad:
+                assert g.dtype == want_grad.dtype and g.shape == (7,)
+                assert bits(g) == bits(want_grad)
+            else:
+                assert g is None and want_grad is None

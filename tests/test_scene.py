@@ -8,8 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import identity_pose
 from homoloss import scene as scene_module
 from homoloss.geometry import InvalidInputError, Pose, quat_to_rotmat
+from homoloss.losses import SlabParams
 from homoloss.scene import (
     DegenerateDepthError,
+    DepthSlab,
     Frame,
     ParseError,
     Scene,
@@ -242,6 +244,18 @@ def test_frame_equality_is_identity():
     assert not f == make()
     assert f != make()
     assert len({f, make()}) == 2
+
+
+def test_scene_and_slab_equality_is_identity():
+    # As for frames: == on the numpy fields would raise, so it is identity.
+    a = synth_scene(0, n_frames=2)
+    assert a == a
+    assert not synth_scene(0) == synth_scene(0)
+    assert not SlabParams(1.0, 2.0) == SlabParams(1.0, 2.0)
+    slab = SlabParams(1.0, 2.0)
+    assert DepthSlab(single=slab) == DepthSlab(single=slab)
+    assert DepthSlab(per_frame={"a": SlabParams(1.0, 2.0)}) \
+        != DepthSlab(per_frame={"a": SlabParams(1.0, 2.0)})
 
 
 class TestSlabs:
