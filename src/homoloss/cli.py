@@ -211,8 +211,9 @@ def _parse_range(text):
 
 def _pct_rows(est_poses, gt_poses):
     """(pct_<t>m_<r>deg, fraction within) per outdoor and indoor pair."""
-    return [(f"pct_{t:g}m_{r:g}deg", pct_within(est_poses, gt_poses, t, r))
-            for t, r in OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS]
+    pairs = OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS
+    return [(f"pct_{t:g}m_{r:g}deg", frac) for (t, r), frac
+            in zip(pairs, pct_within(est_poses, gt_poses, pairs))]
 
 
 # -- commands --------------------------------------------------------------
@@ -348,11 +349,12 @@ def run_slabs(config):
     rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
     _write_csv(os.path.join(out, "slabs.csv"), "frame_id,x_min,x_max", rows)
     if config["hist"]:
-        for frame, depths in zip(scene.frames, scene.stacked.depths):
-            depths = np.sort(depths)
+        values, n = scene.positive_depths
+        for frame, depths in zip(scene.frames,
+                                 np.split(values, np.cumsum(n)[:-1])):
             _write_csv(os.path.join(out, f"hist_{frame.id}.csv"),
                        "depth,cumulative_count",
-                       ((d, i) for i, d in enumerate(depths[depths > 0], 1)))
+                       ((d, i) for i, d in enumerate(depths, 1)))
     _write_manifest(out, "slabs", config)
     print(f"wrote slab table ({len(rows)} row(s)) to {out}")
     return 0

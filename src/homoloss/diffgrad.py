@@ -5,55 +5,26 @@ parameters; plus the central finite-difference oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
 from . import losses
-from .geometry import InvalidInputError, Intrinsics, Pose
-from .losses import LossHyperParams, SlabParams
+from .geometry import InvalidInputError, Pose
+from .losses import LossContext
 
 REL_ERR_FLOOR = 1e-8  # denominator floor for relative gradient comparison
 
-LOSS_KINDS = (
-    "posenet",
-    "homoscedastic",
-    "geometric",
-    "maxerror",
-    "homography_local",
-    "homography_global",
-)
+# kind -> name of its kernel in losses, looked up on every call, so that a
+# function set on losses in its place is what runs
+_KERNELS = {
+    "posenet": "_posenet_core",
+    "homoscedastic": "_homoscedastic_core",
+    "geometric": "_geometric_core",
+    "maxerror": "_maxerror_core",
+    "homography_local": "_homography_core",
+    "homography_global": "_homography_core",
+}
+LOSS_KINDS = tuple(_KERNELS)
 HOMOGRAPHY_KINDS = ("homography_local", "homography_global")
-
-
-@dataclass(frozen=True)
-class LossContext:
-    """Everything a loss needs besides the estimated pose parameters, and the
-    kernels' constants, each built when a kind first needs it and then reused.
-    Frozen, so that no constant goes stale: change a field by a new context."""
-
-    gt: Pose
-    hyper: LossHyperParams = field(default_factory=LossHyperParams)
-    points: np.ndarray = None      # (N, 3) world points visible in the frame
-    intrinsics: Intrinsics = None
-    slab: SlabParams = None
-
-    @cached_property
-    def unit_gt_q(self) -> np.ndarray:
-        """The target quaternion of posenet, homoscedastic and maxerror."""
-        return self.gt.q / np.linalg.norm(self.gt.q)
-
-    @cached_property
-    def gt_uv(self) -> np.ndarray:
-        """The geometric kernel's gt projection of the points; a failed check
-        raises InvalidInputError and caches nothing, so it raises each time."""
-        return losses._geometric_gt_uv(self.gt, self.points, self.intrinsics)
-
-    @cached_property
-    def homography(self) -> tuple:
-        """The gt and slab constants of the homography kernel."""
-        return losses._homography_consts(self.gt, self.slab)
 
 
 def param_count(kind: str) -> int:
@@ -67,21 +38,7 @@ def param_count(kind: str) -> int:
 def _dispatch(kind, params, ctx: LossContext, grad: bool):
     """(value, gradient) of kind's kernel at the float parameter list, which
     _flat_params has checked; (value, None) when grad is false."""
-    t, q = params[0:3], params[3:7]
-    if kind == "posenet":
-        return losses._posenet_core(t, q, ctx.gt, ctx.unit_gt_q,
-                                    ctx.hyper.beta, grad)
-    if kind == "homoscedastic":
-        return losses._homoscedastic_core(t, q, params[7], params[8], ctx.gt,
-                                          ctx.unit_gt_q, grad)
-    if kind == "geometric":
-        return losses._geometric_core(t, q, ctx.gt_uv, ctx.points,
-                                      ctx.intrinsics, ctx.hyper.reproj_clip,
-                                      grad)
-    if kind == "maxerror":
-        return losses._maxerror_core(t, q, ctx.gt, ctx.unit_gt_q,
-                                     ctx.hyper.quat_reg_weight, grad)
-    return losses._homography_core(t, q, ctx.homography, grad)  # both slabs
+    return getattr(losses, _KERNELS[kind])(params, ctx, grad)
 
 
 def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:

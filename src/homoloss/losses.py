@@ -9,13 +9,13 @@ Losses:
     - homography:     slab integral of the squared Frobenius homographic
                       error, in closed form
 
-Each loss has one kernel, _<kind>_core: it takes the estimated pose as 7
-floats (9 for the homoscedastic loss, which learns its log-variances), the
-frame's constants and a grad flag. It computes the value first, then, when
-grad is true, its closed-form gradient; with grad false it returns
-(value, None) before the gradient block, after every domain check.
-diffgrad.LossContext builds the constants once per context, and
-diffgrad.loss_value (grad false) and diffgrad.evaluate_with_grad (grad
+Each loss has one kernel, _<kind>_core(p, ctx, grad): p is the estimated
+pose as 7 floats (9 for the homoscedastic loss, which learns its
+log-variances), ctx the frame's LossContext and grad a flag. It computes
+the value first, then, when grad is true, its closed-form gradient; with
+grad false it returns (value, None) before the gradient block, after every
+domain check. LossContext builds each kind's constants once per context,
+and diffgrad.loss_value (grad false) and diffgrad.evaluate_with_grad (grad
 true) are the entry points to the kernels.
 
 With R, t the ground-truth camera expressed in the estimated camera frame,
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,53 @@ class LossHyperParams:
             raise InvalidInputError("reproj_clip must be positive")
 
 
-# -- kernels: est pose as 7 (or 9) floats -> (value, gradient or None) -----
+@dataclass(frozen=True)
+class LossContext:
+    """Everything a loss needs besides the estimated pose parameters, and the
+    kernels' constants, each built when a kind first needs it and then reused.
+    Frozen, so that no constant goes stale: change a field by a new context.
+    A failed check raises InvalidInputError and caches nothing, so it raises
+    each time."""
+
+    gt: Pose
+    hyper: LossHyperParams = field(default_factory=LossHyperParams)
+    points: np.ndarray = None      # (N, 3) world points visible in the frame
+    intrinsics: Intrinsics = None
+    slab: SlabParams = None
+
+    @cached_property
+    def unit_gt_q(self) -> np.ndarray:
+        """The target quaternion of posenet, homoscedastic and maxerror."""
+        return self.gt.q / np.linalg.norm(self.gt.q)
+
+    @cached_property
+    def gt_uv(self) -> np.ndarray:
+        """The geometric kernel's gt projection of the points, non-empty, with
+        intrinsics and at non-zero gt depth."""
+        if self.points is None or len(self.points) == 0:
+            raise InvalidInputError("geometric loss needs a non-empty point set")
+        if self.intrinsics is None:
+            raise InvalidInputError("geometric loss needs camera intrinsics")
+        uv_gt, z_gt = project_points(self.gt.t, quat_to_rotmat(self.gt.q),
+                                     self.intrinsics, self.points)
+        if np.any(z_gt == 0.0):
+            raise InvalidInputError("a visible point lies at zero gt depth")
+        return uv_gt
+
+    @cached_property
+    def homography(self) -> tuple:
+        """The homography kernel's constants, as floats: gt q, its rotation
+        matrix row by row and sum of squares, the slab normal, _slab_weights
+        and gt t."""
+        if self.slab is None:
+            raise InvalidInputError("homography loss needs slab parameters")
+        q_gt = self.gt.q.tolist()
+        R_g = [r for row in rotmat_elems(q_gt) for r in row]
+        return (q_gt, R_g, dual.sum_squares(q_gt), self.slab.n.tolist(),
+                *_slab_weights(self.slab), self.gt.t.tolist())
+
+
+# -- kernels: (p, ctx, grad) -> (value, gradient or None) ------------------
 
 def _slab_weights(slab: SlabParams):
     """Weights (2 c1, c2 |n|^2) of cross and tsq in the closed form, with
@@ -91,10 +138,11 @@ def _slab_weights(slab: SlabParams):
     return 2.0 * c1, c2 * float(slab.n @ slab.n)
 
 
-def _posenet_core(t_est, q_est, gt: Pose, qg, beta, grad):
+def _posenet_core(p, ctx: LossContext, grad):
     # Estimated quaternion enters raw; only the ground truth is normalized.
-    dt = [t_est[i] - gt.t[i] for i in range(3)]
-    dq = [q_est[i] - qg[i] for i in range(4)]
+    gt_t, qg, beta = ctx.gt.t, ctx.unit_gt_q, ctx.hyper.beta
+    dt = [p[i] - gt_t[i] for i in range(3)]
+    dq = [p[3 + i] - qg[i] for i in range(4)]
     if not grad:  # the values of dual.norm2, without the gradients
         return math.sqrt(dual.sum_squares(dt)) \
             + beta * math.sqrt(dual.sum_squares(dq)), None
@@ -103,14 +151,16 @@ def _posenet_core(t_est, q_est, gt: Pose, qg, beta, grad):
     return norm_t + beta * norm_q, np.concatenate([grad_t, beta * grad_q])
 
 
-def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose, qg, grad):
+def _homoscedastic_core(p, ctx: LossContext, grad):
     """Gradient w.r.t. (t, q, s_t, s_q). With u = q/|q|, dq = qg - u and
     du/dq = (I - u u^T)/|q|, the L1 quaternion term has gradient
     e^-s_q (u (u . sign(dq)) - sign(dq)) / |q|."""
+    gt_t, qg = ctx.gt.t, ctx.unit_gt_q
+    q_est, s_t, s_q = p[3:7], p[7], p[8]
     norm = math.sqrt(dual.sum_squares(q_est))
     if norm == 0.0:
         raise InvalidInputError("zero-norm estimated quaternion")
-    dt = [t_est[i] - gt.t[i] for i in range(3)]
+    dt = [p[i] - gt_t[i] for i in range(3)]
     dq = [qg[i] - q_est[i] / norm for i in range(4)]
     l1_t, sign_t = dual.norm1(dt)
     l1_q, sign_q = dual.norm1(dq)
@@ -124,23 +174,15 @@ def _homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose, qg, grad):
                                 [1.0 - l1_t * w_t, 1.0 - l1_q * w_q]])
 
 
-def _geometric_gt_uv(gt: Pose, points, K: Intrinsics):
-    """The gt projection of the points, non-empty and at non-zero gt depth."""
-    if points is None or len(points) == 0:
-        raise InvalidInputError("geometric loss needs a non-empty point set")
-    uv_gt, z_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, points)
-    if np.any(z_gt == 0.0):
-        raise InvalidInputError("a visible point lies at zero gt depth")
-    return uv_gt
-
-
-def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip, grad):
-    """Mean clipped L1 reprojection error against uv_gt, _geometric_gt_uv of
-    the points. A point whose estimated depth is below DEPTH_EPS, or whose
-    L1 residual d reaches the clip, contributes the clip and a zero
-    gradient; sign() gives the zero subgradient at an L1 kink."""
+def _geometric_core(p, ctx: LossContext, grad):
+    """Mean clipped L1 reprojection error against ctx.gt_uv, the gt
+    projection of the points. A point whose estimated depth is below
+    DEPTH_EPS, or whose L1 residual d reaches the clip, contributes the clip
+    and a zero gradient; sign() gives the zero subgradient at an L1 kink."""
+    uv_gt, points, K = ctx.gt_uv, ctx.points, ctx.intrinsics
+    clip, q_est = ctx.hyper.reproj_clip, p[3:7]
     R = quat_to_rotmat(q_est)
-    uv, z = project_points(np.array(t_est), R, K, points)
+    uv, z = project_points(np.array(p[0:3]), R, K, points)
     res = uv - uv_gt
     d = np.abs(res).sum(axis=1)
     live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
@@ -169,13 +211,15 @@ def _geometric_core(t_est, q_est, uv_gt, points, K: Intrinsics, clip, grad):
     return val, np.concatenate([grad_t, grad_q])
 
 
-def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight, grad):
+def _maxerror_core(p, ctx: LossContext, grad):
     """With u = q/|q| and dot = u . qg, d|dot|/dq = sign(dot) (qg - dot u)
     / |q| and d acos(a)/da = -1/sqrt(1 - a^2); the regularizer has gradient
     2 reg_weight (|q| - 1) u."""
+    gt_t, qg, reg_weight = ctx.gt.t, ctx.unit_gt_q, ctx.hyper.quat_reg_weight
+    q_est = p[3:7]
     qn = math.sqrt(dual.sum_squares(q_est))
     reg = reg_weight * (qn - 1.0) ** 2
-    d_cm = [(t_est[i] - gt.t[i]) * 100.0 for i in range(3)]
+    d_cm = [(p[i] - gt_t[i]) * 100.0 for i in range(3)]
     trans_cm = math.sqrt(dual.sum_squares(d_cm))
     # The translation branch, unless the angle is defined and wins: at
     # qn == 0 the angle is undefined (a degenerate attractor where only the
@@ -203,17 +247,7 @@ def _maxerror_core(t_est, q_est, gt: Pose, qg, reg_weight, grad):
     return val, np.concatenate([np.zeros(3), grad_angle + grad_reg])
 
 
-def _homography_consts(gt: Pose, slab: SlabParams):
-    """_homography_core's constants of a gt pose and slab, as floats: gt q,
-    its rotation matrix row by row and sum of squares, the normal,
-    _slab_weights and gt t."""
-    q_gt = gt.q.tolist()
-    R_g = [r for row in rotmat_elems(q_gt) for r in row]
-    return (q_gt, R_g, dual.sum_squares(q_gt), slab.n.tolist(),
-            *_slab_weights(slab), gt.t.tolist())
-
-
-def _homography_core(t_est, q_est, consts, grad):
+def _homography_core(p, ctx: LossContext, grad):
     """Closed form from the pose pair, using |t_rel| = |d| and R_e R_e^T = I:
     rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part of
     conj(q_e) * q_g, cross = d^T m with m = (R_e - R_g) n, tsq = |d|^2,
@@ -226,11 +260,11 @@ def _homography_core(t_est, q_est, consts, grad):
     the estimate changes d^T R_e n by w . (n x R_e^T d).
     """
     ((w2, x2, y2, z2), (g00, g01, g02, g10, g11, g12, g20, g21, g22), qq_g,
-     (n0, n1, n2), k1, k2, (tg0, tg1, tg2)) = consts
+     (n0, n1, n2), k1, k2, (tg0, tg1, tg2)) = ctx.homography
     # Plain floats, in the operation order of geometry.rotmat_elems and of
     # sum() (its int start kept as 0 +), so that every bit of the value and
     # gradient, signed zeros too, is that of the nested-list form.
-    w1, x1, y1, z1 = q_est
+    t0, t1, t2, w1, x1, y1, z1 = p
     ww, xx, yy, zz = w1 * w1, x1 * x1, y1 * y1, z1 * z1
     qq_e = ww + xx + yy + zz
     if qq_e == 0.0:
@@ -251,7 +285,7 @@ def _homography_core(t_est, q_est, consts, grad):
     v1 = (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2)
     v2 = (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2)
     rot = 8.0 * (v0 * v0 + v1 * v1 + v2 * v2) / (qq_e * qq_g)
-    d0, d1, d2 = tg0 - t_est[0], tg1 - t_est[1], tg2 - t_est[2]
+    d0, d1, d2 = tg0 - t0, tg1 - t1, tg2 - t2
     m0 = 0 + (e00 - g00) * n0 + (e01 - g01) * n1 + (e02 - g02) * n2
     m1 = 0 + (e10 - g10) * n0 + (e11 - g11) * n1 + (e12 - g12) * n2
     m2 = 0 + (e20 - g20) * n0 + (e21 - g21) * n1 + (e22 - g22) * n2
@@ -264,7 +298,7 @@ def _homography_core(t_est, q_est, consts, grad):
     p1 = 0 + e01 * d0 + e11 * d1 + e21 * d2
     p2 = 0 + e02 * d0 + e12 * d1 + e22 * d2
     r0, r1, r2, r3 = dual.rotation_grad(
-        q_est, [n1 * p2 - n2 * p1, n2 * p0 - n0 * p2, n0 * p1 - n1 * p0])
+        p[3:7], [n1 * p2 - n2 * p1, n2 * p0 - n0 * p2, n0 * p1 - n1 * p0])
     a, b, two_k2 = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e, 2.0 * k2
     return val, np.array([
         -k1 * m0 - two_k2 * d0,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffgrad
-from .diffgrad import HOMOGRAPHY_KINDS, LossContext, param_count
+from .diffgrad import HOMOGRAPHY_KINDS, param_count
 from .geometry import (
     DEPTH_EPS,
     InvalidInputError,
@@ -20,7 +20,7 @@ from .geometry import (
     quat_multiply,
     quat_to_rotmat,
 )
-from .losses import LossHyperParams
+from .losses import LossContext, LossHyperParams
 from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
@@ -144,20 +144,18 @@ def mean_reproj_distance(est_poses, scene: Scene,
     return float(np.mean(means[seen]))
 
 
-def pct_within(est_poses, gt_poses, t_thresh: float,
-               r_thresh: float) -> float:
-    """Fraction of frames with translation error <= t_thresh (m) and rotation
-    error <= r_thresh (deg). Exactly-at-threshold counts as within."""
+def pct_within(est_poses, gt_poses, thresholds) -> list:
+    """Per (t_thresh, r_thresh) pair of thresholds, the fraction of frames
+    with translation error <= t_thresh (m) and rotation error <= r_thresh
+    (deg). Exactly-at-threshold counts as within. Each frame's errors are
+    computed once, whatever the number of pairs."""
     if len(est_poses) != len(gt_poses) or not est_poses:
         raise InvalidInputError(f"need one estimate per gt pose and at least "
                                 f"one: {len(est_poses)} vs {len(gt_poses)}")
-    ok = 0
-    for est, gt in zip(est_poses, gt_poses):
-        dt = float(np.linalg.norm(est.t - gt.t))
-        dr = angle_between(est.q, gt.q)
-        if dt <= t_thresh and dr <= r_thresh:
-            ok += 1
-    return ok / len(est_poses)
+    errs = [(float(np.linalg.norm(est.t - gt.t)), angle_between(est.q, gt.q))
+            for est, gt in zip(est_poses, gt_poses)]
+    return [sum(dt <= t and dr <= r for dt, dr in errs) / len(errs)
+            for t, r in thresholds]
 
 
 # -- pose perturbation and sweeps ------------------------------------------

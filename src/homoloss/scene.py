@@ -115,9 +115,9 @@ class Scene:
 
     @cached_property
     def positive_depths(self):
-        """_sorted_positive of the stacked depths, the input of local_slabs.
-        Built on its first use, so a run without slabs never sorts; the
-        arrays are read-only."""
+        """_sorted_positive of the stacked depths, the input of local_slabs
+        and of the `slabs --hist` tables. Built on its first use, so a run
+        without them never sorts; the arrays are read-only."""
         positive = _sorted_positive(self.stacked.depths)
         for a in positive:
             a.flags.writeable = False
@@ -129,7 +129,7 @@ StackedFrames = namedtuple("StackedFrames",
 Bucket = namedtuple("Bucket", "rows points gt_uv")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # dict field: identity equality and hash
 class DepthSlab:
     """Per-frame (local, per_frame set) or shared (global) slab bounds."""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_pose
-from homoloss import diffgrad
+from homoloss import cli, diffgrad, optim
 from homoloss.cli import main
 from homoloss.geometry import Pose, quat_normalize
 from homoloss.optim import apply_offset
@@ -440,6 +440,21 @@ class TestEval:
         table = dict(r.split(",") for r in lines[1:])
         assert float(table["pct_2m_2deg"]) == 0.5
         assert float(table["pct_3m_5deg"]) == 0.5
+
+    def test_pct_rows_compute_each_frames_errors_once(self, monkeypatch):
+        # One angle_between per frame for the whole table, not one per
+        # frame and threshold pair.
+        angle, calls = optim.angle_between, []
+        monkeypatch.setattr(optim, "angle_between",
+                            lambda a, b: calls.append(1) or angle(a, b))
+        rng = np.random.default_rng(3)
+        gt = [f.gt_pose for f in synth_scene(0).frames]
+        est = [optim.perturb_pose(p, rng, 3.0, 6.0) for p in gt]
+        rows = cli._pct_rows(est, gt)
+        assert len(calls) == len(gt)
+        assert [frac for _, frac in rows] == [
+            optim.pct_within(est, gt, [pair])[0]
+            for pair in optim.OUTDOOR_THRESHOLDS + optim.INDOOR_THRESHOLDS]
 
     def test_with_points_reports_mrd(self, tmp_path):
         gt_path, est_path = self.write_scene_files(tmp_path)

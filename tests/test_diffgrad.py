@@ -456,6 +456,39 @@ def test_kernels_call_no_builtin_sum(kind, monkeypatch):
     evaluate_with_grad(kind, params, ctx)
 
 
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_entry_points_look_up_the_kernel_by_name(kind, monkeypatch):
+    # A function set on losses in place of the kind's kernel, as a tracer
+    # or a test sets one, is what both entry points call.
+    name = "_homography_core" if kind.startswith("homography") \
+        else f"_{kind}_core"
+    kernel, calls = getattr(losses, name), []
+
+    def spy(*args):
+        calls.append(args[-1])
+        return kernel(*args)
+
+    rng = np.random.default_rng(12)
+    ctx = make_ctx(rng)
+    params = params_for(kind, perturbed(ctx.gt, rng, 0.2, 5.0), ctx)
+    monkeypatch.setattr(losses, name, spy)
+    loss_value(kind, params, ctx)
+    evaluate_with_grad(kind, params, ctx)
+    assert calls == [False, True]
+
+
+@pytest.mark.parametrize("entry", [loss_value, evaluate_with_grad])
+@pytest.mark.parametrize("kind,missing", [("homography_local", "slab"),
+                                          ("homography_global", "slab"),
+                                          ("geometric", "intrinsics")])
+def test_missing_input_is_invalid_input(entry, kind, missing):
+    # A missing field is invalid input that names it, not an
+    # AttributeError on None.
+    ctx = replace(make_ctx(np.random.default_rng(13)), **{missing: None})
+    with pytest.raises(InvalidInputError, match=f"needs .*{missing}"):
+        entry(kind, ctx.gt, ctx)
+
+
 # What each kind's definition ignores in the estimated q: its sign and
 # scale when the loss uses only the rotation R(q), the scale when it uses
 # q/|q|, the sign when it uses |q| and |q . q_gt|. Posenet uses q itself.

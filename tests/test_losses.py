@@ -460,17 +460,17 @@ class TestHomographyKernel:
             est = Pose(est.t, np.zeros(4))
         slab = SlabParams(x_min, x_min + width, n)
         t, q = est.t.tolist(), est.q.tolist()
-        consts = losses._homography_consts(gt, slab)
+        ctx = LossContext(gt=gt, slab=slab)
         for grad in (False, True):
             try:
                 want_val, want_grad = homography_core_nested(t, q, gt, slab,
                                                              grad)
             except InvalidInputError as e:
                 with pytest.raises(InvalidInputError) as got:
-                    losses._homography_core(t, q, consts, grad)
+                    losses._homography_core(t + q, ctx, grad)
                 assert str(got.value) == str(e)
                 continue
-            val, g = losses._homography_core(t, q, consts, grad)
+            val, g = losses._homography_core(t + q, ctx, grad)
             assert type(val) is float
             assert bits(val) == bits(want_val)
             if grad:

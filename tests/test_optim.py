@@ -240,9 +240,9 @@ class TestMetrics:
         gt = [identity_pose()]
         est = [Pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
                                                           math.radians(2.0)))]
-        assert pct_within(est, gt, 2.0, 2.0) == 1.0
-        assert pct_within(est, gt, 1.999, 2.0) == 0.0
-        assert pct_within(est, gt, 2.0, 1.999) == 0.0
+        assert pct_within(est, gt, [(2.0, 2.0)]) == [1.0]
+        assert pct_within(est, gt, [(1.999, 2.0)]) == [0.0]
+        assert pct_within(est, gt, [(2.0, 1.999)]) == [0.0]
 
     def test_pct_within_counts(self):
         gt = [identity_pose()] * 4
@@ -253,19 +253,19 @@ class TestMetrics:
                                                  math.radians(30.0))),
             identity_pose(),
         ]
-        assert pct_within(est, gt, 1.0, 5.0) == 0.5
+        assert pct_within(est, gt, [(1.0, 5.0)]) == [0.5]
 
     def test_pct_within_nan_rotation_not_within(self):
         est = [Pose([0.0, 0.0, 0.0], [math.nan] * 4), identity_pose()]
-        assert pct_within(est, [identity_pose()] * 2, 1.0, 180.0) == 0.5
+        assert pct_within(est, [identity_pose()] * 2, [(1.0, 180.0)]) == [0.5]
 
     def test_pct_within_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            pct_within([identity_pose()], [], 1.0, 1.0)
+            pct_within([identity_pose()], [], [(1.0, 1.0)])
 
     def test_pct_within_needs_a_pose(self):
         with pytest.raises(InvalidInputError):
-            pct_within([], [], 1.0, 1.0)
+            pct_within([], [], [(1.0, 1.0)])
 
     def test_mrd_pairs_estimates_with_frames(self, scene):
         rng = np.random.default_rng(0)
@@ -329,6 +329,21 @@ class TestSweeps:
             "geometric", LossContext(gt=identity_pose()), "tx", [-1, 0, 1],
         )
         assert all(math.isnan(v) for _, v in rows)
+
+    @pytest.mark.parametrize("kind,ctx", [
+        ("homography_local", LossContext(gt=identity_pose())),
+        ("geometric", LossContext(gt=identity_pose(),
+                                  points=[[0.0, 0.0, 3.0]])),
+    ])
+    def test_sweep_nan_on_missing_input(self, kind, ctx):
+        # A context without slab or intrinsics is invalid input in each
+        # cell, not an AttributeError out of the sweep.
+        errors = []
+        rows = landscape_sweep(kind, ctx, "tx", [-1, 0, 1], errors=errors)
+        assert all(math.isnan(v) for _, v in rows)
+        assert len(errors) == 3
+        assert errors[0].endswith(("needs slab parameters",
+                                   "needs camera intrinsics"))
 
     def test_sweep_propagates_non_domain_errors(self, monkeypatch):
         # Only InvalidInputError becomes a NaN cell; a bug must surface.

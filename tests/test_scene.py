@@ -253,9 +253,18 @@ def test_scene_and_slab_equality_is_identity():
     assert not synth_scene(0) == synth_scene(0)
     assert not SlabParams(1.0, 2.0) == SlabParams(1.0, 2.0)
     slab = SlabParams(1.0, 2.0)
-    assert DepthSlab(single=slab) == DepthSlab(single=slab)
-    assert DepthSlab(per_frame={"a": SlabParams(1.0, 2.0)}) \
-        != DepthSlab(per_frame={"a": SlabParams(1.0, 2.0)})
+    d = DepthSlab(single=slab)
+    assert d == d
+    assert not DepthSlab(single=slab) == DepthSlab(single=slab)
+    assert DepthSlab(per_frame={"a": slab}) != DepthSlab(per_frame={"a": slab})
+
+
+def test_depth_slabs_are_hashable():
+    # A hash over the fields would raise TypeError on a local slab's dict.
+    scene = synth_scene(0, n_frames=2)
+    local, shared = local_slabs(scene), global_slab(scene)
+    assert hash(local) == hash(local) and hash(shared) == hash(shared)
+    assert len({local, local, shared, local_slabs(scene)}) == 3
 
 
 class TestSlabs:

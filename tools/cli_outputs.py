@@ -19,9 +19,9 @@ The set: `optimize` for every loss kind on a synthetic scene (30 epochs)
 and on a pose/point file scene (20 epochs); `gradcheck` for every kind (20
 samples); a geometric `optimize` with a homoscedastic warm start; 1-D and
 2-D `landscape` over every kind; local `slabs` with histograms and global
-`slabs`; `eval` with points; and, on a file scene whose first frame has
-no V line, a geometric `optimize` and a geometric and posenet `landscape`
-of that frame, whose geometric cells are all NaN.
+`slabs` without and with them; `eval` with points; and, on a file scene
+whose first frame has no V line, a geometric `optimize` and a geometric
+and posenet `landscape` of that frame, whose geometric cells are all NaN.
 """
 
 import contextlib
@@ -85,6 +85,8 @@ def runs():
         "--range2=-20:20", "--steps2", "21"]
     yield "slabs_local_hist", ["slabs", "--synthetic", "--hist"]
     yield "slabs_global", ["slabs", "--synthetic", "--mode", "global"]
+    yield "slabs_global_hist", ["slabs", "--synthetic", "--mode", "global",
+                                "--hist"]
     yield "eval_points", [
         "eval", "--gt-poses", "../inputs/poses.txt", "--est-poses",
         "../inputs/est_poses.txt", "--points", "../inputs/points.txt"]
