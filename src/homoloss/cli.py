@@ -9,14 +9,14 @@ to the focal length of --fov across --width, --fy to --fx, and --cx/--cy to
 the sensor centre. `slabs` writes the slab the homography losses use.
 
 `optimize` writes errors.txt (one line per skipped frame and message, with
-its first epoch and step count, plus the abort) into --out whenever the run
-records an error, and exits 2 after writing all its outputs if the run
-aborted.
+its first epoch and step count, plus the abort, after those of a --warmstart
+phase) into --out whenever the run records an error, and exits 2 after
+writing all its outputs if the run aborted.
 
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
-2 data/parse error (a NaN option value, a bad manifest or a changed input
-file, too), or aborted run, 3 numeric-tolerance failure (a NaN gradient
-error included).
+2 data/parse error (a NaN option value, a non-finite range, a bad manifest
+or a changed input file, too), or aborted run, 3 numeric-tolerance failure
+(a NaN gradient error included).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -204,9 +205,12 @@ def _depth_slab(scene, kind, config):
 def _parse_range(text):
     try:
         lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except ValueError as e:
         raise UsageError(f"bad range {text!r}, expected lo:hi") from e
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"range {text!r} must have finite ends")
+    return lo, hi
 
 
 def _pct_rows(est_poses, gt_poses):

@@ -45,8 +45,8 @@ class Pose:
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole intrinsics. w/h are pixel extents for datasets, or unitless
-    normalized extents when used inside sensor-integral checks."""
+    """Pinhole intrinsics: focal lengths and principal point in pixels, and
+    the sensor's width w and height h in pixels."""
 
     fx: float
     fy: float
@@ -91,6 +91,9 @@ def quat_multiply(q1, q2):
 
 
 def quat_from_axis_angle(axis, angle_rad):
+    if not math.isfinite(angle_rad):
+        raise InvalidInputError(f"rotation angle must be finite, got "
+                                f"{angle_rad} rad")
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
     if n == 0.0:

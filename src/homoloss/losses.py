@@ -19,11 +19,13 @@ and diffgrad.loss_value (grad false) and diffgrad.evaluate_with_grad (grad
 true) are the entry points to the kernels.
 
 With R, t the ground-truth camera expressed in the estimated camera frame,
-the slab integral of ||I - H(x)||_F^2 over x in [x_min, x_max] is
-||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |n|^2 |t|^2, with c1 and c2 from
-_slab_weights. From a pose pair these terms, like the geometric loss's
-residuals, are exactly 0 when the estimate equals the ground truth, for any
-gt quaternion, and so are the loss and its gradient.
+the integral of ||I - H(x)||_F^2, H(x) = R - t n^T / x, over the planes
+parallel to the image plane, n = (0, 0, -1), at depths x in [x_min, x_max]
+is ||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |t|^2, with c2 = 1/(x_min x_max)
+and c1 = ln(x_max/x_min)/(x_max - x_min). From a pose pair these terms,
+like the geometric loss's residuals, are exactly 0 when the estimate equals
+the ground truth, for any gt quaternion, and so are the loss and its
+gradient.
 
 The oracles that validate the closed forms are used only by the tests and
 live in tests/.
@@ -48,19 +50,16 @@ from .geometry import (
     rotmat_elems,
 )
 
-DEFAULT_PLANE_NORMAL = np.array([0.0, 0.0, -1.0])
 
-
-@dataclass(frozen=True, eq=False)  # numpy field: identity equality
+@dataclass(frozen=True, eq=False)  # identity equality, as Pose and Frame
 class SlabParams:
-    """Plane normal and depth bounds of the homography slab."""
+    """The homography slab: the planes parallel to the image plane at depths
+    x_min to x_max along the optical axis."""
 
     x_min: float
     x_max: float
-    n: np.ndarray = field(default_factory=lambda: DEFAULT_PLANE_NORMAL.copy())
 
     def __post_init__(self):
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
         if not (0.0 < self.x_min < self.x_max):
             raise InvalidInputError(
                 f"slab needs 0 < x_min < x_max, got ({self.x_min}, {self.x_max})"
@@ -80,6 +79,13 @@ class LossHyperParams:
             raise InvalidInputError("beta must be positive and finite")
         if not self.reproj_clip > 0:
             raise InvalidInputError("reproj_clip must be positive")
+        if not 0 <= self.quat_reg_weight < math.inf:
+            raise InvalidInputError(f"quat_reg_weight must be >= 0 and "
+                                    f"finite, got {self.quat_reg_weight}")
+        for name in ("s_t", "s_q"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -117,26 +123,20 @@ class LossContext:
 
     @cached_property
     def homography(self) -> tuple:
-        """The homography kernel's constants, as floats: gt q, its rotation
-        matrix row by row and sum of squares, the slab normal, _slab_weights
-        and gt t."""
+        """The homography kernel's constants, as floats: gt q, the third
+        column of its rotation matrix, its sum of squares, the weights
+        (2 c1, c2) of cross and tsq in the closed form, and gt t."""
         if self.slab is None:
             raise InvalidInputError("homography loss needs slab parameters")
         q_gt = self.gt.q.tolist()
-        R_g = [r for row in rotmat_elems(q_gt) for r in row]
-        return (q_gt, R_g, dual.sum_squares(q_gt), self.slab.n.tolist(),
-                *_slab_weights(self.slab), self.gt.t.tolist())
+        x_min, x_max = self.slab.x_min, self.slab.x_max
+        c1 = math.log(x_max / x_min) / (x_max - x_min)
+        return (q_gt, [row[2] for row in rotmat_elems(q_gt)],
+                dual.sum_squares(q_gt), 2.0 * c1, 1.0 / (x_min * x_max),
+                self.gt.t.tolist())
 
 
 # -- kernels: (p, ctx, grad) -> (value, gradient or None) ------------------
-
-def _slab_weights(slab: SlabParams):
-    """Weights (2 c1, c2 |n|^2) of cross and tsq in the closed form, with
-    c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max)."""
-    c1 = math.log(slab.x_max / slab.x_min) / (slab.x_max - slab.x_min)
-    c2 = 1.0 / (slab.x_min * slab.x_max)
-    return 2.0 * c1, c2 * float(slab.n @ slab.n)
-
 
 def _posenet_core(p, ctx: LossContext, grad):
     # Estimated quaternion enters raw; only the ground truth is normalized.
@@ -250,55 +250,55 @@ def _maxerror_core(p, ctx: LossContext, grad):
 def _homography_core(p, ctx: LossContext, grad):
     """Closed form from the pose pair, using |t_rel| = |d| and R_e R_e^T = I:
     rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part of
-    conj(q_e) * q_g, cross = d^T m with m = (R_e - R_g) n, tsq = |d|^2,
-    where d = t_gt - t_est. Each component of v sums products that cancel
-    pairwise, so v, d and m are exactly 0 when est == gt, for any gt
-    quaternion, and so are the loss and its gradient.
+    conj(q_e) * q_g, cross = d^T m with m = (R_e - R_g) n, the third column
+    of R_g minus that of R_e, tsq = |d|^2, where d = t_gt - t_est. Each
+    component of v sums products that cancel pairwise, so v, d and m are
+    exactly 0 when est == gt, for any gt quaternion, and so are the loss and
+    its gradient.
 
     v = B q_e is linear in q_e, so d rot/dq_e = 16 B^T v / (|q_e|^2 |q_g|^2)
     - 2 rot q_e / |q_e|^2; dL/dt_est = -k1 m - 2 k2 d; a body rotation w of
-    the estimate changes d^T R_e n by w . (n x R_e^T d).
+    the estimate changes d^T R_e n by w . (n x R_e^T d) = w . (p1, -p0, 0)
+    with p = R_e^T d.
     """
-    ((w2, x2, y2, z2), (g00, g01, g02, g10, g11, g12, g20, g21, g22), qq_g,
-     (n0, n1, n2), k1, k2, (tg0, tg1, tg2)) = ctx.homography
+    (w2, x2, y2, z2), (g02, g12, g22), qq_g, k1, k2, (tg0, tg1, tg2) = \
+        ctx.homography
     # Plain floats, in the operation order of geometry.rotmat_elems and of
     # sum() (its int start kept as 0 +), so that every bit of the value and
-    # gradient, signed zeros too, is that of the nested-list form.
+    # gradient, signed zeros too, is that of the nested-list form, whose
+    # m_i sums (e_ij - g_ij) n_j over the three columns.
     t0, t1, t2, w1, x1, y1, z1 = p
     ww, xx, yy, zz = w1 * w1, x1 * x1, y1 * y1, z1 * z1
     qq_e = ww + xx + yy + zz
     if qq_e == 0.0:
         raise InvalidInputError("zero-norm quaternion")
     inv = 1.0 / qq_e  # R_e = rotmat_elems(q_est), normalized
-    xy, xz, yz = x1 * y1, x1 * z1, y1 * z1
-    wx, wy, wz = w1 * x1, w1 * y1, w1 * z1
-    e00 = (ww + xx - yy - zz) * inv
-    e01 = 2.0 * (xy - wz) * inv
+    xz, yz, wx, wy = x1 * z1, y1 * z1, w1 * x1, w1 * y1
     e02 = 2.0 * (xz + wy) * inv
-    e10 = 2.0 * (xy + wz) * inv
-    e11 = (ww - xx + yy - zz) * inv
     e12 = 2.0 * (yz - wx) * inv
-    e20 = 2.0 * (xz - wy) * inv
-    e21 = 2.0 * (yz + wx) * inv
     e22 = (ww - xx - yy + zz) * inv
     v0 = (w1 * x2 - x1 * w2) + (z1 * y2 - y1 * z2)
     v1 = (w1 * y2 - y1 * w2) + (x1 * z2 - z1 * x2)
     v2 = (w1 * z2 - z1 * w2) + (y1 * x2 - x1 * y2)
     rot = 8.0 * (v0 * v0 + v1 * v1 + v2 * v2) / (qq_e * qq_g)
     d0, d1, d2 = tg0 - t0, tg1 - t1, tg2 - t2
-    m0 = 0 + (e00 - g00) * n0 + (e01 - g01) * n1 + (e02 - g02) * n2
-    m1 = 0 + (e10 - g10) * n0 + (e11 - g11) * n1 + (e12 - g12) * n2
-    m2 = 0 + (e20 - g20) * n0 + (e21 - g21) * n1 + (e22 - g22) * n2
+    # 0.0 - (e - g), not g - e: the sign of a zero m_i of that sum
+    m0, m1, m2 = 0.0 - (e02 - g02), 0.0 - (e12 - g12), 0.0 - (e22 - g22)
     cross = 0 + d0 * m0 + d1 * m1 + d2 * m2
     val = rot + k1 * cross + k2 * (d0 * d0 + d1 * d1 + d2 * d2)
     if not grad:
         return val, None
 
+    xy, wz = x1 * y1, w1 * z1
+    e00 = (ww + xx - yy - zz) * inv
+    e01 = 2.0 * (xy - wz) * inv
+    e10 = 2.0 * (xy + wz) * inv
+    e11 = (ww - xx + yy - zz) * inv
+    e20 = 2.0 * (xz - wy) * inv
+    e21 = 2.0 * (yz + wx) * inv
     p0 = 0 + e00 * d0 + e10 * d1 + e20 * d2
     p1 = 0 + e01 * d0 + e11 * d1 + e21 * d2
-    p2 = 0 + e02 * d0 + e12 * d1 + e22 * d2
-    r0, r1, r2, r3 = dual.rotation_grad(
-        p[3:7], [n1 * p2 - n2 * p1, n2 * p0 - n0 * p2, n0 * p1 - n1 * p0])
+    r0, r1, r2, r3 = dual.rotation_grad(p[3:7], [p1, -p0, 0.0])
     a, b, two_k2 = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e, 2.0 * k2
     return val, np.array([
         -k1 * m0 - two_k2 * d0,

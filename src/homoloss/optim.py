@@ -187,8 +187,9 @@ def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
 def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
     """Random perturbation: translation within a ball of radius max_t, and a
     rotation of at most max_deg about a random axis."""
-    if not (max_t >= 0 and max_deg >= 0):
-        raise InvalidInputError("perturbation bounds must be >= 0")
+    if not (0 <= max_t < math.inf and 0 <= max_deg < math.inf):
+        raise InvalidInputError(f"perturbation bounds must be >= 0 and "
+                                f"finite, got {max_t} m and {max_deg} deg")
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     t = pose.t + direction * rng.uniform(0.0, max_t)
@@ -205,11 +206,16 @@ def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
     Returns the rows (offset[, offset2], value); a cell whose evaluation
     raises InvalidInputError records a NaN value, and its message is
     appended to errors when a list is given; any other exception
-    propagates.
+    propagates. Every offset must be finite.
     """
     offsets = np.asarray(offsets, dtype=float)
+    if axis2 is not None:
+        offsets2 = np.asarray(offsets2, dtype=float)
     if len(offsets) < 2 or (axis2 is not None and len(offsets2) < 2):
         raise InvalidInputError("need at least 2 sweep steps per axis")
+    every = np.concatenate([offsets, [] if axis2 is None else offsets2])
+    for off in every[~np.isfinite(every)][:1]:
+        raise InvalidInputError(f"sweep offsets must be finite, got {off}")
     gt = diffgrad.params_for(kind, ctx.gt, ctx)
     rows = []
     for off in offsets:
@@ -217,7 +223,7 @@ def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
         if axis2 is None:
             rows.append((off, _safe_value(kind, est1, ctx, errors)))
         else:
-            for off2 in np.asarray(offsets2, dtype=float):
+            for off2 in offsets2:
                 est = _offset_params(est1, axis2, off2)
                 rows.append((off, off2, _safe_value(kind, est, ctx, errors)))
     return rows
@@ -271,14 +277,17 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     with InvalidInputError in a step are skipped (any other exception
     propagates) and logged once per frame and message, with the first epoch
     and the number of steps skipped; the run aborts if more than half the
-    frames error within one epoch. A scene that the per-epoch metric rejects
-    for a visible point at zero gt depth raises before the first step.
+    frames error within one epoch. A warm start's error lines come first,
+    marked as such, and its abort ends the run with the warm-start poses.
+    A scene that the per-epoch metric rejects for a visible point at zero
+    gt depth raises before the first step.
     """
     frames = scene.frames
     if len(init_poses) != len(frames):
         raise InvalidInputError("need one initial pose per frame")
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
         raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
+    warm_errors = []
     if config.warmstart_epochs > 0:
         warm_cfg = replace(
             config,
@@ -288,6 +297,9 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
             epochs=config.warmstart_epochs,
         )
         warm = optimize_poses(scene, init_poses, warm_cfg)
+        warm_errors = [f"warm start: {e}" for e in warm.errors]
+        if warm.aborted:  # no epoch of config.loss_kind ran
+            return RunRecord([], warm.final_poses, warm_errors, aborted=True)
         init_poses = [pose for _, pose in warm.final_poses]
 
     kind = config.loss_kind
@@ -353,7 +365,8 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         record.epochs.append(EpochStats(
             epoch, float(np.mean(epoch_losses)),
             mean_reproj_distance(current_poses(), scene), *s_start))
-    record.errors[:0] = [  # the skipped frames, before any abort line
+    # the warm start's lines, then the skipped frames, before any abort line
+    record.errors[:0] = warm_errors + [
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()
     ]

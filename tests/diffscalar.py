@@ -16,7 +16,19 @@ import math
 import numpy as np
 
 from homoloss.geometry import InvalidInputError, Pose
-from homoloss.losses import SlabParams, _slab_weights
+from homoloss.losses import SlabParams
+
+# The normal of the slab's planes, parallel to the image plane, which the
+# library fixes; the forms here keep a general normal n.
+PLANE_NORMAL = np.array([0.0, 0.0, -1.0])
+
+
+def slab_weights(slab: SlabParams, n=PLANE_NORMAL):
+    """Weights (2 c1, c2 |n|^2) of cross and tsq in the closed form, with
+    c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max)."""
+    c1 = math.log(slab.x_max / slab.x_min) / (slab.x_max - slab.x_min)
+    c2 = 1.0 / (slab.x_min * slab.x_max)
+    return 2.0 * c1, c2 * float(np.dot(n, n))
 
 
 class DiffScalar:
@@ -242,7 +254,8 @@ def maxerror_core(t_est, q_est, gt: Pose, reg_weight):
     return err + reg
 
 
-def homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
+def homography_core(t_est, q_est, gt: Pose, slab: SlabParams,
+                    n=PLANE_NORMAL):
     """Closed form from the pose pair, using |t_rel| = |d| and
     R_e R_e^T = I: rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part
     of conj(q_e) * q_g, cross = d^T (R_e - R_g) n, tsq = |d|^2, where
@@ -262,11 +275,11 @@ def homography_core(t_est, q_est, gt: Pose, slab: SlabParams):
     rot = 8.0 * sum_squares(v) / (
         sum_squares(q_est) * sum_squares(q_gt)
     )
-    n = [float(c) for c in slab.n]
+    n = [float(c) for c in n]
     d = [float(gt.t[i]) - t_est[i] for i in range(3)]
     cross = sum(
         d[i] * sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
         for i in range(3)
     )
-    k1, k2 = _slab_weights(slab)
+    k1, k2 = slab_weights(slab, n)
     return rot + k1 * cross + k2 * sum_squares(d)

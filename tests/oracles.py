@@ -34,7 +34,8 @@ from homoloss.geometry import (
     rotmat_to_quat,
 )
 from homoloss.dual import sum_squares
-from homoloss.losses import SlabParams, _slab_weights
+from diffscalar import PLANE_NORMAL, slab_weights
+from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP
 from homoloss.scene import DegenerateDepthError, _slab_params, \
     _sorted_positive
@@ -69,11 +70,13 @@ def relative_pose(gt: Pose, est: Pose) -> RelativePose:
     return RelativePose(R, t)
 
 
-def homography_loss_closed(rel: RelativePose, slab: SlabParams) -> float:
-    """Closed-form slab integral of the squared Frobenius homographic error."""
+def homography_loss_closed(rel: RelativePose, slab: SlabParams,
+                           n=PLANE_NORMAL) -> float:
+    """Closed-form slab integral of the squared Frobenius homographic error
+    over the planes of normal n."""
     M = np.eye(3) - rel.R
-    k1, k2 = _slab_weights(slab)
-    return float(np.sum(M * M) + k1 * float(rel.t @ M @ slab.n)
+    k1, k2 = slab_weights(slab, n)
+    return float(np.sum(M * M) + k1 * float(rel.t @ M @ n)
                  + k2 * float(rel.t @ rel.t))
 
 
@@ -165,15 +168,16 @@ def sensor_grid_reproj(H: Homography, w: float, h: float,
 
 
 def homography_loss_numeric(rel: RelativePose, slab: SlabParams,
-                            n_samples: int) -> float:
-    """Composite-midpoint quadrature of the slab integral (oracle only)."""
+                            n_samples: int, n=PLANE_NORMAL) -> float:
+    """Composite-midpoint quadrature of the slab integral over the planes
+    of normal n (oracle only)."""
     if n_samples < 2:
         raise InvalidInputError("need at least 2 quadrature samples")
     x = slab.x_min + (np.arange(n_samples) + 0.5) * (
         (slab.x_max - slab.x_min) / n_samples
     )
     M = np.eye(3) - rel.R
-    tn = np.outer(rel.t, slab.n)
+    tn = np.outer(rel.t, n)
     # ||M + tn/x||_F^2 at every sample, summed one matrix entry at a time
     vals = np.zeros(n_samples)
     for i in range(3):
@@ -183,13 +187,13 @@ def homography_loss_numeric(rel: RelativePose, slab: SlabParams,
     return float(np.mean(vals))
 
 
-def scalar_form_oracle(rel: RelativePose, slab: SlabParams) -> float:
+def scalar_form_oracle(rel: RelativePose, slab: SlabParams,
+                       n=PLANE_NORMAL) -> float:
     """Independent algebraic reduction of the closed form:
     4(1-cos theta) + 2 t^T (I-R) n * ln(xmax/xmin)/(xmax-xmin)
                    + |t|^2 |n|^2 / (xmin xmax)."""
     R = rel.R
     t = rel.t
-    n = slab.n
     cos_theta = max(-1.0, min(1.0, (np.trace(R) - 1.0) / 2.0))
     term_a = 4.0 * (1.0 - cos_theta)
     term_b = (
@@ -335,12 +339,14 @@ def rotation_grad_array(q, g):
     return quat_multiply(q, [0.0, *g]) * (2.0 / (q @ q))
 
 
-def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad):
+def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad,
+                           n=PLANE_NORMAL):
     """losses._homography_core over nested lists, sum() reductions and small
-    arrays, its constants built from gt and slab."""
+    arrays, for the planes of normal n, its constants built from gt and
+    slab."""
     w2, x2, y2, z2 = q_gt = gt.q.tolist()
-    R_g, qq_g, n = rotmat_elems(q_gt), sum_squares(q_gt), slab.n.tolist()
-    (k1, k2), t_gt = _slab_weights(slab), gt.t.tolist()
+    R_g, qq_g, t_gt = rotmat_elems(q_gt), sum_squares(q_gt), gt.t.tolist()
+    (k1, k2), n = slab_weights(slab, n), [float(c) for c in n]
     R_e = rotmat_elems(q_est)
     w1, x1, y1, z1 = q_est
     v = [

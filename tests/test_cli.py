@@ -116,6 +116,18 @@ class TestLandscape:
         assert main(argv) == 2
         assert "at least 2 sweep steps" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way
+    @pytest.mark.parametrize("over, text", [
+        ({"--range": "nan:1"}, "nan:1"), ({"--range": "inf:1"}, "inf:1"),
+        ({"--range": "-1:-inf"}, "-1:-inf"),
+        ({"--axis2": "roty", "--range2": "0:inf"}, "0:inf")])
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, over, text):
+        out = str(tmp_path / "o")
+        assert main(landscape_args(out, **over)) == 2
+        assert f"range '{text}' must have finite ends" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("frame", ["99", "8", "-1"])
     def test_frame_out_of_range_exit_2(self, tmp_path, capsys, frame):
         out = str(tmp_path / "o")
@@ -811,6 +823,10 @@ class TestExitCodes:
         ("--beta=inf", "beta must be positive and finite"),
         ("--adam-eps=-1", "adam_eps must be >= 0 and finite"),
         ("--adam-eps=inf", "adam_eps must be >= 0 and finite"),
+        ("--quat-reg=-1", "quat_reg_weight must be >= 0 and finite, got -1"),
+        ("--quat-reg=inf", "quat_reg_weight must be >= 0 and finite, got inf"),
+        ("--s-t=inf", "s_t must be finite, got inf"),
+        ("--s-q=-inf", "s_q must be finite, got -inf"),
     ])
     def test_non_finite_hyperparameter_exit_2(self, tmp_path, capsys, option,
                                               message):
@@ -844,6 +860,20 @@ class TestExitCodes:
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert "perturbation bounds must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("optimize", "--perturb-t=inf", "got inf m and 2.0 deg"),
+        ("optimize", "--perturb-deg=inf", "got 0.05 m and inf deg"),
+        ("gradcheck", "--perturb-deg=inf", "got 0.3 m and inf deg"),
+        ("optimize", "--adversarial-roty=inf",
+         "rotation angle must be finite, got inf rad")])
+    def test_infinite_perturbation_exit_2(self, tmp_path, capsys, command,
+                                          option, message):
+        argv = [command, "--synthetic", "--loss", "posenet", option,
+                "--epochs" if command == "optimize" else "--samples", "1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import identity_pose
+from conftest import identity_pose, random_pose, random_unit_quat
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
@@ -25,15 +25,6 @@ from oracles import (
 )
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-def random_unit_quat(rng):
-    q = rng.normal(size=4)
-    return q / np.linalg.norm(q)
-
-
-def random_pose(rng, scale=5.0):
-    return Pose(rng.normal(size=3) * scale, random_unit_quat(rng))
 
 
 class TestQuatToRotmat:

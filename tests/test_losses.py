@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,9 +51,10 @@ def rz(theta):
 
 
 class TestSlabParams:
-    def test_default_normal(self):
-        slab = SlabParams(1.0, 4.0)
-        np.testing.assert_array_equal(slab.n, [0.0, 0.0, -1.0])
+    def test_only_the_two_bounds(self):
+        # One plane family, normal (0, 0, -1), fixed in the kernel.
+        assert [f.name for f in dataclasses.fields(SlabParams)] == \
+            ["x_min", "x_max"]
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 2.0),
                                        (3.0, 1.0)])
@@ -66,6 +68,15 @@ class TestHyperParams:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_not_positive_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
+            LossHyperParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("quat_reg_weight", -1.0), ("quat_reg_weight", math.inf),
+        ("quat_reg_weight", math.nan), ("s_t", math.inf),
+        ("s_t", math.nan), ("s_q", -math.inf), ("s_q", math.nan)])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must .*, got {value}$"):
             LossHyperParams(**{field: value})
 
 
@@ -423,30 +434,35 @@ class TestHomographyKernel:
     (oracles.homography_core_nested): the same value, gradient and sign
     bits by ==, and the same domain error."""
 
-    # zero entries of either sign in the normal, so that signed zeros
-    # reach the products of m and of the body gradient
-    normal_entry = st.one_of(st.just(0.0), st.just(-0.0),
-                             st.floats(-3.0, 3.0))
+    # Which quaternion entries become +0.0 or -0.0, so that signed zeros
+    # reach the rotation entries in m = (R_e - R_g) n and the body gradient.
+    zeros = st.tuples(*[st.sampled_from([None, 0.0, -0.0])] * 4)
+
+    @staticmethod
+    def with_zeros(pose, zeros):
+        q = [c if z is None else z for c, z in zip(pose.q.tolist(), zeros)]
+        return Pose(pose.t, q if any(q) else pose.q)
 
     @settings(deadline=None, max_examples=1000)
     @given(seed=st.integers(0, 2**32 - 1),
            gt_kind=st.sampled_from(["unit", "non-unit"]),
            case=st.sampled_from(["perturbed", "gt", "-gt", "sign-flipped",
-                                 "non-unit", "zero q"]),
+                                 "non-unit", "zero q", "turned"]),
            max_t=st.sampled_from([1e-6, 1e-3, 0.3, 3.0]),
            max_deg=st.sampled_from([1e-5, 1e-2, 1.0, 30.0, 120.0]),
            x_min=st.floats(0.1, 10.0), width=st.floats(1e-2, 100.0),
-           n=st.tuples(normal_entry, normal_entry, normal_entry),
-           zero_t=st.booleans())
+           gt_zeros=zeros, est_zeros=zeros, zero_t=st.booleans())
     def test_matches_the_nested_list_form(self, seed, gt_kind, case, max_t,
-                                          max_deg, x_min, width, n, zero_t):
+                                          max_deg, x_min, width, gt_zeros,
+                                          est_zeros, zero_t):
         rng = np.random.default_rng(seed)
-        gt = random_pose(rng, scale=1.0)
+        gt = self.with_zeros(random_pose(rng, scale=1.0), gt_zeros)
         if zero_t:  # exact zeros in gt t, and in t_est where est == gt
             gt = Pose(np.where(rng.random(3) < 0.5, 0.0, gt.t), gt.q)
         if gt_kind == "non-unit":
             gt = Pose(gt.t, gt.q * rng.uniform(0.2, 5.0))
-        est = perturbed(gt, rng, max_t=max_t, max_deg=max_deg)
+        est = self.with_zeros(
+            perturbed(gt, rng, max_t=max_t, max_deg=max_deg), est_zeros)
         if case == "gt":
             est = gt
         elif case == "-gt":
@@ -458,7 +474,9 @@ class TestHomographyKernel:
                        * rng.uniform(0.2, 5.0))
         elif case == "zero q":
             est = Pose(est.t, np.zeros(4))
-        slab = SlabParams(x_min, x_min + width, n)
+        elif case == "turned":  # d = 0, so that the sign of a zero m shows
+            est = Pose(gt.t, est.q)
+        slab = SlabParams(x_min, x_min + width)
         t, q = est.t.tolist(), est.q.tolist()
         ctx = LossContext(gt=gt, slab=slab)
         for grad in (False, True):

@@ -364,6 +364,15 @@ class TestSweeps:
             landscape_sweep("posenet", self.ctx(), "tx", [-1.0, 1.0],
                             axis2="roty", offsets2=offsets2)
 
+    @pytest.mark.parametrize("offsets, offsets2, bad", [
+        ([math.nan, 1.0], None, "nan"), ([0.0, math.inf], None, "inf"),
+        ([-1.0, 1.0], [0.0, -math.inf], "-inf")])
+    def test_non_finite_offsets_rejected(self, offsets, offsets2, bad):
+        with pytest.raises(InvalidInputError,
+                           match=f"sweep offsets must be finite, got {bad}$"):
+            landscape_sweep("posenet", self.ctx(), "tx", offsets,
+                            None if offsets2 is None else "roty", offsets2)
+
     @settings(deadline=None, max_examples=150)
     @given(kind=st.sampled_from(LOSS_KINDS + ("geometric without points",)),
            frame=st.integers(0, 7),
@@ -407,7 +416,8 @@ class TestSweeps:
             assert angle_between(p.q, base.q) <= 5.0 + 1e-9
 
     @pytest.mark.parametrize("max_t, max_deg", [
-        (-0.1, 5.0), (0.3, -1.0), (math.nan, 5.0), (0.3, math.nan)])
+        (-0.1, 5.0), (0.3, -1.0), (math.nan, 5.0), (0.3, math.nan),
+        (math.inf, 5.0), (0.3, math.inf)])
     def test_perturb_pose_rejects_bad_bounds(self, max_t, max_deg):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError, match="perturbation bounds"):
@@ -616,6 +626,41 @@ class TestOptimizePoses:
         cfg = OptimConfig(loss_kind="posenet", epochs=1)
         with pytest.raises(InvalidInputError):
             optimize_poses(tiny, [identity_pose()], cfg)
+
+    def warm_failing(self, monkeypatch, fails):
+        """Make the homoscedastic kernel raise for the frames whose gt pose
+        fails(gt) accepts."""
+        kernel = losses._homoscedastic_core
+
+        def failing(p, ctx, grad):
+            if fails(ctx.gt):
+                raise InvalidInputError("warm failure")
+            return kernel(p, ctx, grad)
+        monkeypatch.setattr(losses, "_homoscedastic_core", failing)
+
+    def test_warmstart_errors_come_first(self, tiny, monkeypatch):
+        self.warm_failing(monkeypatch,
+                          lambda gt: gt is tiny.frames[0].gt_pose)
+        cfg = OptimConfig(loss_kind="posenet", epochs=2, warmstart_epochs=3,
+                          seed=0)
+        rec = optimize_poses(tiny, [f.gt_pose for f in tiny.frames], cfg)
+        assert not rec.aborted and len(rec.epochs) == 2
+        assert rec.errors == ["warm start: frame f000: warm failure "
+                              "(skipped from epoch 0, 3 steps)"]
+
+    def test_warmstart_abort_ends_the_run(self, tiny, monkeypatch):
+        self.warm_failing(monkeypatch, lambda gt: True)
+        cfg = OptimConfig(loss_kind="posenet", epochs=2, warmstart_epochs=3,
+                          seed=0)
+        init = [f.gt_pose for f in tiny.frames]
+        rec = optimize_poses(tiny, init, cfg)
+        assert rec.aborted and rec.epochs == []
+        skipped = [f"warm start: frame {f.id}: warm failure (skipped from "
+                   f"epoch 0, 1 steps)" for f in tiny.frames]
+        assert rec.errors == skipped + [
+            "warm start: epoch 0: aborted, 3/3 frames errored"]
+        assert [p.params().tolist() for _, p in rec.final_poses] == \
+            [p.params().tolist() for p in init]
 
     def test_warmstart_runs_pre_phase(self, tiny):
         rng = np.random.default_rng(9)
