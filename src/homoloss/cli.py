@@ -210,6 +210,8 @@ def _parse_range(text):
         raise UsageError(f"bad range {text!r}, expected lo:hi") from e
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError(f"range {text!r} must have finite ends")
+    if not math.isfinite(hi - lo):  # np.linspace's step would overflow
+        raise InvalidInputError(f"range {text!r} must have a finite span")
     return lo, hi
 
 
@@ -376,8 +378,6 @@ def run_eval(config):
         raise ParseError("no common frame ids between gt and estimate files")
     gt_list = [gt_map[n] for n in common]
     est_list = [est_map[n] for n in common]
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
     lines = []
     if config["points"]:
         with open(config["points"]) as f:
@@ -387,6 +387,8 @@ def run_eval(config):
                                    clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
     lines += _pct_rows(est_list, gt_list)
+    out = config["out"]
+    os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "eval.csv"), "metric,value", lines)
     _write_manifest(out, "eval", config)
     for name, v in lines:

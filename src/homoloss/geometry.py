@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,22 @@ class Intrinsics:
                 and math.isfinite(self.cx) and math.isfinite(self.cy)):
             raise InvalidInputError(
                 "fx, fy, w, h must be positive and finite, cx, cy finite")
+
+    @cached_property
+    def focal(self) -> np.ndarray:
+        """(2, 1) column (fx, fy), read-only, to scale planar u/v rows."""
+        return _column(self.fx, self.fy)
+
+    @cached_property
+    def principal(self) -> np.ndarray:
+        """(2, 1) column (cx, cy), read-only, to offset planar u/v rows."""
+        return _column(self.cx, self.cy)
+
+
+def _column(a, b):
+    col = np.array([[a], [b]], dtype=float)
+    col.flags.writeable = False
+    return col
 
 
 # -- quaternion algebra ----------------------------------------------------
@@ -194,13 +211,17 @@ def project_points(t, R, K: Intrinsics, points):
     R (3, 3) = quat_to_rotmat(q), or of (F, N, 3) points under F poses, t
     (F, 3) and R (F, 3, 3), with the same operations per frame.
 
-    Returns (pixels (..., N, 2), signed camera depths (..., N)). Backside
-    points (Z < 0) project to a valid pixel with negative depth; points in
-    the camera x-y plane get non-finite or huge pixels, so callers mask by
-    |depth| >= DEPTH_EPS (or by depth > 0).
+    Returns (pixels (..., 2, N) as planar rows, u then v, and signed camera
+    depths (..., N)), each row contiguous. Backside points (Z < 0) project
+    to a valid pixel with negative depth; points in the camera x-y plane
+    get non-finite or huge pixels, so callers mask by |depth| >= DEPTH_EPS
+    (or by depth > 0).
     """
     cam = (np.asarray(points, dtype=float) - t[..., None, :]) @ R
-    z = cam[..., 2]
+    # one copy as rows (..., 3, N): a ufunc on the transposed view would
+    # write its output in that view's strided order
+    cam = np.ascontiguousarray(cam.swapaxes(-1, -2))
+    z = cam[..., 2, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = cam[..., :2] * (K.fx, K.fy) / z[..., None] + (K.cx, K.cy)
+        uv = cam[..., :2, :] * K.focal / z[..., None, :] + K.principal
     return uv, z

@@ -109,8 +109,8 @@ class LossContext:
 
     @cached_property
     def gt_uv(self) -> np.ndarray:
-        """The geometric kernel's gt projection of the points, non-empty, with
-        intrinsics and at non-zero gt depth."""
+        """The geometric kernel's gt projection of the points, (2, N) u and v
+        rows, non-empty, with intrinsics and at non-zero gt depth."""
         if self.points is None or len(self.points) == 0:
             raise InvalidInputError("geometric loss needs a non-empty point set")
         if self.intrinsics is None:
@@ -184,7 +184,8 @@ def _geometric_core(p, ctx: LossContext, grad):
     R = quat_to_rotmat(q_est)
     uv, z = project_points(np.array(p[0:3]), R, K, points)
     res = uv - uv_gt
-    d = np.abs(res).sum(axis=1)
+    abs_res = np.abs(res)
+    d = abs_res[0] + abs_res[1]
     live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
     n = len(z)
     val = float(np.where(live, d, clip).sum()) / n
@@ -196,19 +197,24 @@ def _geometric_core(p, ctx: LossContext, grad):
     # -s_u fx x - s_v fy y). From X_c = R^T (P - t), dd/dt = -R g. A body
     # rotation w of the camera moves X_c by X_c x w, so d has gradient
     # g x X_c = h x (x, y, 1) w.r.t. w. The loss sums these over the live
-    # points and divides by n.
-    x = (uv[live, 0] - K.cx) / K.fx
-    y = (uv[live, 1] - K.cy) / K.fy
-    su, sv = np.sign(res[live]).T
-    a, b = su * K.fx, sv * K.fy
-    c = -a * x - b * y
-    inv_z = 1.0 / z[live]
-    g_sum = np.array([a @ inv_z, b @ inv_z, c @ inv_z])
-    gx_sum = np.array([(b - c * y).sum(), (c * x - a).sum(),
-                       (a * y - b * x).sum()])
-    grad_t = -R @ g_sum / n
-    grad_q = np.array(dual.rotation_grad(q_est, gx_sum.tolist())) / n
-    return val, np.concatenate([grad_t, grad_q])
+    # points and divides by n. h holds a, b, c and the three rows of
+    # h x (x, y, 1), so that one vecdot and one row sum reduce them all.
+    idx = live.nonzero()[0]
+    xy = (uv.take(idx, axis=1) - K.principal) / K.focal
+    h = np.empty((6, len(idx)))
+    ab = h[0:2]
+    np.multiply(np.sign(res.take(idx, axis=1)), K.focal, out=ab)
+    axy = ab * xy                             # a x, b y
+    np.subtract(-axy[0], axy[1], out=h[2])    # c, as (-a) x == -(a x)
+    cxy = h[2] * xy                           # c x, c y
+    ayx = ab * xy[::-1]                       # a y, b x
+    np.subtract(ab[1], cxy[1], out=h[3])
+    np.subtract(cxy[0], ab[0], out=h[4])
+    np.subtract(ayx[0], ayx[1], out=h[5])
+    g_sum = np.vecdot(h[0:3], 1.0 / z.take(idx))
+    gx_sum = h[3:6].sum(axis=1)
+    grad_q = dual.rotation_grad(q_est, gx_sum.tolist())
+    return val, np.concatenate([-R @ g_sum, grad_q]) / n
 
 
 def _maxerror_core(p, ctx: LossContext, grad):

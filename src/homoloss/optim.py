@@ -113,11 +113,14 @@ def mean_reproj_distance(est_poses, scene: Scene,
     """Mean over frames of the mean clipped L2 pixel distance between gt and
     estimated projections of the frame's visible points; est_poses holds one
     (frame id, Pose) per scene frame, in order. Projections to infinity count
-    as the clip. Frames without visible points are skipped; InvalidInputError
-    when no frame has one, or for the first where a visible point lies at
-    zero gt depth or the estimate q has zero norm. One projection and one
-    np.mean per visible-count bucket of scene.stacked, which give each frame
-    the bits of its own."""
+    as the clip, which must be positive. Frames without visible points are
+    skipped; InvalidInputError when no frame has one, or for the first where
+    a visible point lies at zero gt depth or the estimate q has zero norm.
+    One projection and one np.mean per visible-count bucket of
+    scene.stacked, which give each frame the bits of its own."""
+    if not clip > 0:
+        raise InvalidInputError(f"reprojection clip must be positive, got "
+                                f"{clip}")
     if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
         raise InvalidInputError("need one estimate per scene frame, in order")
     view = scene.stacked
@@ -138,7 +141,7 @@ def mean_reproj_distance(est_poses, scene: Scene,
         uv, z = project_points(t[rows], quat_to_rotmat(q[rows]),
                                scene.intrinsics, points)
         duv = uv - gt_uv
-        dist = np.minimum(clip, np.hypot(duv[..., 0], duv[..., 1]))
+        dist = np.minimum(clip, np.hypot(duv[:, 0], duv[:, 1]))
         means[rows] = np.mean(np.where(np.abs(z) >= DEPTH_EPS, dist, clip),
                               axis=1)
     return float(np.mean(means[seen]))

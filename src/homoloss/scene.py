@@ -87,8 +87,9 @@ class Scene:
     def stacked(self) -> StackedFrames:
         """The frames grouped by visible count, unpadded: per count n > 0 a
         Bucket of the frames' indices rows (k,), their points (k, n, 3) and
-        gt projections gt_uv (k, n, 2); per frame, counts (F,), zero_gt_depth
-        (F,) a visible point at zero gt depth, and depths, its (n,) gt depths.
+        gt projections gt_uv (k, 2, n), u and v rows; per frame, counts (F,),
+        zero_gt_depth (F,) a visible point at zero gt depth, and depths, its
+        (n,) gt depths.
         Each product has one frame's shape, so its bits are those of the frame
         alone. Built on first use; the arrays are read-only."""
         counts = np.array([len(f.visible) for f in self.frames])
@@ -379,8 +380,7 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
         roll = rng.uniform(-math.pi, math.pi)
         q = _look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
         pose = Pose(position, q)
-        uv, z = project_points(position, quat_to_rotmat(q), K, points)
-        u, v = uv.T
+        (u, v), z = project_points(position, quat_to_rotmat(q), K, points)
         visible = np.flatnonzero(
             (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
         )

@@ -12,8 +12,9 @@ kernel replaced, the DiffScalar value and gradient of every loss kind, and
 the per-frame np.quantile slab estimation that the batched percentile
 routine replaced, the library's slab bounds of one group of depths, and
 the per-frame projection, gt depths and reprojection metric that the
-scene's stacked view replaced, and the nested-list homography kernel and
-array-form rotation gradient that the plain-float ones replaced.
+scene's stacked view replaced, the nested-list homography kernel and
+array-form rotation gradient that the plain-float ones replaced, and the
+geometric kernel on (N, 2) pixel pairs that the planar u/v rows replaced.
 """
 
 import math
@@ -33,6 +34,7 @@ from homoloss.geometry import (
     rotmat_elems,
     rotmat_to_quat,
 )
+from homoloss import dual
 from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
@@ -109,7 +111,7 @@ def project(pose: Pose, K: Intrinsics, P):
                            np.asarray(P, dtype=float).reshape(1, 3))
     if abs(z[0]) < DEPTH_EPS:
         raise PointAtInfinity(f"point {P} has camera depth {z[0]}")
-    return uv[0], float(z[0])
+    return uv[:, 0], float(z[0])
 
 
 def homography(rel: RelativePose, n, x) -> Homography:
@@ -214,7 +216,7 @@ def geometric_loop(est: Pose, gt: Pose, points, K: Intrinsics, clip):
     R = diffscalar.rotmat_elems(q)
     total = 0.0
     uv_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, points)[0]
-    for P, (u0, v0) in zip(points, uv_gt):
+    for P, (u0, v0) in zip(points, uv_gt.T):
         d = [P[k] - t[k] for k in range(3)]
         X, Y, Z = [sum(R[k][i] * d[k] for k in range(3)) for i in range(3)]
         if abs(Z.val) < DEPTH_EPS:
@@ -294,6 +296,38 @@ def project_points_2d(pose: Pose, K: Intrinsics, points):
     return np.column_stack([u, v]), z
 
 
+def geometric_core_pairs(p, ctx, grad):
+    """losses._geometric_core as it read (N, 2) pixel pairs, u and v side
+    by side, through project_points_2d's projection; the kernel on planar
+    u/v rows must equal it bit for bit."""
+    ctx.gt_uv  # the kernel's checks of the points, intrinsics and gt depths
+    uv_gt = project_points_2d(ctx.gt, ctx.intrinsics, ctx.points)[0]
+    points, K = ctx.points, ctx.intrinsics
+    clip, q_est = ctx.hyper.reproj_clip, p[3:7]
+    R = quat_to_rotmat(q_est)
+    uv, z = project_points_2d(Pose(p[0:3], q_est), K, points)
+    res = uv - uv_gt
+    d = np.abs(res).sum(axis=1)
+    live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
+    n = len(z)
+    val = float(np.where(live, d, clip).sum()) / n
+    if not grad:
+        return val, None
+
+    x = (uv[live, 0] - K.cx) / K.fx
+    y = (uv[live, 1] - K.cy) / K.fy
+    su, sv = np.sign(res[live]).T
+    a, b = su * K.fx, sv * K.fy
+    c = -a * x - b * y
+    inv_z = 1.0 / z[live]
+    g_sum = np.array([a @ inv_z, b @ inv_z, c @ inv_z])
+    gx_sum = np.array([(b - c * y).sum(), (c * x - a).sum(),
+                       (a * y - b * x).sum()])
+    grad_t = -R @ g_sum / n
+    grad_q = np.array(dual.rotation_grad(q_est, gx_sum.tolist())) / n
+    return val, np.concatenate([grad_t, grad_q])
+
+
 def frame_depths_loop(scene, frame):
     """One frame's gt depths, computed from its own points."""
     R = quat_to_rotmat(frame.gt_pose.q)
@@ -322,7 +356,7 @@ def mean_reproj_distance_loop(est_poses, scene,
                 f"frame {frame.id}: a visible point lies at zero gt depth"
             )
         uv, z = project_points(est.t, quat_to_rotmat(est.q), K, pts)
-        dist = np.minimum(clip, np.hypot(*(uv - uv_gt).T))
+        dist = np.minimum(clip, np.hypot(*(uv - uv_gt)))
         d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
         per_frame.append(float(np.mean(d)))
     if not per_frame:

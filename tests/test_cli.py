@@ -128,6 +128,18 @@ class TestLandscape:
             capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way
+    @pytest.mark.parametrize("over, text", [
+        ({"--range": "-1e308:1e308"}, "-1e308:1e308"),
+        ({"--axis2": "roty", "--range2": "1.7e308:-1.7e308"},
+         "1.7e308:-1.7e308")])
+    def test_infinite_span_range_exit_2(self, tmp_path, capsys, over, text):
+        out = str(tmp_path / "o")
+        assert main(landscape_args(out, **over, **{"--steps": "3"})) == 2
+        assert f"range '{text}' must have a finite span" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("frame", ["99", "8", "-1"])
     def test_frame_out_of_range_exit_2(self, tmp_path, capsys, frame):
         out = str(tmp_path / "o")
@@ -492,6 +504,22 @@ class TestEval:
                 "--points", pts_path, "--eval-clip", "nan", "--out", out]
         assert main(argv) == 2
         assert "--eval-clip must not be nan" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("clip", ["-5", "0"])
+    def test_non_positive_eval_clip_exit_2(self, tmp_path, capsys, clip):
+        # est == gt: every distance is 0, which a clip of -5 or 0 would
+        # have turned into the metric's value.
+        gt_path, _ = self.write_scene_files(tmp_path)
+        pts_path = str(tmp_path / "pts.txt")
+        with open(pts_path, "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0]], {"f0": (0,), "f1": (0,)})
+        out = str(tmp_path / "o")
+        argv = ["eval", "--gt-poses", gt_path, "--est-poses", gt_path,
+                "--points", pts_path, "--eval-clip", clip, "--out", out]
+        assert main(argv) == 2
+        assert f"reprojection clip must be positive, got {float(clip)}" in \
+            capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_zero_fy_exit_2(self, tmp_path, capsys):

@@ -26,11 +26,13 @@ from homoloss.optim import frame_context
 from oracles import (
     Homography,
     RelativePose,
+    geometric_core_pairs,
     geometric_loop,
     homography,
     homography_core_nested,
     homography_loss_closed,
     homography_loss_numeric,
+    project_points_2d,
     relative_pose,
     scalar_form_oracle,
     sensor_grid_reproj,
@@ -494,5 +496,97 @@ class TestHomographyKernel:
             if grad:
                 assert g.dtype == want_grad.dtype and g.shape == (7,)
                 assert bits(g) == bits(want_grad)
+            else:
+                assert g is None and want_grad is None
+
+
+def hexes(x):
+    """Each entry as float.hex, so that == tells -0.0 from 0.0 and a NaN
+    equals a NaN."""
+    return [v.hex() for v in np.atleast_1d(np.asarray(x, dtype=float))
+            .tolist()]
+
+
+class TestGeometricKernel:
+    """The kernel on planar u/v rows against the (N, 2) pixel-pair form it
+    replaced (oracles.geometric_core_pairs): the same value and gradient
+    entries by float.hex, and the same domain error."""
+
+    K = Intrinsics(fx=500.0, fy=450.0, cx=320.0, cy=240.0, w=640.0, h=480.0)
+    # estimated depths at and around DEPTH_EPS, either side of the camera
+    near_zero = [0.0, -0.0, 0.5e-9, 1e-9, np.nextafter(1e-9, 0.0), 2e-9]
+
+    @staticmethod
+    def with_zeros(rng, x, frac):
+        """x with each entry replaced, with probability frac, by +-0.0."""
+        zeros = np.where(rng.random(len(x)) < 0.5, 0.0, -0.0)
+        return np.where(rng.random(len(x)) < frac, zeros, x)
+
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.one_of(st.integers(1, 200), st.integers(201, 5000)),
+           case=st.sampled_from(["perturbed", "gt", "turned", "moved"]),
+           dead=st.sets(st.sampled_from(["behind", "depth_eps"])),
+           clip=st.sampled_from(["inf", "wide", "median", "at a point"]),
+           zeros=st.booleans())
+    def test_matches_the_pixel_pair_form(self, seed, n, case, dead, clip,
+                                         zeros):
+        rng = np.random.default_rng(seed)
+        frac = 0.2 if zeros else 0.0
+        q_gt = self.with_zeros(rng, random_pose(rng).q, frac)
+        gt = Pose(self.with_zeros(rng, rng.normal(size=3), frac),
+                  q_gt if q_gt.any() else [1.0, 0.0, 0.0, 0.0])
+        est = perturbed(gt, rng, max_t=0.3, max_deg=10.0)
+        est = Pose(self.with_zeros(rng, est.t, frac),
+                   self.with_zeros(rng, est.q, frac))
+        if case == "gt":  # zero residuals: signed zeros in every h row
+            est = gt
+        elif case == "turned":
+            est = Pose(gt.t, est.q)
+        elif case == "moved":
+            est = Pose(est.t, gt.q)
+        if not est.q.any():
+            est = Pose(est.t, gt.q)
+        # points in front of the gt camera, some on its optical axis
+        cam = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
+                               rng.uniform(0.5, 10.0, n)])
+        cam[:, :2] = self.with_zeros(rng, cam[:, :2].ravel(), frac) \
+            .reshape(n, 2)
+        points = gt.t + cam @ quat_to_rotmat(gt.q).T
+        R_est = quat_to_rotmat(est.q)
+        for kind in sorted(dead):  # a share of points the kernel drops
+            rows = rng.random(n) < rng.uniform(0.0, 0.5)
+            cam = rng.uniform(-2.0, 2.0, (rows.sum(), 3))
+            if kind == "behind":
+                cam[:, 2] = -rng.uniform(0.5, 10.0, len(cam))
+            else:  # below DEPTH_EPS in the estimated camera, or near it
+                cam[:, 2] = rng.choice(self.near_zero, len(cam)) \
+                    * rng.choice([-1.0, 1.0], len(cam))
+            points[rows] = est.t + cam @ R_est.T
+        uv, _ = project_points_2d(est, self.K, points)
+        with np.errstate(invalid="ignore"):  # inf - inf at zero depth
+            d = np.abs(uv - project_points_2d(gt, self.K, points)[0]) \
+                .sum(axis=1)
+        d = d[np.isfinite(d) & (d > 0)]
+        reproj_clip = {"inf": math.inf, "wide": 1e6}.get(clip, 100.0)
+        if clip == "median" and len(d):
+            reproj_clip = float(np.median(d))
+        elif clip == "at a point" and len(d):  # d == clip: dead
+            reproj_clip = float(rng.choice(d))
+        ctx = LossContext(gt, LossHyperParams(reproj_clip=reproj_clip),
+                          points, self.K)
+        p = est.params().tolist()
+        for grad in (False, True):
+            try:
+                want_val, want_grad = geometric_core_pairs(p, ctx, grad)
+            except InvalidInputError as e:
+                with pytest.raises(InvalidInputError) as got:
+                    losses._geometric_core(p, ctx, grad)
+                assert str(got.value) == str(e)
+                continue
+            val, g = losses._geometric_core(p, ctx, grad)
+            assert type(val) is float and hexes(val) == hexes(want_val)
+            if grad:
+                assert g.shape == (7,) and hexes(g) == hexes(want_grad)
             else:
                 assert g is None and want_grad is None

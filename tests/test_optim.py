@@ -217,10 +217,11 @@ class TestMetrics:
             projections = [project_points(p.t, quat_to_rotmat(p.q), K, pts)]
             if i in slot:
                 assert np.array_equal(slot[i][0], pts)
-                assert np.array_equal(slot[i][1], gt_uv)
+                assert np.array_equal(slot[i][1], gt_uv.T)
                 projections.append(slot[i][2:])
             for one in projections:
-                assert np.array_equal(one[0], project_points_2d(p, K, pts)[0],
+                assert np.array_equal(one[0],
+                                      project_points_2d(p, K, pts)[0].T,
                                       equal_nan=True)
                 assert np.array_equal(one[1], project_points_2d(p, K, pts)[1])
 

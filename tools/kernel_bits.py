@@ -16,7 +16,9 @@ same line:
 The draws cover unit, non-unit and zero estimated quaternions, quaternion
 and translation entries of +0.0 and -0.0, estimates equal to the ground
 truth and to its negated quaternion, empty point sets, points at zero gt
-depth, and random clips, loss weights and slab bounds.
+depth, and random clips, loss weights and slab bounds. Point sets of 0, 1,
+5, 30, 200 or 2,000 points: the last two reach numpy's blocked pairwise
+sum (more than 128 terms) and the BLAS dot's blocking.
 """
 
 import argparse
@@ -65,7 +67,7 @@ def draw_frame(rng):
         q = _signed_zeros(rng, np.ones(4), 1.0)
     s = rng.normal(size=2)
 
-    n_points = int(rng.choice([0, 1, 5, 30]))
+    n_points = int(rng.choice([0, 1, 5, 30, 200, 2000]))
     points = t_gt + rng.normal(size=(n_points, 3)) * 4.0
     if n_points and rng.random() < 0.1:
         points[0] = t_gt  # at zero gt depth
