@@ -14,9 +14,9 @@ phase) into --out whenever the run records an error, and exits 2 after
 writing all its outputs if the run aborted.
 
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
-2 data/parse error (a NaN option value, a non-finite range, a bad manifest
-or a changed input file, too), or aborted run, 3 numeric-tolerance failure
-(a NaN gradient error included).
+2 data/parse error (a NaN option value, a negative seed, a non-finite
+range, a bad manifest or a changed input file, too), or aborted run,
+3 numeric-tolerance failure (a NaN gradient error included).
 """
 
 from __future__ import annotations
@@ -524,9 +524,11 @@ def main(argv=None) -> int:
             config = {k: v for k, v in vars(args).items()
                       if k not in ("command", "from_manifest")}
         for key, value in config.items():  # inf stays: --clip inf, no clip
+            option = "--" + key.replace("_", "-")
             if isinstance(value, float) and np.isnan(value):
-                option = "--" + key.replace("_", "-")
                 raise InvalidInputError(f"{option} must not be nan")
+            if key.endswith("seed") and value < 0:
+                raise InvalidInputError(f"{option} must be >= 0, got {value}")
         return COMMANDS[command](config)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

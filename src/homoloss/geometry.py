@@ -83,17 +83,19 @@ def _column(a, b):
 # -- quaternion algebra ----------------------------------------------------
 
 def quat_normalize(q):
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    """q / |q| of a quaternion (4,), or of each row of a (..., 4) stack."""
+    q = np.ascontiguousarray(q, dtype=float)  # a strided row's ddot differs
+    n = np.sqrt(np.vecdot(q, q))  # per row the ddot of a 1-D np.linalg.norm
+    if not np.all(n):
         raise InvalidInputError("zero-norm quaternion")
-    return q / n
+    return q / n[..., None]
 
 
 def quat_canonical(q):
-    """Unit quaternion with non-negative scalar part (double cover collapsed)."""
+    """Unit quaternion with non-negative scalar part (double cover collapsed),
+    of q (4,) or of each row of a (..., 4) stack."""
     q = quat_normalize(q)
-    return -q if q[0] < 0 else q
+    return np.where(q[..., :1] < 0, -q, q)
 
 
 def quat_multiply(q1, q2):
@@ -158,41 +160,31 @@ def quat_to_rotmat(q):
 
 
 def rotmat_to_quat(R):
-    """Quaternion (w, x, y, z) of a rotation matrix, canonical sign."""
+    """Quaternion (w, x, y, z) of a rotation matrix (3, 3), canonical sign,
+    or (..., 4) of a (..., 3, 3) stack. Each matrix takes the first branch
+    whose test holds: trace > 0, then R00 >= R11 and R00 >= R22, then
+    R11 >= R22, else the fourth; the branches it does not take may divide
+    by zero or take the root of a negative number unseen."""
     R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([
-            0.25 * s,
-            (R[2, 1] - R[1, 2]) / s,
-            (R[0, 2] - R[2, 0]) / s,
-            (R[1, 0] - R[0, 1]) / s,
-        ])
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([
-            (R[2, 1] - R[1, 2]) / s,
-            0.25 * s,
-            (R[0, 1] + R[1, 0]) / s,
-            (R[0, 2] + R[2, 0]) / s,
-        ])
-    elif R[1, 1] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([
-            (R[0, 2] - R[2, 0]) / s,
-            (R[0, 1] + R[1, 0]) / s,
-            0.25 * s,
-            (R[1, 2] + R[2, 1]) / s,
-        ])
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([
-            (R[1, 0] - R[0, 1]) / s,
-            (R[0, 2] + R[2, 0]) / s,
-            (R[1, 2] + R[2, 1]) / s,
-            0.25 * s,
-        ])
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
+        np.moveaxis(R, (-2, -1), (0, 1))
+    tr = r00 + r11 + r22
+    roots = [tr + 1.0, 1.0 + r00 - r11 - r22, 1.0 + r11 - r00 - r22,
+             1.0 + r22 - r00 - r11]
+    # numerators of the off-diagonal terms, branch by branch
+    x, y, z = r21 - r12, r02 - r20, r10 - r01
+    xy, xz, yz = r01 + r10, r02 + r20, r12 + r21
+    rows = [(x, y, z), (x, xy, xz), (y, xy, yz), (z, xz, yz)]
+    branches = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (root, row) in enumerate(zip(roots, rows)):
+            s = np.sqrt(root) * 2.0
+            terms = [a / s for a in row]
+            terms.insert(k, 0.25 * s)
+            branches.append(np.stack(terms, axis=-1))
+    tests = [tr > 0, (r00 >= r11) & (r00 >= r22), r11 >= r22]
+    q = np.select([np.asarray(t)[..., None] for t in tests], branches[:3],
+                  branches[3])
     return quat_canonical(q)
 
 

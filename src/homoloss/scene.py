@@ -22,7 +22,6 @@ from .geometry import (
     Pose,
     project_points,
     quat_canonical,
-    quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
     rotmat_to_quat,
@@ -330,22 +329,35 @@ def default_intrinsics(fov_deg: float = 65.0, w: int = 640,
     return Intrinsics(fx=f, fy=f, cx=w / 2.0, cy=h / 2.0, w=w, h=h)
 
 
-def _look_at(position, target, up, roll_rad=0.0):
-    """World-from-camera rotation with +z pointing from position to target."""
-    z = np.asarray(target, dtype=float) - position
-    z = z / np.linalg.norm(z)
-    x = np.cross(np.asarray(up, dtype=float), z)
-    nx = np.linalg.norm(x)
-    if nx < 1e-12:  # looking straight along up: pick any perpendicular
-        x = np.cross([1.0, 0.0, 0.0], z)
-        nx = np.linalg.norm(x)
+def _norms(x):
+    """(F, 1) row norms of (F, k) x: per row the ddot of a 1-D
+    np.linalg.norm, which np.linalg.norm(x, axis=1) does not reproduce."""
+    return np.sqrt(np.vecdot(x, x))[:, None]
+
+
+def _look_at_origin(positions, rolls):
+    """Canonical world-from-camera quaternions (F, 4) of cameras at positions
+    (F, 3) with +z toward the origin and y up, each then rolled by its angle
+    in rolls (rad) about its +z. Row by row these are the operations of one
+    look-at per camera."""
+    turns = []
+    for roll in rolls:  # quat_from_axis_angle((0, 0, 1), roll)'s terms, in
+        h = 0.5 * roll  # math's cos and sin, whatever numpy's SIMD dispatch
+        s = math.sin(h)
+        turns.append((math.cos(h), s * 0.0, s * 0.0, s))
+    z = 0.0 - positions  # not -positions: 0.0 - 0.0 is +0.0
+    z = z / _norms(z)
+    x = np.cross([0.0, 1.0, 0.0], z)
+    nx = _norms(x)
+    along = nx[:, 0] < 1e-12  # looking straight along up: any perpendicular
+    x[along] = np.cross([1.0, 0.0, 0.0], z[along])
+    nx[along] = _norms(x[along])
     x = x / nx
-    y = np.cross(z, x)
-    R = np.column_stack([x, y, z])
-    q = rotmat_to_quat(R)
-    if roll_rad != 0.0:
-        q = quat_multiply(q, quat_from_axis_angle([0, 0, 1], roll_rad))
-    return quat_canonical(q)
+    q = rotmat_to_quat(np.stack([x, np.cross(z, x), z], axis=-1))
+    rolled = np.stack(quat_multiply(q.T, np.array(turns).T), axis=-1)
+    # a roll of exactly 0.0 (a uniform draw of 0.5) is not applied
+    return quat_canonical(np.where((np.array(rolls) != 0.0)[:, None],
+                                   rolled, q))
 
 
 def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
@@ -371,23 +383,26 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
     mid = 0.5 * (lo + hi)
     points = rng.uniform(-extent, extent, size=(n_points, 3))
     K = default_intrinsics() if intrinsics is None else intrinsics
-    frames = []
-    for i in range(n_frames):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        dist = mid + rng.uniform(-0.05, 0.05) * span
-        position = direction * dist
-        roll = rng.uniform(-math.pi, math.pi)
-        q = _look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
-        pose = Pose(position, q)
-        (u, v), z = project_points(position, quat_to_rotmat(q), K, points)
-        visible = np.flatnonzero(
-            (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
+    # the draws stay per frame, in one frame's order, so the stream is kept
+    directions, offsets, rolls = [], [], []
+    for _ in range(n_frames):
+        directions.append(rng.normal(size=3))
+        offsets.append(rng.uniform(-0.05, 0.05))
+        rolls.append(rng.uniform(-math.pi, math.pi))
+    directions = np.array(directions)
+    positions = directions / _norms(directions) \
+        * (mid + np.array(offsets) * span)[:, None]
+    q = _look_at_origin(positions, rolls)
+    uv, z = project_points(positions, quat_to_rotmat(q), K, points)
+    u, v = uv[:, 0], uv[:, 1]
+    seen = (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
+    counts = seen.sum(axis=1)
+    for i in np.flatnonzero(counts < 2)[:1]:
+        raise GenerationError(
+            f"frame {i} sees only {counts[i]} points; adjust the "
+            f"intrinsics, depth_range, or n_points"
         )
-        if len(visible) < 2:
-            raise GenerationError(
-                f"frame {i} sees only {len(visible)} points; adjust the "
-                f"intrinsics, depth_range, or n_points"
-            )
-        frames.append(Frame(id=f"f{i:03d}", gt_pose=pose, visible=visible))
+    frames = [Frame(id=f"f{i:03d}", gt_pose=Pose(t, qi),
+                    visible=np.flatnonzero(row))
+              for i, (t, qi, row) in enumerate(zip(positions, q, seen))]
     return Scene(points=points, frames=frames, intrinsics=K)

@@ -13,8 +13,11 @@ the per-frame np.quantile slab estimation that the batched percentile
 routine replaced, the library's slab bounds of one group of depths, and
 the per-frame projection, gt depths and reprojection metric that the
 scene's stacked view replaced, the nested-list homography kernel and
-array-form rotation gradient that the plain-float ones replaced, and the
-geometric kernel on (N, 2) pixel pairs that the planar u/v rows replaced.
+array-form rotation gradient that the plain-float ones replaced, the
+geometric kernel on (N, 2) pixel pairs that the planar u/v rows replaced,
+and the per-frame synthetic scene loop, with its look-at and the
+per-matrix rotmat_to_quat and quat_canonical, that the array form
+replaced.
 """
 
 import math
@@ -29,6 +32,7 @@ from homoloss.geometry import (
     Intrinsics,
     Pose,
     project_points,
+    quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
     rotmat_elems,
@@ -39,8 +43,8 @@ from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP
-from homoloss.scene import DegenerateDepthError, _slab_params, \
-    _sorted_positive
+from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
+    Scene, _slab_params, _sorted_positive, default_intrinsics
 
 
 class InvalidDepthError(ValueError):
@@ -412,3 +416,117 @@ def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad,
         + k1 * rotation_grad_array(q_est, body)
     grad_t = [-k1 * m[i] - 2.0 * k2 * d[i] for i in range(3)]
     return val, np.concatenate([grad_t, grad_q])
+
+
+def quat_normalize_one(q):
+    """geometry.quat_normalize of one quaternion, as it read before its
+    stacked form."""
+    q = np.asarray(q, dtype=float)
+    n = np.linalg.norm(q)
+    if n == 0.0:
+        raise InvalidInputError("zero-norm quaternion")
+    return q / n
+
+
+def quat_canonical_one(q):
+    """Unit quaternion with non-negative scalar part (double cover collapsed)."""
+    q = quat_normalize_one(q)
+    return -q if q[0] < 0 else q
+
+
+def rotmat_to_quat_one(R):
+    """Quaternion (w, x, y, z) of a rotation matrix, canonical sign."""
+    R = np.asarray(R, dtype=float)
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = np.array([
+            0.25 * s,
+            (R[2, 1] - R[1, 2]) / s,
+            (R[0, 2] - R[2, 0]) / s,
+            (R[1, 0] - R[0, 1]) / s,
+        ])
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array([
+            (R[2, 1] - R[1, 2]) / s,
+            0.25 * s,
+            (R[0, 1] + R[1, 0]) / s,
+            (R[0, 2] + R[2, 0]) / s,
+        ])
+    elif R[1, 1] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array([
+            (R[0, 2] - R[2, 0]) / s,
+            (R[0, 1] + R[1, 0]) / s,
+            0.25 * s,
+            (R[1, 2] + R[2, 1]) / s,
+        ])
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array([
+            (R[1, 0] - R[0, 1]) / s,
+            (R[0, 2] + R[2, 0]) / s,
+            (R[1, 2] + R[2, 1]) / s,
+            0.25 * s,
+        ])
+    return quat_canonical_one(q)
+
+
+def look_at(position, target, up, roll_rad=0.0):
+    """World-from-camera rotation with +z pointing from position to target."""
+    z = np.asarray(target, dtype=float) - position
+    z = z / np.linalg.norm(z)
+    x = np.cross(np.asarray(up, dtype=float), z)
+    nx = np.linalg.norm(x)
+    if nx < 1e-12:  # looking straight along up: pick any perpendicular
+        x = np.cross([1.0, 0.0, 0.0], z)
+        nx = np.linalg.norm(x)
+    x = x / nx
+    y = np.cross(z, x)
+    R = np.column_stack([x, y, z])
+    q = rotmat_to_quat_one(R)
+    if roll_rad != 0.0:
+        q = quat_multiply(q, quat_from_axis_angle([0, 0, 1], roll_rad))
+    return quat_canonical_one(q)
+
+
+def synth_scene_loop(seed: int, n_points: int = 60, n_frames: int = 8,
+                     depth_range=(2.0, 8.0),
+                     intrinsics: Intrinsics = None) -> Scene:
+    """scene.synth_scene as it read before its array form: one look-at, one
+    projection and one visibility test per frame, with the per-matrix
+    rotmat_to_quat and quat_canonical above."""
+    if n_points < 10:
+        raise InvalidInputError("need at least 10 points")
+    if n_frames < 1:
+        raise InvalidInputError("need at least 1 frame")
+    lo, hi = float(depth_range[0]), float(depth_range[1])
+    if not 0.0 < lo < hi < math.inf:
+        raise InvalidInputError("depth_range must satisfy 0 < lo < hi < inf")
+    rng = np.random.default_rng(seed)
+    span = hi - lo
+    extent = 0.25 * span            # half-extent of the point box
+    mid = 0.5 * (lo + hi)
+    points = rng.uniform(-extent, extent, size=(n_points, 3))
+    K = default_intrinsics() if intrinsics is None else intrinsics
+    frames = []
+    for i in range(n_frames):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        dist = mid + rng.uniform(-0.05, 0.05) * span
+        position = direction * dist
+        roll = rng.uniform(-math.pi, math.pi)
+        q = look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
+        pose = Pose(position, q)
+        (u, v), z = project_points(position, quat_to_rotmat(q), K, points)
+        visible = np.flatnonzero(
+            (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
+        )
+        if len(visible) < 2:
+            raise GenerationError(
+                f"frame {i} sees only {len(visible)} points; adjust the "
+                f"intrinsics, depth_range, or n_points"
+            )
+        frames.append(Frame(id=f"f{i:03d}", gt_pose=pose, visible=visible))
+    return Scene(points=points, frames=frames, intrinsics=K)

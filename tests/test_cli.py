@@ -713,6 +713,11 @@ class TestManifest:
             **m, "config": {**m["config"], "depth_max": float("nan")}}) == 2
         assert "--depth-max must not be nan" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert self.replay(tmp_path, lambda m: {
+            **m, "config": {**m["config"], "scene_seed": -3}}) == 2
+        assert "--scene-seed must be >= 0, got -3" in capsys.readouterr().err
+
     def test_edited_input_file_exit_2(self, tmp_path, capsys):
         scene = synth_scene(0, n_frames=2)
         poses = str(tmp_path / "poses.txt")
@@ -844,6 +849,23 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         assert main([*argv, "--synthetic", "--out", out]) == 2
         assert f"{argv[-2]} must not be nan" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["landscape", "--losses", "posenet", "--axis", "tz",
+         "--range=-1:1", "--steps", "3", "--scene-seed", "-1"],
+        ["gradcheck", "--loss", "posenet", "--samples", "2", "--seed", "-1"],
+        ["gradcheck", "--loss", "posenet", "--samples", "2",
+         "--scene-seed", "-1"],
+        ["optimize", "--loss", "posenet", "--epochs", "2", "--seed", "-1"],
+        ["optimize", "--loss", "posenet", "--epochs", "2",
+         "--scene-seed", "-1"],
+        ["slabs", "--scene-seed", "-1"],
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "o")
+        assert main([*argv, "--synthetic", "--out", out]) == 2
+        assert f"{argv[-2]} must be >= 0, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("option, message", [

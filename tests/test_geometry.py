@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import identity_pose, random_pose, random_unit_quat
 from homoloss.geometry import (
@@ -9,6 +10,7 @@ from homoloss.geometry import (
     Intrinsics,
     Pose,
     angle_between,
+    quat_canonical,
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
@@ -22,6 +24,8 @@ from oracles import (
     homography,
     project,
     relative_pose,
+    quat_canonical_one,
+    rotmat_to_quat_one,
 )
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -212,6 +216,62 @@ class TestAngleBetween:
         nan = [math.nan] * 4
         assert math.isnan(angle_between(nan, [1, 0, 0, 0]))
         assert math.isnan(angle_between([1, 0, 0, 0], nan))
+
+
+# matrices taking each rotmat_to_quat branch, and the ties that decide them
+BRANCH_CASES = {
+    "trace > 0": quat_to_rotmat([0.9, 0.1, 0.2, 0.3]),
+    "R00 largest": quat_to_rotmat([0.1, 0.9, 0.2, 0.3]),
+    "R11 largest": quat_to_rotmat([0.1, 0.2, 0.9, 0.3]),
+    "R22 largest": quat_to_rotmat([0.1, 0.2, 0.3, 0.9]),
+    "trace 0, R00 == R11 == R22": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                                   [0.0, 1.0, 0.0]],
+    "trace 0, R00 > R11 > R22": [[0.5, 0.6, 0.0], [-0.6, 0.0, 0.0],
+                                 [0.0, 0.0, -0.5]],
+    "trace 0, R11 > R22 > R00": [[-0.5, 0.0, 0.3], [0.0, 0.5, 0.0],
+                                 [0.1, 0.0, 0.0]],
+    "R00 == R11 > R22": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+    "R00 == R22 > R11": [[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]],
+    "R11 == R22 > R00": [[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+}
+
+
+class TestStackedRotmatToQuat:
+    def test_each_branch_and_tie_equals_per_matrix_calls(self):
+        R = np.array(list(BRANCH_CASES.values()))
+        for name, r, q in zip(BRANCH_CASES, R, rotmat_to_quat(R)):
+            assert q.tobytes() == rotmat_to_quat_one(r).tobytes(), name
+            assert q.tobytes() == rotmat_to_quat(r).tobytes(), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 4).filter(any)
+                    | st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+                        lambda q: math.hypot(*q) > 1e-3),
+                    min_size=1, max_size=12))
+    def test_rotations_equal_per_matrix_calls(self, quats):
+        # small-integer quaternions give rotations with exact ties: 0 trace,
+        # equal diagonal entries, entries of +-0 and +-1
+        R = quat_to_rotmat(np.array(quats, dtype=float))
+        for r, q in zip(R, rotmat_to_quat(R)):
+            assert q.tobytes() == rotmat_to_quat_one(r).tobytes()
+
+    def test_stack_shapes(self):
+        R = np.array(list(BRANCH_CASES.values()))
+        assert rotmat_to_quat(R[0]).shape == (4,)
+        assert rotmat_to_quat(R.reshape(2, 5, 3, 3)).tobytes() == \
+            rotmat_to_quat(R).tobytes()
+
+
+def test_stacked_quat_canonical_equals_per_row_calls():
+    q = np.random.default_rng(3).normal(size=(500, 4))
+    q[:4] = [[-0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+             [0.5, -0.5, 0.5, -0.5], [-2.0, -0.0, 0.0, 3.0]]
+    # a strided stack: its rows' ddot would differ from a 1-D norm's
+    for stack in (q, np.asfortranarray(q)):
+        for row, c in zip(q, quat_canonical(stack)):
+            assert c.tobytes() == quat_canonical_one(row).tobytes()
+    with pytest.raises(InvalidInputError, match="zero-norm quaternion"):
+        quat_canonical([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
 
 
 def test_rotmat_quat_round_trip():

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import identity_pose
 from homoloss import scene as scene_module
-from homoloss.geometry import InvalidInputError, Pose, quat_to_rotmat
+from homoloss.geometry import InvalidInputError, Intrinsics, Pose, \
+    quat_to_rotmat
 from homoloss.losses import SlabParams
 from homoloss.scene import (
     DegenerateDepthError,
     DepthSlab,
     Frame,
+    GenerationError,
     ParseError,
     Scene,
     default_intrinsics,
+    focal_length,
     global_slab,
     local_slabs,
     parse_points,
@@ -28,8 +32,8 @@ from homoloss.scene import (
     _slab_params,
     _sorted_positive,
 )
-from oracles import frame_depths_loop, percentile_bounds, point_depth, \
-    quantile_bounds, slab_loop
+from oracles import frame_depths_loop, look_at, percentile_bounds, \
+    point_depth, quantile_bounds, slab_loop, synth_scene_loop
 
 
 def view_arrays(view):
@@ -502,3 +506,90 @@ class TestSynthScene:
             synth_scene(seed=0, depth_range=(5.0, 2.0))
         with pytest.raises(InvalidInputError, match="hi < inf"):
             synth_scene(seed=0, depth_range=(2.0, math.inf))
+
+
+def assert_same_scene(a, b):
+    """Points, camera and every frame's id, t, q and visible, byte for byte."""
+    assert a.intrinsics == b.intrinsics
+    assert a.points.tobytes() == b.points.tobytes()
+    assert [f.id for f in a.frames] == [f.id for f in b.frames]
+    for f, g in zip(a.frames, b.frames):
+        for x, y in [(f.gt_pose.t, g.gt_pose.t), (f.gt_pose.q, g.gt_pose.q),
+                     (f.visible, g.visible)]:
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), f.id
+
+
+def small_sensor(fov, w, h, a, b):
+    """A camera of fov degrees across w x h px, its principal point at
+    fractions a, b of the sensor: narrow ones leave frames with < 2 points."""
+    f = focal_length(fov, w)
+    return Intrinsics(fx=f, fy=f, cx=a * w, cy=b * h, w=w, h=h)
+
+
+SENSORS = st.one_of(
+    st.none(),
+    st.just(default_intrinsics(40.0, 320, 240)),
+    st.builds(small_sensor, st.floats(1.0, 60.0), st.integers(2, 64),
+              st.integers(2, 64), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+
+
+class TestArrayFormSynthScene:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(10, 500),
+           n_frames=st.integers(1, 200), lo=st.floats(0.01, 20.0),
+           span=st.floats(0.01, 50.0), intrinsics=SENSORS)
+    @example(seed=0, n_points=60, n_frames=8, lo=2.0, span=6.0,
+             intrinsics=None)
+    @example(seed=7, n_points=60, n_frames=64, lo=2.0, span=6.0,
+             intrinsics=default_intrinsics(40.0, 320, 240))
+    @example(seed=3, n_points=40, n_frames=50, lo=2.0, span=6.0,
+             intrinsics=small_sensor(10.0, 16, 16, 0.5, 0.5))  # frame 9
+    def test_equals_the_frame_loop(self, seed, n_points, n_frames, lo, span,
+                                   intrinsics):
+        args = (seed, n_points, n_frames, (lo, lo + span), intrinsics)
+        try:
+            want = synth_scene_loop(*args)
+        except GenerationError as e:
+            with pytest.raises(GenerationError,
+                               match=f"^{re.escape(str(e))}$"):
+                synth_scene(*args)
+            return
+        assert_same_scene(synth_scene(*args), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.tuples(*[st.floats(-10.0, 10.0)
+                    | st.sampled_from([0.0, -0.0, 1e-13, -1e-13])] * 3)
+        .filter(lambda p: math.hypot(*p) > 0.1),  # not at the origin
+        st.floats(-math.pi, math.pi) | st.just(0.0)), min_size=1,
+        max_size=20))
+    def test_look_at_equals_the_per_camera_form(self, cameras):
+        positions = np.array([p for p, _ in cameras])
+        rolls = [r for _, r in cameras]
+        q = scene_module._look_at_origin(positions, rolls)
+        for p, r, qi in zip(positions, rolls, q):
+            want = look_at(p, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=r)
+            assert qi.tobytes() == want.tobytes()
+
+    def test_look_at_fallback_on_the_up_axis(self):
+        # random normals never put a camera on the y axis, where up x z
+        # vanishes and the look-at falls back to x = (1, 0, 0) x z
+        positions = np.array([[0.0, 3.0, 0.0], [0.0, -2.5, 0.0],
+                              [1e-13, 4.0, 0.0], [-0.0, 5.0, -1e-13],
+                              [1e-11, 4.0, 0.0], [1.0, 2.0, 3.0]])
+        rolls = [0.3, -2.0, 0.0, 1.0, 0.5, 2.5]
+        q = scene_module._look_at_origin(positions, rolls)
+        for p, r, qi in zip(positions, rolls, q):
+            want = look_at(p, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=r)
+            assert qi.tobytes() == want.tobytes()
+
+    def test_names_the_first_frame_with_too_few_points(self):
+        K = small_sensor(10.0, 16, 16, 0.5, 0.5)
+        message = "frame 9 sees only 1 points; adjust the intrinsics, " \
+            "depth_range, or n_points"
+        for build in (synth_scene_loop, synth_scene):
+            with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+                build(3, 40, 50, intrinsics=K)
+

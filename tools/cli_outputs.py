@@ -17,9 +17,12 @@ two source trees compare with a plain `diff -r`:
 
 The set: `optimize` for every loss kind on a synthetic scene (30 epochs)
 and on a pose/point file scene (20 epochs); `gradcheck` for every kind (20
-samples); a geometric `optimize` with a homoscedastic warm start; 1-D and
-2-D `landscape` over every kind; local `slabs` with histograms and global
-`slabs` without and with them; `eval` with points; and, on a file scene
+samples); a geometric `optimize` with a homoscedastic warm start; a
+homography `optimize` on a 64-frame synthetic scene in batches of 16 (5
+epochs); 1-D and 2-D `landscape` over every kind; local `slabs` with
+histograms, also on a 32-frame synthetic scene seen by a 320 x 240 sensor
+with a 40 degree field of view, and global `slabs` without and with
+them; `eval` with points; and, on a file scene
 whose first frame has no V line, a geometric `optimize` and a geometric
 and posenet `landscape` of that frame, whose geometric cells are all NaN.
 """
@@ -75,6 +78,9 @@ def runs():
     yield "optimize_warmstart", [
         "optimize", "--synthetic", "--loss", "geometric", "--epochs", "20",
         "--warmstart", "10"]
+    yield "optimize_synthetic_64_frames", [
+        "optimize", "--synthetic", "--n-frames", "64", "--batch-size", "16",
+        "--loss", "homography", "--epochs", "5"]
     kinds = ",".join(LOSS_KINDS)
     yield "landscape_1d", [
         "landscape", "--synthetic", "--losses", kinds, "--axis", "roty",
@@ -84,6 +90,9 @@ def runs():
         "--range=-2:2", "--steps", "21", "--axis2", "rotx",
         "--range2=-20:20", "--steps2", "21"]
     yield "slabs_local_hist", ["slabs", "--synthetic", "--hist"]
+    yield "slabs_local_hist_320x240", [
+        "slabs", "--synthetic", "--n-frames", "32", "--fov", "40", "--width",
+        "320", "--height", "240", "--hist"]
     yield "slabs_global", ["slabs", "--synthetic", "--mode", "global"]
     yield "slabs_global_hist", ["slabs", "--synthetic", "--mode", "global",
                                 "--hist"]
