@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -78,8 +79,8 @@ def _write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(header + "\n")
         for row in rows:
-            f.write(",".join(format(v, ".17g") if isinstance(v, float)
-                             else str(v) for v in row) + "\n")
+            f.write(",".join(["%.17g" % v if isinstance(v, float)
+                              else str(v) for v in row]) + "\n")
 
 
 def _sha256(path):
@@ -405,7 +406,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use: parse_args keeps
+    no state in it between calls."""
     parser = _Parser(prog="homoloss", description=__doc__)
     parser.add_argument("--from-manifest", metavar="FILE",
                         help="replay a previously written manifest")

@@ -70,6 +70,8 @@ class Scene:
         points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "frames", tuple(self.frames))
+        # (mode, lo, hi) -> bounds of local_slabs or global_slab
+        object.__setattr__(self, "_slabs", {})
         if len(self.frames) < 1:
             raise InvalidInputError("scene needs at least one frame")
         ends = np.cumsum([len(f.visible) for f in self.frames])
@@ -190,17 +192,25 @@ def _slab_params(positive, lo, hi, frame_ids):
 
 def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
-    """Per-frame slab bounds from each frame's own depth distribution."""
-    ids = [f.id for f in scene.frames]
-    bounds = _slab_params(scene.positive_depths, lo, hi, ids)
-    return DepthSlab(per_frame=dict(zip(ids, bounds)))
+    """Per-frame slab bounds from each frame's own depth distribution,
+    computed once per scene and (lo, hi); each call gets its own dict."""
+    key = ("local", lo, hi)  # lo = 0.0 and -0.0 give the same bounds
+    if key not in scene._slabs:  # a call that raises caches nothing
+        ids = [f.id for f in scene.frames]
+        bounds = _slab_params(scene.positive_depths, lo, hi, ids)
+        scene._slabs[key] = dict(zip(ids, bounds))
+    return DepthSlab(per_frame=dict(scene._slabs[key]))
 
 
 def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
-    """Shared slab bounds from the depths pooled over every frame."""
-    pooled = _sorted_positive([np.concatenate(scene.stacked.depths)])
-    return DepthSlab(single=_slab_params(pooled, lo, hi, ["<global>"])[0])
+    """Shared slab bounds from the depths pooled over every frame, computed
+    once per scene and (lo, hi)."""
+    key = ("global", lo, hi)
+    if key not in scene._slabs:
+        pooled = _sorted_positive([np.concatenate(scene.stacked.depths)])
+        scene._slabs[key] = _slab_params(pooled, lo, hi, ["<global>"])[0]
+    return DepthSlab(single=scene._slabs[key])
 
 
 # -- text ingestion --------------------------------------------------------
@@ -370,6 +380,8 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
     the sensor of intrinsics (default_intrinsics() when None). Camera
     distances are chosen so each frame's depths fall inside depth_range.
     """
+    if seed < 0:  # np.random.default_rng's own error is a ValueError
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if n_points < 10:
         raise InvalidInputError("need at least 10 points")
     if n_frames < 1:

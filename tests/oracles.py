@@ -17,7 +17,8 @@ array-form rotation gradient that the plain-float ones replaced, the
 geometric kernel on (N, 2) pixel pairs that the planar u/v rows replaced,
 and the per-frame synthetic scene loop, with its look-at and the
 per-matrix rotmat_to_quat and quat_canonical, that the array form
-replaced.
+replaced, and the CSV line of the generator of format() calls that the
+%-formatting list replaced.
 """
 
 import math
@@ -530,3 +531,9 @@ def synth_scene_loop(seed: int, n_points: int = 60, n_frames: int = 8,
             )
         frames.append(Frame(id=f"f{i:03d}", gt_pose=pose, visible=visible))
     return Scene(points=points, frames=frames, intrinsics=K)
+
+
+def csv_line(row):
+    """One CSV row as cli._write_csv wrote it with format(v, ".17g")."""
+    return ",".join(format(v, ".17g") if isinstance(v, float)
+                    else str(v) for v in row) + "\n"

@@ -18,10 +18,14 @@ END_TO_END = [
     {"name": "ok_ops_frac", "unit": "frac", "better": "higher", "bound": 0.01},
 ]
 
-STUB = """import json, sys
+STUB = """import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 with open({log!r}, "a") as f:
     f.write({side!r} + " " + args["--seed"] + "\\n")
+prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+with open({log!r} + ".pycache", "a") as f:
+    f.write(json.dumps([{side!r}, prefix, prefix and os.path.isdir(prefix),
+                        "PYTHONDONTWRITEBYTECODE" in os.environ]) + "\\n")
 cal = {cal} + int(args["--seed"]) / 1000
 print("== figures")
 print(json.dumps({{"correct": {correct}, "attempted": 3, "failed": 0,
@@ -59,6 +63,29 @@ def test_pairs_alternate_and_summarize(tmp_path, capsys):
                           "gap 0.25 > parent IQR 0.0025")
     assert summary[7].startswith("  change better in 0 of 4 pairs; "
                                  "median +0.0%; gap 0 <= parent IQR 0")
+
+
+def test_each_side_runs_with_its_own_pycache_prefix(tmp_path, capsys,
+                                                   monkeypatch):
+    # A tree's own __pycache__ could be stale; each side gets a fresh,
+    # existing directory of its own for the whole script, gone afterwards,
+    # and may write its bytecode there.
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    parent = checkout(tmp_path, "parent", 0.75)
+    change = checkout(tmp_path, "change", 0.5)
+    assert ab_pairs.main([parent, change, "--workload", "probe", "--pairs",
+                          "3", "--seconds", "1", "--seed", "1"]) == 0
+    runs = [json.loads(line) for line in
+            (tmp_path / "log.pycache").read_text().splitlines()]
+    assert len(runs) == 6
+    assert all(isdir and not nowrite for _, _, isdir, nowrite in runs)
+    prefix = {side: {p for s, p, _, _ in runs if s == side}
+              for side in ("parent", "change")}
+    assert [len(p) for p in prefix.values()] == [1, 1]
+    (a,), (b,) = prefix.values()
+    assert a != b and str(tmp_path / "inherited") not in (a, b)
+    assert not os.path.exists(a) and not os.path.exists(b)
 
 
 def test_incorrect_run_stops_with_exit_1(tmp_path, capsys):

@@ -1,9 +1,14 @@
 import io
 import json
+import math
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import identity_pose
 from homoloss import cli, diffgrad, optim
@@ -19,6 +24,7 @@ from homoloss.scene import (
     write_pose_list,
     write_points,
 )
+from oracles import csv_line
 
 
 def read(path):
@@ -941,3 +947,63 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         argv = landscape_args(out, **{"--range": "oops"})
         assert main(argv) == 1
+
+
+# Cells of every kind the commands write: floats (signed zeros, infinities,
+# NaN, subnormals, np.float64), ints, numpy ints and strings.
+csv_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(width=64).map(np.float64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -2.2250738585072009e-308, np.float64(-0.0)]),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(alphabet=st.characters(blacklist_characters=",\n\r")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(csv_cells, max_size=6), max_size=5))
+@example(rows=[[-0.0, math.inf, -math.inf, math.nan, 5e-324,
+                np.float64(1 / 3), 7, "f000"]])
+def test_csv_bytes_equal_the_format_generator(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(path, "h", rows)
+    with open(path, "rb") as f:
+        got = f.read()
+    assert got == ("h\n" + "".join(csv_line(r) for r in rows)).encode()
+
+
+class TestParserOnce:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        # Run 3 leaves --lr at its default after run 1 set it and run 2
+        # failed in the middle of its parse, and writes what a fresh
+        # interpreter writes.
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--synthetic", "--n-frames", "3", "--loss",
+                "homography", "--epochs", "3", "--out", out]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "homoloss.cli", *argv],
+            env={**os.environ, "PYTHONPATH": os.path.join(
+                os.path.dirname(__file__), os.pardir, "src")},
+            capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        shutil.move(out, tmp_path / "fresh")
+        assert main([*argv, "--lr", "0.1"]) == 0
+        manifest = json.loads(read(os.path.join(out, "manifest.json")))
+        assert manifest["config"]["lr"] == 0.1
+        shutil.rmtree(out)
+        assert main([*argv, "--batch-size", "2", "--lr", "abc"]) == 1
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+        assert main(argv) == 0
+        manifest = json.loads(read(os.path.join(out, "manifest.json")))
+        assert manifest["config"]["lr"] == 1e-4
+        assert manifest["config"]["batch_size"] == 64
+        names = sorted(os.listdir(out))
+        assert names == sorted(os.listdir(tmp_path / "fresh"))
+        for name in names:
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(tmp_path / "fresh" / name, "rb") as b:
+                assert a.read() == b.read(), name

@@ -271,6 +271,71 @@ def test_depth_slabs_are_hashable():
     assert len({local, local, shared, local_slabs(scene)}) == 3
 
 
+def slab_bits(slab):
+    """The bytes of every bound of a DepthSlab, keyed as it keys them."""
+    table = slab.per_frame or {None: slab.single}
+    return {k: np.array([b.x_min, b.x_max]).tobytes()
+            for k, b in table.items()}
+
+
+class TestSlabCache:
+    """Each scene computes its slab bounds once per mode and (lo, hi)."""
+
+    @pytest.fixture
+    def params_calls(self, monkeypatch):
+        calls = []
+        params = scene_module._slab_params
+
+        def spy(positive, lo, hi, frame_ids):
+            calls.append((lo, hi))
+            return params(positive, lo, hi, frame_ids)
+        monkeypatch.setattr(scene_module, "_slab_params", spy)
+        return calls
+
+    @pytest.mark.parametrize("make", [local_slabs, global_slab])
+    def test_computed_once_per_lo_hi(self, make, params_calls):
+        scene = synth_scene(3, n_frames=5)
+        for _ in range(3):
+            make(scene)
+            make(scene, lo=0.1, hi=0.9)
+        assert params_calls == [(0.025, 0.975), (0.1, 0.9)]
+        other = local_slabs if make is global_slab else global_slab
+        other(scene)  # the other mode has its own entry
+        assert len(params_calls) == 3
+
+    @pytest.mark.parametrize("make", [local_slabs, global_slab])
+    def test_each_call_a_new_slab_with_fresh_bits(self, make):
+        scene = synth_scene(4, n_frames=6)
+        a, b = make(scene, 0.2, 0.7), make(scene, 0.2, 0.7)
+        assert a is not b
+        if a.per_frame is not None:
+            assert a.per_frame is not b.per_frame
+            a.per_frame.clear()  # a caller's edit reaches no later call
+        fresh = make(synth_scene(4, n_frames=6), 0.2, 0.7)
+        assert slab_bits(b) == slab_bits(make(scene, 0.2, 0.7)) \
+            == slab_bits(fresh)
+
+    @pytest.mark.parametrize("make", [local_slabs, global_slab])
+    def test_signed_zero_lo_shares_its_bounds(self, make):
+        scene = synth_scene(5, n_frames=4)
+        neg = make(scene, lo=-0.0, hi=0.5)
+        assert slab_bits(make(scene, lo=0.0, hi=0.5)) == slab_bits(neg) \
+            == slab_bits(make(synth_scene(5, n_frames=4), lo=0.0, hi=0.5))
+
+    @pytest.mark.parametrize("make", [local_slabs, global_slab])
+    def test_a_failing_call_caches_nothing(self, make, params_calls):
+        # every point at depth 3: no frame and no pool has x_min < x_max
+        points = np.array([[0, 0, 3.0], [1, 0, 3.0], [0, 1, 3.0]])
+        scene = Scene(points, [Frame("f0", identity_pose(), (0, 1, 2))],
+                      default_intrinsics())
+        for _ in range(2):
+            with pytest.raises(DegenerateDepthError, match="degenerate"):
+                make(scene)
+            with pytest.raises(InvalidInputError, match="lo < hi"):
+                make(scene, lo=0.9, hi=0.1)
+        assert len(params_calls) == 4
+
+
 class TestSlabs:
     def test_local_one_slab_per_frame(self, scene, slabs):
         assert set(slabs.per_frame) == {f.id for f in scene.frames}
@@ -506,6 +571,15 @@ class TestSynthScene:
             synth_scene(seed=0, depth_range=(5.0, 2.0))
         with pytest.raises(InvalidInputError, match="hi < inf"):
             synth_scene(seed=0, depth_range=(2.0, math.inf))
+
+    @pytest.mark.parametrize("seed", [-1, -2**40, np.int64(-3)])
+    def test_negative_seed_raises_before_any_draw(self, seed, monkeypatch):
+        # numpy's own ValueError is no InvalidInputError
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: pytest.fail("drew from a generator"))
+        with pytest.raises(InvalidInputError,
+                           match=f"^seed must be >= 0, got {seed}$"):
+            synth_scene(seed)
 
 
 def assert_same_scene(a, b):

@@ -10,7 +10,14 @@ PARENT and CHANGE are the roots of two checkouts. Pair i runs
 
 from the root of each, one after the other: the parent first in even pairs
 and the change first in odd ones, so that a drift in the host's speed falls
-on both sides alike. The script prints each pair's end-to-end metrics (the
+on both sides alike. Each side keeps its bytecode in its own temporary
+PYTHONPYCACHEPREFIX, written by its first interpreter even under
+PYTHONDONTWRITEBYTECODE and read by the later ones. So neither side reads
+its tree's __pycache__, whose stale files (as a copied tree carries) make
+every fresh interpreter compile the package again and read as a set-up
+regression; a prefix kept empty would compile numpy in every set-up.
+
+The script prints each pair's end-to-end metrics (the
 `end_to_end` list of CHANGE's BENCHMARK.json) as they come, then for each
 metric each side's median and quartiles, the pairs the change won, and
 whether the gap between the medians exceeds the parent's interquartile
@@ -24,17 +31,22 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 
 
-def run_side(root, workload, seed, seconds):
-    """The metrics {name: value} of one untraced benchmark run in root."""
+def run_side(root, workload, seed, seconds, pycache):
+    """The metrics {name: value} of one untraced benchmark run in root, its
+    bytecode cache under pycache."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = pycache
     r = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True, env=env)
     lines = r.stdout.strip().splitlines()
     if r.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: exit {r.returncode}\n{r.stderr.strip()}")
@@ -84,13 +96,15 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         spec = json.load(f)["end_to_end"]
     values = {side: {m["name"]: [] for m in spec} for side in SIDES}
+    # each removed once main returns
+    pycache = {side: tempfile.TemporaryDirectory() for side in SIDES}
     for i in range(args.pairs):
         seed = args.seed + i
         got, order = {}, SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             try:
                 got[side] = run_side(roots[side], args.workload, seed,
-                                     args.seconds)
+                                     args.seconds, pycache[side].name)
             except RuntimeError as e:
                 print(f"pair {i + 1}, {side}: {e}", file=sys.stderr)
                 return 1
