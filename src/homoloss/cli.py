@@ -321,8 +321,9 @@ def run_optimize(config):
         warmstart_epochs=config["warmstart"],
     )
     record = optim.optimize_poses(scene, init, cfg)
-    final = [(fid, Pose(p.t, quat_normalize(p.q)))
-             for fid, p in record.final_poses]
+    unit = quat_normalize([p.q for _, p in record.final_poses])
+    final = [(fid, Pose(p.t, q)) for (fid, p), q in zip(record.final_poses,
+                                                        unit)]
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     cols = ["epoch", "mean_loss", "train_mrd_px"]

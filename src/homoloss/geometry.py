@@ -188,14 +188,6 @@ def rotmat_to_quat(R):
     return quat_canonical(q)
 
 
-def angle_between(q1, q2):
-    """Geodesic rotation angle between two quaternions, in degrees."""
-    u1 = quat_normalize(q1)
-    u2 = quat_normalize(q2)
-    d = min(abs(float(np.dot(u1, u2))), 1.0)  # keeps a NaN, unlike min(1, .)
-    return 2.0 * math.acos(d) * 180.0 / math.pi
-
-
 # -- projection ------------------------------------------------------------
 
 def project_points(t, R, K: Intrinsics, points):

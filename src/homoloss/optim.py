@@ -14,10 +14,10 @@ from .geometry import (
     DEPTH_EPS,
     InvalidInputError,
     Pose,
-    angle_between,
     project_points,
     quat_from_axis_angle,
     quat_multiply,
+    quat_normalize,
     quat_to_rotmat,
 )
 from .losses import LossContext, LossHyperParams
@@ -111,22 +111,29 @@ class RunRecord:
 def mean_reproj_distance(est_poses, scene: Scene,
                          clip: float = EVAL_REPROJ_CLIP) -> float:
     """Mean over frames of the mean clipped L2 pixel distance between gt and
-    estimated projections of the frame's visible points; est_poses holds one
-    (frame id, Pose) per scene frame, in order. Projections to infinity count
-    as the clip, which must be positive. Frames without visible points are
-    skipped; InvalidInputError when no frame has one, or for the first where
-    a visible point lies at zero gt depth or the estimate q has zero norm.
+    estimated projections of the frame's visible points. est_poses holds one
+    estimate per scene frame, in order: (F, 7) parameter rows (t, q), or
+    (frame id, Pose) pairs, which go once perfbench/layers.py passes rows
+    (ROADMAP item 1). Projections to infinity count as the clip, which must
+    be positive. Frames without visible points are skipped;
+    InvalidInputError when no frame has one, or for the first where a
+    visible point lies at zero gt depth or the estimate q has zero norm.
     One projection and one np.mean per visible-count bucket of
     scene.stacked, which give each frame the bits of its own."""
     if not clip > 0:
         raise InvalidInputError(f"reprojection clip must be positive, got "
                                 f"{clip}")
-    if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
-        raise InvalidInputError("need one estimate per scene frame, in order")
+    if not isinstance(est_poses, np.ndarray):
+        if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
+            raise InvalidInputError("need one estimate per scene frame, in "
+                                    "order")
+        est_poses = np.array([p.params() for _, p in est_poses]).reshape(-1, 7)
+    if est_poses.shape != (len(scene.frames), 7):
+        raise InvalidInputError(f"need ({len(scene.frames)}, 7) parameter "
+                                f"rows, got shape {est_poses.shape}")
     view = scene.stacked
     seen = view.counts > 0
-    t = np.array([p.t for _, p in est_poses])
-    q = np.array([p.q for _, p in est_poses])
+    t, q = est_poses[:, :3], est_poses[:, 3:]
     zero_q = ~np.any(q * q, axis=1)  # |q|^2 == 0 in rotmat_elems
     for i in np.flatnonzero(seen & (view.zero_gt_depth | zero_q))[:1]:
         if view.zero_gt_depth[i]:
@@ -150,14 +157,19 @@ def mean_reproj_distance(est_poses, scene: Scene,
 def pct_within(est_poses, gt_poses, thresholds) -> list:
     """Per (t_thresh, r_thresh) pair of thresholds, the fraction of frames
     with translation error <= t_thresh (m) and rotation error <= r_thresh
-    (deg). Exactly-at-threshold counts as within. Each frame's errors are
-    computed once, whatever the number of pairs."""
+    (deg). Exactly-at-threshold counts as within. The errors are computed
+    once, over stacked poses, whatever the number of pairs."""
     if len(est_poses) != len(gt_poses) or not est_poses:
         raise InvalidInputError(f"need one estimate per gt pose and at least "
                                 f"one: {len(est_poses)} vs {len(gt_poses)}")
-    errs = [(float(np.linalg.norm(est.t - gt.t)), angle_between(est.q, gt.q))
-            for est, gt in zip(est_poses, gt_poses)]
-    return [sum(dt <= t and dr <= r for dt, dr in errs) / len(errs)
+    d = np.array([p.t for p in est_poses]) - np.array([p.t for p in gt_poses])
+    dt = np.sqrt(np.vecdot(d, d))  # per row the ddot of np.linalg.norm
+    dots = np.vecdot(quat_normalize([p.q for p in est_poses]),
+                     quat_normalize([p.q for p in gt_poses]))
+    # math.acos per frame: np.arccos is not bit-equal to it; min keeps a NaN
+    dr = np.array([2.0 * math.acos(min(abs(x), 1.0)) * 180.0 / math.pi
+                   for x in dots.tolist()])
+    return [np.count_nonzero((dt <= t) & (dr <= r)) / len(dt)
             for t, r in thresholds]
 
 
@@ -312,52 +324,46 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         [p.params() for p in init_poses]
         + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
     )
-    n_params = len(params)
-    # row i: the indices of frame i's parameters in params, its pose and
-    # then the shared s_t/s_q; unique, so fancy-indexed += adds each once
-    index = np.hstack([np.arange(7 * F).reshape(F, 7),
-                       np.tile(np.arange(7 * F, n_params), (F, 1))])
     ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
             for f in frames]
-    state = AdamState.zeros(n_params)
+    state = AdamState.zeros(len(params))
     rng = np.random.default_rng(config.seed)
     record = RunRecord(epochs=[], final_poses=[])
     skipped = {}  # (frame id, message) -> [first epoch, steps skipped]
-
-    def current_poses():
-        return [
-            (frames[i].id, Pose.from_params(params[7 * i:7 * i + 7]))
-            for i in range(F)
-        ]
+    # frame i reads row P[i] of its pose and the shared s = (s_t, s_q)
+    P, s = params[:7 * F].reshape(F, 7), params[7 * F:]
 
     for epoch in range(config.epochs):
         # s_t/s_q are reported at epoch start so the first row shows the init.
-        s_start = (float(params[7 * F]), float(params[7 * F + 1])) \
-            if with_s else (None, None)
+        s_start = (float(s[0]), float(s[1])) if with_s else (None, None)
         order = rng.permutation(F)
         epoch_losses = []
         epoch_errors = 0
         for batch in _epoch_batches(order, config.batch_size):
-            grads = np.zeros(n_params)
+            grads = np.zeros_like(params)
+            G, Gs = grads[:7 * F].reshape(F, 7), grads[7 * F:]
             ok = 0
             batch_loss = 0.0
             for i in sorted(batch):  # fixed reduction order per batch
                 try:
                     val, g = diffgrad.evaluate_with_grad(
-                        kind, params[index[i]], ctxs[i]
-                    )
+                        kind, np.concatenate([P[i], s]) if with_s else P[i],
+                        ctxs[i])
                 except InvalidInputError as e:
                     key = (frames[i].id, str(e))
                     skipped.setdefault(key, [epoch, 0])[1] += 1
                     epoch_errors += 1
                     continue
-                grads[index[i]] += g
+                G[i] += g[:7]
+                if with_s:
+                    Gs += g[7:]
                 batch_loss += val
                 ok += 1
             if ok == 0:
                 continue
             grads /= len(batch)  # batch-mean loss
             params, state = adam_update(params, grads, state, config)
+            P, s = params[:7 * F].reshape(F, 7), params[7 * F:]
             epoch_losses.append(batch_loss / ok)
         if epoch_errors > 0.5 * F:
             record.aborted = True
@@ -367,11 +373,12 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
             break
         record.epochs.append(EpochStats(
             epoch, float(np.mean(epoch_losses)),
-            mean_reproj_distance(current_poses(), scene), *s_start))
+            mean_reproj_distance(P, scene), *s_start))
     # the warm start's lines, then the skipped frames, before any abort line
     record.errors[:0] = warm_errors + [
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()
     ]
-    record.final_poses = current_poses()
+    record.final_poses = [(f.id, Pose.from_params(p))
+                          for f, p in zip(frames, P)]
     return record

@@ -18,15 +18,20 @@ geometric kernel on (N, 2) pixel pairs that the planar u/v rows replaced,
 and the per-frame synthetic scene loop, with its look-at and the
 per-matrix rotmat_to_quat and quat_canonical, that the array form
 replaced, and the CSV line of the generator of format() calls that the
-%-formatting list replaced.
+%-formatting list replaced; the per-frame rotation angle and percentage
+table that the stacked pct_within replaced, and the optimizer loop that
+gathered and scattered each frame's parameters through an index table and
+built Pose objects every epoch; and the complex-step gradient of the
+homography kernel.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 import diffscalar
+from homoloss import diffgrad, losses
 from homoloss.geometry import (
     DEPTH_EPS,
     InvalidInputError,
@@ -35,6 +40,7 @@ from homoloss.geometry import (
     project_points,
     quat_from_axis_angle,
     quat_multiply,
+    quat_normalize,
     quat_to_rotmat,
     rotmat_elems,
     rotmat_to_quat,
@@ -43,7 +49,9 @@ from homoloss import dual
 from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
-from homoloss.optim import EVAL_REPROJ_CLIP
+from homoloss.optim import EVAL_REPROJ_CLIP, AdamState, EpochStats, \
+    RunRecord, ZERO_GT_DEPTH, _epoch_batches, adam_update, frame_context, \
+    mean_reproj_distance
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
     Scene, _slab_params, _sorted_positive, default_intrinsics
 
@@ -537,3 +545,133 @@ def csv_line(row):
     """One CSV row as cli._write_csv wrote it with format(v, ".17g")."""
     return ",".join(format(v, ".17g") if isinstance(v, float)
                     else str(v) for v in row) + "\n"
+
+
+def angle_between(q1, q2):
+    """Geodesic rotation angle between two quaternions, in degrees."""
+    u1 = quat_normalize(q1)
+    u2 = quat_normalize(q2)
+    d = min(abs(float(np.dot(u1, u2))), 1.0)  # keeps a NaN, unlike min(1, .)
+    return 2.0 * math.acos(d) * 180.0 / math.pi
+
+
+def pct_within_loop(est_poses, gt_poses, thresholds) -> list:
+    """optim.pct_within one frame at a time: np.linalg.norm of the t
+    difference and angle_between per frame, then one count per pair."""
+    if len(est_poses) != len(gt_poses) or not est_poses:
+        raise InvalidInputError(f"need one estimate per gt pose and at least "
+                                f"one: {len(est_poses)} vs {len(gt_poses)}")
+    errs = [(float(np.linalg.norm(est.t - gt.t)), angle_between(est.q, gt.q))
+            for est, gt in zip(est_poses, gt_poses)]
+    return [sum(dt <= t and dr <= r for dt, dr in errs) / len(errs)
+            for t, r in thresholds]
+
+
+def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
+    """optim.optimize_poses as it read before it ran on parameter rows: each
+    frame gathers its parameters through a row of an index table, scatters
+    its gradient back through it, and every epoch's metric gets one
+    (frame id, Pose) pair per frame."""
+    frames = scene.frames
+    if len(init_poses) != len(frames):
+        raise InvalidInputError("need one initial pose per frame")
+    for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
+        raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
+    warm_errors = []
+    if config.warmstart_epochs > 0:
+        warm_cfg = replace(
+            config,
+            loss_kind="homoscedastic",
+            adam_eps=None,
+            warmstart_epochs=0,
+            epochs=config.warmstart_epochs,
+        )
+        warm = optimize_poses_loop(scene, init_poses, warm_cfg)
+        warm_errors = [f"warm start: {e}" for e in warm.errors]
+        if warm.aborted:
+            return RunRecord([], warm.final_poses, warm_errors, aborted=True)
+        init_poses = [pose for _, pose in warm.final_poses]
+
+    kind = config.loss_kind
+    with_s = diffgrad.param_count(kind) == 9
+    F = len(frames)
+    params = np.concatenate(
+        [p.params() for p in init_poses]
+        + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
+    )
+    n_params = len(params)
+    # row i: the indices of frame i's parameters in params, its pose and
+    # then the shared s_t/s_q; unique, so fancy-indexed += adds each once
+    index = np.hstack([np.arange(7 * F).reshape(F, 7),
+                       np.tile(np.arange(7 * F, n_params), (F, 1))])
+    ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
+            for f in frames]
+    state = AdamState.zeros(n_params)
+    rng = np.random.default_rng(config.seed)
+    record = RunRecord(epochs=[], final_poses=[])
+    skipped = {}
+
+    def current_poses():
+        return [
+            (frames[i].id, Pose.from_params(params[7 * i:7 * i + 7]))
+            for i in range(F)
+        ]
+
+    for epoch in range(config.epochs):
+        s_start = (float(params[7 * F]), float(params[7 * F + 1])) \
+            if with_s else (None, None)
+        order = rng.permutation(F)
+        epoch_losses = []
+        epoch_errors = 0
+        for batch in _epoch_batches(order, config.batch_size):
+            grads = np.zeros(n_params)
+            ok = 0
+            batch_loss = 0.0
+            for i in sorted(batch):
+                try:
+                    val, g = diffgrad.evaluate_with_grad(
+                        kind, params[index[i]], ctxs[i]
+                    )
+                except InvalidInputError as e:
+                    key = (frames[i].id, str(e))
+                    skipped.setdefault(key, [epoch, 0])[1] += 1
+                    epoch_errors += 1
+                    continue
+                grads[index[i]] += g
+                batch_loss += val
+                ok += 1
+            if ok == 0:
+                continue
+            grads /= len(batch)
+            params, state = adam_update(params, grads, state, config)
+            epoch_losses.append(batch_loss / ok)
+        if epoch_errors > 0.5 * F:
+            record.aborted = True
+            record.errors.append(
+                f"epoch {epoch}: aborted, {epoch_errors}/{F} frames errored"
+            )
+            break
+        record.epochs.append(EpochStats(
+            epoch, float(np.mean(epoch_losses)),
+            mean_reproj_distance(current_poses(), scene), *s_start))
+    record.errors[:0] = warm_errors + [
+        f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
+        for (fid, msg), (first, steps) in skipped.items()
+    ]
+    record.final_poses = current_poses()
+    return record
+
+
+COMPLEX_STEP = 1e-30
+
+
+def homography_grad_complex_step(p, ctx):
+    """The gradient of losses._homography_core's value at the 7 floats p by
+    complex step, Im f(p + i h e_k) / h with h = COMPLEX_STEP: its value
+    path uses only +, -, * and / on the estimate, so it runs unchanged on
+    complex numbers, and the derivative has no subtractive cancellation."""
+    p = [float(x) for x in p]
+    return np.array([
+        losses._homography_core(p[:k] + [p[k] + COMPLEX_STEP * 1j]
+                                + p[k + 1:], ctx, False)[0].imag
+        / COMPLEX_STEP for k in range(7)])

@@ -61,8 +61,26 @@ def test_pairs_alternate_and_summarize(tmp_path, capsys):
     assert summary[0] == "op_time_cal (cal, lower is better)"
     assert summary[3] == ("  change better in 4 of 4 pairs; median -32.8%; "
                           "gap 0.25 > parent IQR 0.0025")
-    assert summary[7].startswith("  change better in 0 of 4 pairs; "
+    assert summary[4] == "  verdict: claim met (bound 25%)"
+    assert summary[8].startswith("  change better in 0 of 4 pairs; "
                                  "median +0.0%; gap 0 <= parent IQR 0")
+    assert summary[9] == "  verdict: no claim, within bound (bound 1%)"
+
+
+@pytest.mark.parametrize("cal, verdict", [(0.6, "no claim, within bound"),
+                                          (0.7, "worse beyond bound")])
+def test_slower_change_is_judged_by_the_bound(tmp_path, capsys, cal,
+                                              verdict):
+    # op_time_cal's bound is 0.25 of the parent's median: +20% is within
+    # it, +40% is beyond it.
+    parent = checkout(tmp_path, "parent", 0.5)
+    change = checkout(tmp_path, "change", cal)
+    assert ab_pairs.main([parent, change, "--workload", "probe", "--pairs",
+                          "3", "--seconds", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    summary = out[out.index("== probe, 3 pairs of 1 s") + 1:]
+    assert summary[3].startswith("  change better in 0 of 3 pairs")
+    assert summary[4] == f"  verdict: {verdict} (bound 25%)"
 
 
 def test_each_side_runs_with_its_own_pycache_prefix(tmp_path, capsys,

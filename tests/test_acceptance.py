@@ -17,7 +17,6 @@ from homoloss.cli import main as cli_main
 from homoloss.diffgrad import LOSS_KINDS, LossContext, grad_report
 from homoloss.geometry import (
     Pose,
-    angle_between,
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
@@ -25,6 +24,7 @@ from homoloss.geometry import (
 from homoloss.losses import LossHyperParams, SlabParams
 from oracles import (
     RelativePose,
+    angle_between,
     homography,
     homography_loss_closed,
     homography_loss_numeric,

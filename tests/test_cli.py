@@ -471,20 +471,29 @@ class TestEval:
         assert float(table["pct_2m_2deg"]) == 0.5
         assert float(table["pct_3m_5deg"]) == 0.5
 
-    def test_pct_rows_compute_each_frames_errors_once(self, monkeypatch):
-        # One angle_between per frame for the whole table, not one per
-        # frame and threshold pair.
-        angle, calls = optim.angle_between, []
-        monkeypatch.setattr(optim, "angle_between",
-                            lambda a, b: calls.append(1) or angle(a, b))
+    def test_pct_rows_normalize_each_side_once(self, monkeypatch):
+        # One pct_within call for the whole table, and in it one stacked
+        # quat_normalize per side, whatever the number of threshold pairs;
+        # the fractions are those of one pct_within call per pair.
+        pct, normalize, calls = cli.pct_within, optim.quat_normalize, []
+        monkeypatch.setattr(cli, "pct_within",
+                            lambda *args: calls.append("pct") or pct(*args))
+        monkeypatch.setattr(optim, "quat_normalize",
+                            lambda q: calls.append(np.shape(q))
+                            or normalize(q))
         rng = np.random.default_rng(3)
         gt = [f.gt_pose for f in synth_scene(0).frames]
         est = [optim.perturb_pose(p, rng, 3.0, 6.0) for p in gt]
         rows = cli._pct_rows(est, gt)
-        assert len(calls) == len(gt)
+        stacked = [(len(gt), 4)] * 2
+        assert calls == ["pct"] + stacked
+        pairs = optim.OUTDOOR_THRESHOLDS + optim.INDOOR_THRESHOLDS
+        for n in (1, 4, 40):
+            calls.clear()
+            optim.pct_within(est, gt, (pairs * 10)[:n])
+            assert calls == stacked
         assert [frac for _, frac in rows] == [
-            optim.pct_within(est, gt, [pair])[0]
-            for pair in optim.OUTDOOR_THRESHOLDS + optim.INDOOR_THRESHOLDS]
+            optim.pct_within(est, gt, [pair])[0] for pair in pairs]
 
     def test_with_points_reports_mrd(self, tmp_path):
         gt_path, est_path = self.write_scene_files(tmp_path)

@@ -9,7 +9,6 @@ from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
     Pose,
-    angle_between,
     quat_canonical,
     quat_from_axis_angle,
     quat_multiply,
@@ -20,6 +19,7 @@ from oracles import (
     InvalidDepthError,
     PointAtInfinity,
     RelativePose,
+    angle_between,
     apply_relative,
     homography,
     project,
@@ -184,6 +184,8 @@ class TestHomography:
 
 
 class TestAngleBetween:
+    """oracles.angle_between, the per-frame oracle of optim.pct_within."""
+
     def test_equal_is_zero(self):
         q = np.array([0.5, 0.5, 0.5, 0.5])
         assert angle_between(q, q) == 0.0

@@ -11,6 +11,7 @@ from homoloss.diffgrad import (
     LossContext,
     evaluate_with_grad,
     loss_value,
+    max_rel_err,
     params_for,
 )
 from homoloss.geometry import (
@@ -30,6 +31,7 @@ from oracles import (
     geometric_loop,
     homography,
     homography_core_nested,
+    homography_grad_complex_step,
     homography_loss_closed,
     homography_loss_numeric,
     project_points_2d,
@@ -498,6 +500,42 @@ class TestHomographyKernel:
                 assert bits(g) == bits(want_grad)
             else:
                 assert g is None and want_grad is None
+
+    @settings(deadline=None, max_examples=400)
+    @given(seed=st.integers(0, 2**32 - 1),
+           gt_kind=st.sampled_from(["unit", "non-unit"]),
+           case=st.sampled_from(["perturbed", "gt", "-gt", "sign-flipped",
+                                 "non-unit", "turned"]),
+           max_t=st.sampled_from([1e-6, 1e-3, 0.3, 3.0]),
+           max_deg=st.sampled_from([1e-5, 1e-2, 1.0, 30.0, 120.0]),
+           x_min=st.floats(0.1, 10.0), width=st.floats(1e-2, 100.0))
+    def test_gradient_equals_the_complex_step(self, seed, gt_kind, case,
+                                              max_t, max_deg, x_min, width):
+        # The complex-step derivative has no step-size error, so a gradient
+        # term off by 1e-9 relative fails here, where the central
+        # differences of criterion 4 and gradcheck (1e-5) pass it. The
+        # bound leaves room for rounding in entries that cancel: over 20,000
+        # random draws the worst was 1.3e-12, and there both forms were up
+        # to 8e-11 from the exact derivative of the kernel's arithmetic.
+        rng = np.random.default_rng(seed)
+        gt = random_pose(rng, scale=1.0)
+        if gt_kind == "non-unit":
+            gt = Pose(gt.t, gt.q * rng.uniform(0.2, 5.0))
+        est = perturbed(gt, rng, max_t=max_t, max_deg=max_deg)
+        if case == "gt":
+            est = gt
+        elif case == "-gt":
+            est = Pose(gt.t, -gt.q)
+        elif case == "sign-flipped":
+            est = Pose(est.t, -est.q)
+        elif case == "non-unit":
+            est = Pose(est.t, est.q * rng.uniform(0.2, 5.0))
+        elif case == "turned":
+            est = Pose(gt.t, est.q)
+        ctx = LossContext(gt=gt, slab=SlabParams(x_min, x_min + width))
+        p = est.t.tolist() + est.q.tolist()
+        _, g = losses._homography_core(p, ctx, True)
+        assert max_rel_err(g, homography_grad_complex_step(p, ctx)) <= 1e-11
 
 
 def hexes(x):

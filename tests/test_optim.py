@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_pose, perturbed, random_unit_quat
+from conftest import identity_pose, perturbed, random_pose, random_unit_quat
 from homoloss import losses, optim
 from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
     Pose,
-    angle_between,
     project_points,
     quat_from_axis_angle,
     quat_to_rotmat,
@@ -34,7 +33,8 @@ from homoloss.optim import (
 )
 from homoloss.scene import Frame, Scene, global_slab, local_slabs, \
     synth_scene
-from oracles import frame_depths_loop, mean_reproj_distance_loop, \
+from oracles import angle_between, frame_depths_loop, \
+    mean_reproj_distance_loop, optimize_poses_loop, pct_within_loop, \
     project_points_2d
 
 
@@ -236,6 +236,89 @@ class TestMetrics:
         for pairs in (est, est[::-1], est[:-1]):  # the last two unpaired
             assert outcome(mean_reproj_distance, pairs) == \
                 outcome(mean_reproj_distance_loop, pairs)
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), n_frames=st.integers(1, 6),
+           n_points=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           clip=st.sampled_from([1.0, 100.0, EVAL_REPROJ_CLIP]))
+    def test_metric_rows_equal_pairs(self, data, n_frames, n_points, seed,
+                                     clip):
+        # Ragged frames, some without a visible point, and estimates some
+        # of which have a zero q: the (F, 7) rows, alone or as the row view
+        # of a longer parameter vector, give what the pairs give, by ==.
+        rng = np.random.default_rng(seed)
+        K = Intrinsics(fx=300.0, fy=310.0, cx=320.0, cy=240.0, w=640, h=480)
+        points = rng.normal(size=(n_points, 3)) * 3.0
+        index = st.integers(0, n_points - 1)
+        frames = [Frame(f"f{i}", Pose(rng.normal(size=3),
+                                      random_unit_quat(rng)),
+                        data.draw(st.lists(index, max_size=n_points)))
+                  for i in range(n_frames)]
+        scene = Scene(points=points, frames=frames, intrinsics=K)
+        zero_q = data.draw(st.sets(st.integers(0, n_frames - 1), max_size=2))
+        est = [(f.id, Pose(f.gt_pose.t + rng.normal(size=3) * 0.3,
+                           np.zeros(4) if i in zero_q
+                           else f.gt_pose.q + rng.normal(size=4) * 0.1))
+               for i, f in enumerate(frames)]
+        rows = np.array([p.params() for _, p in est])
+        flat = np.concatenate([rows.ravel(), [0.5, -3.0]])
+
+        def outcome(est_poses):
+            try:
+                return mean_reproj_distance(est_poses, scene, clip=clip)
+            except InvalidInputError as e:
+                return str(e)
+        want = outcome(est)
+        assert outcome(rows) == want
+        assert outcome(flat[:7 * n_frames].reshape(n_frames, 7)) == want
+
+    def test_metric_rejects_rows_of_another_shape(self, scene):
+        rows = np.array([f.gt_pose.params() for f in scene.frames])
+        assert mean_reproj_distance(rows, scene) == 0.0
+        for bad in (rows[:-1], np.vstack([rows, rows[:1]]), rows[:, :6],
+                    np.hstack([rows, rows[:, :2]]), rows[..., None],
+                    rows.ravel(), rows[0], np.zeros((0, 7))):
+            with pytest.raises(InvalidInputError, match="parameter rows"):
+                mean_reproj_distance(bad, scene)
+
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           max_t=st.sampled_from([0.0, 1e-9, 0.3, 5.0]),
+           max_deg=st.sampled_from([0.0, 1e-6, 2.0, 30.0, 180.0]),
+           case=st.sampled_from(["perturbed", "gt", "non-unit", "nan q",
+                                 "zero q"]))
+    def test_pct_within_equals_the_frame_loop(self, seed, n, max_t, max_deg,
+                                              case):
+        # Every frame's exact errors, and one ulp below each, are
+        # thresholds, so that any bit of either error would show.
+        rng = np.random.default_rng(seed)
+        gt = [random_pose(rng, scale=3.0) for _ in range(n)]
+        est = [perturbed(p, rng, max_t, max_deg) for p in gt]
+        k = rng.integers(n)
+        if case == "gt":
+            est[k] = gt[k]
+        elif case == "non-unit":
+            gt = [Pose(p.t, p.q * rng.uniform(0.2, 5.0)) for p in gt]
+            est = [Pose(p.t, -p.q * rng.uniform(0.2, 5.0)) for p in est]
+        elif case != "perturbed":
+            est[k] = Pose(est[k].t, np.full(4, math.nan) if case == "nan q"
+                          else np.zeros(4))
+        thresholds = [(2.0, 2.0), (math.inf, math.inf)]
+        if case != "zero q":
+            for e, g in zip(est, gt):
+                dt = float(np.linalg.norm(e.t - g.t))
+                dr = angle_between(e.q, g.q)
+                thresholds += [(dt, dr), (np.nextafter(dt, -1.0), dr),
+                               (dt, np.nextafter(dr, -1.0))]
+
+        def outcome(pct):
+            try:
+                return pct(est, gt, thresholds)
+            except InvalidInputError as e:
+                return str(e)
+        want = outcome(pct_within_loop)
+        assert outcome(pct_within) == want
+        assert isinstance(want, str) == (case == "zero q")
 
     def test_pct_within_boundary_inclusive(self):
         gt = [identity_pose()]
@@ -674,3 +757,63 @@ class TestOptimizePoses:
         rec_plain = optimize_poses(tiny, init, cfg_plain)
         # warm start should leave the run strictly closer to gt
         assert rec.epochs[-1].train_mrd < rec_plain.epochs[-1].train_mrd
+
+
+def record_bits(rec):
+    """Every field of a RunRecord, its floats as float.hex, so that ==
+    compares bits (signed zeros and NaNs too)."""
+    def bits(x):
+        return None if x is None else float(x).hex()
+    return ([(e.epoch, bits(e.mean_loss), bits(e.train_mrd), bits(e.s_t),
+              bits(e.s_q)) for e in rec.epochs],
+            [(fid, [bits(v) for v in p.params().tolist()])
+             for fid, p in rec.final_poses],
+            rec.errors, rec.aborted)
+
+
+class TestOptimizeOnRows:
+    """optimize_poses on parameter rows against the index-table loop with
+    per-epoch Pose pairs that it replaced (oracles.optimize_poses_loop)."""
+
+    scenes = {n: synth_scene(seed=3, n_points=40, n_frames=n)
+              for n in range(2, 7)}
+
+    @settings(deadline=None, max_examples=300)
+    @given(kind=st.sampled_from(LOSS_KINDS), n_frames=st.integers(2, 6),
+           batch_size=st.integers(1, 7), epochs=st.integers(0, 3),
+           warm=st.integers(0, 2), n_empty=st.integers(0, 4),
+           n_zero_q=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_index_table_loop(self, kind, n_frames, batch_size,
+                                         epochs, warm, n_empty, n_zero_q,
+                                         seed):
+        # The first n_empty frames see no point, which the geometric loss
+        # skips, and the last n_zero_q start at a zero q, which every kind
+        # but posenet and maxerror skips; either aborts the run when it
+        # hits more than half the frames, and a zero q the metric meets
+        # raises from it.
+        base = self.scenes[n_frames]
+        if kind == "homography_local":
+            n_empty = 0  # its slab needs every frame's depths
+        elif kind == "homography_global":
+            n_empty = min(n_empty, n_frames - 1)  # and this one some frame's
+        frames = [Frame(f.id, f.gt_pose, () if i < n_empty else f.visible)
+                  for i, f in enumerate(base.frames)]
+        scene = Scene(points=base.points, frames=frames,
+                      intrinsics=base.intrinsics)
+        rng = np.random.default_rng(seed)
+        init = [perturbed(f.gt_pose, rng, 0.2, 5.0) for f in frames]
+        for i in range(n_frames - min(n_zero_q, n_frames), n_frames):
+            init[i] = Pose(init[i].t, np.zeros(4))
+        slab = {"homography_local": local_slabs,
+                "homography_global": global_slab}.get(kind)
+        cfg = OptimConfig(loss_kind=kind, lr=1e-2, epochs=epochs,
+                          batch_size=batch_size, seed=seed,
+                          warmstart_epochs=warm,
+                          slab=slab and slab(scene))
+
+        def outcome(run):
+            try:
+                return record_bits(run(scene, init, cfg))
+            except InvalidInputError as e:
+                return str(e)
+        assert outcome(optimize_poses) == outcome(optimize_poses_loop)

@@ -21,8 +21,13 @@ The script prints each pair's end-to-end metrics (the
 `end_to_end` list of CHANGE's BENCHMARK.json) as they come, then for each
 metric each side's median and quartiles, the pairs the change won, and
 whether the gap between the medians exceeds the parent's interquartile
-range. A run that exits non-zero, reports correct: false or counts failed
-operations stops the script with exit code 1.
+range. Each metric's summary ends with a verdict: `claim met` when the
+change wins at least 90% of the pairs and its median is better than the
+parent's by more than the parent's interquartile range; `worse beyond
+bound` when its median is worse than the parent's by more than the
+metric's `bound`, a fraction of the parent's median; else `no claim,
+within bound`. A run that exits non-zero, reports correct: false or counts
+failed operations stops the script with exit code 1.
 """
 
 import argparse
@@ -65,20 +70,28 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(name, unit, better, parent, change):
-    """The summary lines of one metric from its per-pair values."""
+def summarize(name, unit, better, bound, parent, change):
+    """The summary lines of one metric from its per-pair values, the last
+    its verdict."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     gap, iqr = abs(cm - pm), p3 - p1
     rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+    if won >= 0.9 * len(parent) and sign * (pm - cm) > iqr:
+        verdict = "claim met"
+    elif sign * (cm - pm) > bound * abs(pm):
+        verdict = "worse beyond bound"
+    else:
+        verdict = "no claim, within bound"
     return [
         f"{name} ({unit}, {better} is better)",
         f"  parent  median {pm:.4g}  quartiles {p1:.4g}-{p3:.4g}",
         f"  change  median {cm:.4g}  quartiles {c1:.4g}-{c3:.4g}",
         f"  change better in {won} of {len(parent)} pairs; median {rel}; "
         f"gap {gap:.4g} {'>' if gap > iqr else '<='} parent IQR {iqr:.4g}",
+        f"  verdict: {verdict} (bound {bound:.0%})",
     ]
 
 
@@ -117,7 +130,7 @@ def main(argv=None):
                 values[side][m["name"]].append(got[side][m["name"]])
     print(f"== {args.workload}, {args.pairs} pairs of {args.seconds:g} s")
     for m in spec:
-        for line in summarize(m["name"], m["unit"], m["better"],
+        for line in summarize(m["name"], m["unit"], m["better"], m["bound"],
                               values["parent"][m["name"]],
                               values["change"][m["name"]]):
             print(line)
