@@ -35,12 +35,6 @@ def param_count(kind: str) -> int:
     return 9 if kind == "homoscedastic" else 7
 
 
-def _dispatch(kind, params, ctx: LossContext, grad: bool):
-    """(value, gradient) of kind's kernel at the float parameter list, which
-    _flat_params has checked; (value, None) when grad is false."""
-    return getattr(losses, _KERNELS[kind])(params, ctx, grad)
-
-
 def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
     """Flat parameter vector for a loss kind (pose, plus s_t/s_q when the
     loss learns them)."""
@@ -68,7 +62,8 @@ def loss_value(kind: str, est, ctx: LossContext) -> float:
     param_count(kind): evaluate_with_grad's value, bit for bit, and its
     domain errors, from the same kernel stopped before its gradient."""
     params = _flat_params(kind, est, ctx)
-    return float(_dispatch(kind, params.tolist(), ctx, False)[0])
+    kernel = getattr(losses, _KERNELS[kind])
+    return float(kernel(params.tolist(), ctx, False)[0])
 
 
 def evaluate_with_grad(kind: str, est, ctx: LossContext):
@@ -78,15 +73,16 @@ def evaluate_with_grad(kind: str, est, ctx: LossContext):
     Returns (value, gradient).
     """
     params = _flat_params(kind, est, ctx)
-    val, grad = _dispatch(kind, params.tolist(), ctx, True)
+    val, grad = getattr(losses, _KERNELS[kind])(params.tolist(), ctx, True)
     return float(val), grad
 
 
 def finite_diff_grad(kind: str, est, ctx: LossContext,
                      step: float = 1e-6) -> np.ndarray:
     """Central finite differences on each parameter (the gradient oracle)."""
-    if not step > 0:
-        raise InvalidInputError("finite-difference step must be positive")
+    if not 0 < step < np.inf:
+        raise InvalidInputError(f"finite-difference step must be positive "
+                                f"and finite, got {step}")
     params = _flat_params(kind, est, ctx)
     grad = np.zeros(len(params))
     for i in range(len(params)):

@@ -1,14 +1,11 @@
-"""Value-and-gradient primitives shared by the loss kernels.
-
-Each returns a plain float value with its partials, and the kernels in
-`losses` chain them by hand. The forward-mode dual-number engine that these
-closed forms replaced is kept in tests/diffscalar.py as the reference they
-are checked against.
+"""Two primitives shared by the loss kernels: a sum of squares in a fixed
+order, and the chain rule from a body rotation to a quaternion. The kernels
+in `losses` chain them by hand into closed-form gradients; the forward-mode
+dual-number engine that these replaced is kept in tests/diffscalar.py as
+the reference they are checked against.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,26 +17,6 @@ def sum_squares(vec):
     for x in vec[1:]:
         acc = acc + x * x
     return acc
-
-
-def norm2(vec):
-    """(|vec|, d|vec|/dvec), and (0, 0) at the origin, where the gradient is
-    undefined: every pose loss has an exactly zero gradient at its minimum.
-    """
-    s = sum_squares(vec)
-    if s == 0.0:
-        return 0.0, np.zeros(len(vec))
-    n = math.sqrt(s)
-    return n, np.asarray(vec, dtype=float) / n
-
-
-def norm1(vec):
-    """(|vec|_1, sign(vec)); the subgradient of a zero component is 0, so
-    minima of L1 terms have zero gradient."""
-    acc = abs(vec[0])
-    for x in vec[1:]:
-        acc = acc + abs(x)
-    return acc, np.sign(vec)
 
 
 def rotation_grad(q, g):

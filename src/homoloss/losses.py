@@ -12,9 +12,10 @@ Losses:
 Each loss has one kernel, _<kind>_core(p, ctx, grad): p is the estimated
 pose as 7 floats (9 for the homoscedastic loss, which learns its
 log-variances), ctx the frame's LossContext and grad a flag. It computes
-the value first, then, when grad is true, its closed-form gradient; with
-grad false it returns (value, None) before the gradient block, after every
-domain check. LossContext builds each kind's constants once per context,
+the value first, by one formula whatever grad is, then, when grad is true,
+its closed-form gradient from the norms and terms that the value computed;
+with grad false it returns (value, None) before the gradient block, after
+every domain check. LossContext builds each kind's constants once per context,
 and diffgrad.loss_value (grad false) and diffgrad.evaluate_with_grad (grad
 true) are the entry points to the kernels.
 
@@ -138,17 +139,25 @@ class LossContext:
 
 # -- kernels: (p, ctx, grad) -> (value, gradient or None) ------------------
 
+def _unit(vec, norm):
+    """vec / norm, with norm = |vec|, or zeros at the origin, where |vec| has
+    no gradient: each pose loss has an exactly zero gradient at its minimum."""
+    if norm == 0.0:
+        return np.zeros(len(vec))
+    return np.asarray(vec, dtype=float) / norm
+
+
 def _posenet_core(p, ctx: LossContext, grad):
     # Estimated quaternion enters raw; only the ground truth is normalized.
     gt_t, qg, beta = ctx.gt.t, ctx.unit_gt_q, ctx.hyper.beta
     dt = [p[i] - gt_t[i] for i in range(3)]
     dq = [p[3 + i] - qg[i] for i in range(4)]
-    if not grad:  # the values of dual.norm2, without the gradients
-        return math.sqrt(dual.sum_squares(dt)) \
-            + beta * math.sqrt(dual.sum_squares(dq)), None
-    norm_t, grad_t = dual.norm2(dt)
-    norm_q, grad_q = dual.norm2(dq)
-    return norm_t + beta * norm_q, np.concatenate([grad_t, beta * grad_q])
+    norm_t = math.sqrt(dual.sum_squares(dt))
+    norm_q = math.sqrt(dual.sum_squares(dq))
+    val = norm_t + beta * norm_q
+    if not grad:
+        return val, None
+    return val, np.concatenate([_unit(dt, norm_t), beta * _unit(dq, norm_q)])
 
 
 def _homoscedastic_core(p, ctx: LossContext, grad):
@@ -162,13 +171,15 @@ def _homoscedastic_core(p, ctx: LossContext, grad):
         raise InvalidInputError("zero-norm estimated quaternion")
     dt = [p[i] - gt_t[i] for i in range(3)]
     dq = [qg[i] - q_est[i] / norm for i in range(4)]
-    l1_t, sign_t = dual.norm1(dt)
-    l1_q, sign_q = dual.norm1(dq)
+    l1_t = abs(dt[0]) + abs(dt[1]) + abs(dt[2])
+    l1_q = abs(dq[0]) + abs(dq[1]) + abs(dq[2]) + abs(dq[3])
     w_t, w_q = math.exp(-s_t), math.exp(-s_q)
     val = l1_t * w_t + s_t + l1_q * w_q + s_q
     if not grad:
         return val, None
-    _, u = dual.norm2(q_est)
+    # sign() gives the zero subgradient of a zero component
+    sign_t, sign_q = np.sign(dt), np.sign(dq)
+    u = _unit(q_est, norm)
     grad_q = w_q * (u * (u @ sign_q) - sign_q) / norm
     return val, np.concatenate([sign_t * w_t, grad_q,
                                 [1.0 - l1_t * w_t, 1.0 - l1_q * w_q]])
@@ -243,11 +254,10 @@ def _maxerror_core(p, ctx: LossContext, grad):
     val = trans_cm + reg if angle is None else angle + reg
     if not grad:
         return val, None
-    _, u = dual.norm2(q_est)
+    u = _unit(q_est, qn)
     grad_reg = 2.0 * (qn - 1.0) * u * reg_weight
     if angle is None:
-        _, grad_cm = dual.norm2(d_cm)
-        return val, np.concatenate([100.0 * grad_cm, grad_reg])
+        return val, np.concatenate([100.0 * _unit(d_cm, trans_cm), grad_reg])
     grad_angle = -1.0 / math.sqrt(1.0 - absdot * absdot) * (
         np.sign(dot) * (qg - dot * u) * (1.0 / qn)) * (360.0 / math.pi)
     return val, np.concatenate([np.zeros(3), grad_angle + grad_reg])

@@ -25,6 +25,7 @@ from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
 ZERO_GT_DEPTH = "frame {}: a visible point lies at zero gt depth"
+ZERO_Q = "frame {}: zero-norm quaternion"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 
@@ -116,7 +117,7 @@ def mean_reproj_distance(est_poses, scene: Scene,
     (frame id, Pose) pairs, which go once perfbench/layers.py passes rows
     (ROADMAP item 1). Projections to infinity count as the clip, which must
     be positive. Frames without visible points are skipped;
-    InvalidInputError when no frame has one, or for the first where a
+    InvalidInputError when no frame has one, or naming the first where a
     visible point lies at zero gt depth or the estimate q has zero norm.
     One projection and one np.mean per visible-count bucket of
     scene.stacked, which give each frame the bits of its own."""
@@ -138,7 +139,7 @@ def mean_reproj_distance(est_poses, scene: Scene,
     for i in np.flatnonzero(seen & (view.zero_gt_depth | zero_q))[:1]:
         if view.zero_gt_depth[i]:
             raise InvalidInputError(ZERO_GT_DEPTH.format(scene.frames[i].id))
-        raise InvalidInputError("zero-norm quaternion")
+        raise InvalidInputError(ZERO_Q.format(scene.frames[i].id))
     if not seen.any():
         raise InvalidInputError(
             "mean reprojection distance needs a frame with visible points"
@@ -295,13 +296,17 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     frames error within one epoch. A warm start's error lines come first,
     marked as such, and its abort ends the run with the warm-start poses.
     A scene that the per-epoch metric rejects for a visible point at zero
-    gt depth raises before the first step.
+    gt depth, or an initial pose with a zero quaternion, raises before the
+    first step and before any warm start.
     """
     frames = scene.frames
     if len(init_poses) != len(frames):
         raise InvalidInputError("need one initial pose per frame")
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
         raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
+    for i, pose in enumerate(init_poses):
+        if not np.any(pose.q * pose.q):  # |q|^2 == 0, as in the metric
+            raise InvalidInputError(ZERO_Q.format(frames[i].id))
     warm_errors = []
     if config.warmstart_epochs > 0:
         warm_cfg = replace(

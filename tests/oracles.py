@@ -50,8 +50,8 @@ from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP, AdamState, EpochStats, \
-    RunRecord, ZERO_GT_DEPTH, _epoch_batches, adam_update, frame_context, \
-    mean_reproj_distance
+    RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, adam_update, \
+    frame_context, mean_reproj_distance
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
     Scene, _slab_params, _sorted_positive, default_intrinsics
 
@@ -353,7 +353,8 @@ def mean_reproj_distance_loop(est_poses, scene,
     estimated projections of the frame's visible points; est_poses holds one
     (frame id, Pose) per scene frame, in order. Projections to infinity count
     as the clip. Frames without visible points are skipped; InvalidInputError
-    when no frame has one or a visible point lies at zero gt depth."""
+    when no frame has one, or naming the first where a visible point lies at
+    zero gt depth or the estimate q is zero."""
     if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
         raise InvalidInputError("need one estimate per scene frame, in order")
     K = scene.intrinsics
@@ -368,6 +369,8 @@ def mean_reproj_distance_loop(est_poses, scene,
             raise InvalidInputError(
                 f"frame {frame.id}: a visible point lies at zero gt depth"
             )
+        if not np.any(est.q * est.q):
+            raise InvalidInputError(f"frame {frame.id}: zero-norm quaternion")
         uv, z = project_points(est.t, quat_to_rotmat(est.q), K, pts)
         dist = np.minimum(clip, np.hypot(*(uv - uv_gt)))
         d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
@@ -577,6 +580,9 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
         raise InvalidInputError("need one initial pose per frame")
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
         raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
+    for i, pose in enumerate(init_poses):
+        if not np.any(pose.q * pose.q):
+            raise InvalidInputError(ZERO_Q.format(frames[i].id))
     warm_errors = []
     if config.warmstart_epochs > 0:
         warm_cfg = replace(

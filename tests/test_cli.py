@@ -866,6 +866,18 @@ class TestExitCodes:
         assert f"{argv[-2]} must not be nan" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_infinite_step_exit_2(self, tmp_path, capsys):
+        # Central differences over an infinite step are NaN: invalid input,
+        # as --step nan is, not a tolerance failure with outputs.
+        out = str(tmp_path / "o")
+        argv = ["gradcheck", "--synthetic", "--loss", "homography", "--step",
+                "inf", "--out", out]
+        assert main(argv) == 2
+        assert "step must be positive and finite, got inf" in \
+            capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "gradcheck.csv"))
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+
     @pytest.mark.parametrize("argv", [
         ["landscape", "--losses", "posenet", "--axis", "tz",
          "--range=-1:1", "--steps", "3", "--scene-seed", "-1"],

@@ -321,10 +321,20 @@ class TestDiffScalarParity:
         assert grad[0] == 100.0 and np.all(grad[1:] == 0.0)
 
     def test_homoscedastic_zero_components(self):
-        # dq = qg - q/|q| and dt have components that are exactly 0.
+        # dq = qg - q/|q| and dt have components that are exactly 0; where
+        # q and qg are 0 too, their gradient entries are the L1 subgradient
+        # 0, as in the DiffScalar form.
         ctx = self.ctx(Pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
-        params = np.array([0.5, -0.8, 2.0, 1.0, 0.5, 0.0, 0.0, 0.3, -2.0])
-        assert_matches_reference("homoscedastic", params, ctx)
+        for params, zeros in (
+                ([0.5, -0.8, 2.0, 1.0, 0.5, 0.0, 0.0, 0.3, -2.0],
+                 [0, 2, 5, 6]),
+                ([0.5, -0.8, 2.3, 1.0, 0.5, 0.0, -0.3, 0.3, -2.0], [0, 5])):
+            params = np.array(params)
+            assert_matches_reference("homoscedastic", params, ctx)
+            grad = evaluate_with_grad("homoscedastic", params, ctx)[1]
+            ref = reference_grad("homoscedastic", params, ctx)[1]
+            assert grad[zeros].tolist() == ref[zeros].tolist() == \
+                [0.0] * len(zeros)
 
     def test_posenet_zero_translation_error(self):
         ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
@@ -573,6 +583,8 @@ class TestFiniteDiff:
             finite_diff_grad("posenet", identity_pose(), ctx, step=0.0)
         with pytest.raises(InvalidInputError, match="step must be positive"):
             finite_diff_grad("posenet", identity_pose(), ctx, step=np.nan)
+        with pytest.raises(InvalidInputError, match="finite, got inf"):
+            finite_diff_grad("posenet", identity_pose(), ctx, step=np.inf)
 
     def test_error_reports_coordinate(self):
         # A null estimated quaternion fails inside the loss at the first

@@ -110,29 +110,6 @@ def test_division_value_matches_plain_float():
 
 # -- homoloss.dual: the primitives the closed-form kernels share ----------
 
-vec = st.lists(finite, min_size=1, max_size=5)
-
-
-@given(vec)
-def test_norms_match_the_engine(v):
-    seeded = diffscalar.seed(v)
-    for primitive, reference in ((dual.norm2, diffscalar.norm2),
-                                 (dual.norm1, diffscalar.norm1)):
-        val, grad = primitive(v)
-        ref = reference(seeded)
-        assert val == diffscalar.value(ref)
-        np.testing.assert_allclose(
-            grad, diffscalar.gradient(ref, len(v)), rtol=1e-15, atol=0.0)
-
-
-def test_primitive_norms_zero_gradient_at_origin():
-    assert dual.norm2([0.0, 0.0, 0.0])[0] == 0.0
-    assert np.all(dual.norm2([0.0, 0.0, 0.0])[1] == 0.0)
-    val, sign = dual.norm1([0.0, -2.0, 3.0])
-    assert val == 5.0
-    np.testing.assert_array_equal(sign, [0.0, -1.0, 1.0])
-
-
 def test_rotation_grad_matches_finite_differences():
     # f(q) = a . R(q) b; a body rotation w moves R b by R (w x b), so
     # df/dw = b x R^T a.

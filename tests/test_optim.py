@@ -645,6 +645,33 @@ class TestOptimizePoses:
             f"{scene.frames[0].id}: a visible point lies at zero gt depth"
         assert evaluated == []
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_zero_initial_quaternion_rejected_before_any_step(
+            self, monkeypatch, kind):
+        # Frame 1 starts at q = 0. The run raises the metric's error for it
+        # before it calls any loss kernel, a warm start's included; else
+        # some kinds would run an epoch first and posenet would not raise.
+        scene = synth_scene(seed=3, n_points=40, n_frames=4)
+        called = []
+        for name in ("_posenet_core", "_homoscedastic_core",
+                     "_geometric_core", "_maxerror_core", "_homography_core"):
+            monkeypatch.setattr(losses, name,
+                                lambda *args: called.append(args))
+        init = [f.gt_pose for f in scene.frames]
+        init[1] = Pose(init[1].t, np.zeros(4))
+        slab = {"homography_local": local_slabs,
+                "homography_global": global_slab}.get(kind)
+        cfg = OptimConfig(loss_kind=kind, epochs=3, warmstart_epochs=2,
+                          seed=0, slab=slab and slab(scene))
+        with pytest.raises(InvalidInputError) as e:
+            optimize_poses(scene, init, cfg)
+        with pytest.raises(InvalidInputError) as metric:
+            mean_reproj_distance([(f.id, p) for f, p in
+                                  zip(scene.frames, init)], scene)
+        assert str(e.value) == str(metric.value) == \
+            f"frame {scene.frames[1].id}: zero-norm quaternion"
+        assert called == []
+
     def test_gt_projected_once_per_frame(self, tiny, monkeypatch):
         # Each frame's context projects its gt points on first use and
         # reuses them in every later step; each estimate is projected anew.
@@ -778,19 +805,19 @@ class TestOptimizeOnRows:
     scenes = {n: synth_scene(seed=3, n_points=40, n_frames=n)
               for n in range(2, 7)}
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=400)
     @given(kind=st.sampled_from(LOSS_KINDS), n_frames=st.integers(2, 6),
            batch_size=st.integers(1, 7), epochs=st.integers(0, 3),
            warm=st.integers(0, 2), n_empty=st.integers(0, 4),
-           n_zero_q=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+           n_zero_q=st.sampled_from((0, 0, 0, 1, 4)),
+           seed=st.integers(0, 2**32 - 1))
     def test_equals_the_index_table_loop(self, kind, n_frames, batch_size,
                                          epochs, warm, n_empty, n_zero_q,
                                          seed):
         # The first n_empty frames see no point, which the geometric loss
-        # skips, and the last n_zero_q start at a zero q, which every kind
-        # but posenet and maxerror skips; either aborts the run when it
-        # hits more than half the frames, and a zero q the metric meets
-        # raises from it.
+        # skips and which aborts the run when it hits more than half the
+        # frames; the last n_zero_q start at a zero q, which the run
+        # rejects before its first step, so most draws have none.
         base = self.scenes[n_frames]
         if kind == "homography_local":
             n_empty = 0  # its slab needs every frame's depths
