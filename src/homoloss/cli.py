@@ -238,13 +238,17 @@ def run_landscape(config):
     lo, hi = _parse_range(config["range"])
     # a negative step count reaches landscape_sweep's check as no steps
     offsets = np.linspace(lo, hi, max(config["steps"], 0))
-    kinds = [_resolve_loss(s) for s in config["losses"].split(",")]
+    kinds = []
+    for name in config["losses"].split(","):
+        kind = _resolve_loss(name)
+        if kind in kinds:
+            raise UsageError(f"loss {kind!r} is named twice in --losses")
+        kinds.append(kind)
     offsets2 = None
     if axis2:
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, max(config["steps2"], 0))
     out = config["out"]
-    os.makedirs(out, exist_ok=True)
     for kind in kinds:
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
@@ -256,6 +260,7 @@ def run_landscape(config):
                   f"NaN: {errors[0]}", file=sys.stderr)
         header = "offset,offset2,loss_value" if axis2 \
             else "offset,loss_value"
+        os.makedirs(out, exist_ok=True)
         _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header, rows)
     _write_manifest(out, "landscape", config)
     print(f"wrote {len(kinds)} landscape CSV(s) to {out}")
@@ -270,8 +275,6 @@ def run_gradcheck(config):
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])
     tol = config["tolerance"]
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
     rows = []
     for s in range(config["samples"]):
         frame = scene.frames[int(rng.integers(len(scene.frames)))]
@@ -282,6 +285,8 @@ def run_gradcheck(config):
         err = diffgrad.grad_report(kind, est, ctx, step=config["step"])
         val, _ = diffgrad.evaluate_with_grad(kind, est, ctx)
         rows.append((s, val, err))
+    out = config["out"]
+    os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "gradcheck.csv"),
                "sample,loss_value,max_rel_err", rows)
     _write_manifest(out, "gradcheck", config)
@@ -350,9 +355,9 @@ def run_optimize(config):
 
 def run_slabs(config):
     scene = _build_scene(config)
+    slab = _depth_slab(scene, f"homography_{config['mode']}", config)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    slab = _depth_slab(scene, f"homography_{config['mode']}", config)
     slabs = slab.per_frame or {"global": slab.single}
     rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
     _write_csv(os.path.join(out, "slabs.csv"), "frame_id,x_min,x_max", rows)

@@ -7,8 +7,6 @@ the reference they are checked against.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def sum_squares(vec):
     """Sum of squares, accumulated left to right (loss values depend on the
@@ -19,18 +17,18 @@ def sum_squares(vec):
     return acc
 
 
-def rotation_grad(q, g):
+def rotation_grad(q, g, qq):
     """Gradient w.r.t. a (possibly non-unit) quaternion q of a function whose
     gradient w.r.t. a body rotation w of q is g: a change dq turns the frame
     by w = 2 vec(conj(q) dq) / |q|^2, so the gradient is 2 q * (0, g) / |q|^2
     (quaternion product), orthogonal to q since scaling q does not rotate.
-    Returned as 4 floats; the product keeps geometry.quat_multiply's terms
-    and their order, the zero ones too (they decide signed zeros).
+    qq is the caller's |q|^2, non-zero. Returned as 4 floats; the product
+    keeps geometry.quat_multiply's terms and their order, the zero ones too
+    (they decide signed zeros).
     """
     w, x, y, z = q
     gx, gy, gz = g
-    qa = np.asarray(q, dtype=float)
-    s = float(2.0 / (qa @ qa))
+    s = 2.0 / qq
     return ((w * 0.0 - x * gx - y * gy - z * gz) * s,
             (w * gx + x * 0.0 + y * gz - z * gy) * s,
             (w * gy - x * gz + y * 0.0 + z * gx) * s,

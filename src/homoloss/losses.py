@@ -192,8 +192,8 @@ def _geometric_core(p, ctx: LossContext, grad):
     and a zero gradient; sign() gives the zero subgradient at an L1 kink."""
     uv_gt, points, K = ctx.gt_uv, ctx.points, ctx.intrinsics
     clip, q_est = ctx.hyper.reproj_clip, p[3:7]
-    R = quat_to_rotmat(q_est)
-    uv, z = project_points(np.array(p[0:3]), R, K, points)
+    rows = rotmat_elems(q_est)
+    uv, z = project_points(np.array(p[0:3]), np.array(rows), K, points)
     res = uv - uv_gt
     abs_res = np.abs(res)
     d = abs_res[0] + abs_res[1]
@@ -209,7 +209,8 @@ def _geometric_core(p, ctx: LossContext, grad):
     # rotation w of the camera moves X_c by X_c x w, so d has gradient
     # g x X_c = h x (x, y, 1) w.r.t. w. The loss sums these over the live
     # points and divides by n. h holds a, b, c and the three rows of
-    # h x (x, y, 1), so that one vecdot and one row sum reduce them all.
+    # h x (x, y, 1), so that one vecdot and one row sum reduce them all;
+    # -R g is then summed in floats, in a fixed order, not by BLAS.
     idx = live.nonzero()[0]
     xy = (uv.take(idx, axis=1) - K.principal) / K.focal
     h = np.empty((6, len(idx)))
@@ -222,10 +223,15 @@ def _geometric_core(p, ctx: LossContext, grad):
     np.subtract(ab[1], cxy[1], out=h[3])
     np.subtract(cxy[0], ab[0], out=h[4])
     np.subtract(ayx[0], ayx[1], out=h[5])
-    g_sum = np.vecdot(h[0:3], 1.0 / z.take(idx))
-    gx_sum = h[3:6].sum(axis=1)
-    grad_q = dual.rotation_grad(q_est, gx_sum.tolist())
-    return val, np.concatenate([-R @ g_sum, grad_q]) / n
+    g0, g1, g2 = np.vecdot(h[0:3], 1.0 / z.take(idx)).tolist()
+    qw, qx, qy, qz = q_est  # |q|^2 summed as rotmat_elems sums it
+    r0, r1, r2, r3 = dual.rotation_grad(q_est, h[3:6].sum(axis=1).tolist(),
+                                        qw * qw + qx * qx + qy * qy + qz * qz)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return val, np.array([-(a0 * g0 + a1 * g1 + a2 * g2) / n,
+                          -(b0 * g0 + b1 * g1 + b2 * g2) / n,
+                          -(c0 * g0 + c1 * g1 + c2 * g2) / n,
+                          r0 / n, r1 / n, r2 / n, r3 / n])
 
 
 def _maxerror_core(p, ctx: LossContext, grad):
@@ -314,7 +320,7 @@ def _homography_core(p, ctx: LossContext, grad):
     e21 = 2.0 * (yz + wx) * inv
     p0 = 0 + e00 * d0 + e10 * d1 + e20 * d2
     p1 = 0 + e01 * d0 + e11 * d1 + e21 * d2
-    r0, r1, r2, r3 = dual.rotation_grad(p[3:7], [p1, -p0, 0.0])
+    r0, r1, r2, r3 = dual.rotation_grad(p[3:7], [p1, -p0, 0.0], qq_e)
     a, b, two_k2 = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e, 2.0 * k2
     return val, np.array([
         -k1 * m0 - two_k2 * d0,

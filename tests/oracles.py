@@ -336,8 +336,10 @@ def geometric_core_pairs(p, ctx, grad):
     g_sum = np.array([a @ inv_z, b @ inv_z, c @ inv_z])
     gx_sum = np.array([(b - c * y).sum(), (c * x - a).sum(),
                        (a * y - b * x).sum()])
-    grad_t = -R @ g_sum / n
-    grad_q = np.array(dual.rotation_grad(q_est, gx_sum.tolist())) / n
+    g0, g1, g2 = g_sum.tolist()
+    grad_t = [-(r0 * g0 + r1 * g1 + r2 * g2) / n for r0, r1, r2 in R.tolist()]
+    grad_q = np.array(dual.rotation_grad(q_est, gx_sum.tolist(),
+                                         sum_squares(q_est))) / n
     return val, np.concatenate([grad_t, grad_q])
 
 
@@ -382,11 +384,11 @@ def mean_reproj_distance_loop(est_poses, scene,
     return float(np.mean(per_frame))
 
 
-def rotation_grad_array(q, g):
+def rotation_grad_array(q, g, qq):
     """dual.rotation_grad as a quaternion product of arrays, 2 q * (0, g)
-    / |q|^2."""
+    / qq, with qq = |q|^2."""
     q = np.asarray(q, dtype=float)
-    return quat_multiply(q, [0.0, *g]) * (2.0 / (q @ q))
+    return quat_multiply(q, [0.0, *g]) * (2.0 / qq)
 
 
 def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad,
@@ -425,7 +427,7 @@ def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad,
             n[0] * p[1] - n[1] * p[0]]
     a, b = 16.0 / (qq_e * qq_g), 2.0 * rot / qq_e
     grad_q = np.array([a * btv[k] - b * q_est[k] for k in range(4)]) \
-        + k1 * rotation_grad_array(q_est, body)
+        + k1 * rotation_grad_array(q_est, body, qq_e)
     grad_t = [-k1 * m[i] - 2.0 * k2 * d[i] for i in range(3)]
     return val, np.concatenate([grad_t, grad_q])
 

@@ -795,6 +795,31 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--synthetic", "--loss", "posenet", "--step", "inf"],
+        ["gradcheck", "--synthetic", "--loss", "posenet",
+         "--perturb-t=-1"],
+        ["landscape", "--synthetic", "--axis", "tz", "--range=-1:1",
+         "--steps", "1", "--losses", "posenet"],
+        ["slabs", "--synthetic", "--lo", "90", "--hi", "10"]])
+    def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys,
+                                                    argv):
+        # The directory is made just before the first write.
+        out = str(tmp_path / "o")
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("losses, kind", [
+        ("posenet,posenet", "posenet"),
+        ("homography,geometric,homography_local", "homography_local")])
+    def test_usage_error_loss_named_twice(self, tmp_path, capsys, losses,
+                                          kind):
+        out = str(tmp_path / "o")
+        assert main(landscape_args(out, **{"--losses": losses})) == 1
+        assert f"loss {kind!r} is named twice" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_usage_error_no_subcommand(self, capsys):
         assert main([]) == 1
 

@@ -450,6 +450,30 @@ class TestValuePath:
             evaluate_with_grad(kind, params, ctx)
 
 
+@pytest.mark.parametrize("kind", ["geometric", "homography_local",
+                                  "homography_global"])
+def test_rotation_grad_takes_the_kernels_qq(kind, monkeypatch):
+    # Once per gradient evaluation, each kernel hands rotation_grad its
+    # estimate's q and the |q|^2 that normalizes its rotation, bit for bit
+    # the left-to-right sum_squares, not another order of the same sum.
+    rotation_grad, seen = dual.rotation_grad, []
+
+    def spy(q, g, qq):
+        seen.append((list(q), qq))
+        return rotation_grad(q, g, qq)
+
+    rng = np.random.default_rng(13)
+    ctx = make_ctx(rng)
+    monkeypatch.setattr(dual, "rotation_grad", spy)
+    for n in range(1, 41):
+        params = params_for(kind, perturbed(ctx.gt, rng, 0.2, 5.0), ctx)
+        params[3:7] *= rng.uniform(0.1, 10.0)
+        evaluate_with_grad(kind, params, ctx)
+        q = params[3:7].tolist()
+        assert len(seen) == n and seen[-1][0] == q
+        assert seen[-1][1].hex() == dual.sum_squares(q).hex()
+
+
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 def test_kernels_call_no_builtin_sum(kind, monkeypatch):
     # From CPython 3.12 sum() of floats is compensated, so a kernel that

@@ -4,6 +4,7 @@ value-and-gradient primitives (homoloss.dual)."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffscalar
@@ -117,7 +118,8 @@ def test_rotation_grad_matches_finite_differences():
     for _ in range(20):
         q = rng.normal(size=4) * rng.uniform(0.5, 2.0)
         a, b = rng.normal(size=3), rng.normal(size=3)
-        grad = dual.rotation_grad(q, np.cross(b, quat_to_rotmat(q).T @ a))
+        grad = dual.rotation_grad(q, np.cross(b, quat_to_rotmat(q).T @ a),
+                                  dual.sum_squares(q.tolist()))
         fd = np.zeros(4)
         for i in range(4):
             e = np.zeros(4)
@@ -135,11 +137,18 @@ entry = st.one_of(st.just(0.0), st.just(-0.0), finite)
 @given(st.tuples(entry, entry, entry, entry).filter(any),
        st.tuples(entry, entry, entry))
 def test_rotation_grad_is_the_array_form(q, g):
-    # 4 floats equal, sign bits too, to the product of arrays it replaced;
-    # 2 / |q|^2 overflows where |q|^2 underflows
+    # 4 floats equal, sign bits too, to the product of arrays it replaced,
+    # both scaled by 2 / qq with the kernels' left-to-right |q|^2; 2 / qq
+    # overflows where qq is tiny, and a qq that underflows to 0 raises
+    # (no kernel passes one: each rejects a zero |q|^2 first)
+    qq = dual.sum_squares(q)
+    if qq == 0.0:
+        with pytest.raises(ZeroDivisionError):
+            dual.rotation_grad(list(q), list(g), qq)
+        return
     with np.errstate(all="ignore"):
-        got = dual.rotation_grad(list(q), list(g))
-        want = rotation_grad_array(q, g)
+        got = dual.rotation_grad(list(q), list(g), qq)
+        want = rotation_grad_array(q, g, qq)
     assert len(got) == 4 and all(type(x) is float for x in got)
     np.testing.assert_array_equal(got, want)
     assert np.signbit(got).tolist() == np.signbit(want).tolist()

@@ -28,3 +28,17 @@ def test_signed_zeros_hash_apart():
     for digest, out in zip(h, (0.0, -0.0, None)):
         kernel_bits._record(digest, out)
     assert len({d.hexdigest() for d in h}) == 3
+
+
+def test_a_subset_of_kinds_has_its_own_digest(capsys):
+    # The same frames, fewer kinds: a digest of its own, as stable.
+    kinds = ("posenet", "maxerror")
+    digest, evaluations, raised = kernel_bits.kernel_bits(3, 40, kinds)
+    assert kernel_bits.kernel_bits(3, 40, kinds) == \
+        (digest, evaluations, raised)
+    assert digest != kernel_bits.kernel_bits(3, 40)[0]
+    assert evaluations == 40 * 2 * 2
+    assert kernel_bits.main(["--seed", "3", "--frames", "40",
+                             "--kinds", "posenet,maxerror"]) == 0
+    assert capsys.readouterr().out == \
+        f"{digest}  {evaluations} evaluations, {raised} raised\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import identity_pose, perturbed, random_pose, random_rotation
-from homoloss import geometry, losses
+from homoloss import losses
 from homoloss.diffgrad import (
     LossContext,
     evaluate_with_grad,
@@ -209,7 +209,7 @@ class TestGeometricLoss:
         def spy(q):
             calls.append(q)
             return rotmat_elems(q)
-        monkeypatch.setattr(geometry, "rotmat_elems", spy)
+        monkeypatch.setattr(losses, "rotmat_elems", spy)
         for n in range(1, 4):
             est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
             evaluate_with_grad("geometric", est, ctx)

@@ -1,17 +1,21 @@
 """One sha256 over every loss kernel's output on seeded random frames.
 
 Usage:
-    PYTHONPATH=src python tools/kernel_bits.py --seed N --frames M
+    PYTHONPATH=src python tools/kernel_bits.py --seed N --frames M \
+        [--kinds K1,K2,...]
 
 For each of M frames drawn from seed N, the script evaluates every loss
-kind through both entry points, diffgrad.loss_value and
-diffgrad.evaluate_with_grad, and hashes each value and gradient entry as
-float.hex (so -0.0 and 0.0 differ) and each raised exception as its type
-and message. Two source trees whose kernels agree bit for bit print the
-same line:
+kind, or only those that --kinds names, through both entry points,
+diffgrad.loss_value and diffgrad.evaluate_with_grad, and hashes each value
+and gradient entry as float.hex (so -0.0 and 0.0 differ) and each raised
+exception as its type and message. Two source trees whose kernels agree
+bit for bit print the same line:
 
     PYTHONPATH=old/src python tools/kernel_bits.py --seed 1 --frames 3000
     PYTHONPATH=new/src python tools/kernel_bits.py --seed 1 --frames 3000
+
+The frames drawn do not depend on --kinds, so a subset's digest tells
+which kinds two trees agree on where the full digests differ.
 
 The draws cover unit, non-unit and zero estimated quaternions, quaternion
 and translation entries of +0.0 and -0.0, estimates equal to the ground
@@ -93,15 +97,16 @@ def _record(h, out):
     h.update(b";")
 
 
-def kernel_bits(seed, frames):
-    """(sha256 hex digest, evaluations, exceptions) over `frames` frames."""
+def kernel_bits(seed, frames, kinds=diffgrad.LOSS_KINDS):
+    """(sha256 hex digest, evaluations, exceptions) of the loss kinds
+    `kinds` over `frames` frames."""
     rng = np.random.default_rng(seed)
     h = hashlib.sha256()
     evaluations = exceptions = 0
     with np.errstate(all="ignore"):
         for _ in range(frames):
             ctx, params = draw_frame(rng)
-            for kind in diffgrad.LOSS_KINDS:
+            for kind in kinds:
                 p = params[:diffgrad.param_count(kind)]
                 for entry in (diffgrad.loss_value,
                               diffgrad.evaluate_with_grad):
@@ -117,12 +122,23 @@ def kernel_bits(seed, frames):
     return h.hexdigest(), evaluations, exceptions
 
 
+def _kinds(text):
+    """The loss kinds of a comma-separated list, each known."""
+    kinds = tuple(text.split(","))
+    for kind in set(kinds) - set(diffgrad.LOSS_KINDS):
+        raise argparse.ArgumentTypeError(f"unknown loss kind {kind!r}")
+    return kinds
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--kinds", type=_kinds, default=diffgrad.LOSS_KINDS,
+                   help="comma-separated loss kinds (default: all)")
     args = p.parse_args(argv)
-    digest, evaluations, exceptions = kernel_bits(args.seed, args.frames)
+    digest, evaluations, exceptions = kernel_bits(args.seed, args.frames,
+                                                  args.kinds)
     print(f"{digest}  {evaluations} evaluations, {exceptions} raised")
     return 0
 
