@@ -248,7 +248,7 @@ def run_landscape(config):
     if axis2:
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, max(config["steps2"], 0))
-    out = config["out"]
+    sweeps = []
     for kind in kinds:
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
@@ -258,9 +258,11 @@ def run_landscape(config):
         if errors:
             print(f"landscape {kind}: {len(errors)} of {len(rows)} cells are "
                   f"NaN: {errors[0]}", file=sys.stderr)
-        header = "offset,offset2,loss_value" if axis2 \
-            else "offset,loss_value"
-        os.makedirs(out, exist_ok=True)
+        sweeps.append((kind, rows))
+    out = config["out"]
+    os.makedirs(out, exist_ok=True)
+    header = "offset,offset2,loss_value" if axis2 else "offset,loss_value"
+    for kind, rows in sweeps:
         _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header, rows)
     _write_manifest(out, "landscape", config)
     print(f"wrote {len(kinds)} landscape CSV(s) to {out}")
@@ -282,8 +284,9 @@ def run_gradcheck(config):
                            config["perturb_t"], config["perturb_deg"])
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
-        err = diffgrad.grad_report(kind, est, ctx, step=config["step"])
-        val, _ = diffgrad.evaluate_with_grad(kind, est, ctx)
+        params = diffgrad.params_for(kind, est, ctx)
+        err = diffgrad.grad_report(kind, params, ctx, step=config["step"])
+        val, _ = diffgrad.evaluate_with_grad(kind, params, ctx)
         rows.append((s, val, err))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
@@ -329,6 +332,8 @@ def run_optimize(config):
     unit = quat_normalize([p.q for _, p in record.final_poses])
     final = [(fid, Pose(p.t, q)) for (fid, p), q in zip(record.final_poses,
                                                         unit)]
+    mrd = mean_reproj_distance(final, scene)
+    pct = _pct_rows([p for _, p in final], [f.gt_pose for f in scene.frames])
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     cols = ["epoch", "mean_loss", "train_mrd_px"]
@@ -341,10 +346,8 @@ def run_optimize(config):
         with open(os.path.join(out, "errors.txt"), "w") as f:
             f.writelines(e + "\n" for e in record.errors)
     _write_manifest(out, "optimize", config)
-    mrd = mean_reproj_distance(final, scene)
     parts = [f"loss={kind}", f"final_train_mrd_px={mrd:.6g}"]
-    parts += [f"{name}={100 * frac:.1f}%" for name, frac in _pct_rows(
-        [p for _, p in final], [f.gt_pose for f in scene.frames])]
+    parts += [f"{name}={100 * frac:.1f}%" for name, frac in pct]
     if record.aborted:
         parts.append("aborted=true")
     print(" ".join(parts))
@@ -356,6 +359,11 @@ def run_optimize(config):
 def run_slabs(config):
     scene = _build_scene(config)
     slab = _depth_slab(scene, f"homography_{config['mode']}", config)
+    if config["hist"]:  # before any write: each id names a file
+        for frame in scene.frames:
+            if {"/", os.sep, "\0"} & set(frame.id):
+                raise InvalidInputError(f"frame id {frame.id!r} cannot be "
+                                        f"part of a --hist file name")
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     slabs = slab.per_frame or {"global": slab.single}

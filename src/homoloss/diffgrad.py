@@ -44,35 +44,29 @@ def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
     return p
 
 
-def _flat_params(kind, est, ctx):
-    """est (a Pose or a flat vector) as the parameter vector of kind."""
-    if isinstance(est, Pose):
-        return params_for(kind, est, ctx)
+def _flat_params(kind, est):
+    """est, a flat vector, as the parameter vector of kind."""
     params = np.asarray(est, dtype=float)
     n = param_count(kind)
     if params.shape != (n,):
-        raise InvalidInputError(
-            f"{kind} expects {n} parameters, got {params.shape}"
-        )
+        raise InvalidInputError(f"{kind} expects {n} parameters, "
+                                f"got {params.shape}")
     return params
 
 
 def loss_value(kind: str, est, ctx: LossContext) -> float:
-    """The loss at est, a Pose or a flat parameter vector of length
-    param_count(kind): evaluate_with_grad's value, bit for bit, and its
-    domain errors, from the same kernel stopped before its gradient."""
-    params = _flat_params(kind, est, ctx)
+    """The loss at est, a flat parameter vector of length param_count(kind):
+    evaluate_with_grad's value, bit for bit, and its domain errors, from the
+    same kernel stopped before its gradient."""
+    params = _flat_params(kind, est)
     kernel = getattr(losses, _KERNELS[kind])
     return float(kernel(params.tolist(), ctx, False)[0])
 
 
 def evaluate_with_grad(kind: str, est, ctx: LossContext):
-    """Loss value and closed-form gradient.
-
-    `est` may be a Pose or a flat parameter vector of length param_count(kind).
-    Returns (value, gradient).
-    """
-    params = _flat_params(kind, est, ctx)
+    """(value, closed-form gradient) of the loss at est, a flat parameter
+    vector of length param_count(kind)."""
+    params = _flat_params(kind, est)
     val, grad = getattr(losses, _KERNELS[kind])(params.tolist(), ctx, True)
     return float(val), grad
 
@@ -83,7 +77,7 @@ def finite_diff_grad(kind: str, est, ctx: LossContext,
     if not 0 < step < np.inf:
         raise InvalidInputError(f"finite-difference step must be positive "
                                 f"and finite, got {step}")
-    params = _flat_params(kind, est, ctx)
+    params = _flat_params(kind, est)
     grad = np.zeros(len(params))
     for i in range(len(params)):
         hi = params.copy()

@@ -5,8 +5,6 @@ dual-number engine that these replaced is kept in tests/diffscalar.py as
 the reference they are checked against.
 """
 
-from __future__ import annotations
-
 
 def sum_squares(vec):
     """Sum of squares, accumulated left to right (loss values depend on the

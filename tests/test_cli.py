@@ -427,6 +427,25 @@ class TestSlabs:
         assert "line 6: V line of frame 'f0' already on line 5" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("fid", ["a/b", "a\0b"])
+    def test_hist_id_that_cannot_name_a_file_exit_2(self, tmp_path, capsys,
+                                                    fid):
+        # "/" made the histogram's open fail after slabs.csv was written,
+        # and a NUL raised a ValueError that escaped main
+        poses, pts = str(tmp_path / "poses.txt"), str(tmp_path / "pts.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [(fid, identity_pose())])
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, z] for z in (4.0, 5.0, 6.0, 9.0)],
+                         {fid: [0, 1, 2, 3]})
+        out = str(tmp_path / "o")
+        argv = ["slabs", "--poses", poses, "--points", pts, "--hist",
+                "--out", out]
+        assert main(argv) == 2
+        assert f"frame id {fid!r}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert main(argv[:-3] + argv[-2:]) == 0  # without --hist
+
     def test_histograms_cdf_nondecreasing(self, tmp_path):
         out = str(tmp_path / "o")
         argv = ["slabs", "--synthetic", "--n-frames", "2", "--hist",
@@ -801,10 +820,27 @@ class TestExitCodes:
          "--perturb-t=-1"],
         ["landscape", "--synthetic", "--axis", "tz", "--range=-1:1",
          "--steps", "1", "--losses", "posenet"],
-        ["slabs", "--synthetic", "--lo", "90", "--hi", "10"]])
+        ["slabs", "--synthetic", "--lo", "90", "--hi", "10"],
+        # f000 has no V line, so homography's local slabs fail after
+        # posenet's sweep of f001
+        ["landscape", "--poses", "poses.txt", "--points", "f001.txt",
+         "--frame", "1", "--axis", "tz", "--range=-1:1",
+         "--losses", "posenet,homography"],
+        # no frame sees a point, so the final metric fails
+        ["optimize", "--poses", "poses.txt", "--points", "none.txt",
+         "--loss", "posenet", "--epochs", "0"]])
     def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys,
                                                     argv):
-        # The directory is made just before the first write.
+        # The directory is made just before the first write, after all
+        # that can fail.
+        with open(tmp_path / "poses.txt", "w") as f:
+            write_pose_list(f, [("f000", identity_pose()),
+                                ("f001", Pose([1.0, 0.0, 0.0],
+                                              [1.0, 0.0, 0.0, 0.0]))])
+        for name, seen in (("f001.txt", {"f001": [0, 1]}), ("none.txt", {})):
+            with open(tmp_path / name, "w") as f:
+                write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]], seen)
+        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
         out = str(tmp_path / "o")
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")

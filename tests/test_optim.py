@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import identity_pose, perturbed, random_pose, random_unit_quat
 from homoloss import losses, optim
-from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value
+from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value, \
+    params_for
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
@@ -486,7 +487,7 @@ class TestSweeps:
             if axis2 is not None:
                 est = apply_offset(est, axis2, cell[1])
             try:
-                want = loss_value(kind, est, ctx)
+                want = loss_value(kind, params_for(kind, est, ctx), ctx)
             except InvalidInputError:
                 want = float("nan")
             assert repr(row[-1]) == repr(want)
