@@ -22,7 +22,6 @@ range, a bad manifest or a changed input file, too), or aborted run,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -339,7 +338,8 @@ def run_optimize(config):
     cols = ["epoch", "mean_loss", "train_mrd_px"]
     cols += ["s_t", "s_q"] if kind == "homoscedastic" else []  # epoch start
     _write_csv(os.path.join(out, "run.csv"), ",".join(cols),
-               (dataclasses.astuple(e)[:len(cols)] for e in record.epochs))
+               ((e.epoch, e.mean_loss, e.train_mrd, e.s_t, e.s_q)[:len(cols)]
+                for e in record.epochs))
     with open(os.path.join(out, "final_poses.txt"), "w") as f:
         write_pose_list(f, final)
     if record.errors:
@@ -359,12 +359,18 @@ def run_optimize(config):
 def run_slabs(config):
     scene = _build_scene(config)
     slab = _depth_slab(scene, f"homography_{config['mode']}", config)
-    if config["hist"]:  # before any write: each id names a file
-        for frame in scene.frames:
-            if {"/", os.sep, "\0"} & set(frame.id):
-                raise InvalidInputError(f"frame id {frame.id!r} cannot be "
-                                        f"part of a --hist file name")
     out = config["out"]
+    if config["hist"]:  # before any write: each id names a file
+        parent = os.path.abspath(out)  # its nearest existing ancestor
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        name_max = os.pathconf(parent, "PC_NAME_MAX")
+        for frame in scene.frames:
+            if {"/", os.sep, "\0"} & set(frame.id) or \
+                    len(os.fsencode(f"hist_{frame.id}.csv")) > name_max:
+                raise InvalidInputError(
+                    f"frame id {frame.id!r} cannot be part of a --hist file "
+                    f"name (no '/' or NUL, at most {name_max} bytes)")
     os.makedirs(out, exist_ok=True)
     slabs = slab.per_frame or {"global": slab.single}
     rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]

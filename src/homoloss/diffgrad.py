@@ -78,15 +78,17 @@ def finite_diff_grad(kind: str, est, ctx: LossContext,
         raise InvalidInputError(f"finite-difference step must be positive "
                                 f"and finite, got {step}")
     params = _flat_params(kind, est)
-    grad = np.zeros(len(params))
-    for i in range(len(params)):
-        hi = params.copy()
-        lo = params.copy()
-        hi[i] += step
-        lo[i] -= step
+    n = len(params)
+    # hi[i] and lo[i]: params with coordinate i moved by +step and -step
+    # (x + -step is x - step, bit for bit)
+    hi, lo = probes = np.tile(params, (2, n, 1))
+    diag = np.arange(n)
+    probes[:, diag, diag] += [[step], [-step]]
+    grad = np.zeros(n)
+    for i in range(n):
         try:
-            f_hi = loss_value(kind, hi, ctx)
-            f_lo = loss_value(kind, lo, ctx)
+            f_hi = loss_value(kind, hi[i], ctx)
+            f_lo = loss_value(kind, lo[i], ctx)
         except InvalidInputError as e:
             raise InvalidInputError(
                 f"loss evaluation failed probing coordinate {i}: {e}"

@@ -109,6 +109,12 @@ class LossContext:
         return self.gt.q / np.linalg.norm(self.gt.q)
 
     @cached_property
+    def pose_target(self) -> tuple:
+        """gt t and unit_gt_q as lists of floats, for the float arithmetic
+        of the posenet, homoscedastic and maxerror kernels."""
+        return self.gt.t.tolist(), self.unit_gt_q.tolist()
+
+    @cached_property
     def gt_uv(self) -> np.ndarray:
         """The geometric kernel's gt projection of the points, (2, N) u and v
         rows, non-empty, with intrinsics and at non-zero gt depth."""
@@ -149,7 +155,7 @@ def _unit(vec, norm):
 
 def _posenet_core(p, ctx: LossContext, grad):
     # Estimated quaternion enters raw; only the ground truth is normalized.
-    gt_t, qg, beta = ctx.gt.t, ctx.unit_gt_q, ctx.hyper.beta
+    (gt_t, qg), beta = ctx.pose_target, ctx.hyper.beta
     dt = [p[i] - gt_t[i] for i in range(3)]
     dq = [p[3 + i] - qg[i] for i in range(4)]
     norm_t = math.sqrt(dual.sum_squares(dt))
@@ -164,7 +170,7 @@ def _homoscedastic_core(p, ctx: LossContext, grad):
     """Gradient w.r.t. (t, q, s_t, s_q). With u = q/|q|, dq = qg - u and
     du/dq = (I - u u^T)/|q|, the L1 quaternion term has gradient
     e^-s_q (u (u . sign(dq)) - sign(dq)) / |q|."""
-    gt_t, qg = ctx.gt.t, ctx.unit_gt_q
+    gt_t, qg = ctx.pose_target
     q_est, s_t, s_q = p[3:7], p[7], p[8]
     norm = math.sqrt(dual.sum_squares(q_est))
     if norm == 0.0:
@@ -238,7 +244,7 @@ def _maxerror_core(p, ctx: LossContext, grad):
     """With u = q/|q| and dot = u . qg, d|dot|/dq = sign(dot) (qg - dot u)
     / |q| and d acos(a)/da = -1/sqrt(1 - a^2); the regularizer has gradient
     2 reg_weight (|q| - 1) u."""
-    gt_t, qg, reg_weight = ctx.gt.t, ctx.unit_gt_q, ctx.hyper.quat_reg_weight
+    (gt_t, qg), reg_weight = ctx.pose_target, ctx.hyper.quat_reg_weight
     q_est = p[3:7]
     qn = math.sqrt(dual.sum_squares(q_est))
     reg = reg_weight * (qn - 1.0) ** 2
@@ -265,7 +271,8 @@ def _maxerror_core(p, ctx: LossContext, grad):
     if angle is None:
         return val, np.concatenate([100.0 * _unit(d_cm, trans_cm), grad_reg])
     grad_angle = -1.0 / math.sqrt(1.0 - absdot * absdot) * (
-        np.sign(dot) * (qg - dot * u) * (1.0 / qn)) * (360.0 / math.pi)
+        np.sign(dot) * (ctx.unit_gt_q - dot * u) * (1.0 / qn)) \
+        * (360.0 / math.pi)
     return val, np.concatenate([np.zeros(3), grad_angle + grad_reg])
 
 

@@ -3,6 +3,7 @@ registered loss, with the evaluation metrics used to compare losses."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -179,25 +180,30 @@ def pct_within(est_poses, gt_poses, thresholds) -> list:
 SWEEP_AXES = ("tx", "ty", "tz", "rotx", "roty", "rotz")
 
 
-def _offset_params(params, axis: str, offset: float) -> np.ndarray:
-    """A copy of params (t, q first, as Pose.params and params_for lay them
-    out) perturbed along one sweep axis. Translations are in meters,
-    rotations in degrees about the camera's own axis."""
+def offset_rows(rows, axis: str, offsets) -> np.ndarray:
+    """(k, n) parameter rows (t, q first, as Pose.params and params_for lay
+    them out), each perturbed along one sweep axis by every offset in turn:
+    (k * len(offsets), n) rows. Translations are in meters, rotations in
+    degrees about the camera's own axis, each computed once per offset."""
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}")
     i = SWEEP_AXES.index(axis)
-    params = params.copy()
+    k, m = len(rows), len(offsets)
+    out = np.repeat(rows, m, axis=0)
     if i < 3:
-        params[i] += offset
+        out[:, i] += np.tile(offsets, k)
     else:
-        dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
-        params[3:7] = quat_multiply(params[3:7], dq)
-    return params
+        e = np.eye(3)[i - 3]
+        dq = np.array([quat_from_axis_angle(e, math.radians(off))
+                       for off in offsets]).reshape(m, 4)
+        out[:, 3:7] = quat_multiply(out[:, 3:7].T, np.tile(dq.T, k)).T
+    return out
 
 
 def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
-    """A pose perturbed along one sweep axis, as _offset_params does it."""
-    return Pose.from_params(_offset_params(gt.params(), axis, offset))
+    """A pose perturbed along one sweep axis, as offset_rows does it."""
+    return Pose.from_params(offset_rows(gt.params()[None], axis,
+                                        [offset])[0])
 
 
 def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
@@ -232,17 +238,16 @@ def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
     every = np.concatenate([offsets, [] if axis2 is None else offsets2])
     for off in every[~np.isfinite(every)][:1]:
         raise InvalidInputError(f"sweep offsets must be finite, got {off}")
-    gt = diffgrad.params_for(kind, ctx.gt, ctx)
-    rows = []
-    for off in offsets:
-        est1 = _offset_params(gt, axis, off)
-        if axis2 is None:
-            rows.append((off, _safe_value(kind, est1, ctx, errors)))
-        else:
-            for off2 in offsets2:
-                est = _offset_params(est1, axis2, off2)
-                rows.append((off, off2, _safe_value(kind, est, ctx, errors)))
-    return rows
+    offs = offsets.tolist()  # floats, once per axis, shared by every row
+    grid = offset_rows(diffgrad.params_for(kind, ctx.gt, ctx)[None], axis,
+                       offs)
+    cells = zip(offs)
+    if axis2 is not None:
+        offs2 = offsets2.tolist()
+        grid = offset_rows(grid, axis2, offs2)
+        cells = itertools.product(offs, offs2)
+    return [(*cell, _safe_value(kind, est, ctx, errors))
+            for cell, est in zip(cells, grid)]
 
 
 def _safe_value(kind, est, ctx: LossContext, errors) -> float:

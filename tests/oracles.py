@@ -21,8 +21,10 @@ replaced, and the CSV line of the generator of format() calls that the
 %-formatting list replaced; the per-frame rotation angle and percentage
 table that the stacked pct_within replaced, and the optimizer loop that
 gathered and scattered each frame's parameters through an index table and
-built Pose objects every epoch; and the complex-step gradient of the
-homography kernel.
+built Pose objects every epoch; the complex-step gradient of the
+homography kernel; and the landscape sweep that offset each cell's
+parameters in turn and the finite-difference gradient that copied the
+parameters twice per coordinate.
 """
 
 import math
@@ -49,9 +51,9 @@ from homoloss import dual
 from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
-from homoloss.optim import EVAL_REPROJ_CLIP, AdamState, EpochStats, \
-    RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, adam_update, \
-    frame_context, mean_reproj_distance
+from homoloss.optim import EVAL_REPROJ_CLIP, SWEEP_AXES, AdamState, \
+    EpochStats, RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, \
+    _safe_value, adam_update, frame_context, mean_reproj_distance
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
     Scene, _slab_params, _sorted_positive, default_intrinsics
 
@@ -668,6 +670,61 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     ]
     record.final_poses = current_poses()
     return record
+
+
+def offset_params(params, axis: str, offset: float) -> np.ndarray:
+    """One parameter vector perturbed along one sweep axis, as one cell of
+    a landscape sweep was before offset_rows built the sweep's cells as one
+    array: a copy of params with offset added to a translation entry, or q
+    times the offset's rotation, computed for this cell."""
+    if axis not in SWEEP_AXES:
+        raise InvalidInputError(f"unknown sweep axis {axis!r}")
+    i = SWEEP_AXES.index(axis)
+    params = params.copy()
+    if i < 3:
+        params[i] += offset
+    else:
+        dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
+        params[3:7] = quat_multiply(params[3:7], dq)
+    return params
+
+
+def landscape_sweep_loop(kind, ctx, axis, offsets, axis2=None,
+                         offsets2=None, errors=None):
+    """optim.landscape_sweep's rows cell by cell, each offset with
+    offset_params, for offsets that pass landscape_sweep's checks."""
+    gt = diffgrad.params_for(kind, ctx.gt, ctx)
+    rows = []
+    for off in np.asarray(offsets, dtype=float):
+        est1 = offset_params(gt, axis, off)
+        if axis2 is None:
+            rows.append((off, _safe_value(kind, est1, ctx, errors)))
+            continue
+        for off2 in np.asarray(offsets2, dtype=float):
+            est = offset_params(est1, axis2, off2)
+            rows.append((off, off2, _safe_value(kind, est, ctx, errors)))
+    return rows
+
+
+def finite_diff_grad_loop(kind, est, ctx, step=1e-6):
+    """diffgrad.finite_diff_grad with two copies of the parameters per
+    coordinate, one moved by +step and one by -step."""
+    params = np.asarray(est, dtype=float)
+    grad = np.zeros(len(params))
+    for i in range(len(params)):
+        hi = params.copy()
+        lo = params.copy()
+        hi[i] += step
+        lo[i] -= step
+        try:
+            f_hi = diffgrad.loss_value(kind, hi, ctx)
+            f_lo = diffgrad.loss_value(kind, lo, ctx)
+        except InvalidInputError as e:
+            raise InvalidInputError(
+                f"loss evaluation failed probing coordinate {i}: {e}"
+            ) from e
+        grad[i] = (f_hi - f_lo) / (2.0 * step)
+    return grad
 
 
 COMPLEX_STEP = 1e-30

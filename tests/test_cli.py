@@ -26,6 +26,8 @@ from homoloss.scene import (
 )
 from oracles import csv_line
 
+LONG_ID = "f" * 300  # hist_<id>.csv is longer than a file name may be
+
 
 def read(path):
     with open(path) as f:
@@ -427,11 +429,13 @@ class TestSlabs:
         assert "line 6: V line of frame 'f0' already on line 5" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("fid", ["a/b", "a\0b"])
+    @pytest.mark.parametrize("fid", ["a/b", "a\0b",
+                                     pytest.param(LONG_ID, id="too long")])
     def test_hist_id_that_cannot_name_a_file_exit_2(self, tmp_path, capsys,
                                                     fid):
-        # "/" made the histogram's open fail after slabs.csv was written,
-        # and a NUL raised a ValueError that escaped main
+        # "/" and a name over the file system's limit made the histogram's
+        # open fail after slabs.csv was written, and a NUL raised a
+        # ValueError that escaped main
         poses, pts = str(tmp_path / "poses.txt"), str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
             write_pose_list(f, [(fid, identity_pose())])
@@ -445,6 +449,21 @@ class TestSlabs:
         assert f"frame id {fid!r}" in capsys.readouterr().err
         assert not os.path.exists(out)
         assert main(argv[:-3] + argv[-2:]) == 0  # without --hist
+
+    def test_hist_id_at_the_name_limit_is_written(self, tmp_path):
+        # the longest name the file system takes is no error
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        fid = "f" * (limit - len("hist_.csv"))
+        poses, pts = str(tmp_path / "poses.txt"), str(tmp_path / "pts.txt")
+        with open(poses, "w") as f:
+            write_pose_list(f, [(fid, identity_pose())])
+        with open(pts, "w") as f:
+            write_points(f, [[0.0, 0.0, z] for z in (4.0, 5.0, 6.0, 9.0)],
+                         {fid: [0, 1, 2, 3]})
+        argv = ["slabs", "--poses", poses, "--points", pts, "--hist",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert os.path.exists(tmp_path / f"hist_{fid}.csv")
 
     def test_histograms_cdf_nondecreasing(self, tmp_path):
         out = str(tmp_path / "o")
@@ -828,7 +847,10 @@ class TestExitCodes:
          "--losses", "posenet,homography"],
         # no frame sees a point, so the final metric fails
         ["optimize", "--poses", "poses.txt", "--points", "none.txt",
-         "--loss", "posenet", "--epochs", "0"]])
+         "--loss", "posenet", "--epochs", "0"],
+        # a frame id too long for a histogram's file name
+        ["slabs", "--poses", "long.txt", "--points", "long_points.txt",
+         "--hist"]])
     def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys,
                                                     argv):
         # The directory is made just before the first write, after all
@@ -837,7 +859,10 @@ class TestExitCodes:
             write_pose_list(f, [("f000", identity_pose()),
                                 ("f001", Pose([1.0, 0.0, 0.0],
                                               [1.0, 0.0, 0.0, 0.0]))])
-        for name, seen in (("f001.txt", {"f001": [0, 1]}), ("none.txt", {})):
+        with open(tmp_path / "long.txt", "w") as f:
+            write_pose_list(f, [(LONG_ID, identity_pose())])
+        for name, seen in (("f001.txt", {"f001": [0, 1]}), ("none.txt", {}),
+                           ("long_points.txt", {LONG_ID: [0, 1]})):
             with open(tmp_path / name, "w") as f:
                 write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]], seen)
         argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import identity_pose, perturbed, random_pose
-from oracles import reference_grad
+from oracles import finite_diff_grad_loop, reference_grad
 from homoloss.diffgrad import (
     LOSS_KINDS,
     LossContext,
@@ -631,6 +631,29 @@ class TestFiniteDiff:
             finite_diff_grad("posenet", identity_pose().params(),
                              LossContext(gt=identity_pose()))
         assert info.value is err
+
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(LOSS_KINDS), seed=st.integers(0, 2**16),
+           params=st.lists(st.floats(-10.0, 10.0)
+                           | st.sampled_from([0.0, -0.0]),
+                           min_size=9, max_size=9),
+           step=st.sampled_from([1e-300, 1e-6, 1e-3, 0.5, 3.0]))
+    def test_equals_the_copy_per_coordinate_loop(self, kind, seed, params,
+                                                 step):
+        # The +-step rows built at once have the bits, and the first
+        # failing probe, of two copies moved per coordinate.
+        ctx = make_ctx(np.random.default_rng(seed))
+        est = params[:param_count(kind)]
+        try:
+            want = finite_diff_grad_loop(kind, est, ctx, step)
+        except InvalidInputError as e:
+            with pytest.raises(InvalidInputError) as info:
+                finite_diff_grad(kind, est, ctx, step)
+            assert str(info.value) == str(e)
+            return
+        got = finite_diff_grad(kind, est, ctx, step)
+        assert [x.hex() for x in got.tolist()] == \
+            [x.hex() for x in want.tolist()]
 
 
 class TestGradReport:

@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import os
 
+import pytest
+
 TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
 spec = importlib.util.spec_from_file_location(
     "kernel_bits", os.path.join(TOOLS, "kernel_bits.py"))
@@ -53,3 +55,13 @@ def test_homography_global_repeats_homography_local(capsys):
     local, global_ = capsys.readouterr().out.splitlines()
     assert local == global_
     assert "homography_global" not in kernel_bits.KINDS
+
+
+def test_a_kind_named_twice_is_a_usage_error(capsys):
+    # As in landscape --losses: a repeated kind would be evaluated twice
+    # and give a digest of its own.
+    with pytest.raises(SystemExit) as exit_:
+        kernel_bits.main(["--seed", "3", "--frames", "10",
+                          "--kinds", "posenet,maxerror,posenet"])
+    assert exit_.value.code == 2
+    assert "loss kind 'posenet' is named twice" in capsys.readouterr().err

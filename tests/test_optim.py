@@ -27,6 +27,7 @@ from homoloss.optim import (
     frame_context,
     landscape_sweep,
     mean_reproj_distance,
+    offset_rows,
     optimize_poses,
     pct_within,
     perturb_pose,
@@ -35,8 +36,12 @@ from homoloss.optim import (
 from homoloss.scene import Frame, Scene, global_slab, local_slabs, \
     synth_scene
 from oracles import angle_between, frame_depths_loop, \
-    mean_reproj_distance_loop, optimize_poses_loop, pct_within_loop, \
-    project_points_2d
+    landscape_sweep_loop, mean_reproj_distance_loop, offset_params, \
+    optimize_poses_loop, pct_within_loop, project_points_2d
+
+# finite floats with both zeros, and sweep offsets up to a full turn
+SIGNED_FLOATS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+OFFSETS = st.floats(-360.0, 360.0) | st.sampled_from([0.0, -0.0])
 
 
 class TestAdam:
@@ -491,6 +496,62 @@ class TestSweeps:
             except InvalidInputError:
                 want = float("nan")
             assert repr(row[-1]) == repr(want)
+
+    @staticmethod
+    def hexes(rows):
+        return [[float.hex(float(x)) for x in row] for row in rows]
+
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.sampled_from([7, 9]),
+           rows=st.lists(st.lists(SIGNED_FLOATS, min_size=9, max_size=9),
+                         min_size=1, max_size=3),
+           axis=st.sampled_from(SWEEP_AXES),
+           axis2=st.none() | st.sampled_from(SWEEP_AXES),
+           offsets=st.lists(OFFSETS, max_size=4),
+           offsets2=st.lists(OFFSETS, max_size=4))
+    def test_offset_rows_equal_the_cell_loop(self, n, rows, axis, axis2,
+                                             offsets, offsets2):
+        # The one offset grid has the bits of offsetting each cell's copy
+        # in turn: 1-D and 2-D, 7 and 9 parameters, signed zeros, no
+        # offsets, and rotations up to a full turn either way.
+        rows = np.array(rows)[:, :n]
+        grid = offset_rows(rows, axis, offsets)
+        loop = [offset_params(row, axis, off) for row in rows
+                for off in offsets]
+        if axis2 is not None:
+            grid = offset_rows(grid, axis2, offsets2)
+            loop = [offset_params(row, axis2, off2) for row in loop
+                    for off2 in offsets2]
+        assert grid.shape == (len(loop), n)
+        assert self.hexes(grid) == self.hexes(loop)
+
+    @settings(deadline=None, max_examples=100)
+    @given(kind=st.sampled_from(LOSS_KINDS + ("geometric without points",)),
+           frame=st.integers(0, 7),
+           axis=st.sampled_from(SWEEP_AXES),
+           axis2=st.none() | st.sampled_from(SWEEP_AXES),
+           offsets=st.lists(OFFSETS, min_size=2, max_size=4),
+           offsets2=st.lists(OFFSETS, min_size=2, max_size=4))
+    def test_sweep_equals_the_cell_loop(self, scene, slabs, kind, frame,
+                                        axis, axis2, offsets, offsets2):
+        # Rows, NaN cells and error messages of the sweep that offset each
+        # cell's parameters in turn, bit for bit.
+        f = scene.frames[frame]
+        if kind == "geometric without points":
+            kind, ctx = "geometric", LossContext(gt=f.gt_pose)
+        else:
+            slab = global_slab(scene) if kind == "homography_global" \
+                else slabs
+            ctx = frame_context(scene, f, kind, LossHyperParams(), slab)
+        if axis2 is None:
+            offsets2 = None
+        errors, loop_errors = [], []
+        rows = landscape_sweep(kind, ctx, axis, offsets, axis2, offsets2,
+                               errors)
+        loop = landscape_sweep_loop(kind, ctx, axis, offsets, axis2,
+                                    offsets2, loop_errors)
+        assert self.hexes(rows) == self.hexes(loop)
+        assert errors == loop_errors
 
     def test_perturb_pose_within_bounds(self):
         rng = np.random.default_rng(0)

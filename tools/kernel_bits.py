@@ -5,11 +5,11 @@ Usage:
         [--kinds K1,K2,...]
 
 For each of M frames drawn from seed N, the script evaluates each loss
-kernel once, or the kinds that --kinds names, through both entry points,
-diffgrad.loss_value and diffgrad.evaluate_with_grad, and hashes each value
-and gradient entry as float.hex (so -0.0 and 0.0 differ) and each raised
-exception as its type and message. Two source trees whose kernels agree
-bit for bit print the same line:
+kernel once, or the kinds that --kinds names (each once), through both
+entry points, diffgrad.loss_value and diffgrad.evaluate_with_grad, and
+hashes each value and gradient entry as float.hex (so -0.0 and 0.0
+differ) and each raised exception as its type and message. Two source
+trees whose kernels agree bit for bit print the same line:
 
     PYTHONPATH=old/src python tools/kernel_bits.py --seed 1 --frames 3000
     PYTHONPATH=new/src python tools/kernel_bits.py --seed 1 --frames 3000
@@ -130,10 +130,15 @@ def kernel_bits(seed, frames, kinds=KINDS):
 
 
 def _kinds(text):
-    """The loss kinds of a comma-separated list, each known."""
+    """The loss kinds of a comma-separated list, each known and named
+    once."""
     kinds = tuple(text.split(","))
-    for kind in set(kinds) - set(diffgrad.LOSS_KINDS):
-        raise argparse.ArgumentTypeError(f"unknown loss kind {kind!r}")
+    for kind in kinds:
+        if kind not in diffgrad.LOSS_KINDS:
+            raise argparse.ArgumentTypeError(f"unknown loss kind {kind!r}")
+        if kinds.count(kind) > 1:
+            raise argparse.ArgumentTypeError(f"loss kind {kind!r} is named "
+                                             f"twice")
     return kinds
 
 
