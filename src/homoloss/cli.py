@@ -8,14 +8,16 @@ byte-identically. Synthetic and file scenes take one camera: --fx defaults
 to the focal length of --fov across --width, --fy to --fx, and --cx/--cy to
 the sensor centre. `slabs` writes the slab the homography losses use.
 
+A failed command leaves no --out: only an aborted `optimize` (exit 2) and
+a `gradcheck` over tolerance (exit 3) write their outputs, then fail.
 `optimize` writes errors.txt (one line per skipped frame and message, with
 its first epoch and step count, plus the abort, after those of a --warmstart
-phase) into --out whenever the run records an error, and exits 2 after
-writing all its outputs if the run aborted.
+phase) whenever the run records an error.
 
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
 2 data/parse error (a NaN option value, a negative seed, a non-finite
-range, a bad manifest or a changed input file, too), or aborted run,
+range, a NUL in a value, a bad manifest or a changed input file, too), or
+aborted run,
 3 numeric-tolerance failure (a NaN gradient error included).
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -38,10 +41,10 @@ from .optim import (
     INDOOR_THRESHOLDS,
     OUTDOOR_THRESHOLDS,
     OptimConfig,
-    apply_offset,
     frame_context,
     landscape_sweep,
     mean_reproj_distance,
+    offset_rows,
     pct_within,
     perturb_pose,
 )
@@ -97,18 +100,29 @@ def _input_hashes(config):
             if config.get(key)}
 
 
-def _write_manifest(out_dir, command, config):
-    manifest = {
+def _emit(out, command, config, files):
+    """Make out and write a command's files (name -> (header, rows) of a
+    CSV, or text) and its manifest: the one place that writes outputs."""
+    manifest = _manifest(command, config)  # input hashes, before any write
+    os.makedirs(out, exist_ok=True)
+    for name, content in {**files, "manifest.json": manifest}.items():
+        if isinstance(content, str):
+            with open(os.path.join(out, name), "w") as f:
+                f.write(content)
+        else:
+            _write_csv(os.path.join(out, name), *content)
+
+
+def _manifest(command, config):
+    """manifest.json's text: the command, its config and its inputs' sha256."""
+    return json.dumps({
         "tool": "homoloss",
         "version": __version__,
         "command": command,
         "config": config,
         "seed": config.get("seed"),
         "inputs": _input_hashes(config),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    }, indent=2, sort_keys=True) + "\n"
 
 
 # -- scene construction ----------------------------------------------------
@@ -223,6 +237,9 @@ def _pct_rows(est_poses, gt_poses):
 
 
 # -- commands --------------------------------------------------------------
+# Each run_<cmd>(config) computes and writes nothing: it returns its files
+# (name -> (header, rows) of a CSV, or text), its stdout lines and the
+# failure that main raises after _emit has written them, or None.
 
 def run_landscape(config):
     axis2 = config["axis2"]
@@ -247,7 +264,8 @@ def run_landscape(config):
     if axis2:
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, max(config["steps2"], 0))
-    sweeps = []
+    header = "offset,offset2,loss_value" if axis2 else "offset,loss_value"
+    files = {}
     for kind in kinds:
         ctx = frame_context(scene, frame, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
@@ -257,25 +275,21 @@ def run_landscape(config):
         if errors:
             print(f"landscape {kind}: {len(errors)} of {len(rows)} cells are "
                   f"NaN: {errors[0]}", file=sys.stderr)
-        sweeps.append((kind, rows))
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    header = "offset,offset2,loss_value" if axis2 else "offset,loss_value"
-    for kind, rows in sweeps:
-        _write_csv(os.path.join(out, f"landscape_{kind}.csv"), header, rows)
-    _write_manifest(out, "landscape", config)
-    print(f"wrote {len(kinds)} landscape CSV(s) to {out}")
-    return 0
+        files[f"landscape_{kind}.csv"] = (header, rows)
+    return files, [f"wrote {len(kinds)} landscape CSV(s) to "
+                   f"{config['out']}"], None
 
 
 def run_gradcheck(config):
     if config["samples"] < 1:
         raise UsageError(
             f"--samples must be at least 1, got {config['samples']}")
+    tol = config["tolerance"]
+    if tol < 0:  # no sample can meet it; 0 demands exact agreement
+        raise InvalidInputError(f"--tolerance must be >= 0, got {tol:g}")
     scene = _build_scene(config)
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])
-    tol = config["tolerance"]
     rows = []
     for s in range(config["samples"]):
         frame = scene.frames[int(rng.integers(len(scene.frames)))]
@@ -287,35 +301,26 @@ def run_gradcheck(config):
         err = diffgrad.grad_report(kind, params, ctx, step=config["step"])
         val, _ = diffgrad.evaluate_with_grad(kind, params, ctx)
         rows.append((s, val, err))
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "gradcheck.csv"),
-               "sample,loss_value,max_rel_err", rows)
-    _write_manifest(out, "gradcheck", config)
     errs = np.array([err for _, _, err in rows])
     worst = errs.max()  # NaN if any error is, and a NaN is above tolerance
     n_fail = int(np.sum(~(errs <= tol)))
-    print(f"gradcheck {kind}: {len(rows)} samples, worst max_rel_err "
-          f"{worst:.3e}, {n_fail} above tolerance {tol:g}")
-    if n_fail:
-        raise ToleranceFailure(
-            f"{n_fail} gradient samples exceed tolerance {tol:g}"
-        )
-    return 0
+    failure = ToleranceFailure(f"{n_fail} gradient samples exceed "
+                               f"tolerance {tol:g}") if n_fail else None
+    return ({"gradcheck.csv": ("sample,loss_value,max_rel_err", rows)},
+            [f"gradcheck {kind}: {len(rows)} samples, worst max_rel_err "
+             f"{worst:.3e}, {n_fail} above tolerance {tol:g}"], failure)
 
 
 def run_optimize(config):
     scene = _build_scene(config)
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])
-    init = []
-    for frame in scene.frames:
-        pose = frame.gt_pose
-        if config["adversarial_roty"]:
-            pose = apply_offset(pose, "roty", config["adversarial_roty"])
-        pose = perturb_pose(pose, rng, config["perturb_t"],
-                            config["perturb_deg"])
-        init.append(pose)
+    init = [frame.gt_pose for frame in scene.frames]
+    if config["adversarial_roty"]:
+        init = [Pose.from_params(row) for row in offset_rows(
+            [p.params() for p in init], "roty", [config["adversarial_roty"]])]
+    init = [perturb_pose(pose, rng, config["perturb_t"],
+                         config["perturb_deg"]) for pose in init]
     cfg = OptimConfig(
         loss_kind=kind,
         lr=config["lr"],
@@ -333,58 +338,47 @@ def run_optimize(config):
                                                         unit)]
     mrd = mean_reproj_distance(final, scene)
     pct = _pct_rows([p for _, p in final], [f.gt_pose for f in scene.frames])
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
     cols = ["epoch", "mean_loss", "train_mrd_px"]
     cols += ["s_t", "s_q"] if kind == "homoscedastic" else []  # epoch start
-    _write_csv(os.path.join(out, "run.csv"), ",".join(cols),
-               ((e.epoch, e.mean_loss, e.train_mrd, e.s_t, e.s_q)[:len(cols)]
-                for e in record.epochs))
-    with open(os.path.join(out, "final_poses.txt"), "w") as f:
-        write_pose_list(f, final)
+    poses = io.StringIO()
+    write_pose_list(poses, final)
+    files = {"run.csv": (",".join(cols), [
+        (e.epoch, e.mean_loss, e.train_mrd, e.s_t, e.s_q)[:len(cols)]
+        for e in record.epochs]), "final_poses.txt": poses.getvalue()}
     if record.errors:
-        with open(os.path.join(out, "errors.txt"), "w") as f:
-            f.writelines(e + "\n" for e in record.errors)
-    _write_manifest(out, "optimize", config)
+        files["errors.txt"] = "".join(e + "\n" for e in record.errors)
     parts = [f"loss={kind}", f"final_train_mrd_px={mrd:.6g}"]
     parts += [f"{name}={100 * frac:.1f}%" for name, frac in pct]
-    if record.aborted:
-        parts.append("aborted=true")
-    print(" ".join(parts))
-    if record.aborted:
-        raise InvalidInputError(f"run aborted, see {out}/errors.txt")
-    return 0
+    if not record.aborted:
+        return files, [" ".join(parts)], None
+    return files, [" ".join(parts + ["aborted=true"])], InvalidInputError(
+        f"run aborted, see {config['out']}/errors.txt")
 
 
 def run_slabs(config):
     scene = _build_scene(config)
     slab = _depth_slab(scene, f"homography_{config['mode']}", config)
-    out = config["out"]
-    if config["hist"]:  # before any write: each id names a file
-        parent = os.path.abspath(out)  # its nearest existing ancestor
+    slabs = slab.per_frame or {"global": slab.single}
+    rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
+    files = {"slabs.csv": ("frame_id,x_min,x_max", rows)}
+    if config["hist"]:
+        parent = os.path.abspath(config["out"])  # nearest existing ancestor
         while not os.path.exists(parent):
             parent = os.path.dirname(parent)
         name_max = os.pathconf(parent, "PC_NAME_MAX")
-        for frame in scene.frames:
-            if {"/", os.sep, "\0"} & set(frame.id) or \
-                    len(os.fsencode(f"hist_{frame.id}.csv")) > name_max:
-                raise InvalidInputError(
-                    f"frame id {frame.id!r} cannot be part of a --hist file "
-                    f"name (no '/' or NUL, at most {name_max} bytes)")
-    os.makedirs(out, exist_ok=True)
-    slabs = slab.per_frame or {"global": slab.single}
-    rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
-    _write_csv(os.path.join(out, "slabs.csv"), "frame_id,x_min,x_max", rows)
-    if config["hist"]:
         values, n = scene.positive_depths
         for frame, depths in zip(scene.frames,
                                  np.split(values, np.cumsum(n)[:-1])):
-            _write_csv(os.path.join(out, f"hist_{frame.id}.csv"),
-                       "depth,cumulative_count",
-                       ((d, i) for i, d in enumerate(depths, 1)))
-    _write_manifest(out, "slabs", config)
-    print(f"wrote slab table ({len(rows)} row(s)) to {out}")
-    return 0
+            name = f"hist_{frame.id}.csv"
+            if {"/", os.sep, "\0"} & set(frame.id) or \
+                    len(os.fsencode(name)) > name_max:
+                raise InvalidInputError(
+                    f"frame id {frame.id!r} cannot be part of a --hist file "
+                    f"name (no '/' or NUL, at most {name_max} bytes)")
+            files[name] = ("depth,cumulative_count",
+                           [(d, i) for i, d in enumerate(depths, 1)])
+    return files, [f"wrote slab table ({len(rows)} row(s)) to "
+                   f"{config['out']}"], None
 
 
 def run_eval(config):
@@ -392,8 +386,7 @@ def run_eval(config):
         gt = parse_pose_list(f)
     with open(config["est_poses"]) as f:
         est = parse_pose_list(f)
-    gt_map = dict(gt)
-    est_map = dict(est)
+    gt_map, est_map = dict(gt), dict(est)
     common = [name for name, _ in gt if name in est_map]
     if not common:
         raise ParseError("no common frame ids between gt and estimate files")
@@ -408,13 +401,8 @@ def run_eval(config):
                                    clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
     lines += _pct_rows(est_list, gt_list)
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "eval.csv"), "metric,value", lines)
-    _write_manifest(out, "eval", config)
-    for name, v in lines:
-        print(f"{name}={v:.6g}")
-    return 0
+    return ({"eval.csv": ("metric,value", lines)},
+            [f"{name}={v:.6g}" for name, v in lines], None)
 
 
 COMMANDS = {
@@ -523,7 +511,8 @@ def _read_manifest(parser, path):
         types = (bool,) if a.nargs == 0 else \
             {float: (int, float), int: (int,)}.get(a.type, (str,))
         if value is None and a.default is None and not a.required or \
-                type(value) in types and value in (a.choices or [value]):
+                type(value) in types and value in (a.choices or [value]) \
+                and "\0" not in str(value):
             continue
         raise InvalidInputError(f"manifest {path}: {value!r} is not a valid "
                                 f"{a.option_strings[0]} value")
@@ -539,6 +528,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for key, value in vars(args).items():  # open() raises on a NUL
+            if isinstance(value, str) and "\0" in value:
+                raise InvalidInputError(f"--{key.replace('_', '-')} must "
+                                        f"not hold a NUL character")
         if args.from_manifest:
             command, config = _read_manifest(parser, args.from_manifest)
         else:
@@ -553,7 +546,13 @@ def main(argv=None) -> int:
                 raise InvalidInputError(f"{option} must not be nan")
             if key.endswith("seed") and value < 0:
                 raise InvalidInputError(f"{option} must be >= 0, got {value}")
-        return COMMANDS[command](config)
+        files, lines, failure = COMMANDS[command](config)
+        _emit(config["out"], command, config, files)
+        for line in lines:
+            print(line)
+        if failure:
+            raise failure
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -179,7 +179,11 @@ def _homoscedastic_core(p, ctx: LossContext, grad):
     dq = [qg[i] - q_est[i] / norm for i in range(4)]
     l1_t = abs(dt[0]) + abs(dt[1]) + abs(dt[2])
     l1_q = abs(dq[0]) + abs(dq[1]) + abs(dq[2]) + abs(dq[3])
-    w_t, w_q = math.exp(-s_t), math.exp(-s_q)
+    try:
+        w_t, w_q = math.exp(-s_t), math.exp(-s_q)
+    except OverflowError:  # math.exp raises where np.exp would give inf
+        raise InvalidInputError(f"homoscedastic weight e^-s overflows at "
+                                f"s_t = {s_t}, s_q = {s_q}") from None
     val = l1_t * w_t + s_t + l1_q * w_q + s_q
     if not grad:
         return val, None

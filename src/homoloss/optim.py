@@ -200,12 +200,6 @@ def offset_rows(rows, axis: str, offsets) -> np.ndarray:
     return out
 
 
-def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
-    """A pose perturbed along one sweep axis, as offset_rows does it."""
-    return Pose.from_params(offset_rows(gt.params()[None], axis,
-                                        [offset])[0])
-
-
 def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
     """Random perturbation: translation within a ball of radius max_t, and a
     rotation of at most max_deg about a random axis."""
@@ -214,9 +208,11 @@ def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
                                 f"finite, got {max_t} m and {max_deg} deg")
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    t = pose.t + direction * rng.uniform(0.0, max_t)
+    # abs: a bound of -0.0 draws as 0.0 does, with the same random draws
+    t = pose.t + direction * rng.uniform(0.0, abs(max_t))
     axis = rng.normal(size=3)
-    dq = quat_from_axis_angle(axis, math.radians(rng.uniform(0.0, max_deg)))
+    dq = quat_from_axis_angle(axis,
+                              math.radians(rng.uniform(0.0, abs(max_deg))))
     return Pose(t, quat_multiply(pose.q, dq))
 
 

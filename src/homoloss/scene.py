@@ -326,11 +326,15 @@ def scene_from_files(poses, points_stream, intrinsics: Intrinsics) -> Scene:
 # -- synthetic scenes ------------------------------------------------------
 
 def focal_length(fov_deg: float, w: float) -> float:
-    """Pinhole focal length (px) of a horizontal field of view across w px."""
-    if not 0.0 < fov_deg < 180.0:
-        raise InvalidInputError(
-            f"field of view must lie in (0, 180) degrees, got {fov_deg}")
-    return (w / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
+    """Pinhole focal length (px) of a horizontal field of view across w px.
+    The field of view must give a finite focal length per pixel of width:
+    5e-324 degrees lies in (0, 180) but its half angle's tangent is 0."""
+    if 0.0 < fov_deg < 180.0:
+        tan = math.tan(math.radians(fov_deg) / 2.0)
+        if tan and 0.5 / tan < math.inf:
+            return (w / 2.0) / tan
+    raise InvalidInputError(f"field of view must lie in (0, 180) degrees and "
+                            f"give a finite focal length, got {fov_deg}")
 
 
 def default_intrinsics(fov_deg: float = 65.0, w: int = 640,

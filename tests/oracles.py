@@ -22,9 +22,10 @@ replaced, and the CSV line of the generator of format() calls that the
 table that the stacked pct_within replaced, and the optimizer loop that
 gathered and scattered each frame's parameters through an index table and
 built Pose objects every epoch; the complex-step gradient of the
-homography kernel; and the landscape sweep that offset each cell's
-parameters in turn and the finite-difference gradient that copied the
-parameters twice per coordinate.
+homography kernel; the landscape sweep that offset each cell's parameters
+in turn and the finite-difference gradient that copied the parameters
+twice per coordinate; and the one-pose sweep offset that optimize's
+adversarial init applied frame by frame.
 """
 
 import math
@@ -53,7 +54,8 @@ from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP, SWEEP_AXES, AdamState, \
     EpochStats, RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, \
-    _safe_value, adam_update, frame_context, mean_reproj_distance
+    _safe_value, adam_update, frame_context, mean_reproj_distance, \
+    offset_rows
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
     Scene, _slab_params, _sorted_positive, default_intrinsics
 
@@ -687,6 +689,14 @@ def offset_params(params, axis: str, offset: float) -> np.ndarray:
         dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
         params[3:7] = quat_multiply(params[3:7], dq)
     return params
+
+
+def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
+    """A pose perturbed along one sweep axis, as offset_rows does it for
+    one row and one offset: the per-pose form that optimize's adversarial
+    init used before it offset every gt row at once."""
+    return Pose.from_params(offset_rows(gt.params()[None], axis,
+                                        [offset])[0])
 
 
 def landscape_sweep_loop(kind, ctx, axis, offsets, axis2=None,

@@ -14,7 +14,6 @@ from conftest import identity_pose
 from homoloss import cli, diffgrad, optim
 from homoloss.cli import main
 from homoloss.geometry import Pose, quat_normalize
-from homoloss.optim import apply_offset
 from homoloss.scene import (
     DepthSlab,
     focal_length,
@@ -24,7 +23,7 @@ from homoloss.scene import (
     write_pose_list,
     write_points,
 )
-from oracles import csv_line
+from oracles import apply_offset, csv_line
 
 LONG_ID = "f" * 300  # hist_<id>.csv is longer than a file name may be
 
@@ -643,7 +642,7 @@ class TestIntrinsics:
         assert main(argv) == 2
         assert "sees only" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fov", ["0", "180", "-10"])
+    @pytest.mark.parametrize("fov", ["0", "180", "-10", "5e-324"])
     def test_field_of_view_out_of_range_exit_2(self, tmp_path, capsys, fov):
         argv = ["slabs", "--synthetic", f"--fov={fov}",
                 "--out", str(tmp_path / "o")]
@@ -761,6 +760,14 @@ class TestManifest:
         assert self.replay(tmp_path, edit) == 0
         assert read(table) == before[0]
 
+    def test_nul_in_a_path_exit_2(self, tmp_path, capsys):
+        def edit(m):
+            m["config"]["poses"] = "p\0.txt"
+            return m
+        assert self.replay(tmp_path, edit) == 2
+        assert "'p\\x00.txt' is not a valid --poses value" in \
+            capsys.readouterr().err
+
     def test_nan_value_exit_2(self, tmp_path, capsys):
         assert self.replay(tmp_path, lambda m: {
             **m, "config": {**m["config"], "depth_max": float("nan")}}) == 2
@@ -850,7 +857,10 @@ class TestExitCodes:
          "--loss", "posenet", "--epochs", "0"],
         # a frame id too long for a histogram's file name
         ["slabs", "--poses", "long.txt", "--points", "long_points.txt",
-         "--hist"]])
+         "--hist"],
+        # the manifest hashes a --poses file that a synthetic run ignores
+        ["gradcheck", "--synthetic", "--poses", "missing.txt", "--loss",
+         "posenet", "--samples", "1", "--tolerance", "0"]])
     def test_failed_command_leaves_no_out_directory(self, tmp_path, capsys,
                                                     argv):
         # The directory is made just before the first write, after all
@@ -1024,6 +1034,75 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "perturbation bounds must be >= 0" in capsys.readouterr().err
 
+    def test_homoscedastic_weight_overflow_exit_2(self, tmp_path, capsys):
+        # math.exp(-s) overflows below s = -709.78: an lr of 800 drives s_t
+        # and s_q there in the first step, and every frame then errs.
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--synthetic", "--n-frames", "3", "--loss",
+                "homoscedastic", "--epochs", "3", "--lr", "800", "--out", out]
+        assert main(argv) == 2
+        assert "homoscedastic weight e^-s overflows" in \
+            read(os.path.join(out, "errors.txt"))
+        argv = ["gradcheck", "--synthetic", "--loss", "homoscedastic",
+                "--samples", "2", "--s-t=-800", "--out", str(tmp_path / "g")]
+        assert main(argv) == 2
+        assert "overflows at s_t = -800.0, s_q = -3.0" in \
+            capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "g")
+
+    @pytest.mark.parametrize("tolerance", ["-1e-09", "-inf"])
+    def test_negative_tolerance_exit_2(self, tmp_path, capsys, tolerance):
+        # No sample can meet it; 0 and inf stay valid.
+        out = str(tmp_path / "o")
+        argv = ["gradcheck", "--synthetic", "--loss", "posenet", "--samples",
+                "2", "--out", out]
+        assert main(argv + [f"--tolerance={tolerance}"]) == 2
+        assert f"--tolerance must be >= 0, got {float(tolerance):g}" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert main(argv + ["--tolerance=0"]) == 3
+        assert main(argv + ["--tolerance=inf"]) == 0
+
+    @pytest.mark.parametrize("command", ["optimize", "gradcheck"])
+    @pytest.mark.parametrize("option", ["--perturb-t", "--perturb-deg"])
+    def test_negative_zero_perturbation_is_zero(self, tmp_path, capsys,
+                                                command, option):
+        # -0 draws as 0 does, from the same random stream: every output is
+        # the same bytes, and the manifest records the bound as given.
+        out = str(tmp_path / "o")
+        written = []
+        for value in ("0", "-0"):
+            argv = [command, "--synthetic", "--n-frames", "3", "--loss",
+                    "homography", f"{option}={value}",
+                    "--epochs" if command == "optimize" else "--samples",
+                    "3", "--out", out]
+            assert main(argv) == 0
+            written.append(({name: read(os.path.join(out, name))
+                             for name in os.listdir(out)},
+                            capsys.readouterr().out))
+            shutil.rmtree(out)
+        (zero, zero_out), (neg, neg_out) = written
+        manifests = [json.loads(d.pop("manifest.json")) for d in (zero, neg)]
+        assert neg == zero and neg_out == zero_out
+        key = option[2:].replace("-", "_")
+        assert math.copysign(1.0, manifests[1]["config"][key]) == -1.0
+        manifests[1]["config"][key] = 0.0
+        assert manifests[1] == manifests[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["slabs", "--poses=a\0b", "--points=p.txt"],
+        ["slabs", "--synthetic", "--out=o\0"],
+        ["eval", "--gt-poses=g.txt", "--est-poses=e\0.txt"],
+        ["--from-manifest=m\0.json"]])
+    def test_nul_in_a_value_exit_2(self, tmp_path, capsys, argv):
+        # open() would raise ValueError on the NUL
+        out = str(tmp_path / "o")
+        if argv[0] in cli.COMMANDS and "--out=o\0" not in argv:
+            argv = argv + ["--out", out]
+        assert main(argv) == 2
+        assert "must not hold a NUL character" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("command, option, message", [
         ("optimize", "--perturb-t=inf", "got inf m and 2.0 deg"),
         ("optimize", "--perturb-deg=inf", "got 0.05 m and inf deg"),
@@ -1081,6 +1160,58 @@ def test_csv_bytes_equal_the_format_generator(tmp_path_factory, rows):
     with open(path, "rb") as f:
         got = f.read()
     assert got == ("h\n" + "".join(csv_line(r) for r in rows)).encode()
+
+
+class TestComputeThenWrite:
+    """Each run_<cmd> computes and writes nothing; _emit of what it returns
+    writes the bytes that main writes, and main prints its lines."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["landscape", "--synthetic", "--losses", "posenet,geometric",
+          "--axis", "tz", "--range=-1:1", "--steps", "5", "--axis2", "rotx",
+          "--range2=-5:5", "--steps2", "3"], 0),
+        (["gradcheck", "--synthetic", "--loss", "homography", "--samples",
+          "3"], 0),
+        (["gradcheck", "--synthetic", "--loss", "posenet", "--samples", "3",
+          "--tolerance", "0"], 3),
+        (["optimize", "--synthetic", "--n-frames", "3", "--loss",
+          "homoscedastic", "--epochs", "3"], 0),
+        # one of eight frames sees points, so the geometric run aborts
+        (["optimize", "--poses", "poses.txt", "--points", "f000.txt",
+          "--loss", "geometric", "--epochs", "2"], 2),
+        (["slabs", "--synthetic", "--n-frames", "3", "--hist"], 0),
+        (["eval", "--gt-poses", "poses.txt", "--est-poses", "est.txt",
+          "--points", "f000.txt"], 0)])
+    def test_emit_writes_what_main_writes(self, tmp_path, capsys, argv,
+                                          code):
+        with open(tmp_path / "poses.txt", "w") as f:
+            write_pose_list(f, [(f"f00{i}", Pose([0.1 * i, 0.0, 0.0],
+                                                 [1.0, 0.0, 0.0, 0.0]))
+                                for i in range(8)])
+        with open(tmp_path / "est.txt", "w") as f:
+            write_pose_list(f, [("f000", Pose([0.1, 0.0, 0.0],
+                                              [1.0, 0.0, 0.0, 0.0]))])
+        with open(tmp_path / "f000.txt", "w") as f:
+            write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
+                         {"f000": [0, 1]})
+        argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+        out = str(tmp_path / "run" / "o")
+        argv += ["--out", out]
+        config = {k: v for k, v in vars(cli.build_parser().parse_args(
+            argv)).items() if k not in ("command", "from_manifest")}
+        files, lines, failure = getattr(cli, f"run_{argv[0]}")(config)
+        assert not os.path.exists(tmp_path / "run")
+        assert capsys.readouterr().out == ""
+        assert (failure is None) == (code == 0)
+        cli._emit(out, argv[0], config, files)
+        emitted = {name: read(os.path.join(out, name))
+                   for name in os.listdir(out)}
+        shutil.rmtree(tmp_path / "run")
+        assert main(argv) == code
+        assert capsys.readouterr().out == "".join(f"{line}\n"
+                                                  for line in lines)
+        assert {name: read(os.path.join(out, name))
+                for name in os.listdir(out)} == emitted
 
 
 class TestParserOnce:

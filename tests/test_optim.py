@@ -23,7 +23,6 @@ from homoloss.optim import (
     SWEEP_AXES,
     OptimConfig,
     adam_update,
-    apply_offset,
     frame_context,
     landscape_sweep,
     mean_reproj_distance,
@@ -35,7 +34,7 @@ from homoloss.optim import (
 )
 from homoloss.scene import Frame, Scene, global_slab, local_slabs, \
     synth_scene
-from oracles import angle_between, frame_depths_loop, \
+from oracles import angle_between, apply_offset, frame_depths_loop, \
     landscape_sweep_loop, mean_reproj_distance_loop, offset_params, \
     optimize_poses_loop, pct_within_loop, project_points_2d
 
