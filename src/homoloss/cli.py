@@ -14,10 +14,11 @@ a `gradcheck` over tolerance (exit 3) write their outputs, then fail.
 its first epoch and step count, plus the abort, after those of a --warmstart
 phase) whenever the run records an error.
 
-Exit codes: 0 success, 1 usage error (such as --axis2 without --range2),
-2 data/parse error (a NaN option value, a negative seed, a non-finite
-range, a NUL in a value, a bad manifest or a changed input file, too), or
-aborted run,
+Exit codes: 0 success, 1 usage error (such as --axis2 without --range2,
+or the same axis as --axis), 2 data/parse error (a NaN option value, a
+negative seed, a non-finite range, a NUL in a value, --poses or --points
+with --synthetic, an input file that is not UTF-8 text, a bad manifest or
+a changed input file, too), or aborted run,
 3 numeric-tolerance failure (a NaN gradient error included).
 """
 
@@ -166,6 +167,10 @@ def _intrinsics(config) -> Intrinsics:
 
 def _build_scene(config) -> Scene:
     if config["synthetic"]:
+        unread = [f"--{key}" for key in ("poses", "points") if config[key]]
+        if unread:  # a file that is never read, but hashed into the manifest
+            raise InvalidInputError(f"--synthetic generates the scene, so "
+                                    f"{' and '.join(unread)} would go unread")
         return synth_scene(
             seed=config["scene_seed"],
             n_points=config["n_points"],
@@ -245,6 +250,8 @@ def run_landscape(config):
     axis2 = config["axis2"]
     if bool(axis2) != bool(config["range2"]):
         raise UsageError("--axis2 and --range2 go together")
+    if axis2 == config["axis"]:
+        raise UsageError(f"--axis2 must differ from --axis, both are {axis2}")
     scene = _build_scene(config)
     if not 0 <= config["frame"] < len(scene.frames):
         raise InvalidInputError(
@@ -556,7 +563,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (InvalidInputError, OSError, json.JSONDecodeError) as e:
+    except (InvalidInputError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as e:  # an input that is not UTF-8 text
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ToleranceFailure as e:

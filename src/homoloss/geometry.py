@@ -126,28 +126,22 @@ def rotmat_elems(q):
     or of (F,) arrays, elementwise the same operations, for a (4, F) stack.
 
     The quaternion is normalized internally so non-unit inputs are valid.
+    Each of the ten quaternion products is formed once.
     """
     w, x, y, z = q
-    s = w * w + x * x + y * y + z * z
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    s = ww + xx + yy + zz
     if (s == 0.0) if isinstance(s, float) else not s.all():
         raise InvalidInputError("zero-norm quaternion")
     inv = 1.0 / s
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
     return [
-        [
-            (w * w + x * x - y * y - z * z) * inv,
-            2.0 * (x * y - w * z) * inv,
-            2.0 * (x * z + w * y) * inv,
-        ],
-        [
-            2.0 * (x * y + w * z) * inv,
-            (w * w - x * x + y * y - z * z) * inv,
-            2.0 * (y * z - w * x) * inv,
-        ],
-        [
-            2.0 * (x * z - w * y) * inv,
-            2.0 * (y * z + w * x) * inv,
-            (w * w - x * x - y * y + z * z) * inv,
-        ],
+        [(ww + xx - yy - zz) * inv, 2.0 * (xy - wz) * inv,
+         2.0 * (xz + wy) * inv],
+        [2.0 * (xy + wz) * inv, (ww - xx + yy - zz) * inv,
+         2.0 * (yz - wx) * inv],
+        [2.0 * (xz - wy) * inv, 2.0 * (yz + wx) * inv,
+         (ww - xx - yy + zz) * inv],
     ]
 
 
@@ -201,10 +195,10 @@ def project_points(t, R, K: Intrinsics, points):
     get non-finite or huge pixels, so callers mask by |depth| >= DEPTH_EPS
     (or by depth > 0).
     """
-    cam = (np.asarray(points, dtype=float) - t[..., None, :]) @ R
+    cam = (points - t[..., None, :]) @ R
     # one copy as rows (..., 3, N): a ufunc on the transposed view would
     # write its output in that view's strided order
-    cam = np.ascontiguousarray(cam.swapaxes(-1, -2))
+    cam = cam.swapaxes(-1, -2).copy()
     z = cam[..., 2, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = cam[..., :2, :] * K.focal / z[..., None, :] + K.principal

@@ -207,9 +207,11 @@ def _geometric_core(p, ctx: LossContext, grad):
     res = uv - uv_gt
     abs_res = np.abs(res)
     d = abs_res[0] + abs_res[1]
-    live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
+    live = np.abs(z) >= DEPTH_EPS
+    live &= d < clip
     n = len(z)
-    val = float(np.where(live, d, clip).sum()) / n
+    every = np.count_nonzero(live) == n
+    val = float(np.add.reduce(d if every else np.where(live, d, clip))) / n
     if not grad:
         return val, None
 
@@ -221,11 +223,13 @@ def _geometric_core(p, ctx: LossContext, grad):
     # points and divides by n. h holds a, b, c and the three rows of
     # h x (x, y, 1), so that one vecdot and one row sum reduce them all;
     # -R g is then summed in floats, in a fixed order, not by BLAS.
-    idx = live.nonzero()[0]
-    xy = (uv.take(idx, axis=1) - K.principal) / K.focal
-    h = np.empty((6, len(idx)))
+    if not every:
+        idx = live.nonzero()[0]
+        uv, res, z = uv.take(idx, axis=1), res.take(idx, axis=1), z.take(idx)
+    xy = (uv - K.principal) / K.focal
+    h = np.empty((6, len(z)))
     ab = h[0:2]
-    np.multiply(np.sign(res.take(idx, axis=1)), K.focal, out=ab)
+    np.multiply(np.sign(res), K.focal, out=ab)
     axy = ab * xy                             # a x, b y
     np.subtract(-axy[0], axy[1], out=h[2])    # c, as (-a) x == -(a x)
     cxy = h[2] * xy                           # c x, c y
@@ -233,10 +237,11 @@ def _geometric_core(p, ctx: LossContext, grad):
     np.subtract(ab[1], cxy[1], out=h[3])
     np.subtract(cxy[0], ab[0], out=h[4])
     np.subtract(ayx[0], ayx[1], out=h[5])
-    g0, g1, g2 = np.vecdot(h[0:3], 1.0 / z.take(idx)).tolist()
+    g0, g1, g2 = np.vecdot(h[0:3], 1.0 / z).tolist()
     qw, qx, qy, qz = q_est  # |q|^2 summed as rotmat_elems sums it
-    r0, r1, r2, r3 = dual.rotation_grad(q_est, h[3:6].sum(axis=1).tolist(),
-                                        qw * qw + qx * qx + qy * qy + qz * qz)
+    r0, r1, r2, r3 = dual.rotation_grad(
+        q_est, np.add.reduce(h[3:6], axis=1).tolist(),
+        qw * qw + qx * qx + qy * qy + qz * qz)
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     return val, np.array([-(a0 * g0 + a1 * g1 + a2 * g2) / n,
                           -(b0 * g0 + b1 * g1 + b2 * g2) / n,

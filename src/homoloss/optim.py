@@ -120,8 +120,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
     be positive. Frames without visible points are skipped;
     InvalidInputError when no frame has one, or naming the first where a
     visible point lies at zero gt depth or the estimate q has zero norm.
-    One projection and one np.mean per visible-count bucket of
-    scene.stacked, which give each frame the bits of its own."""
+    One projection and one np.add.reduce, np.mean's sum, per visible-count
+    bucket of scene.stacked, which give each frame the bits of its own."""
     if not clip > 0:
         raise InvalidInputError(f"reprojection clip must be positive, got "
                                 f"{clip}")
@@ -151,9 +151,9 @@ def mean_reproj_distance(est_poses, scene: Scene,
                                scene.intrinsics, points)
         duv = uv - gt_uv
         dist = np.minimum(clip, np.hypot(duv[:, 0], duv[:, 1]))
-        means[rows] = np.mean(np.where(np.abs(z) >= DEPTH_EPS, dist, clip),
-                              axis=1)
-    return float(np.mean(means[seen]))
+        means[rows] = np.add.reduce(np.where(np.abs(z) >= DEPTH_EPS, dist,
+                                             clip), axis=1) / z.shape[1]
+    return float(np.add.reduce(means[seen]) / np.count_nonzero(seen))
 
 
 def pct_within(est_poses, gt_poses, thresholds) -> list:

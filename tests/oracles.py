@@ -25,7 +25,8 @@ built Pose objects every epoch; the complex-step gradient of the
 homography kernel; the landscape sweep that offset each cell's parameters
 in turn and the finite-difference gradient that copied the parameters
 twice per coordinate; and the one-pose sweep offset that optimize's
-adversarial init applied frame by frame.
+adversarial init applied frame by frame; and the rotation entries as one
+expression each, before rotmat_elems formed each quaternion product once.
 """
 
 import math
@@ -450,6 +451,33 @@ def quat_canonical_one(q):
     """Unit quaternion with non-negative scalar part (double cover collapsed)."""
     q = quat_normalize_one(q)
     return -q if q[0] < 0 else q
+
+
+def rotmat_elems_expressions(q):
+    """geometry.rotmat_elems as it read before it formed each quaternion
+    product once: every entry an expression of its own over w, x, y, z."""
+    w, x, y, z = q
+    s = w * w + x * x + y * y + z * z
+    if (s == 0.0) if isinstance(s, float) else not s.all():
+        raise InvalidInputError("zero-norm quaternion")
+    inv = 1.0 / s
+    return [
+        [
+            (w * w + x * x - y * y - z * z) * inv,
+            2.0 * (x * y - w * z) * inv,
+            2.0 * (x * z + w * y) * inv,
+        ],
+        [
+            2.0 * (x * y + w * z) * inv,
+            (w * w - x * x + y * y - z * z) * inv,
+            2.0 * (y * z - w * x) * inv,
+        ],
+        [
+            2.0 * (x * z - w * y) * inv,
+            2.0 * (y * z + w * x) * inv,
+            (w * w - x * x - y * y + z * z) * inv,
+        ],
+    ]
 
 
 def rotmat_to_quat_one(R):

@@ -26,7 +26,7 @@ prefix = os.environ.get("PYTHONPYCACHEPREFIX")
 with open({log!r} + ".pycache", "a") as f:
     f.write(json.dumps([{side!r}, prefix, prefix and os.path.isdir(prefix),
                         "PYTHONDONTWRITEBYTECODE" in os.environ]) + "\\n")
-cal = {cal} + int(args["--seed"]) / 1000
+cal = {cal} + int(args["--seed"]) * {spread}
 print("== figures")
 print(json.dumps({{"correct": {correct}, "attempted": 3, "failed": 0,
                   "metrics": {{"op_time_cal": {{"value": cal, "unit": "cal"}},
@@ -35,11 +35,13 @@ print(json.dumps({{"correct": {correct}, "attempted": 3, "failed": 0,
 """
 
 
-def checkout(tmp_path, side, cal, correct=True):
+def checkout(tmp_path, side, cal, correct=True, spread=0.001):
+    """A checkout whose op_time_cal reads cal + spread * seed."""
     root = tmp_path / side
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB.format(
-        log=str(tmp_path / "log"), side=side, cal=cal, correct=correct))
+        log=str(tmp_path / "log"), side=side, cal=cal, correct=correct,
+        spread=spread))
     (root / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": END_TO_END}))
     return str(root)
@@ -80,6 +82,29 @@ def test_slower_change_is_judged_by_the_bound(tmp_path, capsys, cal,
     out = capsys.readouterr().out.splitlines()
     summary = out[out.index("== probe, 3 pairs of 1 s") + 1:]
     assert summary[3].startswith("  change better in 0 of 3 pairs")
+    assert summary[4] == f"  verdict: {verdict} (bound 25%)"
+
+
+@pytest.mark.parametrize("cal, spread, verdict", [
+    # overlapping runs: a change within the bound cannot be told from one
+    # beyond it
+    (0.45, 0.1, "unresolved, parent IQR 0.25 > bound 0.1875"),
+    (0.5, 0.1, "unresolved, parent IQR 0.25 > bound 0.1875"),
+    # every change run better than every parent run
+    (0.52, 0.01, "no claim, within bound"),
+    # worse by more than the bound, however wide the spread
+    (0.75, 0.1, "worse beyond bound")])
+def test_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, cal,
+                                                   spread, verdict):
+    # The parent reads 0.6, 0.7, 0.8 and 0.9: IQR 0.25 on a median of
+    # 0.75, wider than op_time_cal's bound of 25% of it.
+    parent = checkout(tmp_path, "parent", 0.5, spread=0.1)
+    change = checkout(tmp_path, "change", cal, spread=spread)
+    assert ab_pairs.main([parent, change, "--workload", "probe", "--pairs",
+                          "4", "--seconds", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    summary = out[out.index("== probe, 4 pairs of 1 s") + 1:]
+    assert summary[1] == "  parent  median 0.75  quartiles 0.625-0.875"
     assert summary[4] == f"  verdict: {verdict} (bound 25%)"
 
 

@@ -114,6 +114,19 @@ class TestLandscape:
         assert "--axis2 and --range2 go together" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("axis", ["tz", "roty"])
+    def test_repeated_axis_is_a_usage_error(self, tmp_path, capsys, axis):
+        # Both offsets would move one parameter, so that each cell held the
+        # value at offset + offset2 under two labels.
+        out = str(tmp_path / "o")
+        argv = landscape_args(out, **{"--axis": axis, "--steps": "3",
+                                      "--axis2": axis, "--range2": "-1:1",
+                                      "--steps2": "3", "--losses": "posenet"})
+        assert main(argv) == 1
+        assert f"--axis2 must differ from --axis, both are {axis}" in \
+            capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("over", [
         {"--steps": "1"}, {"--steps": "-1"},
         *({"--axis2": "roty", "--range2": "-10:10", "--steps2": steps2}
@@ -889,6 +902,26 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         assert main(landscape_args(out, **{"--losses": losses})) == 1
         assert f"loss {kind!r} is named twice" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("given", [["--poses"], ["--points"],
+                                       ["--poses", "--points"]])
+    def test_synthetic_with_an_input_file_exit_2(self, tmp_path, capsys,
+                                                 given):
+        # The file exists and would be hashed into the manifest, but a
+        # synthetic scene never reads it.
+        path = tmp_path / "poses.txt"
+        with open(path, "w") as f:
+            write_pose_list(f, [("f000", identity_pose())])
+        out = str(tmp_path / "o")
+        argv = ["gradcheck", "--synthetic", "--loss", "posenet", "--samples",
+                "2", "--out", out]
+        for option in given:
+            argv += [option, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --synthetic generates the scene, so "
+            f"{' and '.join(given)} would go unread\n")
         assert not os.path.exists(out)
 
     def test_usage_error_no_subcommand(self, capsys):

@@ -1,6 +1,8 @@
-"""A generative property of the whole CLI: every invocation exits with a
+"""Generative properties of the whole CLI: every invocation exits with a
 documented code, a failed one leaves no --out, and a run that wrote its
-outputs replays from its manifest byte for byte.
+outputs replays from its manifest byte for byte; and a pose or points file
+with one defect makes every command that reads it fail with exit 1 or 2,
+leaving no --out.
 
 The argv is drawn from the parser's own actions, each value by the
 option's type and choices: edge floats, small ints, loss names, ranges,
@@ -165,3 +167,114 @@ def test_every_invocation_exits_as_documented(inputs, invocation):
             f.write(written["manifest.json"])
         assert _main(["--from-manifest", manifest]) == (code, stdout)
         assert _files(out) == written
+
+
+# -- malformed pose and point files ----------------------------------------
+
+# Tokens that break a field: each fails float() or int(), is not finite,
+# or is not UTF-8 at all.
+NON_NUMERIC = [b"x", b"1,5", b"0x10", b"1..2", b"--1", b"1e", b"\xc3\xa9",
+               b"\xff\xfe"]
+NON_FINITE = [b"nan", b"-NaN", b"inf", b"-inf", b"Infinity", b"1e999",
+              b"-1e400"]
+NOT_INTEGER = [b"1.5", b"1.0", b"x", b"1e2", b"0x1", b"\xff"]
+UNKNOWN_TAGS = [b"Q", b"p", b"v", b"PV", b"\xe2\x80\x8b", b"\xfe"]
+# defect -> the file it goes in and the tag of the lines it may change
+# (None: any pose line)
+DEFECTS = {"pose field count": ("poses", None),
+           "P field count": ("points", b"P"),
+           "V without a frame": ("points", b"V"),
+           "non-numeric pose": ("poses", None),
+           "non-numeric P": ("points", b"P"),
+           "non-finite pose": ("poses", None),
+           "non-finite P": ("points", b"P"),
+           "repeated name": ("poses", None),
+           "repeated V": ("points", b"V"),
+           "index out of range": ("points", b"V"),
+           "index not integer": ("points", b"V"),
+           "unknown tag": ("points", None)}
+
+
+def _records(path):
+    """The byte lines of a written file without its '#' header."""
+    with open(path, "rb") as f:
+        return [line.rstrip(b"\n") for line in f if not line.startswith(b"#")]
+
+
+def _corrupt(lines, defect, i, j, token, count):
+    """lines, a pose file's or a points file's, with the one defect named:
+    i picks the line, j the field, token the bad field and count a wrong
+    number of numbers."""
+    if defect == "unknown tag":
+        i %= len(lines) + 1
+        return lines[:i] + [token + b" 0 0 4"] + lines[i:]
+    tag = DEFECTS[defect][1]
+    rows = [k for k, line in enumerate(lines)
+            if tag is None or line.split()[0] == tag]
+    k = rows[i % len(rows)]
+    fields = lines[k].split()
+    if defect.endswith("field count"):  # any count but 7, or but 3
+        right = 7 if tag is None else 3
+        count += count >= right
+        fields = fields[:1] + (fields[1:] + [b"1"] * count)[:count]
+    elif defect == "V without a frame":
+        fields = [b"V"]
+    elif defect.startswith("non-"):
+        fields[1 + j % (len(fields) - 1)] = token
+    elif defect.startswith("repeated"):
+        return lines + [lines[k]]
+    else:  # an index of the V line
+        fields.insert(2 + j % (len(fields) - 1), token)
+    return lines[:k] + [b" ".join(fields)] + lines[k + 1:]
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv of a command that reads the files, with {poses}, {points},
+    {est} and {out} fields to fill, and the arguments of _corrupt after
+    its lines)."""
+    defect = draw(st.sampled_from(sorted(DEFECTS)))
+    token = draw(st.sampled_from({
+        "non-numeric pose": NON_NUMERIC, "non-numeric P": NON_NUMERIC,
+        "non-finite pose": NON_FINITE, "non-finite P": NON_FINITE,
+        # the scene has 12 points, 0 to 11
+        "index out of range": [b"-1", b"12", b"13", b"9223372036854775808",
+                               b"-18446744073709551616"],
+        "index not integer": NOT_INTEGER,
+        "unknown tag": UNKNOWN_TAGS}.get(defect, [b""])))
+    spec = (defect, draw(st.integers(0, 20)), draw(st.integers(0, 20)),
+            token, draw(st.integers(0, 9)))
+    kind = draw(KINDS)
+    scene = ["--poses", "{poses}", "--points", "{points}"]
+    argv = draw(st.sampled_from([
+        ["optimize", *scene, "--loss", kind, "--epochs=1"],
+        ["gradcheck", *scene, "--loss", kind, "--samples=1"],
+        ["landscape", *scene, "--axis", "tz", "--range=-1:1", "--steps=2",
+         "--losses", kind],
+        ["slabs", *scene, "--hist"],
+        ["eval", "--gt-poses", "{poses}", "--est-poses", "{est}",
+         "--points", "{points}"],
+        ["eval", "--gt-poses", "{est}", "--est-poses", "{poses}",
+         "--points", "{points}"]]))
+    return argv + ["--out", "{out}"], spec
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=malformed_runs())
+def test_a_malformed_input_file_fails_and_writes_nothing(inputs, run):
+    argv, (defect, i, j, token, count) = run
+    files = {name: _records(inputs / f"{name}.txt")
+             for name in ("poses", "points")}
+    name = DEFECTS[defect][0]
+    files[name] = _corrupt(files[name], defect, i, j, token, count)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"est": str(inputs / "est_poses.txt"),
+                 "out": os.path.join(tmp, "out")}
+        for name, lines in files.items():
+            paths[name] = os.path.join(tmp, f"{name}.txt")
+            with open(paths[name], "wb") as f:
+                f.write(b"".join(line + b"\n" for line in lines))
+        code, _ = _main([a.format(**paths) for a in argv])
+        assert code in (1, 2)
+        assert sorted(os.listdir(tmp)) == ["points.txt", "poses.txt"]

@@ -13,6 +13,7 @@ from homoloss.geometry import (
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
+    rotmat_elems,
     rotmat_to_quat,
 )
 from oracles import (
@@ -25,6 +26,7 @@ from oracles import (
     project,
     relative_pose,
     quat_canonical_one,
+    rotmat_elems_expressions,
     rotmat_to_quat_one,
 )
 
@@ -55,6 +57,50 @@ class TestQuatToRotmat:
     def test_zero_quaternion_rejected(self):
         with pytest.raises(InvalidInputError):
             quat_to_rotmat([0, 0, 0, 0])
+
+
+# Any float, and often one whose square is zero, subnormal or infinite, or
+# a signed zero or subnormal itself.
+QUAT_ENTRIES = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-170,
+     1e160, 0.5, -3.0]))
+
+
+def _hexes(rows):
+    """float.hex of every entry of rotmat_elems's nested output, floats or
+    (F,) arrays."""
+    return [[v.hex() for v in np.ravel(e).tolist()] for row in rows
+            for e in row]
+
+
+class TestRotmatElems:
+    """rotmat_elems against the expression form it replaced
+    (oracles.rotmat_elems_expressions): every entry by float.hex, so signed
+    zeros and NaNs count, and the same zero-norm error."""
+
+    @staticmethod
+    def check(q):
+        try:
+            want = rotmat_elems_expressions(q)
+        except InvalidInputError as e:
+            with pytest.raises(InvalidInputError) as got:
+                rotmat_elems(q)
+            assert str(got.value) == str(e)
+            return
+        got = rotmat_elems(q)
+        assert _hexes(got) == _hexes(want)
+
+    @settings(max_examples=500)
+    @given(q=st.lists(QUAT_ENTRIES, min_size=4, max_size=4))
+    def test_floats_match_the_expression_form(self, q):
+        self.check(q)
+
+    @settings(max_examples=300)
+    @given(entries=st.integers(1, 8).flatmap(lambda f: st.lists(
+        QUAT_ENTRIES, min_size=4 * f, max_size=4 * f)))
+    def test_stacks_match_the_expression_form(self, entries):
+        with np.errstate(all="ignore"):
+            self.check(np.array(entries).reshape(4, -1))
 
 
 class TestRelativePose:

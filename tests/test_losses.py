@@ -576,6 +576,13 @@ class TestGeometricKernel:
            dead=st.sets(st.sampled_from(["behind", "depth_eps"])),
            clip=st.sampled_from(["inf", "wide", "median", "at a point"]),
            zeros=st.booleans())
+    # every point live, so the kernel sums d and skips the gathers; 300
+    # points reach numpy's blocked pairwise sum
+    @example(seed=1, n=300, case="perturbed", dead=set(), clip="inf",
+             zeros=True)
+    # no point live: the one point's d is the clip
+    @example(seed=1, n=1, case="perturbed", dead=set(), clip="at a point",
+             zeros=False)
     def test_matches_the_pixel_pair_form(self, seed, n, case, dead, clip,
                                          zeros):
         rng = np.random.default_rng(seed)

@@ -25,9 +25,12 @@ range. Each metric's summary ends with a verdict: `claim met` when the
 change wins at least 90% of the pairs and its median is better than the
 parent's by more than the parent's interquartile range; `worse beyond
 bound` when its median is worse than the parent's by more than the
-metric's `bound`, a fraction of the parent's median; else `no claim,
-within bound`. A run that exits non-zero, reports correct: false or counts
-failed operations stops the script with exit code 1.
+metric's `bound`, a fraction of the parent's median; `unresolved` when
+the parent's interquartile range is wider than that bound, so that the
+runs cannot tell a change within the bound from one beyond it, unless
+every run of the change is better than every run of the parent; else `no
+claim, within bound`. A run that exits non-zero, reports correct: false
+or counts failed operations stops the script with exit code 1.
 """
 
 import argparse
@@ -83,6 +86,10 @@ def summarize(name, unit, better, bound, parent, change):
         verdict = "claim met"
     elif sign * (cm - pm) > bound * abs(pm):
         verdict = "worse beyond bound"
+    elif iqr > bound * abs(pm) and \
+            min(sign * p for p in parent) <= max(sign * c for c in change):
+        verdict = (f"unresolved, parent IQR {iqr:.4g} > bound "
+                   f"{bound * abs(pm):.4g}")
     else:
         verdict = "no claim, within bound"
     return [
