@@ -234,11 +234,11 @@ def _parse_range(text):
     return lo, hi
 
 
-def _pct_rows(est_poses, gt_poses):
+def _pct_rows(est, gt):
     """(pct_<t>m_<r>deg, fraction within) per outdoor and indoor pair."""
     pairs = OUTDOOR_THRESHOLDS + INDOOR_THRESHOLDS
     return [(f"pct_{t:g}m_{r:g}deg", frac) for (t, r), frac
-            in zip(pairs, pct_within(est_poses, gt_poses, pairs))]
+            in zip(pairs, pct_within(est, gt, pairs))]
 
 
 # -- commands --------------------------------------------------------------
@@ -322,12 +322,11 @@ def run_optimize(config):
     scene = _build_scene(config)
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])
-    init = [frame.gt_pose for frame in scene.frames]
-    if config["adversarial_roty"]:
-        init = [Pose.from_params(row) for row in offset_rows(
-            [p.params() for p in init], "roty", [config["adversarial_roty"]])]
-    init = [perturb_pose(pose, rng, config["perturb_t"],
-                         config["perturb_deg"]) for pose in init]
+    gt = np.array([frame.gt_pose.params() for frame in scene.frames])
+    init = offset_rows(gt, "roty", [config["adversarial_roty"]]) \
+        if config["adversarial_roty"] else gt
+    init = [perturb_pose(Pose.from_params(row), rng, config["perturb_t"],
+                         config["perturb_deg"]) for row in init]
     cfg = OptimConfig(
         loss_kind=kind,
         lr=config["lr"],
@@ -340,15 +339,15 @@ def run_optimize(config):
         warmstart_epochs=config["warmstart"],
     )
     record = optim.optimize_poses(scene, init, cfg)
-    unit = quat_normalize([p.q for _, p in record.final_poses])
-    final = [(fid, Pose(p.t, q)) for (fid, p), q in zip(record.final_poses,
-                                                        unit)]
+    final = record.final_params
+    final[:, 3:] = quat_normalize(final[:, 3:])
     mrd = mean_reproj_distance(final, scene)
-    pct = _pct_rows([p for _, p in final], [f.gt_pose for f in scene.frames])
+    pct = _pct_rows(final, gt)
     cols = ["epoch", "mean_loss", "train_mrd_px"]
     cols += ["s_t", "s_q"] if kind == "homoscedastic" else []  # epoch start
     poses = io.StringIO()
-    write_pose_list(poses, final)
+    write_pose_list(poses, [(f.id, Pose.from_params(row))
+                            for f, row in zip(scene.frames, final)])
     files = {"run.csv": (",".join(cols), [
         (e.epoch, e.mean_loss, e.train_mrd, e.s_t, e.s_q)[:len(cols)]
         for e in record.epochs]), "final_poses.txt": poses.getvalue()}
@@ -397,17 +396,16 @@ def run_eval(config):
     common = [name for name, _ in gt if name in est_map]
     if not common:
         raise ParseError("no common frame ids between gt and estimate files")
-    gt_list = [gt_map[n] for n in common]
-    est_list = [est_map[n] for n in common]
+    est_rows = np.array([est_map[n].params() for n in common])
     lines = []
     if config["points"]:
         with open(config["points"]) as f:
-            scene = scene_from_files(list(zip(common, gt_list)), f,
+            scene = scene_from_files([(n, gt_map[n]) for n in common], f,
                                      _intrinsics(config))
-        mrd = mean_reproj_distance(list(zip(common, est_list)), scene,
-                                   clip=config["eval_clip"])
+        mrd = mean_reproj_distance(est_rows, scene, clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
-    lines += _pct_rows(est_list, gt_list)
+    lines += _pct_rows(est_rows, np.array([gt_map[n].params()
+                                           for n in common]))
     return ({"eval.csv": ("metric,value", lines)},
             [f"{name}={v:.6g}" for name, v in lines], None)
 

@@ -83,11 +83,15 @@ def _column(a, b):
 # -- quaternion algebra ----------------------------------------------------
 
 def quat_normalize(q):
-    """q / |q| of a quaternion (4,), or of each row of a (..., 4) stack."""
+    """q / |q| of a quaternion (4,), or of each row of a (..., 4) stack;
+    InvalidInputError for a zero or an infinite norm."""
     q = np.ascontiguousarray(q, dtype=float)  # a strided row's ddot differs
-    n = np.sqrt(np.vecdot(q, q))  # per row the ddot of a 1-D np.linalg.norm
+    with np.errstate(over="ignore"):  # an infinite norm raises below
+        n = np.sqrt(np.vecdot(q, q))  # per row the ddot of a 1-D linalg.norm
     if not np.all(n):
         raise InvalidInputError("zero-norm quaternion")
+    if np.isinf(n).any():  # a NaN norm passes, as a NaN q
+        raise InvalidInputError("quaternion norm overflows")
     return q / n[..., None]
 
 

@@ -27,6 +27,7 @@ from .scene import DepthSlab, Scene
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
 ZERO_GT_DEPTH = "frame {}: a visible point lies at zero gt depth"
 ZERO_Q = "frame {}: zero-norm quaternion"
+DIVERGED = "frame {}: a parameter is not finite or |q|^2 overflows"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 
@@ -103,7 +104,7 @@ class EpochStats:
 @dataclass
 class RunRecord:
     epochs: list
-    final_poses: list  # (frame id, Pose) pairs
+    final_params: np.ndarray  # (F, 7) rows (t, q), in scene frame order
     errors: list = field(default_factory=list)
     aborted: bool = False
 
@@ -115,8 +116,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
     """Mean over frames of the mean clipped L2 pixel distance between gt and
     estimated projections of the frame's visible points. est_poses holds one
     estimate per scene frame, in order: (F, 7) parameter rows (t, q), or
-    (frame id, Pose) pairs, which go once perfbench/layers.py passes rows
-    (ROADMAP item 1). Projections to infinity count as the clip, which must
+    (frame id, Pose) pairs, which only perfbench/layers.py passes; they go
+    with ROADMAP item 1. Projections to infinity count as the clip, which must
     be positive. Frames without visible points are skipped;
     InvalidInputError when no frame has one, or naming the first where a
     visible point lies at zero gt depth or the estimate q has zero norm.
@@ -156,18 +157,17 @@ def mean_reproj_distance(est_poses, scene: Scene,
     return float(np.add.reduce(means[seen]) / np.count_nonzero(seen))
 
 
-def pct_within(est_poses, gt_poses, thresholds) -> list:
-    """Per (t_thresh, r_thresh) pair of thresholds, the fraction of frames
-    with translation error <= t_thresh (m) and rotation error <= r_thresh
-    (deg). Exactly-at-threshold counts as within. The errors are computed
-    once, over stacked poses, whatever the number of pairs."""
-    if len(est_poses) != len(gt_poses) or not est_poses:
-        raise InvalidInputError(f"need one estimate per gt pose and at least "
-                                f"one: {len(est_poses)} vs {len(gt_poses)}")
-    d = np.array([p.t for p in est_poses]) - np.array([p.t for p in gt_poses])
+def pct_within(est, gt, thresholds) -> list:
+    """Per (t_thresh, r_thresh) pair of thresholds, the fraction of (n, 7)
+    parameter rows (t, q) est, n >= 1, with translation error <= t_thresh (m)
+    and rotation error <= r_thresh (deg) from gt's rows. Exactly-at-threshold
+    counts as within. The errors are computed once, over the rows."""
+    if est.shape != gt.shape or est.shape[1:] != (7,) or not len(est):
+        raise InvalidInputError(f"need one estimate row per gt row, (n, 7) "
+                                f"with n >= 1: {est.shape} vs {gt.shape}")
+    d = est[:, :3] - gt[:, :3]
     dt = np.sqrt(np.vecdot(d, d))  # per row the ddot of np.linalg.norm
-    dots = np.vecdot(quat_normalize([p.q for p in est_poses]),
-                     quat_normalize([p.q for p in gt_poses]))
+    dots = np.vecdot(quat_normalize(est[:, 3:]), quat_normalize(gt[:, 3:]))
     # math.acos per frame: np.arccos is not bit-equal to it; min keeps a NaN
     dr = np.array([2.0 * math.acos(min(abs(x), 1.0)) * 180.0 / math.pi
                    for x in dots.tolist()])
@@ -294,20 +294,22 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     with InvalidInputError in a step are skipped (any other exception
     propagates) and logged once per frame and message, with the first epoch
     and the number of steps skipped; the run aborts if more than half the
-    frames error within one epoch. A warm start's error lines come first,
-    marked as such, and its abort ends the run with the warm-start poses.
-    A scene that the per-epoch metric rejects for a visible point at zero
-    gt depth, or an initial pose with a zero quaternion, raises before the
-    first step and before any warm start.
+    frames error within one epoch, or, with the parameters of that epoch's
+    start, if after its last step a frame reads a parameter that is not
+    finite or has a |q|^2 that overflows. A warm start's error lines come
+    first, marked as such, and its abort ends the run with the warm-start
+    poses. A scene that the per-epoch metric rejects for a visible point at
+    zero gt depth, or an initial pose with a zero quaternion, raises before
+    the first step and before any warm start.
     """
     frames = scene.frames
     if len(init_poses) != len(frames):
         raise InvalidInputError("need one initial pose per frame")
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
         raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
-    for i, pose in enumerate(init_poses):
-        if not np.any(pose.q * pose.q):  # |q|^2 == 0, as in the metric
-            raise InvalidInputError(ZERO_Q.format(frames[i].id))
+    P = np.array([p.params() for p in init_poses])  # (F, 7) rows (t, q)
+    for i in np.flatnonzero(~np.any(P[:, 3:] * P[:, 3:], axis=1))[:1]:
+        raise InvalidInputError(ZERO_Q.format(frames[i].id))  # as the metric
     warm_errors = []
     if config.warmstart_epochs > 0:
         warm_cfg = replace(
@@ -320,21 +322,21 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         warm = optimize_poses(scene, init_poses, warm_cfg)
         warm_errors = [f"warm start: {e}" for e in warm.errors]
         if warm.aborted:  # no epoch of config.loss_kind ran
-            return RunRecord([], warm.final_poses, warm_errors, aborted=True)
-        init_poses = [pose for _, pose in warm.final_poses]
+            return RunRecord([], warm.final_params, warm_errors, aborted=True)
+        P = warm.final_params
 
     kind = config.loss_kind
     with_s = param_count(kind) == 9
     F = len(frames)
     params = np.concatenate(
-        [p.params() for p in init_poses]
+        [P.ravel()]
         + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
     )
     ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
             for f in frames]
     state = AdamState.zeros(len(params))
     rng = np.random.default_rng(config.seed)
-    record = RunRecord(epochs=[], final_poses=[])
+    record = RunRecord(epochs=[], final_params=P)
     skipped = {}  # (frame id, message) -> [first epoch, steps skipped]
     # frame i reads row P[i] of its pose and the shared s = (s_t, s_q)
     P, s = params[:7 * F].reshape(F, 7), params[7 * F:]
@@ -342,6 +344,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     for epoch in range(config.epochs):
         # s_t/s_q are reported at epoch start so the first row shows the init.
         s_start = (float(s[0]), float(s[1])) if with_s else (None, None)
+        P_start = P  # adam_update makes new arrays, so this is not written
         order = rng.permutation(F)
         epoch_losses = []
         epoch_errors = 0
@@ -371,11 +374,13 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
             params, state = adam_update(params, grads, state, config)
             P, s = params[:7 * F].reshape(F, 7), params[7 * F:]
             epoch_losses.append(batch_loss / ok)
-        if epoch_errors > 0.5 * F:
+        abort = (epoch_errors > 0.5 * F
+                 and f"{epoch_errors}/{F} frames errored")
+        for i in _diverged(params, F)[:1]:  # back to finite rows
+            abort, P = DIVERGED.format(frames[i].id), P_start
+        if abort:
             record.aborted = True
-            record.errors.append(
-                f"epoch {epoch}: aborted, {epoch_errors}/{F} frames errored"
-            )
+            record.errors.append(f"epoch {epoch}: aborted, {abort}")
             break
         record.epochs.append(EpochStats(
             epoch, float(np.mean(epoch_losses)),
@@ -385,6 +390,18 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()
     ]
-    record.final_poses = [(f.id, Pose.from_params(p))
-                          for f, p in zip(frames, P)]
+    record.final_params = P.copy()
     return record
+
+
+def _diverged(params, F) -> np.ndarray:
+    """Indices of the frames that read a parameter that is not finite, in
+    their row of the (F, 7) head of params or in its shared tail, or whose
+    |q|^2 overflows; no numpy warning."""
+    if np.abs(params).max() < 1e153:  # each |q|^2 is finite, and no NaN
+        return np.zeros(0, dtype=np.intp)
+    P, s = params[:7 * F].reshape(F, 7), params[7 * F:]
+    with np.errstate(over="ignore"):
+        q2 = np.vecdot(P[:, 3:], P[:, 3:])
+    return np.flatnonzero(~(np.isfinite(P[:, :3]).all(axis=1)
+                            & np.isfinite(q2) & np.isfinite(s).all()))

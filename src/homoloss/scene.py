@@ -241,9 +241,10 @@ def _numbers(fields, count, lineno):
 def parse_pose_list(stream):
     """Parse `name tx ty tz qw qx qy qz` lines into (id, Pose) pairs.
 
-    Quaternions are normalized and canonicalized (qw >= 0). '#'-prefixed
-    and blank lines are skipped. Errors carry the 1-based line number; a
-    repeated name is an error naming both lines.
+    Quaternions are normalized and canonicalized (qw >= 0); a zero norm or
+    one that overflows is an error. '#'-prefixed and blank lines are
+    skipped. Errors carry the 1-based line number; a repeated name is an
+    error naming both lines.
     """
     out = []
     seen = {}  # name -> line number
@@ -253,7 +254,10 @@ def parse_pose_list(stream):
             raise ParseError(f"frame name {fields[0]!r} already on line "
                              f"{seen[fields[0]]}", line=lineno)
         seen[fields[0]] = lineno
-        q = quat_canonical(np.array(vals[3:7]))
+        try:
+            q = quat_canonical(np.array(vals[3:7]))
+        except InvalidInputError as e:  # a zero or overflowing norm
+            raise ParseError(str(e), line=lineno) from e
         out.append((fields[0], Pose(np.array(vals[:3]), q)))
     return out
 

@@ -31,6 +31,11 @@ def identity_pose():
     return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def pose_rows(poses):
+    """(n, 7) parameter rows (t, q) of a list of n Poses, n >= 0."""
+    return np.array([p.params() for p in poses]).reshape(-1, 7)
+
+
 def random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)

@@ -54,7 +54,7 @@ from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP, SWEEP_AXES, AdamState, \
-    EpochStats, RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, \
+    DIVERGED, EpochStats, RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, \
     _safe_value, adam_update, frame_context, mean_reproj_distance, \
     offset_rows
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
@@ -608,7 +608,10 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     """optim.optimize_poses as it read before it ran on parameter rows: each
     frame gathers its parameters through a row of an index table, scatters
     its gradient back through it, and every epoch's metric gets one
-    (frame id, Pose) pair per frame."""
+    (frame id, Pose) pair per frame. After each epoch, a frame that reads a
+    parameter that is not finite or whose |q|^2, summed in Python floats,
+    overflows aborts the run with the parameters of the epoch's start. The
+    final estimates are (F, 7) rows."""
     frames = scene.frames
     if len(init_poses) != len(frames):
         raise InvalidInputError("need one initial pose per frame")
@@ -629,8 +632,8 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
         warm = optimize_poses_loop(scene, init_poses, warm_cfg)
         warm_errors = [f"warm start: {e}" for e in warm.errors]
         if warm.aborted:
-            return RunRecord([], warm.final_poses, warm_errors, aborted=True)
-        init_poses = [pose for _, pose in warm.final_poses]
+            return RunRecord([], warm.final_params, warm_errors, aborted=True)
+        init_poses = [Pose.from_params(row) for row in warm.final_params]
 
     kind = config.loss_kind
     with_s = diffgrad.param_count(kind) == 9
@@ -648,7 +651,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
             for f in frames]
     state = AdamState.zeros(n_params)
     rng = np.random.default_rng(config.seed)
-    record = RunRecord(epochs=[], final_poses=[])
+    record = RunRecord(epochs=[], final_params=None)
     skipped = {}
 
     def current_poses():
@@ -660,6 +663,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     for epoch in range(config.epochs):
         s_start = (float(params[7 * F]), float(params[7 * F + 1])) \
             if with_s else (None, None)
+        start = params
         order = rng.permutation(F)
         epoch_losses = []
         epoch_errors = 0
@@ -685,11 +689,19 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
             grads /= len(batch)
             params, state = adam_update(params, grads, state, config)
             epoch_losses.append(batch_loss / ok)
+        abort = None
         if epoch_errors > 0.5 * F:
+            abort = f"{epoch_errors}/{F} frames errored"
+        for i in range(F):
+            frame_params = params[index[i]].tolist()
+            q2 = sum(v * v for v in frame_params[3:7])
+            if not all(map(math.isfinite, frame_params + [q2])):
+                abort = DIVERGED.format(frames[i].id)
+                params = start
+                break
+        if abort:
             record.aborted = True
-            record.errors.append(
-                f"epoch {epoch}: aborted, {epoch_errors}/{F} frames errored"
-            )
+            record.errors.append(f"epoch {epoch}: aborted, {abort}")
             break
         record.epochs.append(EpochStats(
             epoch, float(np.mean(epoch_losses)),
@@ -698,7 +710,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()
     ]
-    record.final_poses = current_poses()
+    record.final_params = np.array([p.params() for _, p in current_poses()])
     return record
 
 

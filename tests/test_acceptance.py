@@ -286,16 +286,16 @@ def test_criterion_08_convergence_contrast():
                         slab=slabs, seed=0)
     rec_h = optimize_poses(scene, adv, cfg_h)
     hom_angle = max(
-        angle_between(p.q, f.gt_pose.q)
-        for (_, p), f in zip(rec_h.final_poses, scene.frames)
+        angle_between(row[3:], f.gt_pose.q)
+        for row, f in zip(rec_h.final_params, scene.frames)
     )
     t_adv = time.perf_counter() - t1
 
     cfg_g = OptimConfig(loss_kind="geometric", lr=3e-3, epochs=3000, seed=0)
     rec_g = optimize_poses(scene, adv, cfg_g)
     geo_angle = min(
-        angle_between(p.q, f.gt_pose.q)
-        for (_, p), f in zip(rec_g.final_poses, scene.frames)
+        angle_between(row[3:], f.gt_pose.q)
+        for row, f in zip(rec_g.final_params, scene.frames)
     )
     clip = cfg_g.hyper.reproj_clip
     geo_saturated = (geo_angle > 170.0

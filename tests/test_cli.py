@@ -5,12 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import identity_pose
+from conftest import identity_pose, pose_rows
 from homoloss import cli, diffgrad, optim
 from homoloss.cli import main
 from homoloss.geometry import Pose, quat_normalize
@@ -360,6 +361,52 @@ class TestOptimize:
         for name in ("run.csv", "final_poses.txt", "manifest.json"):
             assert os.path.exists(os.path.join(out, name))
 
+    def test_diverging_run_aborts_and_writes_finite_outputs(self, tmp_path,
+                                                            capsys):
+        # At lr 1e300 the first warm-start step takes |q|^2 past the float
+        # range: the run aborts with the poses of that epoch's start, the
+        # initial ones, and writes them, with no numpy warning on the way.
+        out = str(tmp_path / "o")
+        argv = ["optimize", "--synthetic", "--n-frames", "3", "--loss",
+                "posenet", "--epochs", "3", "--lr", "1e300", "--warmstart",
+                "2", "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "aborted=true" in captured.out
+        assert captured.err == f"error: run aborted, see {out}/errors.txt\n"
+        assert read(os.path.join(out, "errors.txt")) == (
+            "warm start: epoch 0: aborted, frame f000: a parameter is not "
+            "finite or |q|^2 overflows\n")
+        assert read(os.path.join(out, "run.csv")) == \
+            "epoch,mean_loss,train_mrd_px\n"
+        rows = read(os.path.join(out, "final_poses.txt")).splitlines()[1:]
+        values = np.array([[float(v) for v in r.split()[1:]] for r in rows])
+        assert values.shape == (3, 7) and np.isfinite(values).all()
+
+    def test_optimize_and_eval_hand_the_metric_rows(self, tmp_path,
+                                                    monkeypatch):
+        metric, seen = cli.mean_reproj_distance, []
+        monkeypatch.setattr(cli, "mean_reproj_distance",
+                            lambda est, *a, **kw: seen.append(type(est))
+                            or metric(est, *a, **kw))
+        scene = synth_scene(seed=0, n_frames=3)
+        paths = {name: str(tmp_path / f"{name}.txt")
+                 for name in ("poses", "points")}
+        with open(paths["poses"], "w") as f:
+            write_pose_list(f, [(fr.id, fr.gt_pose) for fr in scene.frames])
+        with open(paths["points"], "w") as f:
+            write_points(f, scene.points,
+                         {fr.id: fr.visible for fr in scene.frames})
+        assert main(["optimize", "--synthetic", "--n-frames", "3", "--loss",
+                     "posenet", "--epochs", "2", "--out",
+                     str(tmp_path / "o1")]) == 0
+        assert main(["eval", "--gt-poses", paths["poses"], "--est-poses",
+                     paths["poses"], "--points", paths["points"], "--out",
+                     str(tmp_path / "o2")]) == 0
+        assert seen == [np.ndarray, np.ndarray]
+
     def test_adversarial_roty_rotates_every_init(self, tmp_path):
         # No perturbation and no epoch: the final poses are the gt poses
         # turned about their camera's y axis, normalized as every written q.
@@ -533,7 +580,8 @@ class TestEval:
                             or normalize(q))
         rng = np.random.default_rng(3)
         gt = [f.gt_pose for f in synth_scene(0).frames]
-        est = [optim.perturb_pose(p, rng, 3.0, 6.0) for p in gt]
+        est = pose_rows([optim.perturb_pose(p, rng, 3.0, 6.0) for p in gt])
+        gt = pose_rows(gt)
         rows = cli._pct_rows(est, gt)
         stacked = [(len(gt), 4)] * 2
         assert calls == ["pct"] + stacked

@@ -192,7 +192,8 @@ DEFECTS = {"pose field count": ("poses", None),
            "repeated V": ("points", b"V"),
            "index out of range": ("points", b"V"),
            "index not integer": ("points", b"V"),
-           "unknown tag": ("points", None)}
+           "unknown tag": ("points", None),
+           "overflowing quaternion": ("poses", None)}
 
 
 def _records(path):
@@ -221,6 +222,8 @@ def _corrupt(lines, defect, i, j, token, count):
         fields = [b"V"]
     elif defect.startswith("non-"):
         fields[1 + j % (len(fields) - 1)] = token
+    elif defect == "overflowing quaternion":  # |q|^2 beyond the floats
+        fields[4 + j % 4] = b"1e200"
     elif defect.startswith("repeated"):
         return lines + [lines[k]]
     else:  # an index of the V line
@@ -262,6 +265,9 @@ def malformed_runs(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=malformed_runs())
+@example(run=(["gradcheck", "--poses", "{poses}", "--points", "{points}",
+               "--loss", "posenet", "--samples=1", "--out", "{out}"],
+              ("overflowing quaternion", 0, 1, b"", 0)))
 def test_a_malformed_input_file_fails_and_writes_nothing(inputs, run):
     argv, (defect, i, j, token, count) = run
     files = {name: _records(inputs / f"{name}.txt")

@@ -11,6 +11,7 @@ from homoloss.geometry import (
     Pose,
     quat_canonical,
     quat_from_axis_angle,
+    quat_normalize,
     quat_multiply,
     quat_to_rotmat,
     rotmat_elems,
@@ -320,6 +321,20 @@ def test_stacked_quat_canonical_equals_per_row_calls():
             assert c.tobytes() == quat_canonical_one(row).tobytes()
     with pytest.raises(InvalidInputError, match="zero-norm quaternion"):
         quat_canonical([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+def test_quat_normalize_rejects_an_infinite_norm_without_a_warning(recwarn):
+    # |q|^2 overflows for entries of about 1.3e154 and more; a NaN norm
+    # passes, as pct_within counts a NaN estimate as not within
+    for q in ([1e300, 1e300, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0, -1.4e154]],
+              [math.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(InvalidInputError, match="norm overflows"):
+            quat_normalize(q)
+    assert np.isnan(quat_normalize([math.nan, 1.0, 0.0, 0.0])).all()
+    np.testing.assert_array_equal(quat_normalize([0.0, 0.0, 0.0, 1e154]),
+                                  [0.0, 0.0, 0.0, 1.0])
+    assert not recwarn.list
 
 
 def test_rotmat_quat_round_trip():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_pose, perturbed, random_pose, random_unit_quat
+from conftest import identity_pose, perturbed, pose_rows, random_pose, \
+    random_unit_quat
 from homoloss import losses, optim
 from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value, \
     params_for
@@ -316,19 +317,20 @@ class TestMetrics:
                 thresholds += [(dt, dr), (np.nextafter(dt, -1.0), dr),
                                (dt, np.nextafter(dr, -1.0))]
 
-        def outcome(pct):
+        def outcome(pct, est, gt):
             try:
                 return pct(est, gt, thresholds)
             except InvalidInputError as e:
                 return str(e)
-        want = outcome(pct_within_loop)
-        assert outcome(pct_within) == want
+        want = outcome(pct_within_loop, est, gt)
+        assert outcome(pct_within, pose_rows(est), pose_rows(gt)) == want
         assert isinstance(want, str) == (case == "zero q")
 
     def test_pct_within_boundary_inclusive(self):
         gt = [identity_pose()]
         est = [Pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
                                                           math.radians(2.0)))]
+        est, gt = pose_rows(est), pose_rows(gt)
         assert pct_within(est, gt, [(2.0, 2.0)]) == [1.0]
         assert pct_within(est, gt, [(1.999, 2.0)]) == [0.0]
         assert pct_within(est, gt, [(2.0, 1.999)]) == [0.0]
@@ -342,19 +344,29 @@ class TestMetrics:
                                                  math.radians(30.0))),
             identity_pose(),
         ]
-        assert pct_within(est, gt, [(1.0, 5.0)]) == [0.5]
+        assert pct_within(pose_rows(est), pose_rows(gt), [(1.0, 5.0)]) == \
+            [0.5]
 
     def test_pct_within_nan_rotation_not_within(self):
         est = [Pose([0.0, 0.0, 0.0], [math.nan] * 4), identity_pose()]
-        assert pct_within(est, [identity_pose()] * 2, [(1.0, 180.0)]) == [0.5]
+        assert pct_within(pose_rows(est), pose_rows([identity_pose()] * 2),
+                          [(1.0, 180.0)]) == [0.5]
 
     def test_pct_within_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            pct_within([identity_pose()], [], [(1.0, 1.0)])
+            pct_within(pose_rows([identity_pose()]), pose_rows([]),
+                       [(1.0, 1.0)])
 
     def test_pct_within_needs_a_pose(self):
         with pytest.raises(InvalidInputError):
-            pct_within([], [], [(1.0, 1.0)])
+            pct_within(pose_rows([]), pose_rows([]), [(1.0, 1.0)])
+
+    def test_pct_within_rejects_rows_of_another_shape(self):
+        rows = pose_rows([identity_pose()] * 3)
+        for bad in (rows[:, :6], np.hstack([rows, rows[:, :1]]), rows[0],
+                    rows[..., None]):
+            with pytest.raises(InvalidInputError, match="row"):
+                pct_within(bad, bad, [(1.0, 1.0)])
 
     def test_mrd_pairs_estimates_with_frames(self, scene):
         rng = np.random.default_rng(0)
@@ -615,9 +627,8 @@ class TestOptimizePoses:
             rec = optimize_poses(
                 exact, [f.gt_pose for f in exact.frames], cfg
             )
-            for (_, est), f in zip(rec.final_poses, exact.frames):
-                np.testing.assert_array_equal(est.t, f.gt_pose.t)
-                np.testing.assert_array_equal(est.q, f.gt_pose.q)
+            np.testing.assert_array_equal(
+                rec.final_params, pose_rows([f.gt_pose for f in exact.frames]))
 
     def test_reduces_error(self, tiny):
         rng = np.random.default_rng(7)
@@ -636,9 +647,7 @@ class TestOptimizePoses:
         cfg = OptimConfig(loss_kind="posenet", epochs=20, seed=5)
         a, b = (optimize_poses(tiny, init, cfg) for _ in range(2))
         assert a.epochs == b.epochs
-        for (_, pa), (_, pb) in zip(a.final_poses, b.final_poses):
-            np.testing.assert_array_equal(pa.t, pb.t)
-            np.testing.assert_array_equal(pa.q, pb.q)
+        np.testing.assert_array_equal(a.final_params, b.final_params)
 
     def test_homoscedastic_records_s(self, tiny):
         cfg = OptimConfig(loss_kind="homoscedastic", epochs=3, seed=0,
@@ -831,8 +840,46 @@ class TestOptimizePoses:
                    f"epoch 0, 1 steps)" for f in tiny.frames]
         assert rec.errors == skipped + [
             "warm start: epoch 0: aborted, 3/3 frames errored"]
-        assert [p.params().tolist() for _, p in rec.final_poses] == \
-            [p.params().tolist() for p in init]
+        assert rec.final_params.tolist() == pose_rows(init).tolist()
+
+    @pytest.mark.parametrize("kind, index, value, frame", [
+        ("posenet", 7 + 4, 1e200, "f001"),  # finite, but |q|^2 overflows
+        ("posenet", 14, math.nan, "f002"),
+        ("geometric", 3, -math.inf, "f000"),
+        ("homoscedastic", 21, math.inf, "f000")])  # s_t, read by every frame
+    def test_diverging_epoch_aborts_with_its_start(self, tiny, monkeypatch,
+                                                   kind, index, value, frame):
+        # One batch per epoch: the third Adam step writes value, so the run
+        # aborts in epoch 2 with the rows that epoch 1 ended with.
+        rng = np.random.default_rng(4)
+        init = [perturbed(f.gt_pose, rng, 0.1, 3.0) for f in tiny.frames]
+        cfg = OptimConfig(loss_kind=kind, lr=1e-3, epochs=2, seed=0)
+        clean = optimize_poses(tiny, init, cfg)
+        step = optim.adam_update
+
+        def poisoned(params, grads, state, config):
+            params, state = step(params, grads, state, config)
+            if state.step == 3:
+                params[index] = value
+            return params, state
+        monkeypatch.setattr(optim, "adam_update", poisoned)
+        cfg.epochs = 5
+        rec = optimize_poses(tiny, init, cfg)
+        assert rec.aborted and rec.epochs == clean.epochs
+        assert rec.errors == [f"epoch 2: aborted, frame {frame}: a parameter "
+                              f"is not finite or |q|^2 overflows"]
+        assert record_bits(rec)[1] == record_bits(clean)[1]
+
+    def test_diverging_warm_start_ends_the_run(self, tiny):
+        rng = np.random.default_rng(4)
+        init = [perturbed(f.gt_pose, rng, 0.1, 3.0) for f in tiny.frames]
+        cfg = OptimConfig(loss_kind="posenet", lr=1e300, epochs=3,
+                          warmstart_epochs=2, seed=0)
+        rec = optimize_poses(tiny, init, cfg)
+        assert rec.aborted and rec.epochs == []
+        assert rec.errors == ["warm start: epoch 0: aborted, frame f000: a "
+                              "parameter is not finite or |q|^2 overflows"]
+        assert rec.final_params.tolist() == pose_rows(init).tolist()
 
     def test_warmstart_runs_pre_phase(self, tiny):
         rng = np.random.default_rng(9)
@@ -854,8 +901,8 @@ def record_bits(rec):
         return None if x is None else float(x).hex()
     return ([(e.epoch, bits(e.mean_loss), bits(e.train_mrd), bits(e.s_t),
               bits(e.s_q)) for e in rec.epochs],
-            [(fid, [bits(v) for v in p.params().tolist()])
-             for fid, p in rec.final_poses],
+            rec.final_params.shape,
+            [[bits(v) for v in row] for row in rec.final_params.tolist()],
             rec.errors, rec.aborted)
 
 
@@ -871,14 +918,16 @@ class TestOptimizeOnRows:
            batch_size=st.integers(1, 7), epochs=st.integers(0, 3),
            warm=st.integers(0, 2), n_empty=st.integers(0, 4),
            n_zero_q=st.sampled_from((0, 0, 0, 1, 4)),
+           lr=st.sampled_from((1e-2, 1e-2, 1e-2, 1e300)),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_the_index_table_loop(self, kind, n_frames, batch_size,
                                          epochs, warm, n_empty, n_zero_q,
-                                         seed):
+                                         lr, seed):
         # The first n_empty frames see no point, which the geometric loss
         # skips and which aborts the run when it hits more than half the
         # frames; the last n_zero_q start at a zero q, which the run
-        # rejects before its first step, so most draws have none.
+        # rejects before its first step, so most draws have none. At lr
+        # 1e300 most runs diverge and abort with their epoch's start.
         base = self.scenes[n_frames]
         if kind == "homography_local":
             n_empty = 0  # its slab needs every frame's depths
@@ -894,7 +943,7 @@ class TestOptimizeOnRows:
             init[i] = Pose(init[i].t, np.zeros(4))
         slab = {"homography_local": local_slabs,
                 "homography_global": global_slab}.get(kind)
-        cfg = OptimConfig(loss_kind=kind, lr=1e-2, epochs=epochs,
+        cfg = OptimConfig(loss_kind=kind, lr=lr, epochs=epochs,
                           batch_size=batch_size, seed=seed,
                           warmstart_epochs=warm,
                           slab=slab and slab(scene))

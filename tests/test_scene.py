@@ -427,6 +427,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 2: non-finite"):
             parse_pose_list(io.StringIO(text))
 
+    @pytest.mark.parametrize("line, message", [
+        ("f1 0 0 0 0 0 0 0", "zero-norm quaternion"),
+        ("f1 0 0 0 -0 0 0 0", "zero-norm quaternion"),
+        ("f1 0 0 0 1e300 1e300 0 0", "quaternion norm overflows"),
+        ("f1 0 0 0 0 0 0 -1.4e154", "quaternion norm overflows")])
+    def test_pose_quaternion_error_has_line(self, line, message, recwarn):
+        text = f"f0 0 0 0 1 0 0 0\n{line}\n"
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            parse_pose_list(io.StringIO(text))
+        assert not recwarn.list
+
     @pytest.mark.parametrize("line", ["P nan 0 1", "P 0 inf 1", "P 0 0 -inf"])
     def test_points_non_finite_error(self, line):
         text = f"P 0 0 1\n{line}\nV f0 0 1\n"

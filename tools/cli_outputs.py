@@ -22,9 +22,11 @@ homography `optimize` on a 64-frame synthetic scene in batches of 16 (5
 epochs); 1-D and 2-D `landscape` over every kind; local `slabs` with
 histograms, also on a 32-frame synthetic scene seen by a 320 x 240 sensor
 with a 40 degree field of view, and global `slabs` without and with
-them; `eval` with points; and, on a file scene
-whose first frame has no V line, a geometric `optimize` and a geometric
-and posenet `landscape` of that frame, whose geometric cells are all NaN.
+them; `eval` with points; on a file scene whose first frame has no V line, a
+geometric `optimize` and a geometric and posenet `landscape` of that
+frame, whose geometric cells are all NaN; and a posenet `optimize` whose
+warm start diverges at lr 1e300, the one run that writes its outputs and
+exits 2.
 """
 
 import contextlib
@@ -108,6 +110,9 @@ def runs():
         "../inputs/points_no_f000.txt", "--losses", "geometric,posenet",
         "--frame", "0", "--axis", "roty", "--range=-10:10", "--steps", "11",
         "--axis2", "tz", "--range2=-1:1", "--steps2", "11"]
+    yield "optimize_diverging_aborts", [
+        "optimize", "--synthetic", "--n-frames", "3", "--loss", "posenet",
+        "--epochs", "3", "--lr", "1e300", "--warmstart", "2"]
 
 
 def run(directory, argv):
