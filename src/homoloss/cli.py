@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__, diffgrad, optim, scene as scene_mod
-from .geometry import InvalidInputError, Intrinsics, Pose, quat_normalize
+from .geometry import InvalidInputError, Intrinsics, quat_normalize
 from .losses import LossHyperParams
 from .optim import (
     INDOOR_THRESHOLDS,
@@ -322,11 +322,11 @@ def run_optimize(config):
     scene = _build_scene(config)
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])
-    gt = np.array([frame.gt_pose.params() for frame in scene.frames])
+    gt = np.array([frame.gt_pose for frame in scene.frames])
     init = offset_rows(gt, "roty", [config["adversarial_roty"]]) \
         if config["adversarial_roty"] else gt
-    init = [perturb_pose(Pose.from_params(row), rng, config["perturb_t"],
-                         config["perturb_deg"]) for row in init]
+    init = [perturb_pose(row, rng, config["perturb_t"], config["perturb_deg"])
+            for row in init]
     cfg = OptimConfig(
         loss_kind=kind,
         lr=config["lr"],
@@ -346,8 +346,7 @@ def run_optimize(config):
     cols = ["epoch", "mean_loss", "train_mrd_px"]
     cols += ["s_t", "s_q"] if kind == "homoscedastic" else []  # epoch start
     poses = io.StringIO()
-    write_pose_list(poses, [(f.id, Pose.from_params(row))
-                            for f, row in zip(scene.frames, final)])
+    write_pose_list(poses, zip([f.id for f in scene.frames], final))
     files = {"run.csv": (",".join(cols), [
         (e.epoch, e.mean_loss, e.train_mrd, e.s_t, e.s_q)[:len(cols)]
         for e in record.epochs]), "final_poses.txt": poses.getvalue()}
@@ -396,7 +395,7 @@ def run_eval(config):
     common = [name for name, _ in gt if name in est_map]
     if not common:
         raise ParseError("no common frame ids between gt and estimate files")
-    est_rows = np.array([est_map[n].params() for n in common])
+    est_rows = np.array([est_map[n] for n in common])
     lines = []
     if config["points"]:
         with open(config["points"]) as f:
@@ -404,8 +403,7 @@ def run_eval(config):
                                      _intrinsics(config))
         mrd = mean_reproj_distance(est_rows, scene, clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
-    lines += _pct_rows(est_rows, np.array([gt_map[n].params()
-                                           for n in common]))
+    lines += _pct_rows(est_rows, np.array([gt_map[n] for n in common]))
     return ({"eval.csv": ("metric,value", lines)},
             [f"{name}={v:.6g}" for name, v in lines], None)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .geometry import InvalidInputError, Pose
+from .geometry import InvalidInputError
 from .losses import LossContext
 
 REL_ERR_FLOOR = 1e-8  # denominator floor for relative gradient comparison
@@ -35,10 +35,10 @@ def param_count(kind: str) -> int:
     return 9 if kind == "homoscedastic" else 7
 
 
-def params_for(kind: str, est: Pose, ctx: LossContext) -> np.ndarray:
-    """Flat parameter vector for a loss kind (pose, plus s_t/s_q when the
-    loss learns them)."""
-    p = est.params()
+def params_for(kind: str, est, ctx: LossContext) -> np.ndarray:
+    """Flat parameter vector for a loss kind: a copy of est, a (7,) pose
+    row, plus s_t/s_q when the loss learns them."""
+    p = np.array(est, dtype=float)
     if param_count(kind) == 9:
         p = np.concatenate([p, [ctx.hyper.s_t, ctx.hyper.s_q]])
     return p

@@ -1,8 +1,8 @@
 """SE(3)/quaternion primitives and pinhole projection.
 
 Conventions:
-    - Poses are world-from-camera: ``t`` is the camera position in the world
-      frame, ``q`` the camera orientation quaternion in (w, x, y, z) order.
+    - Poses are world-from-camera (7,) rows (t, q): ``t`` is the camera
+      position in the world frame, ``q`` its quaternion in (w, x, y, z) order.
     - A world point P maps into the camera frame as ``R(q)^T (P - t)``.
 """
 
@@ -21,27 +21,14 @@ class InvalidInputError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)  # numpy fields: identity equality
-class Pose:
-    """Camera pose: world-frame position (m) and orientation quaternion."""
-
-    t: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        if self.t.shape != (3,) or self.q.shape != (4,):
-            raise InvalidInputError("pose needs a 3-vector t and 4-vector q")
-
-    def params(self):
-        """Flat 7-vector (tx, ty, tz, qw, qx, qy, qz)."""
-        return np.concatenate([self.t, self.q])
-
-    @staticmethod
-    def from_params(p):
-        p = np.asarray(p, dtype=float)
-        return Pose(p[:3], p[3:7])
+def pose_row(pose) -> np.ndarray:
+    """A pose as a read-only float (7,) copy (tx, ty, tz, qw, qx, qy, qz);
+    InvalidInputError for any other shape."""
+    row = np.array(pose, dtype=float)
+    if row.shape != (7,):
+        raise InvalidInputError(f"pose needs 7 values, got shape {row.shape}")
+    row.flags.writeable = False
+    return row
 
 
 @dataclass(frozen=True)

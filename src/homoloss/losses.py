@@ -45,14 +45,14 @@ from .geometry import (
     DEPTH_EPS,
     InvalidInputError,
     Intrinsics,
-    Pose,
+    pose_row,
     project_points,
     quat_to_rotmat,
     rotmat_elems,
 )
 
 
-@dataclass(frozen=True, eq=False)  # identity equality, as Pose and Frame
+@dataclass(frozen=True, eq=False)  # identity equality, as Frame
 class SlabParams:
     """The homography slab: the planes parallel to the image plane at depths
     x_min to x_max along the optical axis."""
@@ -97,22 +97,21 @@ class LossContext:
     A failed check raises InvalidInputError and caches nothing, so it raises
     each time."""
 
-    gt: Pose
+    gt: np.ndarray  # (7,) gt pose row (t, q), read-only
     hyper: LossHyperParams = field(default_factory=LossHyperParams)
     points: np.ndarray = None      # (N, 3) world points visible in the frame
     intrinsics: Intrinsics = None
     slab: SlabParams = None
 
-    @cached_property
-    def unit_gt_q(self) -> np.ndarray:
-        """The target quaternion of posenet, homoscedastic and maxerror."""
-        return self.gt.q / np.linalg.norm(self.gt.q)
+    def __post_init__(self):
+        object.__setattr__(self, "gt", pose_row(self.gt))
 
     @cached_property
     def pose_target(self) -> tuple:
-        """gt t and unit_gt_q as lists of floats, for the float arithmetic
+        """gt t and the unit gt quaternion as lists of floats, the targets
         of the posenet, homoscedastic and maxerror kernels."""
-        return self.gt.t.tolist(), self.unit_gt_q.tolist()
+        q = self.gt[3:]
+        return self.gt[:3].tolist(), (q / np.linalg.norm(q)).tolist()
 
     @cached_property
     def gt_uv(self) -> np.ndarray:
@@ -122,7 +121,7 @@ class LossContext:
             raise InvalidInputError("geometric loss needs a non-empty point set")
         if self.intrinsics is None:
             raise InvalidInputError("geometric loss needs camera intrinsics")
-        uv_gt, z_gt = project_points(self.gt.t, quat_to_rotmat(self.gt.q),
+        uv_gt, z_gt = project_points(self.gt[:3], quat_to_rotmat(self.gt[3:]),
                                      self.intrinsics, self.points)
         if np.any(z_gt == 0.0):
             raise InvalidInputError("a visible point lies at zero gt depth")
@@ -135,12 +134,12 @@ class LossContext:
         (2 c1, c2) of cross and tsq in the closed form, and gt t."""
         if self.slab is None:
             raise InvalidInputError("homography loss needs slab parameters")
-        q_gt = self.gt.q.tolist()
+        q_gt = self.gt[3:].tolist()
         x_min, x_max = self.slab.x_min, self.slab.x_max
         c1 = math.log(x_max / x_min) / (x_max - x_min)
         return (q_gt, [row[2] for row in rotmat_elems(q_gt)],
                 dual.sum_squares(q_gt), 2.0 * c1, 1.0 / (x_min * x_max),
-                self.gt.t.tolist())
+                self.gt[:3].tolist())
 
 
 # -- kernels: (p, ctx, grad) -> (value, gradient or None) ------------------
@@ -280,7 +279,7 @@ def _maxerror_core(p, ctx: LossContext, grad):
     if angle is None:
         return val, np.concatenate([100.0 * _unit(d_cm, trans_cm), grad_reg])
     grad_angle = -1.0 / math.sqrt(1.0 - absdot * absdot) * (
-        np.sign(dot) * (ctx.unit_gt_q - dot * u) * (1.0 / qn)) \
+        np.sign(dot) * (np.array(qg) - dot * u) * (1.0 / qn)) \
         * (360.0 / math.pi)
     return val, np.concatenate([np.zeros(3), grad_angle + grad_reg])
 

@@ -14,7 +14,7 @@ from .diffgrad import HOMOGRAPHY_KINDS, param_count
 from .geometry import (
     DEPTH_EPS,
     InvalidInputError,
-    Pose,
+    pose_row,
     project_points,
     quat_from_axis_angle,
     quat_multiply,
@@ -115,8 +115,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
                          clip: float = EVAL_REPROJ_CLIP) -> float:
     """Mean over frames of the mean clipped L2 pixel distance between gt and
     estimated projections of the frame's visible points. est_poses holds one
-    estimate per scene frame, in order: (F, 7) parameter rows (t, q), or
-    (frame id, Pose) pairs, which only perfbench/layers.py passes; they go
+    estimate per scene frame, in order: (F, 7) pose rows (t, q), or
+    (frame id, row) pairs, which only perfbench/layers.py passes; they go
     with ROADMAP item 1. Projections to infinity count as the clip, which must
     be positive. Frames without visible points are skipped;
     InvalidInputError when no frame has one, or naming the first where a
@@ -130,7 +130,7 @@ def mean_reproj_distance(est_poses, scene: Scene,
         if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
             raise InvalidInputError("need one estimate per scene frame, in "
                                     "order")
-        est_poses = np.array([p.params() for _, p in est_poses]).reshape(-1, 7)
+        est_poses = np.array([p for _, p in est_poses]).reshape(-1, 7)
     if est_poses.shape != (len(scene.frames), 7):
         raise InvalidInputError(f"need ({len(scene.frames)}, 7) parameter "
                                 f"rows, got shape {est_poses.shape}")
@@ -181,7 +181,7 @@ SWEEP_AXES = ("tx", "ty", "tz", "rotx", "roty", "rotz")
 
 
 def offset_rows(rows, axis: str, offsets) -> np.ndarray:
-    """(k, n) parameter rows (t, q first, as Pose.params and params_for lay
+    """(k, n) parameter rows (t, q first, as pose rows and params_for lay
     them out), each perturbed along one sweep axis by every offset in turn:
     (k * len(offsets), n) rows. Translations are in meters, rotations in
     degrees about the camera's own axis, each computed once per offset."""
@@ -200,20 +200,21 @@ def offset_rows(rows, axis: str, offsets) -> np.ndarray:
     return out
 
 
-def perturb_pose(pose: Pose, rng, max_t: float, max_deg: float) -> Pose:
-    """Random perturbation: translation within a ball of radius max_t, and a
-    rotation of at most max_deg about a random axis."""
+def perturb_pose(pose, rng, max_t: float, max_deg: float) -> np.ndarray:
+    """Random perturbation of a pose row: translation within a ball of
+    radius max_t, and a rotation of at most max_deg about a random axis."""
+    pose = pose_row(pose)
     if not (0 <= max_t < math.inf and 0 <= max_deg < math.inf):
         raise InvalidInputError(f"perturbation bounds must be >= 0 and "
                                 f"finite, got {max_t} m and {max_deg} deg")
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     # abs: a bound of -0.0 draws as 0.0 does, with the same random draws
-    t = pose.t + direction * rng.uniform(0.0, abs(max_t))
+    t = pose[:3] + direction * rng.uniform(0.0, abs(max_t))
     axis = rng.normal(size=3)
     dq = quat_from_axis_angle(axis,
                               math.radians(rng.uniform(0.0, abs(max_deg))))
-    return Pose(t, quat_multiply(pose.q, dq))
+    return np.concatenate([t, quat_multiply(pose[3:], dq)])
 
 
 def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
@@ -289,7 +290,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     """Refine one 7-parameter pose per frame (plus global s_t, s_q for the
     homoscedastic loss) with mini-batched Adam.
 
-    init_poses: list of Pose, one per scene frame, in frame order.
+    init_poses: (F, 7) pose rows, one per scene frame, in frame order.
     Deterministic given the config seed. Frames whose loss evaluation fails
     with InvalidInputError in a step are skipped (any other exception
     propagates) and logged once per frame and message, with the first epoch
@@ -303,11 +304,11 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     the first step and before any warm start.
     """
     frames = scene.frames
-    if len(init_poses) != len(frames):
+    P = np.array(init_poses, dtype=float)  # (F, 7) rows (t, q), a copy
+    if P.shape != (len(frames), 7):
         raise InvalidInputError("need one initial pose per frame")
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
         raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
-    P = np.array([p.params() for p in init_poses])  # (F, 7) rows (t, q)
     for i in np.flatnonzero(~np.any(P[:, 3:] * P[:, 3:], axis=1))[:1]:
         raise InvalidInputError(ZERO_Q.format(frames[i].id))  # as the metric
     warm_errors = []
@@ -319,7 +320,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
             warmstart_epochs=0,
             epochs=config.warmstart_epochs,
         )
-        warm = optimize_poses(scene, init_poses, warm_cfg)
+        warm = optimize_poses(scene, P, warm_cfg)
         warm_errors = [f"warm start: {e}" for e in warm.errors]
         if warm.aborted:  # no epoch of config.loss_kind ran
             return RunRecord([], warm.final_params, warm_errors, aborted=True)

@@ -10,6 +10,7 @@ File formats (plain text, UTF-8, whitespace separated, '#' comments):
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,7 @@ import numpy as np
 from .geometry import (
     InvalidInputError,
     Intrinsics,
-    Pose,
+    pose_row,
     project_points,
     quat_canonical,
     quat_multiply,
@@ -48,10 +49,11 @@ class DegenerateDepthError(InvalidInputError):
 @dataclass(frozen=True, eq=False)  # numpy fields: identity equality
 class Frame:
     id: str
-    gt_pose: Pose
+    gt_pose: np.ndarray  # (7,) pose row (t, q), read-only
     visible: np.ndarray  # int64 indices into the scene points, read-only
 
     def __post_init__(self):
+        object.__setattr__(self, "gt_pose", pose_row(self.gt_pose))
         try:
             visible = np.array(self.visible, dtype=np.int64)
         except OverflowError as e:
@@ -94,8 +96,8 @@ class Scene:
         Each product has one frame's shape, so its bits are those of the frame
         alone. Built on first use; the arrays are read-only."""
         counts = np.array([len(f.visible) for f in self.frames])
-        t = np.array([f.gt_pose.t for f in self.frames])
-        q = np.array([f.gt_pose.q for f in self.frames])
+        gt = np.array([f.gt_pose for f in self.frames])
+        t, q = gt[:, :3], gt[:, 3:]
         zero = np.zeros(len(counts), dtype=bool)  # zero_gt_depth
         depths = [np.zeros(0)] * len(counts)
         buckets = []
@@ -239,7 +241,7 @@ def _numbers(fields, count, lineno):
 
 
 def parse_pose_list(stream):
-    """Parse `name tx ty tz qw qx qy qz` lines into (id, Pose) pairs.
+    """Parse `name tx ty tz qw qx qy qz` lines into (id, pose row) pairs.
 
     Quaternions are normalized and canonicalized (qw >= 0); a zero norm or
     one that overflows is an error. '#'-prefixed and blank lines are
@@ -258,15 +260,15 @@ def parse_pose_list(stream):
             q = quat_canonical(np.array(vals[3:7]))
         except InvalidInputError as e:  # a zero or overflowing norm
             raise ParseError(str(e), line=lineno) from e
-        out.append((fields[0], Pose(np.array(vals[:3]), q)))
+        out.append((fields[0], np.concatenate([vals[:3], q])))
     return out
 
 
 def write_pose_list(stream, poses):
-    """Write (id, Pose) pairs in the pose-list text format."""
+    """Write (id, pose row) pairs in the pose-list text format."""
     stream.write("# name tx ty tz qw qx qy qz\n")
     for name, pose in poses:
-        vals = " ".join(format(v, ".17g") for v in pose.params())
+        vals = " ".join(format(v, ".17g") for v in pose)
         stream.write(f"{name} {vals}\n")
 
 
@@ -317,7 +319,7 @@ def write_points(stream, points, visibility):
 
 
 def scene_from_files(poses, points_stream, intrinsics: Intrinsics) -> Scene:
-    """The scene of parsed (id, Pose) pairs and a points file; a frame
+    """The scene of parsed (id, pose row) pairs and a points file; a frame
     without a V line sees no point."""
     points, vis = parse_points(points_stream)
     frames = [
@@ -386,7 +388,9 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
 
     Visibility is the set of points with positive depth that project inside
     the sensor of intrinsics (default_intrinsics() when None). Camera
-    distances are chosen so each frame's depths fall inside depth_range.
+    distances are chosen so each frame's depths fall inside depth_range;
+    a range whose squared camera distances are no normal floats (about
+    1.5e-154 to 1.3e154) is an InvalidInputError.
     """
     if seed < 0:  # np.random.default_rng's own error is a ValueError
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
@@ -397,10 +401,15 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
     lo, hi = float(depth_range[0]), float(depth_range[1])
     if not 0.0 < lo < hi < math.inf:
         raise InvalidInputError("depth_range must satisfy 0 < lo < hi < inf")
-    rng = np.random.default_rng(seed)
     span = hi - lo
-    extent = 0.25 * span            # half-extent of the point box
     mid = 0.5 * (lo + hi)
+    near, far = mid - 0.05 * span, mid + 0.05 * span  # camera distances
+    if not (sys.float_info.min <= near * near and far * far < math.inf):
+        raise InvalidInputError(f"depth_range ({lo:g}, {hi:g}) puts cameras "
+                                f"where their squared distances overflow or "
+                                f"underflow")
+    rng = np.random.default_rng(seed)
+    extent = 0.25 * span            # half-extent of the point box
     points = rng.uniform(-extent, extent, size=(n_points, 3))
     K = default_intrinsics() if intrinsics is None else intrinsics
     # the draws stay per frame, in one frame's order, so the stream is kept
@@ -422,7 +431,7 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
             f"frame {i} sees only {counts[i]} points; adjust the "
             f"intrinsics, depth_range, or n_points"
         )
-    frames = [Frame(id=f"f{i:03d}", gt_pose=Pose(t, qi),
-                    visible=np.flatnonzero(row))
-              for i, (t, qi, row) in enumerate(zip(positions, q, seen))]
+    gt = np.hstack([positions, q])
+    frames = [Frame(id=f"f{i:03d}", gt_pose=gt[i], visible=np.flatnonzero(row))
+              for i, row in enumerate(seen)]
     return Scene(points=points, frames=frames, intrinsics=K)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from homoloss.geometry import Pose, quat_from_axis_angle, quat_multiply, quat_to_rotmat
+from homoloss.geometry import quat_from_axis_angle, quat_multiply, \
+    quat_to_rotmat
 from homoloss.scene import local_slabs, synth_scene
 
 
@@ -27,13 +28,14 @@ def slabs(scene):
     return local_slabs(scene)
 
 
+def pose(t, q):
+    """The (7,) pose row (t, q) of a position t and a quaternion q."""
+    return np.concatenate([np.asarray(t, dtype=float),
+                           np.asarray(q, dtype=float)])
+
+
 def identity_pose():
-    return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
-
-def pose_rows(poses):
-    """(n, 7) parameter rows (t, q) of a list of n Poses, n >= 0."""
-    return np.array([p.params() for p in poses]).reshape(-1, 7)
+    return pose(np.zeros(3), [1.0, 0.0, 0.0, 0.0])
 
 
 def random_unit_quat(rng):
@@ -42,20 +44,20 @@ def random_unit_quat(rng):
 
 
 def random_pose(rng, scale=5.0):
-    return Pose(rng.normal(size=3) * scale, random_unit_quat(rng))
+    return pose(rng.normal(size=3) * scale, random_unit_quat(rng))
 
 
 def random_rotation(rng):
     return quat_to_rotmat(random_unit_quat(rng))
 
 
-def perturbed(pose, rng, max_t, max_deg):
+def perturbed(row, rng, max_t, max_deg):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     dq = quat_from_axis_angle(
         rng.normal(size=3), np.radians(rng.uniform(0, max_deg))
     )
-    return Pose(
-        pose.t + direction * rng.uniform(0, max_t),
-        quat_multiply(pose.q, dq),
+    return pose(
+        row[:3] + direction * rng.uniform(0, max_t),
+        quat_multiply(row[3:], dq),
     )

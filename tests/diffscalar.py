@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from homoloss.geometry import InvalidInputError, Pose
+from homoloss.geometry import InvalidInputError
 from homoloss.losses import SlabParams
 
 # The normal of the slab's planes, parallel to the image plane, which the
@@ -211,20 +211,20 @@ def rotmat_elems(q):
     ]
 
 
-def posenet_core(t_est, q_est, gt: Pose, beta):
+def posenet_core(t_est, q_est, gt, beta):
     # Estimated quaternion enters raw; only the ground truth is normalized.
-    qg = gt.q / np.linalg.norm(gt.q)
-    dt = [t_est[i] - gt.t[i] for i in range(3)]
+    qg = gt[3:] / np.linalg.norm(gt[3:])
+    dt = [t_est[i] - gt[i] for i in range(3)]
     dq = [q_est[i] - qg[i] for i in range(4)]
     return norm2(dt) + beta * norm2(dq)
 
 
-def homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose):
+def homoscedastic_core(t_est, q_est, s_t, s_q, gt):
     norm = norm2(q_est)
     if value(norm) == 0.0:
         raise InvalidInputError("zero-norm estimated quaternion")
-    qg = gt.q / np.linalg.norm(gt.q)
-    dt = [t_est[i] - gt.t[i] for i in range(3)]
+    qg = gt[3:] / np.linalg.norm(gt[3:])
+    dt = [t_est[i] - gt[i] for i in range(3)]
     dq = [qg[i] - q_est[i] / norm for i in range(4)]
     return (
         norm1(dt) * exp(-s_t)
@@ -234,11 +234,11 @@ def homoscedastic_core(t_est, q_est, s_t, s_q, gt: Pose):
     )
 
 
-def maxerror_core(t_est, q_est, gt: Pose, reg_weight):
-    qg = gt.q / np.linalg.norm(gt.q)
+def maxerror_core(t_est, q_est, gt, reg_weight):
+    qg = gt[3:] / np.linalg.norm(gt[3:])
     qn = norm2(q_est)
     reg = reg_weight * (qn - 1.0) ** 2
-    trans_cm = norm2([(t_est[i] - gt.t[i]) * 100.0 for i in range(3)])
+    trans_cm = norm2([(t_est[i] - gt[i]) * 100.0 for i in range(3)])
     if value(qn) == 0.0:
         # Degenerate attractor: the angle is undefined, only the regularizer
         # and translation terms act.
@@ -254,7 +254,7 @@ def maxerror_core(t_est, q_est, gt: Pose, reg_weight):
     return err + reg
 
 
-def homography_core(t_est, q_est, gt: Pose, slab: SlabParams,
+def homography_core(t_est, q_est, gt, slab: SlabParams,
                     n=PLANE_NORMAL):
     """Closed form from the pose pair, using |t_rel| = |d| and
     R_e R_e^T = I: rot = 8|v|^2 / (|q_e|^2 |q_g|^2) with v the vector part
@@ -262,7 +262,7 @@ def homography_core(t_est, q_est, gt: Pose, slab: SlabParams,
     d = t_gt - t_est. Each component of v sums products that cancel pairwise,
     so v, d and R_e - R_g are exactly 0 when est == gt, for any gt
     quaternion, and so are the loss and its gradient."""
-    q_gt = [float(c) for c in gt.q]
+    q_gt = [float(c) for c in gt[3:]]
     R_e = rotmat_elems(q_est)  # normalizes internally
     R_g = rotmat_elems(q_gt)
     w1, x1, y1, z1 = q_est
@@ -276,7 +276,7 @@ def homography_core(t_est, q_est, gt: Pose, slab: SlabParams,
         sum_squares(q_est) * sum_squares(q_gt)
     )
     n = [float(c) for c in n]
-    d = [float(gt.t[i]) - t_est[i] for i in range(3)]
+    d = [float(gt[i]) - t_est[i] for i in range(3)]
     cross = sum(
         d[i] * sum((R_e[i][j] - R_g[i][j]) * n[j] for j in range(3))
         for i in range(3)

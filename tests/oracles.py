@@ -21,7 +21,7 @@ replaced, and the CSV line of the generator of format() calls that the
 %-formatting list replaced; the per-frame rotation angle and percentage
 table that the stacked pct_within replaced, and the optimizer loop that
 gathered and scattered each frame's parameters through an index table and
-built Pose objects every epoch; the complex-step gradient of the
+built (frame id, row) pairs every epoch; the complex-step gradient of the
 homography kernel; the landscape sweep that offset each cell's parameters
 in turn and the finite-difference gradient that copied the parameters
 twice per coordinate; and the one-pose sweep offset that optimize's
@@ -40,7 +40,6 @@ from homoloss.geometry import (
     DEPTH_EPS,
     InvalidInputError,
     Intrinsics,
-    Pose,
     project_points,
     quat_from_axis_angle,
     quat_multiply,
@@ -81,12 +80,12 @@ class RelativePose:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
 
 
-def relative_pose(gt: Pose, est: Pose) -> RelativePose:
-    """Ground-truth pose expressed in the (normalized) estimated frame."""
-    R_gt = quat_to_rotmat(gt.q)
-    R_est = quat_to_rotmat(est.q)
+def relative_pose(gt, est) -> RelativePose:
+    """Ground-truth pose row expressed in the (normalized) estimated frame."""
+    R_gt = quat_to_rotmat(gt[3:])
+    R_est = quat_to_rotmat(est[3:])
     R = R_est.T @ R_gt
-    t = R_est.T @ (gt.t - est.t)
+    t = R_est.T @ (gt[:3] - est[:3])
     return RelativePose(R, t)
 
 
@@ -110,22 +109,23 @@ class Homography:
         object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
 
 
-def apply_relative(est: Pose, rel: RelativePose) -> Pose:
-    """Compose an estimated pose with a relative pose; recovers the gt pose."""
-    R_est = quat_to_rotmat(est.q)
+def apply_relative(est, rel: RelativePose) -> np.ndarray:
+    """Compose an estimated pose row with a relative pose; recovers the gt
+    pose row."""
+    R_est = quat_to_rotmat(est[3:])
     R = R_est @ rel.R
-    t = est.t + R_est @ rel.t
-    return Pose(t, rotmat_to_quat(R))
+    t = est[:3] + R_est @ rel.t
+    return np.concatenate([t, rotmat_to_quat(R)])
 
 
-def project(pose: Pose, K: Intrinsics, P):
+def project(pose, K: Intrinsics, P):
     """Pinhole projection of one world point P.
 
     Returns (pixel 2-vector, signed depth). Backside points (Z < 0) project
     to a valid pixel with negative depth. Raises PointAtInfinity when the
     point lies in the camera x-y plane.
     """
-    uv, z = project_points(pose.t, quat_to_rotmat(pose.q), K,
+    uv, z = project_points(pose[:3], quat_to_rotmat(pose[3:]), K,
                            np.asarray(P, dtype=float).reshape(1, 3))
     if abs(z[0]) < DEPTH_EPS:
         raise PointAtInfinity(f"point {P} has camera depth {z[0]}")
@@ -141,11 +141,11 @@ def homography(rel: RelativePose, n, x) -> Homography:
     return Homography(rel.R - np.outer(rel.t, n) / x)
 
 
-def point_depth(pose: Pose, P) -> float:
+def point_depth(pose, P) -> float:
     """Signed depth: z-coordinate of P in the camera frame (distance along
     the optical axis, matching the n = (0,0,-1) plane family)."""
-    R = quat_to_rotmat(pose.q)
-    return float((R.T @ (np.asarray(P, dtype=float) - pose.t))[2])
+    R = quat_to_rotmat(pose[3:])
+    return float((R.T @ (np.asarray(P, dtype=float) - pose[:3]))[2])
 
 
 def single_plane_error(H: Homography) -> float:
@@ -226,14 +226,14 @@ def scalar_form_oracle(rel: RelativePose, slab: SlabParams,
     return term_a + term_b + term_c
 
 
-def geometric_loop(est: Pose, gt: Pose, points, K: Intrinsics, clip):
+def geometric_loop(est, gt, points, K: Intrinsics, clip):
     """Geometric loss and its gradient w.r.t. (t, q), one point at a time
     in DiffScalar arithmetic."""
-    params = diffscalar.seed(est.params())
+    params = diffscalar.seed(est)
     t, q = params[:3], params[3:]
     R = diffscalar.rotmat_elems(q)
     total = 0.0
-    uv_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, points)[0]
+    uv_gt = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, points)[0]
     for P, (u0, v0) in zip(points, uv_gt.T):
         d = [P[k] - t[k] for k in range(3)]
         X, Y, Z = [sum(R[k][i] * d[k] for k in range(3)) for i in range(3)]
@@ -251,7 +251,7 @@ def reference_grad(kind, params, ctx):
     DiffScalar cores (geometric: geometric_loop), dispatched as
     diffgrad.evaluate_with_grad dispatches to the kernels."""
     if kind == "geometric":
-        return geometric_loop(Pose.from_params(params), ctx.gt, ctx.points,
+        return geometric_loop(params, ctx.gt, ctx.points,
                               ctx.intrinsics, ctx.hyper.reproj_clip)
     seeded = diffscalar.seed(params)
     t, q = seeded[0:3], seeded[3:7]
@@ -302,11 +302,11 @@ def percentile_bounds(depths, lo, hi, frame_id=None):
     return _slab_params(_sorted_positive([depths]), lo, hi, [frame_id])[0]
 
 
-def project_points_2d(pose: Pose, K: Intrinsics, points):
-    """The projection of (N, 3) points under one pose as one (N, 3) @ (3, 3)
-    product, as project_points computed it before its stacked form."""
-    R = quat_to_rotmat(pose.q)
-    cam = (np.asarray(points, dtype=float) - pose.t) @ R
+def project_points_2d(pose, K: Intrinsics, points):
+    """The projection of (N, 3) points under one pose row as one (N, 3) @
+    (3, 3) product, as project_points computed it before its stacked form."""
+    R = quat_to_rotmat(pose[3:])
+    cam = (np.asarray(points, dtype=float) - pose[:3]) @ R
     z = cam[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = K.fx * cam[:, 0] / z + K.cx
@@ -323,7 +323,7 @@ def geometric_core_pairs(p, ctx, grad):
     points, K = ctx.points, ctx.intrinsics
     clip, q_est = ctx.hyper.reproj_clip, p[3:7]
     R = quat_to_rotmat(q_est)
-    uv, z = project_points_2d(Pose(p[0:3], q_est), K, points)
+    uv, z = project_points_2d(np.array(p[0:7]), K, points)
     res = uv - uv_gt
     d = np.abs(res).sum(axis=1)
     live = (np.abs(z) >= DEPTH_EPS) & (d < clip)
@@ -350,15 +350,15 @@ def geometric_core_pairs(p, ctx, grad):
 
 def frame_depths_loop(scene, frame):
     """One frame's gt depths, computed from its own points."""
-    R = quat_to_rotmat(frame.gt_pose.q)
-    return (scene.visible_points(frame) - frame.gt_pose.t) @ R[:, 2]
+    R = quat_to_rotmat(frame.gt_pose[3:])
+    return (scene.visible_points(frame) - frame.gt_pose[:3]) @ R[:, 2]
 
 
 def mean_reproj_distance_loop(est_poses, scene,
                               clip: float = EVAL_REPROJ_CLIP) -> float:
     """Mean over frames of the mean clipped L2 pixel distance between gt and
     estimated projections of the frame's visible points; est_poses holds one
-    (frame id, Pose) per scene frame, in order. Projections to infinity count
+    (frame id, row) per scene frame, in order. Projections to infinity count
     as the clip. Frames without visible points are skipped; InvalidInputError
     when no frame has one, or naming the first where a visible point lies at
     zero gt depth or the estimate q is zero."""
@@ -371,14 +371,14 @@ def mean_reproj_distance_loop(est_poses, scene,
         if len(pts) == 0:
             continue
         gt = frame.gt_pose
-        uv_gt, z_gt = project_points(gt.t, quat_to_rotmat(gt.q), K, pts)
+        uv_gt, z_gt = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, pts)
         if np.any(z_gt == 0.0):
             raise InvalidInputError(
                 f"frame {frame.id}: a visible point lies at zero gt depth"
             )
-        if not np.any(est.q * est.q):
+        if not np.any(est[3:] * est[3:]):
             raise InvalidInputError(f"frame {frame.id}: zero-norm quaternion")
-        uv, z = project_points(est.t, quat_to_rotmat(est.q), K, pts)
+        uv, z = project_points(est[:3], quat_to_rotmat(est[3:]), K, pts)
         dist = np.minimum(clip, np.hypot(*(uv - uv_gt)))
         d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
         per_frame.append(float(np.mean(d)))
@@ -396,13 +396,13 @@ def rotation_grad_array(q, g, qq):
     return quat_multiply(q, [0.0, *g]) * (2.0 / qq)
 
 
-def homography_core_nested(t_est, q_est, gt: Pose, slab: SlabParams, grad,
+def homography_core_nested(t_est, q_est, gt, slab: SlabParams, grad,
                            n=PLANE_NORMAL):
     """losses._homography_core over nested lists, sum() reductions and small
     arrays, for the planes of normal n, its constants built from gt and
     slab."""
-    w2, x2, y2, z2 = q_gt = gt.q.tolist()
-    R_g, qq_g, t_gt = rotmat_elems(q_gt), sum_squares(q_gt), gt.t.tolist()
+    w2, x2, y2, z2 = q_gt = gt[3:].tolist()
+    R_g, qq_g, t_gt = rotmat_elems(q_gt), sum_squares(q_gt), gt[:3].tolist()
     (k1, k2), n = slab_weights(slab, n), [float(c) for c in n]
     R_e = rotmat_elems(q_est)
     w1, x1, y1, z1 = q_est
@@ -564,7 +564,7 @@ def synth_scene_loop(seed: int, n_points: int = 60, n_frames: int = 8,
         position = direction * dist
         roll = rng.uniform(-math.pi, math.pi)
         q = look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
-        pose = Pose(position, q)
+        pose = np.concatenate([position, q])
         (u, v), z = project_points(position, quat_to_rotmat(q), K, points)
         visible = np.flatnonzero(
             (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
@@ -598,7 +598,8 @@ def pct_within_loop(est_poses, gt_poses, thresholds) -> list:
     if len(est_poses) != len(gt_poses) or not est_poses:
         raise InvalidInputError(f"need one estimate per gt pose and at least "
                                 f"one: {len(est_poses)} vs {len(gt_poses)}")
-    errs = [(float(np.linalg.norm(est.t - gt.t)), angle_between(est.q, gt.q))
+    errs = [(float(np.linalg.norm(est[:3] - gt[:3])),
+             angle_between(est[3:], gt[3:]))
             for est, gt in zip(est_poses, gt_poses)]
     return [sum(dt <= t and dr <= r for dt, dr in errs) / len(errs)
             for t, r in thresholds]
@@ -608,7 +609,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     """optim.optimize_poses as it read before it ran on parameter rows: each
     frame gathers its parameters through a row of an index table, scatters
     its gradient back through it, and every epoch's metric gets one
-    (frame id, Pose) pair per frame. After each epoch, a frame that reads a
+    (frame id, row) pair per frame. After each epoch, a frame that reads a
     parameter that is not finite or whose |q|^2, summed in Python floats,
     overflows aborts the run with the parameters of the epoch's start. The
     final estimates are (F, 7) rows."""
@@ -618,7 +619,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
         raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
     for i, pose in enumerate(init_poses):
-        if not np.any(pose.q * pose.q):
+        if not np.any(pose[3:] * pose[3:]):
             raise InvalidInputError(ZERO_Q.format(frames[i].id))
     warm_errors = []
     if config.warmstart_epochs > 0:
@@ -633,13 +634,13 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
         warm_errors = [f"warm start: {e}" for e in warm.errors]
         if warm.aborted:
             return RunRecord([], warm.final_params, warm_errors, aborted=True)
-        init_poses = [Pose.from_params(row) for row in warm.final_params]
+        init_poses = warm.final_params
 
     kind = config.loss_kind
     with_s = diffgrad.param_count(kind) == 9
     F = len(frames)
     params = np.concatenate(
-        [p.params() for p in init_poses]
+        [np.asarray(p, dtype=float) for p in init_poses]
         + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
     )
     n_params = len(params)
@@ -656,7 +657,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
 
     def current_poses():
         return [
-            (frames[i].id, Pose.from_params(params[7 * i:7 * i + 7]))
+            (frames[i].id, params[7 * i:7 * i + 7])
             for i in range(F)
         ]
 
@@ -710,7 +711,7 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
         f"frame {fid}: {msg} (skipped from epoch {first}, {steps} steps)"
         for (fid, msg), (first, steps) in skipped.items()
     ]
-    record.final_params = np.array([p.params() for _, p in current_poses()])
+    record.final_params = np.array([p for _, p in current_poses()])
     return record
 
 
@@ -731,12 +732,11 @@ def offset_params(params, axis: str, offset: float) -> np.ndarray:
     return params
 
 
-def apply_offset(gt: Pose, axis: str, offset: float) -> Pose:
-    """A pose perturbed along one sweep axis, as offset_rows does it for
+def apply_offset(gt, axis: str, offset: float) -> np.ndarray:
+    """A pose row perturbed along one sweep axis, as offset_rows does it for
     one row and one offset: the per-pose form that optimize's adversarial
     init used before it offset every gt row at once."""
-    return Pose.from_params(offset_rows(gt.params()[None], axis,
-                                        [offset])[0])
+    return offset_rows(np.asarray(gt)[None], axis, [offset])[0]
 
 
 def landscape_sweep_loop(kind, ctx, axis, offsets, axis2=None,

@@ -11,12 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import identity_pose, random_pose, random_rotation, \
+from conftest import identity_pose, pose, random_pose, random_rotation, \
     random_unit_quat
 from homoloss.cli import main as cli_main
 from homoloss.diffgrad import LOSS_KINDS, LossContext, grad_report
 from homoloss.geometry import (
-    Pose,
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
@@ -277,16 +276,16 @@ def test_criterion_08_convergence_contrast():
     # (the exact 180 degree pose is a stationary saddle of every loss)
     adv = []
     for f in scene.frames:
-        q = quat_multiply(f.gt_pose.q,
+        q = quat_multiply(f.gt_pose[3:],
                           quat_from_axis_angle([0, 1, 0], math.pi))
-        adv.append(perturb_pose(Pose(f.gt_pose.t, q), rng, 0.05, 2.0))
+        adv.append(perturb_pose(pose(f.gt_pose[:3], q), rng, 0.05, 2.0))
 
     t1 = time.perf_counter()
     cfg_h = OptimConfig(loss_kind="homography_local", lr=3e-3, epochs=3000,
                         slab=slabs, seed=0)
     rec_h = optimize_poses(scene, adv, cfg_h)
     hom_angle = max(
-        angle_between(row[3:], f.gt_pose.q)
+        angle_between(row[3:], f.gt_pose[3:])
         for row, f in zip(rec_h.final_params, scene.frames)
     )
     t_adv = time.perf_counter() - t1
@@ -294,7 +293,7 @@ def test_criterion_08_convergence_contrast():
     cfg_g = OptimConfig(loss_kind="geometric", lr=3e-3, epochs=3000, seed=0)
     rec_g = optimize_poses(scene, adv, cfg_g)
     geo_angle = min(
-        angle_between(row[3:], f.gt_pose.q)
+        angle_between(row[3:], f.gt_pose[3:])
         for row, f in zip(rec_g.final_params, scene.frames)
     )
     clip = cfg_g.hyper.reproj_clip

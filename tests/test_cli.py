@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import identity_pose, pose_rows
+from conftest import identity_pose, pose
 from homoloss import cli, diffgrad, optim
 from homoloss.cli import main
-from homoloss.geometry import Pose, quat_normalize
+from homoloss.geometry import quat_normalize
 from homoloss.scene import (
     DepthSlab,
     focal_length,
@@ -174,7 +174,7 @@ class TestLandscape:
         pts = str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
             write_pose_list(f, [("f0", identity_pose()),
-                                ("f1", Pose([1.0, 0.0, 0.0],
+                                ("f1", pose([1.0, 0.0, 0.0],
                                             [1.0, 0.0, 0.0, 0.0]))])
         with open(pts, "w") as f:
             write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],
@@ -325,7 +325,7 @@ class TestOptimize:
         pts = str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
             write_pose_list(f, [("f0", identity_pose()),
-                                ("f1", Pose([1.0, 0.0, 0.0],
+                                ("f1", pose([1.0, 0.0, 0.0],
                                             [1.0, 0.0, 0.0, 0.0]))])
         with open(pts, "w") as f:
             write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]], {})
@@ -342,7 +342,7 @@ class TestOptimize:
         poses = str(tmp_path / "poses.txt")
         pts = str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
-            write_pose_list(f, [(f"f{i}", Pose([0.1 * i, 0.0, 0.0],
+            write_pose_list(f, [(f"f{i}", pose([0.1 * i, 0.0, 0.0],
                                                [1.0, 0.0, 0.0, 0.0]))
                                 for i in range(8)])
         with open(pts, "w") as f:
@@ -419,7 +419,7 @@ class TestOptimize:
         final = []
         for f in synth_scene(seed=0, n_frames=3).frames:
             p = apply_offset(f.gt_pose, "roty", 7.5)
-            final.append((f.id, Pose(p.t, quat_normalize(p.q))))
+            final.append((f.id, pose(p[:3], quat_normalize(p[3:]))))
         expected = io.StringIO()
         write_pose_list(expected, final)
         assert read(os.path.join(out, "final_poses.txt")) == \
@@ -541,12 +541,12 @@ class TestSlabs:
 class TestEval:
     def write_scene_files(self, tmp_path):
         gt = [
-            ("f0", Pose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
-            ("f1", Pose([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
+            ("f0", pose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
+            ("f1", pose([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
         ]
         est = [
-            ("f0", Pose([0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
-            ("f1", Pose([5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
+            ("f0", pose([0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
+            ("f1", pose([5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])),
         ]
         gt_path = str(tmp_path / "gt.txt")
         est_path = str(tmp_path / "est.txt")
@@ -580,8 +580,8 @@ class TestEval:
                             or normalize(q))
         rng = np.random.default_rng(3)
         gt = [f.gt_pose for f in synth_scene(0).frames]
-        est = pose_rows([optim.perturb_pose(p, rng, 3.0, 6.0) for p in gt])
-        gt = pose_rows(gt)
+        est = np.array([optim.perturb_pose(p, rng, 3.0, 6.0) for p in gt])
+        gt = np.array(gt)
         rows = cli._pct_rows(est, gt)
         stacked = [(len(gt), 4)] * 2
         assert calls == ["pct"] + stacked
@@ -733,7 +733,7 @@ class TestIntrinsics:
 
     def test_file_scene_width_sets_the_default_focal_length(self, tmp_path):
         gt = [("f0", identity_pose())]
-        est = [("f0", Pose([0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))]
+        est = [("f0", pose([0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))]
         paths = {}
         for name, poses in (("gt", gt), ("est", est)):
             paths[name] = str(tmp_path / f"{name}.txt")
@@ -928,7 +928,7 @@ class TestExitCodes:
         # that can fail.
         with open(tmp_path / "poses.txt", "w") as f:
             write_pose_list(f, [("f000", identity_pose()),
-                                ("f001", Pose([1.0, 0.0, 0.0],
+                                ("f001", pose([1.0, 0.0, 0.0],
                                               [1.0, 0.0, 0.0, 0.0]))])
         with open(tmp_path / "long.txt", "w") as f:
             write_pose_list(f, [(LONG_ID, identity_pose())])
@@ -1266,11 +1266,11 @@ class TestComputeThenWrite:
     def test_emit_writes_what_main_writes(self, tmp_path, capsys, argv,
                                           code):
         with open(tmp_path / "poses.txt", "w") as f:
-            write_pose_list(f, [(f"f00{i}", Pose([0.1 * i, 0.0, 0.0],
+            write_pose_list(f, [(f"f00{i}", pose([0.1 * i, 0.0, 0.0],
                                                  [1.0, 0.0, 0.0, 0.0]))
                                 for i in range(8)])
         with open(tmp_path / "est.txt", "w") as f:
-            write_pose_list(f, [("f000", Pose([0.1, 0.0, 0.0],
+            write_pose_list(f, [("f000", pose([0.1, 0.0, 0.0],
                                               [1.0, 0.0, 0.0, 0.0]))])
         with open(tmp_path / "f000.txt", "w") as f:
             write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]],

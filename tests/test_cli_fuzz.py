@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -116,10 +117,13 @@ def inputs(tmp_path_factory):
 
 
 def _main(argv):
-    """(exit code, stdout) of cli.main(argv)."""
+    """(exit code, stdout) of cli.main(argv); a numpy RuntimeWarning is
+    raised as an error, so that it fails the property."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
     return code, stdout.getvalue()
 
@@ -146,6 +150,11 @@ def _files(out):
 @example(invocation=(["gradcheck", "--synthetic", "--n-frames=3",
                       "--n-points=12", "--samples=2", "--loss=homography",
                       "--perturb-deg=-0.0"], "out"))
+@example(invocation=(["slabs", "--synthetic", "--n-frames=3",
+                      "--n-points=10", "--depth-max=1e300"], "out"))
+@example(invocation=(["slabs", "--synthetic", "--n-frames=3",
+                      "--n-points=10", "--depth-min=1e-300",
+                      "--depth-max=2e-300"], "out"))
 def test_every_invocation_exits_as_documented(inputs, invocation):
     argv, out_name = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -231,25 +240,21 @@ def _corrupt(lines, defect, i, j, token, count):
     return lines[:k] + [b" ".join(fields)] + lines[k + 1:]
 
 
-@st.composite
-def malformed_runs(draw):
-    """(argv of a command that reads the files, with {poses}, {points},
-    {est} and {out} fields to fill, and the arguments of _corrupt after
-    its lines)."""
-    defect = draw(st.sampled_from(sorted(DEFECTS)))
-    token = draw(st.sampled_from({
-        "non-numeric pose": NON_NUMERIC, "non-numeric P": NON_NUMERIC,
-        "non-finite pose": NON_FINITE, "non-finite P": NON_FINITE,
-        # the scene has 12 points, 0 to 11
-        "index out of range": [b"-1", b"12", b"13", b"9223372036854775808",
-                               b"-18446744073709551616"],
-        "index not integer": NOT_INTEGER,
-        "unknown tag": UNKNOWN_TAGS}.get(defect, [b""])))
-    spec = (defect, draw(st.integers(0, 20)), draw(st.integers(0, 20)),
-            token, draw(st.integers(0, 9)))
-    kind = draw(KINDS)
+# defect -> the bad fields it draws from; every other defect takes b""
+TOKENS = {"non-numeric pose": NON_NUMERIC, "non-numeric P": NON_NUMERIC,
+          "non-finite pose": NON_FINITE, "non-finite P": NON_FINITE,
+          # the scene has 12 points, 0 to 11
+          "index out of range": [b"-1", b"12", b"13", b"9223372036854775808",
+                                 b"-18446744073709551616"],
+          "index not integer": NOT_INTEGER,
+          "unknown tag": UNKNOWN_TAGS}
+
+
+def _readers(kind):
+    """The argv of each command that reads the files, with {poses},
+    {points}, {est} and {out} fields to fill."""
     scene = ["--poses", "{poses}", "--points", "{points}"]
-    argv = draw(st.sampled_from([
+    return [argv + ["--out", "{out}"] for argv in [
         ["optimize", *scene, "--loss", kind, "--epochs=1"],
         ["gradcheck", *scene, "--loss", kind, "--samples=1"],
         ["landscape", *scene, "--axis", "tz", "--range=-1:1", "--steps=2",
@@ -258,13 +263,39 @@ def malformed_runs(draw):
         ["eval", "--gt-poses", "{poses}", "--est-poses", "{est}",
          "--points", "{points}"],
         ["eval", "--gt-poses", "{est}", "--est-poses", "{poses}",
-         "--points", "{points}"]]))
-    return argv + ["--out", "{out}"], spec
+         "--points", "{points}"]]]
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv of a command that reads the files, and the arguments of
+    _corrupt after its lines)."""
+    defect = draw(st.sampled_from(sorted(DEFECTS)))
+    token = draw(st.sampled_from(TOKENS.get(defect, [b""])))
+    spec = (defect, draw(st.integers(0, 20)), draw(st.integers(0, 20)),
+            token, draw(st.integers(0, 9)))
+    return draw(st.sampled_from(_readers(draw(KINDS)))), spec
+
+
+def _every_defect_and_reader(test):
+    """test with one explicit example per defect and command that reads
+    the files, so that every pair runs in every run of the suite: the k-th
+    pair takes line and field k, the k-th token, the count k % 10 and the
+    loss kind of its defect's index."""
+    defects, n = sorted(DEFECTS), len(_readers(""))
+    for k in range(len(defects) * n):
+        defect = defects[k // n]
+        tokens = TOKENS.get(defect, [b""])
+        argv = _readers(LOSS_KINDS[k // n % len(LOSS_KINDS)])[k % n]
+        test = example(run=(argv, (defect, k, k, tokens[k % len(tokens)],
+                                   k % 10)))(test)
+    return test
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=malformed_runs())
+@_every_defect_and_reader
 @example(run=(["gradcheck", "--poses", "{poses}", "--points", "{points}",
                "--loss", "posenet", "--samples=1", "--out", "{out}"],
               ("overflowing quaternion", 0, 1, b"", 0)))

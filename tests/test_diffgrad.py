@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_pose, perturbed, random_pose
+from conftest import identity_pose, perturbed, pose, random_pose
 from oracles import finite_diff_grad_loop, reference_grad
 from homoloss.diffgrad import (
     LOSS_KINDS,
@@ -21,7 +21,6 @@ from homoloss import dual, losses
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
-    Pose,
     quat_from_axis_angle,
     quat_multiply,
     quat_to_rotmat,
@@ -37,13 +36,13 @@ def make_ctx(rng):
     from homoloss.geometry import quat_to_rotmat
 
     # points in front of the gt camera at depths 2..6
-    R = quat_to_rotmat(gt.q)
+    R = quat_to_rotmat(gt[3:])
     cam = np.column_stack([
         rng.uniform(-1, 1, 12),
         rng.uniform(-1, 1, 12),
         rng.uniform(2.0, 6.0, 12),
     ])
-    pts = cam @ R.T + gt.t
+    pts = cam @ R.T + gt[:3]
     return LossContext(
         gt=gt, points=pts, intrinsics=K, slab=SlabParams(2.0, 6.0)
     )
@@ -103,14 +102,14 @@ class TestEvaluateWithGrad:
         gt = identity_pose()
         ctx = LossContext(gt=gt, intrinsics=K, slab=SlabParams(2.0, 6.0),
                           points=points_before(gt, np.random.default_rng(4)))
-        params = params_for(kind, Pose(np.zeros(3), [w, 0.0, 0.0, 0.0]), ctx)
+        params = params_for(kind, pose(np.zeros(3), [w, 0.0, 0.0, 0.0]), ctx)
         val, _ = evaluate_with_grad(kind, params, ctx)
         assert val == loss_value(kind, params, ctx)
 
     def test_posenet_translation_direction(self):
         # d|t_hat - t|/dt_hat is the unit vector toward the estimate.
         gt = identity_pose()
-        est = Pose([3.0, 4.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([3.0, 4.0, 0.0], [1.0, 0.0, 0.0, 0.0])
         ctx = LossContext(gt=gt)
         _, g = evaluate_with_grad("posenet", params_for("posenet", est, ctx),
                                   ctx)
@@ -123,16 +122,16 @@ class TestEvaluateWithGrad:
         # stationary point, not merely a small-gradient one.
         from homoloss.geometry import quat_to_rotmat
 
-        gt = Pose([1.5, -0.25, 2.0], [0.5, 0.5, 0.5, 0.5])
+        gt = pose([1.5, -0.25, 2.0], [0.5, 0.5, 0.5, 0.5])
         rng = np.random.default_rng(2)
-        R = quat_to_rotmat(gt.q)
+        R = quat_to_rotmat(gt[3:])
         cam = np.column_stack([
             rng.uniform(-1, 1, 12),
             rng.uniform(-1, 1, 12),
             rng.uniform(2.0, 6.0, 12),
         ])
         ctx = LossContext(
-            gt=gt, points=cam @ R.T + gt.t, intrinsics=K,
+            gt=gt, points=cam @ R.T + gt[:3], intrinsics=K,
             slab=SlabParams(2.0, 6.0),
         )
         _, g = evaluate_with_grad(kind, params_for(kind, gt, ctx), ctx)
@@ -152,10 +151,10 @@ class TestEvaluateWithGrad:
         # front of the gt camera.
         from homoloss.geometry import quat_to_rotmat
 
-        gt = Pose(t, q)
+        gt = pose(t, q)
         cam = np.random.default_rng(5).uniform([-1, -1, 2], [1, 1, 6],
                                                (12, 3))
-        ctx = LossContext(gt=gt, points=cam @ quat_to_rotmat(q).T + gt.t,
+        ctx = LossContext(gt=gt, points=cam @ quat_to_rotmat(q).T + gt[:3],
                           intrinsics=K,
                           slab=SlabParams(x_min, x_min + width))
         val, g = evaluate_with_grad(kind, params_for(kind, gt, ctx), ctx)
@@ -188,7 +187,7 @@ class TestLossValue:
         # one raised IndexError and a 7-entry homoscedastic one took s_t/s_q
         # from ctx.hyper.
         ctx = make_ctx(np.random.default_rng(2))
-        params = np.r_[ctx.gt.params(), 0.0, -3.0][:n]
+        params = np.r_[ctx.gt, 0.0, -3.0][:n]
         with pytest.raises(InvalidInputError, match=f"got \\({n},\\)"):
             loss_value(kind, params, ctx)
 
@@ -219,7 +218,7 @@ def assert_matches_reference(kind, params, ctx):
 def points_before(gt, rng, n=12):
     """n world points at depths 2..6 in front of the gt camera."""
     cam = rng.uniform([-1, -1, 2], [1, 1, 6], (n, 3))
-    return cam @ quat_to_rotmat(gt.q).T + gt.t
+    return cam @ quat_to_rotmat(gt[3:]).T + gt[:3]
 
 
 class TestDiffScalarParity:
@@ -243,12 +242,12 @@ class TestDiffScalarParity:
         rng = np.random.default_rng(seed)
         gt = random_pose(rng, scale=1.0)
         if not unit_gt:
-            gt = Pose(gt.t, gt.q * rng.uniform(0.5, 2.0))
+            gt = pose(gt[:3], gt[3:] * rng.uniform(0.5, 2.0))
         est = perturbed(gt, rng, max_t=max_t, max_deg=max_deg)
         if not unit_est:
-            est = Pose(est.t, est.q * rng.uniform(0.5, 2.0))
+            est = pose(est[:3], est[3:] * rng.uniform(0.5, 2.0))
         if flip_est:  # the other quaternion of the same rotation
-            est = Pose(est.t, -est.q)
+            est = pose(est[:3], -est[3:])
         ctx = LossContext(
             gt=gt,
             hyper=LossHyperParams(beta=beta, s_t=s_t, s_q=s_q,
@@ -291,7 +290,7 @@ class TestDiffScalarParity:
     def test_maxerror_zero_quaternion_and_clamped_dot(self, q_est):
         # q = 0 leaves only translation and regularizer; |dot| >= 1 clamps
         # the angle at 0.
-        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
+        ctx = self.ctx(pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
         params = np.array([0.7, -1.2, 2.1, *q_est])
         assert_matches_reference("maxerror", params, ctx)
 
@@ -318,7 +317,7 @@ class TestDiffScalarParity:
         # dq = qg - q/|q| and dt have components that are exactly 0; where
         # q and qg are 0 too, their gradient entries are the L1 subgradient
         # 0, as in the DiffScalar form.
-        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
+        ctx = self.ctx(pose([0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]))
         for params, zeros in (
                 ([0.5, -0.8, 2.0, 1.0, 0.5, 0.0, 0.0, 0.3, -2.0],
                  [0, 2, 5, 6]),
@@ -331,14 +330,14 @@ class TestDiffScalarParity:
                 [0.0] * len(zeros)
 
     def test_posenet_zero_translation_error(self):
-        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
+        ctx = self.ctx(pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
         params = np.array([0.5, -1.0, 2.0, 0.6, 0.5, 0.4, 0.5])
         assert_matches_reference("posenet", params, ctx)
 
     @pytest.mark.parametrize("kind", [k for k in LOSS_KINDS
                                       if k != "geometric"])
     def test_at_gt(self, kind):
-        ctx = self.ctx(Pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
+        ctx = self.ctx(pose([0.5, -1.0, 2.0], [0.5, 0.5, 0.5, 0.5]))
         assert_matches_reference(kind, params_for(kind, ctx.gt, ctx), ctx)
 
 
@@ -350,22 +349,22 @@ def value_path_case(rng, case, points_kind, max_deg):
                             quat_reg_weight=rng.uniform(0.0, 10.0))
     gt = random_pose(rng, scale=1.0)
     if rng.random() < 0.5:
-        gt = Pose(gt.t, gt.q * rng.uniform(0.5, 2.0))
+        gt = pose(gt[:3], gt[3:] * rng.uniform(0.5, 2.0))
     est = perturbed(gt, rng, max_t=rng.choice([1e-6, 0.3, 2.0]),
                     max_deg=max_deg)
     if case == "non-unit":
-        est = Pose(est.t, est.q * rng.choice([-1.0, 1.0])
+        est = pose(est[:3], est[3:] * rng.choice([-1.0, 1.0])
                    * rng.uniform(0.5, 2.0))
     elif case == "gt":
         est = gt
     elif case == "zero q":
-        est = Pose(est.t, np.zeros(4))
+        est = pose(est[:3], np.zeros(4))
     elif case == "clamped":
         # A gt q with one non-zero entry normalizes exactly, so any estimate
         # q along it has |dot| = 1: maxerror's clamped angle.
         axis = np.eye(4)[rng.integers(4)]
-        gt = Pose(gt.t, axis * rng.uniform(-2.0, 2.0))
-        est = Pose(est.t, axis * rng.uniform(-2.0, 2.0))
+        gt = pose(gt[:3], axis * rng.uniform(-2.0, 2.0))
+        est = pose(est[:3], axis * rng.uniform(-2.0, 2.0))
     elif case == "tie":
         # The translation error in cm equal to maxerror's angle, bit for
         # bit, where a draw of 20 angles finds such an x offset.
@@ -382,16 +381,16 @@ def value_path_case(rng, case, points_kind, max_deg):
                     if x * 100.0 == angle]
             if ties:
                 break
-        est = Pose([ties[0] if ties else angle / 100.0, 0.0, 0.0], q)
-    R = quat_to_rotmat(gt.q)
+        est = pose([ties[0] if ties else angle / 100.0, 0.0, 0.0], q)
+    R = quat_to_rotmat(gt[3:])
     cam = rng.uniform([-1, -1, 2], [1, 1, 6], (12, 3))
     if points_kind == "behind":  # both sides of the gt camera
         cam[::2, 2] *= -1.0
-    points = cam @ R.T + gt.t
+    points = cam @ R.T + gt[:3]
     if points_kind == "on est plane":  # at the estimate's centre: depth 0
-        points[0] = est.t
+        points[0] = est[:3]
     elif points_kind == "at gt depth 0":
-        points[0] = gt.t
+        points[0] = gt[:3]
     elif points_kind == "none":
         points = points[:0]
     return gt, est, hyper, points
@@ -542,14 +541,15 @@ class TestQuaternionInvariance:
         rng = np.random.default_rng(seed)
         gt = random_pose(rng, scale=1.0)
         if not unit_gt:
-            gt = Pose(gt.t, gt.q * rng.uniform(0.5, 2.0))
+            gt = pose(gt[:3], gt[3:] * rng.uniform(0.5, 2.0))
         # At least 5 degrees and 5 cm from the gt, so that rounding in the
         # scaled q stays far below 1e-13 of the loss.
         step = rng.normal(size=3)
         dq = quat_from_axis_angle(rng.normal(size=3),
                                   np.radians(rng.uniform(5.0, 60.0)))
-        est = Pose(gt.t + step / np.linalg.norm(step) * rng.uniform(0.05, 1.0),
-                   quat_multiply(gt.q, dq))
+        est = pose(
+            gt[:3] + step / np.linalg.norm(step) * rng.uniform(0.05, 1.0),
+            quat_multiply(gt[3:], dq))
         x_min = rng.uniform(0.1, 10.0)
         ctx = LossContext(
             gt=gt,
@@ -586,7 +586,7 @@ class TestFiniteDiff:
         # Halving the step shrinks the central-difference error ~4x.
         rng = np.random.default_rng(3)
         ctx = make_ctx(rng)
-        est = perturbed(ctx.gt, rng, max_t=0.2, max_deg=8.0).params()
+        est = perturbed(ctx.gt, rng, max_t=0.2, max_deg=8.0)
         _, exact = evaluate_with_grad("homography_local", est, ctx)
         errs = []
         for step in (1e-3, 5e-4, 2.5e-4):
@@ -597,7 +597,7 @@ class TestFiniteDiff:
 
     def test_nonpositive_step_rejected(self):
         ctx = LossContext(gt=identity_pose())
-        est = identity_pose().params()
+        est = identity_pose()
         with pytest.raises(InvalidInputError):
             finite_diff_grad("posenet", est, ctx, step=0.0)
         with pytest.raises(InvalidInputError, match="step must be positive"):
@@ -628,7 +628,7 @@ class TestFiniteDiff:
 
         monkeypatch.setattr(losses, "_posenet_core", broken)
         with pytest.raises(TwoArgError) as info:
-            finite_diff_grad("posenet", identity_pose().params(),
+            finite_diff_grad("posenet", identity_pose(),
                              LossContext(gt=identity_pose()))
         assert info.value is err
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_pose, random_pose, random_unit_quat
+from conftest import identity_pose, pose, random_pose, random_unit_quat
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
-    Pose,
     quat_canonical,
     quat_from_axis_angle,
     quat_normalize,
@@ -17,6 +16,8 @@ from homoloss.geometry import (
     rotmat_elems,
     rotmat_to_quat,
 )
+from homoloss.losses import LossContext
+from homoloss.scene import Frame
 from oracles import (
     InvalidDepthError,
     PointAtInfinity,
@@ -114,7 +115,7 @@ class TestRelativePose:
 
     def test_pure_translation_sign(self):
         gt = identity_pose()
-        est = Pose([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
         rel = relative_pose(gt, est)
         np.testing.assert_allclose(rel.R, np.eye(3))
         np.testing.assert_allclose(rel.t, [0.0, 0.0, -1.0])
@@ -126,9 +127,9 @@ class TestRelativePose:
             est = random_pose(rng)
             rel = relative_pose(gt, est)
             back = apply_relative(est, rel)
-            np.testing.assert_allclose(back.t, gt.t, atol=1e-12)
+            np.testing.assert_allclose(back[:3], gt[:3], atol=1e-12)
             np.testing.assert_allclose(
-                quat_to_rotmat(back.q), quat_to_rotmat(gt.q), atol=1e-12
+                quat_to_rotmat(back[3:]), quat_to_rotmat(gt[3:]), atol=1e-12
             )
 
     def test_recovers_delta(self):
@@ -144,7 +145,7 @@ class TestRelativePose:
             np.testing.assert_allclose(rel.t, delta.t, atol=1e-12)
 
     def test_zero_quaternion_rejected(self):
-        bad = Pose([0, 0, 0], [0, 0, 0, 0])
+        bad = pose([0, 0, 0], [0, 0, 0, 0])
         with pytest.raises(InvalidInputError):
             relative_pose(bad, identity_pose())
 
@@ -175,10 +176,10 @@ class TestProject:
         n = np.array([0.0, 0.0, -1.0])
         for _ in range(100):
             gt = random_pose(rng, scale=1.0)
-            est = Pose(
-                gt.t + rng.normal(size=3) * 0.3,
+            est = pose(
+                gt[:3] + rng.normal(size=3) * 0.3,
                 quat_multiply(
-                    gt.q,
+                    gt[3:],
                     quat_from_axis_angle(rng.normal(size=3),
                                          rng.uniform(-0.3, 0.3)),
                 ),
@@ -186,11 +187,11 @@ class TestProject:
             x = rng.uniform(1.0, 5.0)
             rel = relative_pose(gt, est)
             H = homography(rel, n, x).H
-            R_gt = quat_to_rotmat(gt.q)
+            R_gt = quat_to_rotmat(gt[3:])
             for _ in range(5):
                 # world point on the plane z = x of the gt camera
                 Xc = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), x])
-                P = R_gt @ Xc + gt.t
+                P = R_gt @ Xc + gt[:3]
                 p_gt, _ = project(gt, K, P)
                 p_est, _ = project(est, K, P)
                 mapped = H @ np.array([p_gt[0], p_gt[1], 1.0])
@@ -349,9 +350,9 @@ def test_rotmat_quat_round_trip():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: Pose([0.0, 0.0], [1.0, 0.0, 0.0, 0.0]), "3-vector t"),
-    (lambda: Pose(np.zeros((1, 3)), [1.0, 0.0, 0.0, 0.0]), "3-vector t"),
-    (lambda: Pose(np.zeros(3), [1.0, 0.0, 0.0]), "4-vector q"),
+    (lambda: Frame("f", [0.0] * 6, ()), "pose needs 7 values"),
+    (lambda: LossContext(gt=np.zeros((1, 7))), "pose needs 7 values"),
+    (lambda: LossContext(gt=np.zeros(6)), "pose needs 7 values"),
     (lambda: quat_from_axis_angle([0.0, 0.0, 0.0], 0.5),
      "zero-norm rotation axis"),
 ], ids=["short-t", "row-t", "short-q", "zero-axis"])
@@ -360,13 +361,9 @@ def test_invalid_input_rejected(make, message):
         make()
 
 
-def test_pose_equality_is_identity():
-    # Comparing numpy fields would be ambiguous, so == is identity and a
-    # pose stays hashable.
-    def make():
-        return Pose([0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0])
-    p = make()
-    assert p == p
-    assert not p == make()
-    assert p != make()
-    assert len({p, make()}) == 2
+def test_stored_pose_rows_are_read_only_copies():
+    row = np.arange(7.0)
+    for stored in (Frame("f", row, ()).gt_pose, LossContext(gt=row).gt):
+        assert stored is not row and stored.tolist() == row.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0

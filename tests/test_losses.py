@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import identity_pose, perturbed, random_pose, random_rotation
+from conftest import identity_pose, perturbed, pose, random_pose, \
+    random_rotation
 from homoloss import losses
 from homoloss.diffgrad import (
     REL_ERR_FLOOR,
@@ -17,7 +18,6 @@ from homoloss.diffgrad import (
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
-    Pose,
     quat_from_axis_angle,
     quat_to_rotmat,
     rotmat_elems,
@@ -93,12 +93,12 @@ class TestPoseNetLoss:
     def test_arithmetic(self):
         # |dt| = 1, |dq| = 0.01, beta = 500 -> 6
         gt = identity_pose()
-        est = Pose([1.0, 0.0, 0.0], [1.01, 0.0, 0.0, 0.0])
+        est = pose([1.0, 0.0, 0.0], [1.01, 0.0, 0.0, 0.0])
         assert loss("posenet", est, gt, beta=500.0) == pytest.approx(6.0)
 
     def test_gt_quaternion_normalized_est_raw(self):
-        gt = Pose([0, 0, 0], [2.0, 0.0, 0.0, 0.0])  # non-unit gt
-        est = Pose([0, 0, 0], [2.0, 0.0, 0.0, 0.0])  # same raw values
+        gt = pose([0, 0, 0], [2.0, 0.0, 0.0, 0.0])  # non-unit gt
+        est = pose([0, 0, 0], [2.0, 0.0, 0.0, 0.0])  # same raw values
         # gt is normalized to (1,0,0,0); est stays raw -> |dq| = 1
         assert loss("posenet", est, gt, beta=10.0) == pytest.approx(10.0)
 
@@ -117,12 +117,12 @@ class TestHomoscedasticLoss:
 
     def test_l1_translation(self):
         gt = identity_pose()
-        est = Pose([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0])
         assert loss("homoscedastic", est, gt, s_t=0.0, s_q=0.0) == \
             pytest.approx(6.0)
 
     def test_zero_quaternion_rejected(self):
-        est = Pose([0, 0, 0], [0, 0, 0, 0])
+        est = pose([0, 0, 0], [0, 0, 0, 0])
         with pytest.raises(InvalidInputError):
             loss("homoscedastic", est, identity_pose(), s_t=0.0, s_q=0.0)
 
@@ -139,7 +139,7 @@ class TestGeometricLoss:
     def test_single_point_l1(self):
         gt = identity_pose()
         # point at depth 1 on axis; shift est left so pixel moves by (3, 4)
-        est = Pose([-0.03, -0.04, 0.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([-0.03, -0.04, 0.0], [1.0, 0.0, 0.0, 0.0])
         pts = np.array([[0.0, 0.0, 1.0]])
         val = loss("geometric", est, gt, pts, self.K, reproj_clip=100.0)
         assert val == pytest.approx(7.0)
@@ -148,7 +148,7 @@ class TestGeometricLoss:
         rng = np.random.default_rng(4)
         gt = identity_pose()
         pts = rng.uniform(-0.5, 0.5, size=(20, 3)) + [0, 0, 4.0]
-        est = Pose([0, 0, 0], quat_from_axis_angle([0, 1, 0], math.pi))
+        est = pose([0, 0, 0], quat_from_axis_angle([0, 1, 0], math.pi))
         val = loss("geometric", est, gt, pts, self.K, reproj_clip=50.0)
         assert val <= 50.0
 
@@ -187,7 +187,7 @@ class TestGeometricLoss:
             frame = scene.frames[int(rng.integers(len(scene.frames)))]
             ctx = frame_context(scene, frame, "geometric", hyper)
             est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
-            val, grad = evaluate_with_grad("geometric", est.params(), ctx)
+            val, grad = evaluate_with_grad("geometric", est, ctx)
             ref_val, ref_grad = geometric_loop(est, frame.gt_pose,
                                                ctx.points, ctx.intrinsics,
                                                clip)
@@ -203,7 +203,7 @@ class TestGeometricLoss:
         frame = scene.frames[0]
         ctx = frame_context(scene, frame, "geometric", LossHyperParams())
         rng = np.random.default_rng(5)
-        evaluate_with_grad("geometric", frame.gt_pose.params(), ctx)
+        evaluate_with_grad("geometric", frame.gt_pose, ctx)
         calls = []
 
         def spy(q):
@@ -212,20 +212,20 @@ class TestGeometricLoss:
         monkeypatch.setattr(losses, "rotmat_elems", spy)
         for n in range(1, 4):
             est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
-            evaluate_with_grad("geometric", est.params(), ctx)
+            evaluate_with_grad("geometric", est, ctx)
             assert len(calls) == n
 
 
 class TestMaxErrorLoss:
     def test_zero_at_gt(self):
         # Exactly-unit quaternion so the norm regularizer is exactly zero.
-        p = Pose([1.5, -2.0, 0.25], [0.5, 0.5, 0.5, 0.5])
+        p = pose([1.5, -2.0, 0.25], [0.5, 0.5, 0.5, 0.5])
         assert loss("maxerror", p, p, quat_reg_weight=1.0) == 0.0
 
     def test_translation_branch(self):
         # 3 degrees vs 250 cm -> 250
         gt = identity_pose()
-        est = Pose([2.5, 0, 0], quat_from_axis_angle([0, 0, 1],
+        est = pose([2.5, 0, 0], quat_from_axis_angle([0, 0, 1],
                                                      math.radians(3.0)))
         assert loss("maxerror", est, gt, quat_reg_weight=1.0) == \
             pytest.approx(250.0)
@@ -233,14 +233,14 @@ class TestMaxErrorLoss:
     def test_rotation_branch(self):
         # 10 degrees vs 5 cm -> 10
         gt = identity_pose()
-        est = Pose([0.05, 0, 0], quat_from_axis_angle([0, 0, 1],
+        est = pose([0.05, 0, 0], quat_from_axis_angle([0, 0, 1],
                                                       math.radians(10.0)))
         assert loss("maxerror", est, gt, quat_reg_weight=1.0) == \
             pytest.approx(10.0)
 
     def test_null_quaternion_hits_regularizer(self):
         gt = identity_pose()
-        est = Pose([0, 0, 0], [0.0, 0.0, 0.0, 0.0])
+        est = pose([0, 0, 0], [0.0, 0.0, 0.0, 0.0])
         assert loss("maxerror", est, gt, quat_reg_weight=2.0) == \
             pytest.approx(2.0)
 
@@ -443,9 +443,9 @@ class TestHomographyKernel:
     zeros = st.tuples(*[st.sampled_from([None, 0.0, -0.0])] * 4)
 
     @staticmethod
-    def with_zeros(pose, zeros):
-        q = [c if z is None else z for c, z in zip(pose.q.tolist(), zeros)]
-        return Pose(pose.t, q if any(q) else pose.q)
+    def with_zeros(row, zeros):
+        q = [c if z is None else z for c, z in zip(row[3:].tolist(), zeros)]
+        return pose(row[:3], q if any(q) else row[3:])
 
     @settings(deadline=None, max_examples=1000)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -462,26 +462,26 @@ class TestHomographyKernel:
         rng = np.random.default_rng(seed)
         gt = self.with_zeros(random_pose(rng, scale=1.0), gt_zeros)
         if zero_t:  # exact zeros in gt t, and in t_est where est == gt
-            gt = Pose(np.where(rng.random(3) < 0.5, 0.0, gt.t), gt.q)
+            gt = pose(np.where(rng.random(3) < 0.5, 0.0, gt[:3]), gt[3:])
         if gt_kind == "non-unit":
-            gt = Pose(gt.t, gt.q * rng.uniform(0.2, 5.0))
+            gt = pose(gt[:3], gt[3:] * rng.uniform(0.2, 5.0))
         est = self.with_zeros(
             perturbed(gt, rng, max_t=max_t, max_deg=max_deg), est_zeros)
         if case == "gt":
             est = gt
         elif case == "-gt":
-            est = Pose(gt.t, -gt.q)
+            est = pose(gt[:3], -gt[3:])
         elif case == "sign-flipped":
-            est = Pose(est.t, -est.q)
+            est = pose(est[:3], -est[3:])
         elif case == "non-unit":
-            est = Pose(est.t, est.q * rng.choice([-1.0, 1.0])
+            est = pose(est[:3], est[3:] * rng.choice([-1.0, 1.0])
                        * rng.uniform(0.2, 5.0))
         elif case == "zero q":
-            est = Pose(est.t, np.zeros(4))
+            est = pose(est[:3], np.zeros(4))
         elif case == "turned":  # d = 0, so that the sign of a zero m shows
-            est = Pose(gt.t, est.q)
+            est = pose(gt[:3], est[3:])
         slab = SlabParams(x_min, x_min + width)
-        t, q = est.t.tolist(), est.q.tolist()
+        t, q = est[:3].tolist(), est[3:].tolist()
         ctx = LossContext(gt=gt, slab=slab)
         for grad in (False, True):
             try:
@@ -526,20 +526,20 @@ class TestHomographyKernel:
         rng = np.random.default_rng(seed)
         gt = random_pose(rng, scale=1.0)
         if gt_kind == "non-unit":
-            gt = Pose(gt.t, gt.q * rng.uniform(0.2, 5.0))
+            gt = pose(gt[:3], gt[3:] * rng.uniform(0.2, 5.0))
         est = perturbed(gt, rng, max_t=max_t, max_deg=max_deg)
         if case == "gt":
             est = gt
         elif case == "-gt":
-            est = Pose(gt.t, -gt.q)
+            est = pose(gt[:3], -gt[3:])
         elif case == "sign-flipped":
-            est = Pose(est.t, -est.q)
+            est = pose(est[:3], -est[3:])
         elif case == "non-unit":
-            est = Pose(est.t, est.q * rng.uniform(0.2, 5.0))
+            est = pose(est[:3], est[3:] * rng.uniform(0.2, 5.0))
         elif case == "turned":
-            est = Pose(gt.t, est.q)
+            est = pose(gt[:3], est[3:])
         ctx = LossContext(gt=gt, slab=SlabParams(x_min, x_min + width))
-        p = est.t.tolist() + est.q.tolist()
+        p = est[:3].tolist() + est[3:].tolist()
         _, g = losses._homography_core(p, ctx, True)
         n = homography_grad_complex_step(p, ctx)
         size = np.abs(g) + np.abs(n)
@@ -587,27 +587,27 @@ class TestGeometricKernel:
                                          zeros):
         rng = np.random.default_rng(seed)
         frac = 0.2 if zeros else 0.0
-        q_gt = self.with_zeros(rng, random_pose(rng).q, frac)
-        gt = Pose(self.with_zeros(rng, rng.normal(size=3), frac),
+        q_gt = self.with_zeros(rng, random_pose(rng)[3:], frac)
+        gt = pose(self.with_zeros(rng, rng.normal(size=3), frac),
                   q_gt if q_gt.any() else [1.0, 0.0, 0.0, 0.0])
         est = perturbed(gt, rng, max_t=0.3, max_deg=10.0)
-        est = Pose(self.with_zeros(rng, est.t, frac),
-                   self.with_zeros(rng, est.q, frac))
+        est = pose(self.with_zeros(rng, est[:3], frac),
+                   self.with_zeros(rng, est[3:], frac))
         if case == "gt":  # zero residuals: signed zeros in every h row
             est = gt
         elif case == "turned":
-            est = Pose(gt.t, est.q)
+            est = pose(gt[:3], est[3:])
         elif case == "moved":
-            est = Pose(est.t, gt.q)
-        if not est.q.any():
-            est = Pose(est.t, gt.q)
+            est = pose(est[:3], gt[3:])
+        if not est[3:].any():
+            est = pose(est[:3], gt[3:])
         # points in front of the gt camera, some on its optical axis
         cam = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
                                rng.uniform(0.5, 10.0, n)])
         cam[:, :2] = self.with_zeros(rng, cam[:, :2].ravel(), frac) \
             .reshape(n, 2)
-        points = gt.t + cam @ quat_to_rotmat(gt.q).T
-        R_est = quat_to_rotmat(est.q)
+        points = gt[:3] + cam @ quat_to_rotmat(gt[3:]).T
+        R_est = quat_to_rotmat(est[3:])
         for kind in sorted(dead):  # a share of points the kernel drops
             rows = rng.random(n) < rng.uniform(0.0, 0.5)
             cam = rng.uniform(-2.0, 2.0, (rows.sum(), 3))
@@ -616,7 +616,7 @@ class TestGeometricKernel:
             else:  # below DEPTH_EPS in the estimated camera, or near it
                 cam[:, 2] = rng.choice(self.near_zero, len(cam)) \
                     * rng.choice([-1.0, 1.0], len(cam))
-            points[rows] = est.t + cam @ R_est.T
+            points[rows] = est[:3] + cam @ R_est.T
         uv, _ = project_points_2d(est, self.K, points)
         with np.errstate(invalid="ignore"):  # inf - inf at zero depth
             d = np.abs(uv - project_points_2d(gt, self.K, points)[0]) \
@@ -629,7 +629,7 @@ class TestGeometricKernel:
             reproj_clip = float(rng.choice(d))
         ctx = LossContext(gt, LossHyperParams(reproj_clip=reproj_clip),
                           points, self.K)
-        p = est.params().tolist()
+        p = est.tolist()
         for grad in (False, True):
             try:
                 want_val, want_grad = geometric_core_pairs(p, ctx, grad)

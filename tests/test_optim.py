@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_pose, perturbed, pose_rows, random_pose, \
+from conftest import identity_pose, perturbed, pose, random_pose, \
     random_unit_quat
 from homoloss import losses, optim
 from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value, \
@@ -12,7 +12,6 @@ from homoloss.diffgrad import LOSS_KINDS, LossContext, loss_value, \
 from homoloss.geometry import (
     InvalidInputError,
     Intrinsics,
-    Pose,
     project_points,
     quat_from_axis_angle,
     quat_to_rotmat,
@@ -128,7 +127,7 @@ class TestMetrics:
 
     def test_mrd_three_four_five(self):
         scene = self.small_scene()
-        est = Pose([-0.03, -0.04, 0.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([-0.03, -0.04, 0.0], [1.0, 0.0, 0.0, 0.0])
         assert mean_reproj_distance([("f0", est)], scene) == pytest.approx(5.0)
 
     def test_mrd_zero_at_gt(self):
@@ -137,12 +136,12 @@ class TestMetrics:
 
     def test_mrd_clip_saturation(self):
         scene = self.small_scene()
-        est = Pose([-5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([-5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
         assert mean_reproj_distance([("f0", est)], scene, clip=10.0) == 10.0
 
     def test_mrd_monotone_in_clip(self):
         scene = self.small_scene()
-        est = Pose([-5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([-5.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
         vals = [
             mean_reproj_distance([("f0", est)], scene, clip=c)
             for c in (10.0, 100.0, 1000.0)
@@ -152,7 +151,7 @@ class TestMetrics:
     def test_mrd_infinity_counts_clip(self):
         # point lands in the est camera's x-y plane -> depth ~ 0
         scene = self.small_scene()
-        est = Pose([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
+        est = pose([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
         assert mean_reproj_distance([("f0", est)], scene, clip=77.0) == 77.0
 
     def test_mrd_zero_gt_depth_rejected(self):
@@ -193,12 +192,12 @@ class TestMetrics:
                 return rng.choice(n_points, n, replace=False)
             return data.draw(st.lists(index, max_size=2 if tail
                                       else n_points))
-        frames = [Frame(f"f{i}", identity_pose() if i in flat else Pose(
+        frames = [Frame(f"f{i}", identity_pose() if i in flat else pose(
                       rng.normal(size=3), random_unit_quat(rng)), visible(i))
                   for i in range(n_frames)]
         scene = Scene(points=points, frames=frames, intrinsics=K)
-        est = [(f.id, Pose(f.gt_pose.t + rng.normal(size=3) * 0.3,
-                           f.gt_pose.q + rng.normal(size=4) * 0.1))
+        est = [(f.id, pose(f.gt_pose[:3] + rng.normal(size=3) * 0.3,
+                           f.gt_pose[3:] + rng.normal(size=4) * 0.1))
                for f in frames]
 
         view = scene.stacked
@@ -206,8 +205,8 @@ class TestMetrics:
         assert view.counts.tolist() == counts
         assert [b.points.shape[1] for b in view.buckets] == \
             sorted(set(counts) - {0})
-        t = np.array([p.t for _, p in est])
-        q = np.array([p.q for _, p in est])
+        t = np.array([p[:3] for _, p in est])
+        q = np.array([p[3:] for _, p in est])
         slot = {}  # frame index -> its points, gt and estimate projections
         for rows, pts, gt_uv in view.buckets:
             assert rows.tolist() == [i for i, n in enumerate(counts)
@@ -220,7 +219,8 @@ class TestMetrics:
             assert view.zero_gt_depth[i] == np.any(gt_z == 0.0)
             assert np.array_equal(view.depths[i],
                                   frame_depths_loop(scene, f))
-            projections = [project_points(p.t, quat_to_rotmat(p.q), K, pts)]
+            projections = [project_points(p[:3], quat_to_rotmat(p[3:]), K,
+                                          pts)]
             if i in slot:
                 assert np.array_equal(slot[i][0], pts)
                 assert np.array_equal(slot[i][1], gt_uv.T)
@@ -231,7 +231,7 @@ class TestMetrics:
                                       equal_nan=True)
                 assert np.array_equal(one[1], project_points_2d(p, K, pts)[1])
 
-        est = [(fid, Pose(p.t, np.zeros(4)) if i in zero_q else p)
+        est = [(fid, pose(p[:3], np.zeros(4)) if i in zero_q else p)
                for i, (fid, p) in enumerate(est)]
 
         def outcome(metric, pairs):
@@ -256,17 +256,17 @@ class TestMetrics:
         K = Intrinsics(fx=300.0, fy=310.0, cx=320.0, cy=240.0, w=640, h=480)
         points = rng.normal(size=(n_points, 3)) * 3.0
         index = st.integers(0, n_points - 1)
-        frames = [Frame(f"f{i}", Pose(rng.normal(size=3),
+        frames = [Frame(f"f{i}", pose(rng.normal(size=3),
                                       random_unit_quat(rng)),
                         data.draw(st.lists(index, max_size=n_points)))
                   for i in range(n_frames)]
         scene = Scene(points=points, frames=frames, intrinsics=K)
         zero_q = data.draw(st.sets(st.integers(0, n_frames - 1), max_size=2))
-        est = [(f.id, Pose(f.gt_pose.t + rng.normal(size=3) * 0.3,
+        est = [(f.id, pose(f.gt_pose[:3] + rng.normal(size=3) * 0.3,
                            np.zeros(4) if i in zero_q
-                           else f.gt_pose.q + rng.normal(size=4) * 0.1))
+                           else f.gt_pose[3:] + rng.normal(size=4) * 0.1))
                for i, f in enumerate(frames)]
-        rows = np.array([p.params() for _, p in est])
+        rows = np.array([p for _, p in est])
         flat = np.concatenate([rows.ravel(), [0.5, -3.0]])
 
         def outcome(est_poses):
@@ -279,7 +279,7 @@ class TestMetrics:
         assert outcome(flat[:7 * n_frames].reshape(n_frames, 7)) == want
 
     def test_metric_rejects_rows_of_another_shape(self, scene):
-        rows = np.array([f.gt_pose.params() for f in scene.frames])
+        rows = np.array([f.gt_pose for f in scene.frames])
         assert mean_reproj_distance(rows, scene) == 0.0
         for bad in (rows[:-1], np.vstack([rows, rows[:1]]), rows[:, :6],
                     np.hstack([rows, rows[:, :2]]), rows[..., None],
@@ -304,16 +304,16 @@ class TestMetrics:
         if case == "gt":
             est[k] = gt[k]
         elif case == "non-unit":
-            gt = [Pose(p.t, p.q * rng.uniform(0.2, 5.0)) for p in gt]
-            est = [Pose(p.t, -p.q * rng.uniform(0.2, 5.0)) for p in est]
+            gt = [pose(p[:3], p[3:] * rng.uniform(0.2, 5.0)) for p in gt]
+            est = [pose(p[:3], -p[3:] * rng.uniform(0.2, 5.0)) for p in est]
         elif case != "perturbed":
-            est[k] = Pose(est[k].t, np.full(4, math.nan) if case == "nan q"
+            est[k] = pose(est[k][:3], np.full(4, math.nan) if case == "nan q"
                           else np.zeros(4))
         thresholds = [(2.0, 2.0), (math.inf, math.inf)]
         if case != "zero q":
             for e, g in zip(est, gt):
-                dt = float(np.linalg.norm(e.t - g.t))
-                dr = angle_between(e.q, g.q)
+                dt = float(np.linalg.norm(e[:3] - g[:3]))
+                dr = angle_between(e[3:], g[3:])
                 thresholds += [(dt, dr), (np.nextafter(dt, -1.0), dr),
                                (dt, np.nextafter(dr, -1.0))]
 
@@ -323,14 +323,14 @@ class TestMetrics:
             except InvalidInputError as e:
                 return str(e)
         want = outcome(pct_within_loop, est, gt)
-        assert outcome(pct_within, pose_rows(est), pose_rows(gt)) == want
+        assert outcome(pct_within, np.array(est), np.array(gt)) == want
         assert isinstance(want, str) == (case == "zero q")
 
     def test_pct_within_boundary_inclusive(self):
         gt = [identity_pose()]
-        est = [Pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
+        est = [pose([2.0, 0.0, 0.0], quat_from_axis_angle([0, 0, 1],
                                                           math.radians(2.0)))]
-        est, gt = pose_rows(est), pose_rows(gt)
+        est, gt = np.array(est), np.array(gt)
         assert pct_within(est, gt, [(2.0, 2.0)]) == [1.0]
         assert pct_within(est, gt, [(1.999, 2.0)]) == [0.0]
         assert pct_within(est, gt, [(2.0, 1.999)]) == [0.0]
@@ -338,31 +338,31 @@ class TestMetrics:
     def test_pct_within_counts(self):
         gt = [identity_pose()] * 4
         est = [
-            Pose([0.1, 0, 0], [1, 0, 0, 0]),
-            Pose([5.0, 0, 0], [1, 0, 0, 0]),
-            Pose([0, 0, 0], quat_from_axis_angle([1, 0, 0],
+            pose([0.1, 0, 0], [1, 0, 0, 0]),
+            pose([5.0, 0, 0], [1, 0, 0, 0]),
+            pose([0, 0, 0], quat_from_axis_angle([1, 0, 0],
                                                  math.radians(30.0))),
             identity_pose(),
         ]
-        assert pct_within(pose_rows(est), pose_rows(gt), [(1.0, 5.0)]) == \
+        assert pct_within(np.array(est), np.array(gt), [(1.0, 5.0)]) == \
             [0.5]
 
     def test_pct_within_nan_rotation_not_within(self):
-        est = [Pose([0.0, 0.0, 0.0], [math.nan] * 4), identity_pose()]
-        assert pct_within(pose_rows(est), pose_rows([identity_pose()] * 2),
+        est = [pose([0.0, 0.0, 0.0], [math.nan] * 4), identity_pose()]
+        assert pct_within(np.array(est), np.array([identity_pose()] * 2),
                           [(1.0, 180.0)]) == [0.5]
 
     def test_pct_within_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            pct_within(pose_rows([identity_pose()]), pose_rows([]),
+            pct_within(np.array([identity_pose()]), np.zeros((0, 7)),
                        [(1.0, 1.0)])
 
     def test_pct_within_needs_a_pose(self):
         with pytest.raises(InvalidInputError):
-            pct_within(pose_rows([]), pose_rows([]), [(1.0, 1.0)])
+            pct_within(np.zeros((0, 7)), np.zeros((0, 7)), [(1.0, 1.0)])
 
     def test_pct_within_rejects_rows_of_another_shape(self):
-        rows = pose_rows([identity_pose()] * 3)
+        rows = np.array([identity_pose()] * 3)
         for bad in (rows[:, :6], np.hstack([rows, rows[:, :1]]), rows[0],
                     rows[..., None]):
             with pytest.raises(InvalidInputError, match="row"):
@@ -385,22 +385,22 @@ class TestSweeps:
 
     def test_apply_offset_translation(self):
         p = apply_offset(identity_pose(), "tz", 0.5)
-        np.testing.assert_array_equal(p.t, [0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(p[:3], [0.0, 0.0, 0.5])
 
     def test_apply_offset_rotation_degrees(self):
         p = apply_offset(identity_pose(), "roty", 90.0)
-        R = quat_to_rotmat(p.q)
+        R = quat_to_rotmat(p[3:])
         np.testing.assert_allclose(R @ [0, 0, 1], [1, 0, 0], atol=1e-15)
 
     def test_apply_offset_rotation_in_camera_frame(self):
         # Offsets rotate about the camera's own axis: conjugating the base
         # pose must commute with the offset.
-        base = Pose([1.0, 2.0, 3.0], quat_from_axis_angle([1, 1, 0], 0.7))
+        base = pose([1.0, 2.0, 3.0], quat_from_axis_angle([1, 1, 0], 0.7))
         p = apply_offset(base, "rotz", 10.0)
-        expected_R = quat_to_rotmat(base.q) @ quat_to_rotmat(
+        expected_R = quat_to_rotmat(base[3:]) @ quat_to_rotmat(
             quat_from_axis_angle([0, 0, 1], math.radians(10.0))
         )
-        np.testing.assert_allclose(quat_to_rotmat(p.q), expected_R,
+        np.testing.assert_allclose(quat_to_rotmat(p[3:]), expected_R,
                                    atol=1e-14)
 
     def test_apply_offset_unknown_axis(self):
@@ -569,8 +569,8 @@ class TestSweeps:
         base = identity_pose()
         for _ in range(200):
             p = perturb_pose(base, rng, max_t=0.3, max_deg=5.0)
-            assert np.linalg.norm(p.t) <= 0.3
-            assert angle_between(p.q, base.q) <= 5.0 + 1e-9
+            assert np.linalg.norm(p[:3]) <= 0.3
+            assert angle_between(p[3:], base[3:]) <= 5.0 + 1e-9
 
     @pytest.mark.parametrize("max_t, max_deg", [
         (-0.1, 5.0), (0.3, -1.0), (math.nan, 5.0), (0.3, math.nan),
@@ -582,7 +582,7 @@ class TestSweeps:
 
     def test_perturb_pose_zero_bounds_keep_the_pose(self):
         p = perturb_pose(identity_pose(), np.random.default_rng(0), 0.0, 0.0)
-        assert np.all(p.t == 0.0) and angle_between(p.q, [1, 0, 0, 0]) == 0
+        assert np.all(p[:3] == 0.0) and angle_between(p[3:], [1, 0, 0, 0]) == 0
 
 
 class TestEpochBatches:
@@ -615,9 +615,9 @@ class TestOptimizePoses:
         rng = np.random.default_rng(0)
         pts = np.round(rng.uniform(3.0, 5.0, size=(10, 3)) * 4) / 4
         frames = [
-            Frame("f0", Pose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+            Frame("f0", pose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
                   tuple(range(10))),
-            Frame("f1", Pose([0.5, -0.25, 0.0], [0.5, 0.5, 0.5, 0.5]),
+            Frame("f1", pose([0.5, -0.25, 0.0], [0.5, 0.5, 0.5, 0.5]),
                   tuple(range(10))),
         ]
         exact = Scene(points=pts, frames=frames, intrinsics=K)
@@ -628,7 +628,7 @@ class TestOptimizePoses:
                 exact, [f.gt_pose for f in exact.frames], cfg
             )
             np.testing.assert_array_equal(
-                rec.final_params, pose_rows([f.gt_pose for f in exact.frames]))
+                rec.final_params, np.array([f.gt_pose for f in exact.frames]))
 
     def test_reduces_error(self, tiny):
         rng = np.random.default_rng(7)
@@ -728,7 +728,7 @@ class TestOptimizePoses:
             monkeypatch.setattr(losses, name,
                                 lambda *args: called.append(args))
         init = [f.gt_pose for f in scene.frames]
-        init[1] = Pose(init[1].t, np.zeros(4))
+        init[1] = pose(init[1][:3], np.zeros(4))
         slab = {"homography_local": local_slabs,
                 "homography_global": global_slab}.get(kind)
         cfg = OptimConfig(loss_kind=kind, epochs=3, warmstart_epochs=2,
@@ -749,7 +749,7 @@ class TestOptimizePoses:
 
         def spy(t, R, K, points):
             calls.append(next((i for i, f in enumerate(tiny.frames)
-                               if t is f.gt_pose.t), None))
+                               if np.array_equal(t, f.gt_pose[:3])), None))
             return project_points(t, R, K, points)
         monkeypatch.setattr(losses, "project_points", spy)
         rng = np.random.default_rng(4)
@@ -821,7 +821,8 @@ class TestOptimizePoses:
 
     def test_warmstart_errors_come_first(self, tiny, monkeypatch):
         self.warm_failing(monkeypatch,
-                          lambda gt: gt is tiny.frames[0].gt_pose)
+                          lambda gt: np.array_equal(gt,
+                                                    tiny.frames[0].gt_pose))
         cfg = OptimConfig(loss_kind="posenet", epochs=2, warmstart_epochs=3,
                           seed=0)
         rec = optimize_poses(tiny, [f.gt_pose for f in tiny.frames], cfg)
@@ -840,7 +841,7 @@ class TestOptimizePoses:
                    f"epoch 0, 1 steps)" for f in tiny.frames]
         assert rec.errors == skipped + [
             "warm start: epoch 0: aborted, 3/3 frames errored"]
-        assert rec.final_params.tolist() == pose_rows(init).tolist()
+        assert rec.final_params.tolist() == np.array(init).tolist()
 
     @pytest.mark.parametrize("kind, index, value, frame", [
         ("posenet", 7 + 4, 1e200, "f001"),  # finite, but |q|^2 overflows
@@ -879,7 +880,7 @@ class TestOptimizePoses:
         assert rec.aborted and rec.epochs == []
         assert rec.errors == ["warm start: epoch 0: aborted, frame f000: a "
                               "parameter is not finite or |q|^2 overflows"]
-        assert rec.final_params.tolist() == pose_rows(init).tolist()
+        assert rec.final_params.tolist() == np.array(init).tolist()
 
     def test_warmstart_runs_pre_phase(self, tiny):
         rng = np.random.default_rng(9)
@@ -940,7 +941,7 @@ class TestOptimizeOnRows:
         rng = np.random.default_rng(seed)
         init = [perturbed(f.gt_pose, rng, 0.2, 5.0) for f in frames]
         for i in range(n_frames - min(n_zero_q, n_frames), n_frames):
-            init[i] = Pose(init[i].t, np.zeros(4))
+            init[i] = pose(init[i][:3], np.zeros(4))
         slab = {"homography_local": local_slabs,
                 "homography_global": global_slab}.get(kind)
         cfg = OptimConfig(loss_kind=kind, lr=lr, epochs=epochs,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import identity_pose
+from conftest import identity_pose, pose
 from homoloss import scene as scene_module
-from homoloss.geometry import InvalidInputError, Intrinsics, Pose, \
+from homoloss.geometry import InvalidInputError, Intrinsics, \
     quat_to_rotmat
 from homoloss.losses import SlabParams
 from homoloss.scene import (
@@ -184,8 +184,8 @@ class TestDepths:
         assert point_depth(identity_pose(), [1.0, -2.0, 7.5]) == 7.5
 
     def test_point_depth_translated(self):
-        pose = Pose([0.0, 0.0, 3.0], [1.0, 0.0, 0.0, 0.0])
-        assert point_depth(pose, [0.0, 0.0, 7.5]) == 4.5
+        row = pose([0.0, 0.0, 3.0], [1.0, 0.0, 0.0, 0.0])
+        assert point_depth(row, [0.0, 0.0, 7.5]) == 4.5
 
     def test_frame_depths_matches_point_depth(self, scene):
         f = scene.frames[0]
@@ -225,7 +225,7 @@ class TestDepths:
         # One frame sees 5,000 points and 999 see 10: a view padded to the
         # largest count would hold about 240 MB, the buckets under 1 MB.
         rng = np.random.default_rng(5)
-        frames = [Frame(f"f{i}", Pose(rng.normal(size=3), [1.0, 0, 0, 0]),
+        frames = [Frame(f"f{i}", pose(rng.normal(size=3), [1.0, 0, 0, 0]),
                         range(5000) if i == 0 else rng.choice(5000, 10))
                   for i in range(1000)]
         scene = Scene(rng.normal(size=(5000, 3)), frames,
@@ -383,22 +383,22 @@ def points_files(draw):
 class TestParsing:
     def test_pose_round_trip(self):
         poses = [
-            ("a", Pose([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0])),
-            ("b", Pose([-0.125, 0.5, 0.0], [0.5, 0.5, 0.5, 0.5])),
+            ("a", pose([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0])),
+            ("b", pose([-0.125, 0.5, 0.0], [0.5, 0.5, 0.5, 0.5])),
         ]
         buf = io.StringIO()
         write_pose_list(buf, poses)
         back = parse_pose_list(io.StringIO(buf.getvalue()))
         assert [n for n, _ in back] == ["a", "b"]
         for (_, orig), (_, rt) in zip(poses, back):
-            np.testing.assert_array_equal(rt.t, orig.t)
-            np.testing.assert_array_equal(rt.q, orig.q)
+            np.testing.assert_array_equal(rt[:3], orig[:3])
+            np.testing.assert_array_equal(rt[3:], orig[3:])
 
     def test_pose_quat_canonicalized(self):
         text = "f0 0 0 0 -2 0 0 -2\n"
-        [(_, pose)] = parse_pose_list(io.StringIO(text))
+        [(_, row)] = parse_pose_list(io.StringIO(text))
         s = math.sqrt(0.5)
-        np.testing.assert_allclose(pose.q, [s, 0, 0, s])
+        np.testing.assert_allclose(row[3:], [s, 0, 0, s])
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\nf0 0 0 0 1 0 0 0\n   \n# tail\n"
@@ -539,8 +539,8 @@ class TestSynthScene:
         np.testing.assert_array_equal(a.points, b.points)
         for fa, fb in zip(a.frames, b.frames):
             assert fa.id == fb.id
-            np.testing.assert_array_equal(fa.gt_pose.t, fb.gt_pose.t)
-            np.testing.assert_array_equal(fa.gt_pose.q, fb.gt_pose.q)
+            np.testing.assert_array_equal(fa.gt_pose[:3], fb.gt_pose[:3])
+            np.testing.assert_array_equal(fa.gt_pose[3:], fb.gt_pose[3:])
             assert np.array_equal(fa.visible, fb.visible)
 
     def test_seed_changes_scene(self):
@@ -555,9 +555,8 @@ class TestSynthScene:
     def test_visible_points_project_inside_sensor(self, scene):
         K = scene.intrinsics
         for f in scene.frames:
-            pose = f.gt_pose
-            R = quat_to_rotmat(pose.q)
-            cam = (scene.visible_points(f) - pose.t) @ R
+            R = quat_to_rotmat(f.gt_pose[3:])
+            cam = (scene.visible_points(f) - f.gt_pose[:3]) @ R
             assert np.all(cam[:, 2] > 0)
             u = K.fx * cam[:, 0] / cam[:, 2] + K.cx
             v = K.fy * cam[:, 1] / cam[:, 2] + K.cy
@@ -570,8 +569,8 @@ class TestSynthScene:
 
     def test_unit_quaternions(self, scene):
         for f in scene.frames:
-            assert np.linalg.norm(f.gt_pose.q) == pytest.approx(1.0)
-            assert f.gt_pose.q[0] >= 0.0
+            assert np.linalg.norm(f.gt_pose[3:]) == pytest.approx(1.0)
+            assert f.gt_pose[3:][0] >= 0.0
 
     def test_invalid_args(self):
         with pytest.raises(InvalidInputError):
@@ -582,6 +581,27 @@ class TestSynthScene:
             synth_scene(seed=0, depth_range=(5.0, 2.0))
         with pytest.raises(InvalidInputError, match="hi < inf"):
             synth_scene(seed=0, depth_range=(2.0, math.inf))
+
+    @pytest.mark.parametrize("depth_range", [
+        (2.0, 2.4e154), (1.5e-154, 1.6e-154), (2.0, 1e153)])
+    def test_depth_range_within_the_float_bound_generates(self, depth_range,
+                                                           recwarn):
+        scene = synth_scene(seed=0, n_frames=4, depth_range=depth_range)
+        scene.positive_depths
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("depth_range", [
+        (2.0, 2.5e154), (2.0, 1e300), (1.0, 1.7e308),
+        (1.4e-154, 1.45e-154), (1e-160, 3e-160), (1e-300, 2e-300)])
+    def test_depth_range_beyond_the_float_bound_raises_before_any_draw(
+            self, depth_range, monkeypatch, recwarn):
+        # squared camera distances that overflow, or underflow below the
+        # normal floats, made numpy warn and then fail or lose precision
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: pytest.fail("drew from a generator"))
+        with pytest.raises(InvalidInputError, match="^depth_range"):
+            synth_scene(seed=0, depth_range=depth_range)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("seed", [-1, -2**40, np.int64(-3)])
     def test_negative_seed_raises_before_any_draw(self, seed, monkeypatch):
@@ -599,8 +619,7 @@ def assert_same_scene(a, b):
     assert a.points.tobytes() == b.points.tobytes()
     assert [f.id for f in a.frames] == [f.id for f in b.frames]
     for f, g in zip(a.frames, b.frames):
-        for x, y in [(f.gt_pose.t, g.gt_pose.t), (f.gt_pose.q, g.gt_pose.q),
-                     (f.visible, g.visible)]:
+        for x, y in [(f.gt_pose, g.gt_pose), (f.visible, g.visible)]:
             assert x.dtype == y.dtype and x.shape == y.shape
             assert x.tobytes() == y.tobytes(), f.id
 

@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from homoloss import diffgrad, dual
-from homoloss.geometry import Intrinsics, Pose
+from homoloss.geometry import Intrinsics
 from homoloss.losses import LossContext, LossHyperParams, SlabParams
 
 
@@ -57,7 +57,7 @@ def draw_frame(rng):
     else:
         q_gt = q_gt * rng.uniform(0.2, 5.0)
     t_gt = _signed_zeros(rng, rng.normal(size=3) * 2.0, 0.2)
-    gt = Pose(t_gt, q_gt)
+    gt = np.concatenate([t_gt, q_gt])
 
     case = rng.choice(["perturbed", "gt", "-gt", "non-unit", "zeros",
                        "zero q"])
