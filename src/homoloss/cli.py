@@ -271,6 +271,12 @@ def run_landscape(config):
     if axis2:
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, max(config["steps2"], 0))
+    # Each cell's offsets as _write_csv formats a float, formatted once per
+    # axis; the cells in landscape_sweep's order.
+    cells = ["%.17g," % v for v in offsets.tolist()]
+    if axis2:
+        labels2 = ["%.17g," % v for v in offsets2.tolist()]
+        cells = [a + b for a in cells for b in labels2]
     header = "offset,offset2,loss_value" if axis2 else "offset,loss_value"
     files = {}
     for kind in kinds:
@@ -282,7 +288,8 @@ def run_landscape(config):
         if errors:
             print(f"landscape {kind}: {len(errors)} of {len(rows)} cells are "
                   f"NaN: {errors[0]}", file=sys.stderr)
-        files[f"landscape_{kind}.csv"] = (header, rows)
+        files[f"landscape_{kind}.csv"] = header + "\n" + "".join([
+            "%s%.17g\n" % (cell, row[-1]) for cell, row in zip(cells, rows)])
     return files, [f"wrote {len(kinds)} landscape CSV(s) to "
                    f"{config['out']}"], None
 

@@ -22,11 +22,20 @@ class InvalidInputError(ValueError):
 
 
 def pose_row(pose) -> np.ndarray:
-    """A pose as a read-only float (7,) copy (tx, ty, tz, qw, qx, qy, qz);
-    InvalidInputError for any other shape."""
-    row = np.array(pose, dtype=float)
+    """A pose as a read-only float (7,) copy (tx, ty, tz, qw, qx, qy, qz)
+    of 7 real numbers; InvalidInputError for any other shape, for a ragged
+    nesting and for an entry that is no real number (None, a string)."""
+    try:
+        row = np.asarray(pose)
+    except ValueError as e:
+        raise InvalidInputError("pose needs 7 values, got a ragged "
+                                "sequence") from e
+    if row.dtype.kind not in "biuf":  # dtype=float would read None as NaN
+        raise InvalidInputError(f"pose needs 7 real numbers, got "
+                                f"{row.dtype} values")
     if row.shape != (7,):
         raise InvalidInputError(f"pose needs 7 values, got shape {row.shape}")
+    row = row.astype(float)  # a copy, also of a float row
     row.flags.writeable = False
     return row
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import identity_pose, pose
 from homoloss import cli, diffgrad, optim
@@ -1241,6 +1241,76 @@ def test_csv_bytes_equal_the_format_generator(tmp_path_factory, rows):
     with open(path, "rb") as f:
         got = f.read()
     assert got == ("h\n" + "".join(csv_line(r) for r in rows)).encode()
+
+
+@pytest.fixture(scope="module")
+def no_v_line_scene(tmp_path_factory):
+    """--poses/--points of a 3-frame synthetic scene whose first frame has
+    no V line, so that its geometric cells are NaN."""
+    d = tmp_path_factory.mktemp("no_v_line")
+    scene = synth_scene(7, n_points=10, n_frames=3)
+    with open(d / "poses.txt", "w") as f:
+        write_pose_list(f, [(fr.id, fr.gt_pose) for fr in scene.frames])
+    with open(d / "points.txt", "w") as f:
+        write_points(f, scene.points, {fr.id: fr.visible
+                                       for fr in scene.frames[1:]})
+    return ["--poses", str(d / "poses.txt"), "--points", str(d / "points.txt")]
+
+
+sweep_ends = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-12, 1e6, -1e6]))
+
+
+@st.composite
+def sweep_axes(draw):
+    """(--axis, --range, --steps) of 1 or 2 distinct axes, 2 to 6 steps."""
+    names = draw(st.lists(st.sampled_from(optim.SWEEP_AXES), min_size=1,
+                          max_size=2, unique=True))
+    return [(name, f"{draw(sweep_ends)!r}:{draw(sweep_ends)!r}",
+             draw(st.integers(2, 6))) for name in names]
+
+
+@settings(max_examples=150, deadline=None)
+@given(axes=sweep_axes(), files=st.booleans(),
+       kinds=st.lists(st.sampled_from(diffgrad.LOSS_KINDS), min_size=1,
+                      unique=True))
+@example(axes=[("tx", "-0.5:0.5", 3), ("rotz", "-1:-0", 3)], files=True,
+         kinds=["posenet", "geometric", "homography_global"])
+@example(axes=[("roty", "-1:-0", 2)], files=False,
+         kinds=list(diffgrad.LOSS_KINDS))
+def test_landscape_csv_is_the_sweep_rows(tmp_path_factory, no_v_line_scene,
+                                         axes, files, kinds):
+    # Each landscape_<kind>.csv is its header, then csv_line of each row
+    # that landscape_sweep returned, a -0 offset written as -0. A frame
+    # without points has no local slab, so homography_local exits 2 there.
+    assume(not files or "homography_local" not in kinds)
+    out = str(tmp_path_factory.mktemp("landscape") / "o")
+    argv = ["landscape", *(no_v_line_scene if files else ["--synthetic",
+            "--n-frames", "2", "--n-points", "10"]),
+            "--losses", ",".join(kinds), "--out", out]
+    for suffix, (axis, text, steps) in zip(["", "2"], axes):
+        argv += [f"--axis{suffix}", axis, f"--range{suffix}={text}",
+                 f"--steps{suffix}", str(steps)]
+    swept = {}
+
+    def sweep(kind, *args):
+        swept[kind] = optim.landscape_sweep(kind, *args)
+        return swept[kind]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(cli, "landscape_sweep", sweep)
+        assert main(argv) == 0
+    assert list(swept) == kinds
+    header = "offset,offset2,loss_value" if len(axes) == 2 \
+        else "offset,loss_value"
+    for kind, rows in swept.items():
+        assert len(rows) == math.prod(steps for _, _, steps in axes)
+        assert read(os.path.join(out, f"landscape_{kind}.csv")) == \
+            header + "\n" + "".join(csv_line(r) for r in rows)
+    if files and "geometric" in kinds:
+        assert all(math.isnan(r[-1]) for r in swept["geometric"])
+    shutil.rmtree(out)
 
 
 class TestComputeThenWrite:

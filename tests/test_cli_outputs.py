@@ -21,7 +21,7 @@ def test_every_run_exits_as_expected_and_writes_its_manifest(tmp_path,
     out = str(tmp_path / "out")
     assert cli_outputs.main([out]) == 0
     runs = list(cli_outputs.runs())
-    assert len(runs) == 30
+    assert len(runs) == 31
     codes = {name: 2 if name == ABORTS else 0 for name, _ in runs}
     assert capsys.readouterr().out == \
         "".join(f"{name}: exit {codes[name]}\n" for name, _ in runs)

@@ -17,6 +17,7 @@ from homoloss.geometry import (
     rotmat_to_quat,
 )
 from homoloss.losses import LossContext
+from homoloss.optim import perturb_pose
 from homoloss.scene import Frame
 from oracles import (
     InvalidDepthError,
@@ -367,3 +368,52 @@ def test_stored_pose_rows_are_read_only_copies():
         assert stored is not row and stored.tolist() == row.tolist()
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1.0
+
+
+# Each way in: Frame, LossContext and perturb_pose validate with pose_row.
+POSE_TAKERS = {
+    "frame": lambda p: Frame("f", p, ()).gt_pose,
+    "context": lambda p: LossContext(gt=p).gt,
+    "perturb": lambda p: perturb_pose(p, np.random.default_rng(0), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("take", POSE_TAKERS.values(), ids=POSE_TAKERS)
+@pytest.mark.parametrize("bad, message", [
+    ([[0.0] * 3, [1.0] * 4], "got a ragged sequence"),
+    ("abcdefg", "7 real numbers, got <U7 values"),
+    (object(), "7 real numbers, got object values"),
+    ([None] * 7, "7 real numbers, got object values"),
+    ([1.0] * 6 + [None], "7 real numbers, got object values"),
+    (["1"] * 7, "7 real numbers, got <U1 values"),
+    ([1j] * 7, "7 real numbers, got complex128 values"),
+], ids=["ragged", "string", "object", "none", "one-none", "digits",
+        "complex"])
+def test_malformed_pose_rejected(take, bad, message):
+    with pytest.raises(InvalidInputError, match=message):
+        take(bad)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+pose_values = st.one_of(
+    st.lists(finite, min_size=7, max_size=7),
+    st.lists(st.integers(-2**53, 2**53), min_size=7, max_size=7),
+    st.lists(st.one_of(finite, st.integers(-10, 10)), min_size=7,
+             max_size=7),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=pose_values, form=st.sampled_from(["list", "tuple", "array"]))
+def test_valid_pose_forms_keep_their_bits(values, form):
+    given_pose = {"list": list, "tuple": tuple, "array": np.array}[form](
+        values)
+    want = np.array(values, dtype=float)
+    for name in ("frame", "context"):
+        stored = POSE_TAKERS[name](given_pose)
+        assert stored.dtype == np.float64 and stored.shape == (7,)
+        assert stored.tobytes() == want.tobytes()
+        assert not stored.flags.writeable
+    if form == "array":
+        given_pose[0] += 1  # the stored rows are copies
+        assert stored.tobytes() == want.tobytes()

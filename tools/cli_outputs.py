@@ -19,7 +19,8 @@ The set: `optimize` for every loss kind on a synthetic scene (30 epochs)
 and on a pose/point file scene (20 epochs); `gradcheck` for every kind (20
 samples); a geometric `optimize` with a homoscedastic warm start; a
 homography `optimize` on a 64-frame synthetic scene in batches of 16 (5
-epochs); 1-D and 2-D `landscape` over every kind; local `slabs` with
+epochs); 1-D and 2-D `landscape` over every kind, and a posenet and
+geometric 2-D one whose second axis ends at -0; local `slabs` with
 histograms, also on a 32-frame synthetic scene seen by a 320 x 240 sensor
 with a 40 degree field of view, and global `slabs` without and with
 them; `eval` with points; on a file scene whose first frame has no V line, a
@@ -91,6 +92,10 @@ def runs():
         "landscape", "--synthetic", "--losses", kinds, "--axis", "tz",
         "--range=-2:2", "--steps", "21", "--axis2", "rotx",
         "--range2=-20:20", "--steps2", "21"]
+    yield "landscape_2d_signed_zero", [
+        "landscape", "--synthetic", "--losses", "posenet,geometric", "--axis",
+        "tx", "--range=-0.5:0.5", "--steps", "3", "--axis2", "rotz",
+        "--range2=-1:-0", "--steps2", "3"]
     yield "slabs_local_hist", ["slabs", "--synthetic", "--hist"]
     yield "slabs_local_hist_320x240", [
         "slabs", "--synthetic", "--n-frames", "32", "--fov", "40", "--width",
