@@ -185,21 +185,20 @@ def rotmat_to_quat(R):
 # -- projection ------------------------------------------------------------
 
 def project_points(t, R, K: Intrinsics, points):
-    """Pinhole projection of world points (N, 3) under one pose, t (3,) and
-    R (3, 3) = quat_to_rotmat(q), or of (F, N, 3) points under F poses, t
-    (F, 3) and R (F, 3, 3), with the same operations per frame.
+    """Pinhole projection of planar world points (3, N), x, y and z rows,
+    under one pose, t (3,) and R (3, 3) = quat_to_rotmat(q), or of (F, 3, N)
+    points under F poses, t (F, 3) and R (F, 3, 3), with the same operations
+    per frame.
 
     Returns (pixels (..., 2, N) as planar rows, u then v, and signed camera
     depths (..., N)), each row contiguous. Backside points (Z < 0) project
     to a valid pixel with negative depth; points in the camera x-y plane
-    get non-finite or huge pixels, so callers mask by |depth| >= DEPTH_EPS
-    (or by depth > 0).
+    get non-finite or huge pixels, and far points may overflow to infinite
+    ones, so callers mask by |depth| >= DEPTH_EPS (or by depth > 0).
     """
-    cam = (points - t[..., None, :]) @ R
-    # one copy as rows (..., 3, N): a ufunc on the transposed view would
-    # write its output in that view's strided order
-    cam = cam.swapaxes(-1, -2).copy()
+    # R^T (P - t) as (..., 3, N) camera rows, already contiguous
+    cam = R.swapaxes(-1, -2) @ (points - t[..., :, None])
     z = cam[..., 2, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         uv = cam[..., :2, :] * K.focal / z[..., None, :] + K.principal
     return uv, z

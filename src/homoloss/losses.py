@@ -114,17 +114,28 @@ class LossContext:
         return self.gt[:3].tolist(), (q / np.linalg.norm(q)).tolist()
 
     @cached_property
+    def planar_points(self) -> np.ndarray:
+        """The points as (3, N) x, y and z rows, read-only, the layout that
+        project_points takes."""
+        planar = np.asarray(self.points, dtype=float).T.copy()
+        planar.flags.writeable = False
+        return planar
+
+    @cached_property
     def gt_uv(self) -> np.ndarray:
         """The geometric kernel's gt projection of the points, (2, N) u and v
-        rows, non-empty, with intrinsics and at non-zero gt depth."""
+        rows, non-empty, with intrinsics and every gt pixel finite, so no
+        point at zero gt depth."""
         if self.points is None or len(self.points) == 0:
             raise InvalidInputError("geometric loss needs a non-empty point set")
         if self.intrinsics is None:
             raise InvalidInputError("geometric loss needs camera intrinsics")
         uv_gt, z_gt = project_points(self.gt[:3], quat_to_rotmat(self.gt[3:]),
-                                     self.intrinsics, self.points)
-        if np.any(z_gt == 0.0):
-            raise InvalidInputError("a visible point lies at zero gt depth")
+                                     self.intrinsics, self.planar_points)
+        if not np.isfinite(uv_gt).all():
+            raise InvalidInputError(
+                "a visible point lies at zero gt depth" if np.any(z_gt == 0.0)
+                else "a visible point has a non-finite gt pixel")
         return uv_gt
 
     @cached_property
@@ -199,18 +210,20 @@ def _geometric_core(p, ctx: LossContext, grad):
     projection of the points. A point whose estimated depth is below
     DEPTH_EPS, or whose L1 residual d reaches the clip, contributes the clip
     and a zero gradient; sign() gives the zero subgradient at an L1 kink."""
-    uv_gt, points, K = ctx.gt_uv, ctx.points, ctx.intrinsics
+    uv_gt, points, K = ctx.gt_uv, ctx.planar_points, ctx.intrinsics
     clip, q_est = ctx.hyper.reproj_clip, p[3:7]
     rows = rotmat_elems(q_est)
     uv, z = project_points(np.array(p[0:3]), np.array(rows), K, points)
     res = uv - uv_gt
     abs_res = np.abs(res)
     d = abs_res[0] + abs_res[1]
-    live = np.abs(z) >= DEPTH_EPS
-    live &= d < clip
+    near = np.abs(z) >= DEPTH_EPS
     n = len(z)
-    every = np.count_nonzero(live) == n
-    val = float(np.add.reduce(d if every else np.where(live, d, clip))) / n
+    # fmin(d, clip) is where(d < clip, d, clip) for every d, NaN and inf too
+    capped = np.fmin(d, clip)
+    every_near = np.count_nonzero(near) == n
+    val = float(np.add.reduce(
+        capped if every_near else np.where(near, capped, clip))) / n
     if not grad:
         return val, None
 
@@ -222,7 +235,9 @@ def _geometric_core(p, ctx: LossContext, grad):
     # points and divides by n. h holds a, b, c and the three rows of
     # h x (x, y, 1), so that one vecdot and one row sum reduce them all;
     # -R g is then summed in floats, in a fixed order, not by BLAS.
-    if not every:
+    live = near  # in place: the value no longer reads near
+    live &= d < clip
+    if np.count_nonzero(live) != n:
         idx = live.nonzero()[0]
         uv, res, z = uv.take(idx, axis=1), res.take(idx, axis=1), z.take(idx)
     xy = (uv - K.principal) / K.focal

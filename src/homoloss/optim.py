@@ -25,7 +25,8 @@ from .losses import LossContext, LossHyperParams
 from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
-ZERO_GT_DEPTH = "frame {}: a visible point lies at zero gt depth"
+ZERO_GT_DEPTH = ("frame {}: a visible point lies at zero gt depth or has a "
+                 "non-finite gt pixel")
 ZERO_Q = "frame {}: zero-norm quaternion"
 DIVERGED = "frame {}: a parameter is not finite or |q|^2 overflows"
 ADAM_BETA1 = 0.9
@@ -120,7 +121,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
     with ROADMAP item 1. Projections to infinity count as the clip, which must
     be positive. Frames without visible points are skipped;
     InvalidInputError when no frame has one, or naming the first where a
-    visible point lies at zero gt depth or the estimate q has zero norm.
+    visible point has a non-finite gt pixel, as at zero gt depth, or the
+    estimate q has zero norm.
     One projection and one np.add.reduce, np.mean's sum, per visible-count
     bucket of scene.stacked, which give each frame the bits of its own."""
     if not clip > 0:
@@ -299,9 +301,10 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     start, if after its last step a frame reads a parameter that is not
     finite or has a |q|^2 that overflows. A warm start's error lines come
     first, marked as such, and its abort ends the run with the warm-start
-    poses. A scene that the per-epoch metric rejects for a visible point at
-    zero gt depth, or an initial pose with a zero quaternion, raises before
-    the first step and before any warm start.
+    poses. A scene that the per-epoch metric rejects for a visible point
+    with a non-finite gt pixel, as at zero gt depth, or an initial pose with
+    a zero quaternion, raises before the first step and before any warm
+    start.
     """
     frames = scene.frames
     P = np.array(init_poses, dtype=float)  # (F, 7) rows (t, q), a copy

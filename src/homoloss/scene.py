@@ -89,10 +89,11 @@ class Scene:
     @cached_property
     def stacked(self) -> StackedFrames:
         """The frames grouped by visible count, unpadded: per count n > 0 a
-        Bucket of the frames' indices rows (k,), their points (k, n, 3) and
-        gt projections gt_uv (k, 2, n), u and v rows; per frame, counts (F,),
-        zero_gt_depth (F,) a visible point at zero gt depth, and depths, its
-        (n,) gt depths.
+        Bucket of the frames' indices rows (k,), their points (k, 3, n) as
+        x, y and z rows and gt projections gt_uv (k, 2, n), u and v rows; per
+        frame, counts (F,), zero_gt_depth (F,) a visible point with a
+        non-finite gt pixel, as at zero gt depth, and depths, its (n,) gt
+        depths.
         Each product has one frame's shape, so its bits are those of the frame
         alone. Built on first use; the arrays are read-only."""
         counts = np.array([len(f.visible) for f in self.frames])
@@ -103,13 +104,14 @@ class Scene:
         buckets = []
         for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             rows = np.flatnonzero(counts == n)
-            points = self.points[np.stack([self.frames[i].visible
-                                           for i in rows])]
+            gathered = self.points[np.stack([self.frames[i].visible
+                                             for i in rows])]
+            points = gathered.transpose(0, 2, 1).copy()
             R = quat_to_rotmat(q[rows])
-            gt_uv, z = project_points(t[rows], R, self.intrinsics, points)
-            zero[rows] = np.any(z == 0.0, axis=1)
+            gt_uv, _ = project_points(t[rows], R, self.intrinsics, points)
+            zero[rows] = ~np.isfinite(gt_uv).all(axis=(1, 2))
             # not z: the depths keep the bits of (n, 3) @ R[:, 2]
-            d = ((points - t[rows, None, :]) @ R[:, :, 2:3])[..., 0]
+            d = ((gathered - t[rows, None, :]) @ R[:, :, 2:3])[..., 0]
             for i, row in zip(rows.tolist(), d):
                 depths[i] = row
             buckets.append(Bucket(rows, points, gt_uv))
@@ -422,7 +424,7 @@ def synth_scene(seed: int, n_points: int = 60, n_frames: int = 8,
     positions = directions / _norms(directions) \
         * (mid + np.array(offsets) * span)[:, None]
     q = _look_at_origin(positions, rolls)
-    uv, z = project_points(positions, quat_to_rotmat(q), K, points)
+    uv, z = project_points(positions, quat_to_rotmat(q), K, points.T)
     u, v = uv[:, 0], uv[:, 1]
     seen = (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
     counts = seen.sum(axis=1)

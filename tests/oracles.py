@@ -126,7 +126,7 @@ def project(pose, K: Intrinsics, P):
     point lies in the camera x-y plane.
     """
     uv, z = project_points(pose[:3], quat_to_rotmat(pose[3:]), K,
-                           np.asarray(P, dtype=float).reshape(1, 3))
+                           np.asarray(P, dtype=float).reshape(1, 3).T)
     if abs(z[0]) < DEPTH_EPS:
         raise PointAtInfinity(f"point {P} has camera depth {z[0]}")
     return uv[:, 0], float(z[0])
@@ -233,7 +233,7 @@ def geometric_loop(est, gt, points, K: Intrinsics, clip):
     t, q = params[:3], params[3:]
     R = diffscalar.rotmat_elems(q)
     total = 0.0
-    uv_gt = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, points)[0]
+    uv_gt = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, points.T)[0]
     for P, (u0, v0) in zip(points, uv_gt.T):
         d = [P[k] - t[k] for k in range(3)]
         X, Y, Z = [sum(R[k][i] * d[k] for k in range(3)) for i in range(3)]
@@ -360,8 +360,8 @@ def mean_reproj_distance_loop(est_poses, scene,
     estimated projections of the frame's visible points; est_poses holds one
     (frame id, row) per scene frame, in order. Projections to infinity count
     as the clip. Frames without visible points are skipped; InvalidInputError
-    when no frame has one, or naming the first where a visible point lies at
-    zero gt depth or the estimate q is zero."""
+    when no frame has one, or naming the first where a visible point has a
+    non-finite gt pixel, as at zero gt depth, or the estimate q is zero."""
     if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
         raise InvalidInputError("need one estimate per scene frame, in order")
     K = scene.intrinsics
@@ -371,14 +371,12 @@ def mean_reproj_distance_loop(est_poses, scene,
         if len(pts) == 0:
             continue
         gt = frame.gt_pose
-        uv_gt, z_gt = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, pts)
-        if np.any(z_gt == 0.0):
-            raise InvalidInputError(
-                f"frame {frame.id}: a visible point lies at zero gt depth"
-            )
+        uv_gt, _ = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, pts.T)
+        if not np.isfinite(uv_gt).all():
+            raise InvalidInputError(ZERO_GT_DEPTH.format(frame.id))
         if not np.any(est[3:] * est[3:]):
             raise InvalidInputError(f"frame {frame.id}: zero-norm quaternion")
-        uv, z = project_points(est[:3], quat_to_rotmat(est[3:]), K, pts)
+        uv, z = project_points(est[:3], quat_to_rotmat(est[3:]), K, pts.T)
         dist = np.minimum(clip, np.hypot(*(uv - uv_gt)))
         d = np.where(np.abs(z) >= DEPTH_EPS, dist, clip)
         per_frame.append(float(np.mean(d)))
@@ -565,7 +563,7 @@ def synth_scene_loop(seed: int, n_points: int = 60, n_frames: int = 8,
         roll = rng.uniform(-math.pi, math.pi)
         q = look_at(position, np.zeros(3), up=[0.0, 1.0, 0.0], roll_rad=roll)
         pose = np.concatenate([position, q])
-        (u, v), z = project_points(position, quat_to_rotmat(q), K, points)
+        (u, v), z = project_points(position, quat_to_rotmat(q), K, points.T)
         visible = np.flatnonzero(
             (z > 0) & (0.0 <= u) & (u <= K.w) & (0.0 <= v) & (v <= K.h)
         )

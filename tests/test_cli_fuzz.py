@@ -155,6 +155,9 @@ def _files(out):
 @example(invocation=(["slabs", "--synthetic", "--n-frames=3",
                       "--n-points=10", "--depth-min=1e-300",
                       "--depth-max=2e-300"], "out"))
+@example(invocation=(["landscape", "--synthetic", "--losses=geometric",
+                      "--axis=tx", "--range=-1e307:1e307", "--steps=3"],
+                     "out"))
 def test_every_invocation_exits_as_documented(inputs, invocation):
     argv, out_name = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from homoloss.geometry import (
     Intrinsics,
     quat_canonical,
     quat_from_axis_angle,
+    project_points,
     quat_normalize,
     quat_multiply,
     quat_to_rotmat,
@@ -27,6 +29,7 @@ from oracles import (
     apply_relative,
     homography,
     project,
+    project_points_2d,
     relative_pose,
     quat_canonical_one,
     rotmat_elems_expressions,
@@ -198,6 +201,59 @@ class TestProject:
                 mapped = H @ np.array([p_gt[0], p_gt[1], 1.0])
                 mapped = mapped[:2] / mapped[2]
                 np.testing.assert_allclose(mapped, p_est, atol=1e-9)
+
+
+# A rotation: any non-zero quaternion, or one about the optical axis, under
+# which a point t + (a, b, 0) lies at camera depth exactly 0.
+ROTATIONS = st.one_of(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: math.hypot(*q) > 1e-3),
+    st.floats(-math.pi, math.pi).map(
+        lambda a: (math.cos(0.5 * a), 0.0, 0.0, math.sin(0.5 * a))))
+# A coordinate: near the camera, often behind it, or so far that a pixel
+# overflows (500 * 1e307 > 1.8e308).
+COORDS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, 1e307, -1e307]))
+
+
+@st.composite
+def posed_points(draw, n):
+    """A pose row and (n, 3) world points, some at camera depth 0."""
+    t = np.array(draw(st.tuples(*[st.floats(-10.0, 10.0)] * 3)))
+    points = [t + [draw(COORDS), draw(COORDS), 0.0] if draw(st.booleans())
+              else draw(st.tuples(*[COORDS] * 3)) for _ in range(n)]
+    return np.concatenate([t, draw(ROTATIONS)]), np.array(points)
+
+
+class TestPlanarProjection:
+    """project_points on planar (3, N) points, one pose or an (F, 3, N)
+    stack, against the (N, 3) @ (3, 3) form oracles.project_points_2d:
+    pixels transposed and depths, by float.hex, and without a warning."""
+
+    K = Intrinsics(fx=500.0, fy=450.0, cx=320.0, cy=240.0, w=640.0, h=480.0)
+
+    @staticmethod
+    def hexes(a):
+        return [v.hex() for v in np.ravel(a).tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), frames=st.integers(1, 4))
+    def test_equals_the_row_form(self, data, n, frames):
+        drawn = [data.draw(posed_points(n)) for _ in range(frames)]
+        with np.errstate(all="ignore"):  # the oracle's own overflow
+            want = [project_points_2d(p, self.K, pts) for p, pts in drawn]
+        t = np.array([p[:3] for p, _ in drawn])
+        R = np.array([quat_to_rotmat(p[3:]) for p, _ in drawn])
+        planar = np.array([pts.T for _, pts in drawn])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [project_points(t[i], R[i], self.K, planar[i])
+                   for i in range(frames)]
+            uv, z = project_points(t, R, self.K, planar)
+        got += list(zip(uv, z))
+        for (got_uv, got_z), (want_uv, want_z) in zip(got, want + want):
+            assert self.hexes(got_uv) == self.hexes(want_uv.T)
+            assert self.hexes(got_z) == self.hexes(want_z)
 
 
 class TestHomography:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ class TestGeometricLoss:
         with pytest.raises(InvalidInputError, match="zero gt depth"):
             loss("geometric", identity_pose(), identity_pose(), pts, self.K,
                  reproj_clip=80.0)
+
+    @pytest.mark.parametrize("point", [[1.0, 0.0, 1e-310],
+                                       [1e307, 0.0, 1.0]],
+                             ids=["subnormal_depth", "far"])
+    def test_non_finite_gt_pixel_rejected_without_a_warning(self, point):
+        # A visible point at non-zero gt depth whose gt pixel overflows has
+        # no gt pixel either, and is rejected like one at zero gt depth.
+        pts = np.array([[0.0, 0.0, 1.0], point])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError,
+                               match="^a visible point has a non-finite gt "
+                                     "pixel$"):
+                loss("geometric", identity_pose(), identity_pose(), pts,
+                     self.K, reproj_clip=80.0)
 
     def test_unclipped_infinity_is_nonfinite(self):
         gt = identity_pose()

@@ -203,14 +203,14 @@ class TestMetrics:
         view = scene.stacked
         counts = [len(f.visible) for f in frames]
         assert view.counts.tolist() == counts
-        assert [b.points.shape[1] for b in view.buckets] == \
+        assert [b.points.shape[2] for b in view.buckets] == \
             sorted(set(counts) - {0})
         t = np.array([p[:3] for _, p in est])
         q = np.array([p[3:] for _, p in est])
         slot = {}  # frame index -> its points, gt and estimate projections
         for rows, pts, gt_uv in view.buckets:
             assert rows.tolist() == [i for i, n in enumerate(counts)
-                                     if n == pts.shape[1]]
+                                     if n == pts.shape[2]]
             uv, z = project_points(t[rows], quat_to_rotmat(q[rows]), K, pts)
             slot.update(zip(rows.tolist(), zip(pts, gt_uv, uv, z)))
         for i, (f, (_, p)) in enumerate(zip(frames, est)):
@@ -220,9 +220,9 @@ class TestMetrics:
             assert np.array_equal(view.depths[i],
                                   frame_depths_loop(scene, f))
             projections = [project_points(p[:3], quat_to_rotmat(p[3:]), K,
-                                          pts)]
+                                          pts.T)]
             if i in slot:
-                assert np.array_equal(slot[i][0], pts)
+                assert np.array_equal(slot[i][0], pts.T)
                 assert np.array_equal(slot[i][1], gt_uv.T)
                 projections.append(slot[i][2:])
             for one in projections:
@@ -712,7 +712,8 @@ class TestOptimizePoses:
             mean_reproj_distance([(f.id, f.gt_pose) for f in scene.frames],
                                  scene)
         assert str(e.value) == str(metric.value) == f"frame " \
-            f"{scene.frames[0].id}: a visible point lies at zero gt depth"
+            f"{scene.frames[0].id}: a visible point lies at zero gt depth " \
+            f"or has a non-finite gt pixel"
         assert evaluated == []
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)

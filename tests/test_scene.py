@@ -231,8 +231,8 @@ class TestDepths:
         scene = Scene(rng.normal(size=(5000, 3)), frames,
                       default_intrinsics())
         view = scene.stacked
-        assert [b.points.shape[:2] for b in view.buckets] == \
-            [(999, 10), (1, 5000)]
+        assert [b.points.shape for b in view.buckets] == \
+            [(999, 3, 10), (1, 3, 5000)]
         visible = sum(len(f.visible) for f in frames)
         assert sum(a.nbytes for a in view_arrays(view)) <= \
             64 * visible + 64 * len(frames)
