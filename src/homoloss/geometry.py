@@ -110,15 +110,24 @@ def quat_multiply(q1, q2):
 
 
 def quat_from_axis_angle(axis, angle_rad):
+    """The unit quaternion of a turn by angle_rad about axis (3,), formed in
+    floats; InvalidInputError for an angle that is not finite and for an
+    axis whose norm is zero or not finite, with no numpy warning."""
     if not math.isfinite(angle_rad):
         raise InvalidInputError(f"rotation angle must be finite, got "
                                 f"{angle_rad} rad")
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    with np.errstate(over="ignore"):  # an infinite norm raises below
+        n = float(np.linalg.norm(axis))
     if n == 0.0:
         raise InvalidInputError("zero-norm rotation axis")
+    if not n < math.inf:  # an entry that is not finite, or an overflow
+        raise InvalidInputError(f"rotation axis must be finite with a "
+                                f"finite norm, got {axis.tolist()}")
     half = 0.5 * angle_rad
-    return np.concatenate([[math.cos(half)], math.sin(half) * axis / n])
+    s = math.sin(half)
+    a0, a1, a2 = axis.tolist()
+    return np.array([math.cos(half), s * a0 / n, s * a1 / n, s * a2 / n])
 
 
 def rotmat_elems(q):

@@ -15,9 +15,11 @@ log-variances), ctx the frame's LossContext and grad a flag. It computes
 the value first, by one formula whatever grad is, then, when grad is true,
 its closed-form gradient from the norms and terms that the value computed;
 with grad false it returns (value, None) before the gradient block, after
-every domain check. LossContext builds each kind's constants once per context,
-and diffgrad.loss_value (grad false) and diffgrad.evaluate_with_grad (grad
-true) are the entry points to the kernels.
+every domain check. The posenet and homography kernels run on plain
+Python floats, with one array, the gradient. LossContext builds each
+kind's constants once per context, and diffgrad.loss_value (grad false)
+and diffgrad.evaluate_with_grad (grad true) are the entry points to the
+kernels.
 
 With R, t the ground-truth camera expressed in the estimated camera frame,
 the integral of ||I - H(x)||_F^2, H(x) = R - t n^T / x, over the planes
@@ -165,15 +167,23 @@ def _unit(vec, norm):
 
 def _posenet_core(p, ctx: LossContext, grad):
     # Estimated quaternion enters raw; only the ground truth is normalized.
-    (gt_t, qg), beta = ctx.pose_target, ctx.hyper.beta
-    dt = [p[i] - gt_t[i] for i in range(3)]
-    dq = [p[3 + i] - qg[i] for i in range(4)]
-    norm_t = math.sqrt(dual.sum_squares(dt))
-    norm_q = math.sqrt(dual.sum_squares(dq))
+    # Plain floats: each norm sums its squares left to right, as
+    # dual.sum_squares, and a zero norm gives +0.0 entries, as _unit.
+    ((g0, g1, g2), (h0, h1, h2, h3)), beta = ctx.pose_target, ctx.hyper.beta
+    t0, t1, t2, w, x, y, z = p
+    d0, d1, d2 = t0 - g0, t1 - g1, t2 - g2
+    e0, e1, e2, e3 = w - h0, x - h1, y - h2, z - h3
+    norm_t = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    norm_q = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
     val = norm_t + beta * norm_q
     if not grad:
         return val, None
-    return val, np.concatenate([_unit(dt, norm_t), beta * _unit(dq, norm_q)])
+    u0, u1, u2 = (d0 / norm_t, d1 / norm_t, d2 / norm_t) \
+        if norm_t != 0.0 else (0.0, 0.0, 0.0)
+    v0, v1, v2, v3 = (e0 / norm_q, e1 / norm_q, e2 / norm_q, e3 / norm_q) \
+        if norm_q != 0.0 else (0.0, 0.0, 0.0, 0.0)
+    return val, np.array([u0, u1, u2, beta * v0, beta * v1, beta * v2,
+                          beta * v3])
 
 
 def _homoscedastic_core(p, ctx: LossContext, grad):

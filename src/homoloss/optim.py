@@ -209,14 +209,16 @@ def perturb_pose(pose, rng, max_t: float, max_deg: float) -> np.ndarray:
     if not (0 <= max_t < math.inf and 0 <= max_deg < math.inf):
         raise InvalidInputError(f"perturbation bounds must be >= 0 and "
                                 f"finite, got {max_t} m and {max_deg} deg")
+    # t + (d / |d|) u and q dq in floats, each entry rounded as by arrays
     direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
+    n = float(np.linalg.norm(direction))
     # abs: a bound of -0.0 draws as 0.0 does, with the same random draws
-    t = pose[:3] + direction * rng.uniform(0.0, abs(max_t))
-    axis = rng.normal(size=3)
-    dq = quat_from_axis_angle(axis,
+    u = rng.uniform(0.0, abs(max_t))
+    dq = quat_from_axis_angle(rng.normal(size=3),
                               math.radians(rng.uniform(0.0, abs(max_deg))))
-    return np.concatenate([t, quat_multiply(pose[3:], dq)])
+    (d0, d1, d2), (t0, t1, t2, *q) = direction.tolist(), pose.tolist()
+    return np.array([t0 + d0 / n * u, t1 + d1 / n * u, t2 + d2 / n * u,
+                     *quat_multiply(q, dq.tolist())])
 
 
 def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,

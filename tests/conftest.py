@@ -1,9 +1,41 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from homoloss.geometry import quat_from_axis_angle, quat_multiply, \
     quat_to_rotmat
 from homoloss.scene import local_slabs, synth_scene
+
+
+TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+SRC = os.path.join(TOOLS, os.pardir, "src")
+
+
+def openblas():
+    """Whether numpy's BLAS is OpenBLAS, whose kernels OPENBLAS_CORETYPE
+    selects."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except KeyError:  # a build that records no BLAS
+        return False
+    return "openblas" in blas["name"].lower()
+
+
+def run_tool(script, args, core=None):
+    """The stdout of tools/<script> run with args in a fresh interpreter,
+    with this tree's src on PYTHONPATH and OPENBLAS_CORETYPE set to core,
+    or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    if core:
+        env["OPENBLAS_CORETYPE"] = core
+    return subprocess.run([sys.executable, os.path.join(TOOLS, script),
+                           *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 # pass/fail lines collected by the acceptance tests; echoed after the run

@@ -26,7 +26,9 @@ homography kernel; the landscape sweep that offset each cell's parameters
 in turn and the finite-difference gradient that copied the parameters
 twice per coordinate; and the one-pose sweep offset that optimize's
 adversarial init applied frame by frame; and the rotation entries as one
-expression each, before rotmat_elems formed each quaternion product once.
+expression each, before rotmat_elems formed each quaternion product once;
+and the array forms of the posenet kernel, the axis-angle quaternion and
+the pose perturbation, before they ran on plain floats.
 """
 
 import math
@@ -713,6 +715,56 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     return record
 
 
+def posenet_core_array(p, ctx, grad):
+    """losses._posenet_core over lists, dual.sum_squares and the arrays of
+    losses._unit, joined by np.concatenate."""
+    (gt_t, qg), beta = ctx.pose_target, ctx.hyper.beta
+    dt = [p[i] - gt_t[i] for i in range(3)]
+    dq = [p[3 + i] - qg[i] for i in range(4)]
+    norm_t = math.sqrt(sum_squares(dt))
+    norm_q = math.sqrt(sum_squares(dq))
+    val = norm_t + beta * norm_q
+    if not grad:
+        return val, None
+    return val, np.concatenate([losses._unit(dt, norm_t),
+                                beta * losses._unit(dq, norm_q)])
+
+
+def quat_multiply_array(q1, q2):
+    """geometry.quat_multiply's terms, written out here, so that the forms
+    below do not share the library's product."""
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def quat_from_axis_angle_array(axis, angle_rad):
+    """geometry.quat_from_axis_angle as one array expression, for a finite
+    angle and an axis of finite, non-zero norm."""
+    axis = np.asarray(axis, dtype=float)
+    half = 0.5 * angle_rad
+    return np.concatenate([[math.cos(half)],
+                           math.sin(half) * axis / np.linalg.norm(axis)])
+
+
+def perturb_pose_array(pose, rng, max_t, max_deg):
+    """optim.perturb_pose on arrays, with the same four draws of rng, for
+    bounds that it accepts."""
+    pose = np.asarray(pose, dtype=float)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    t = pose[:3] + direction * rng.uniform(0.0, abs(max_t))
+    axis = rng.normal(size=3)
+    dq = quat_from_axis_angle_array(
+        axis, math.radians(rng.uniform(0.0, abs(max_deg))))
+    return np.concatenate([t, quat_multiply_array(pose[3:], dq)])
+
+
 def offset_params(params, axis: str, offset: float) -> np.ndarray:
     """One parameter vector perturbed along one sweep axis, as one cell of
     a landscape sweep was before offset_rows built the sweep's cells as one
@@ -725,8 +777,9 @@ def offset_params(params, axis: str, offset: float) -> np.ndarray:
     if i < 3:
         params[i] += offset
     else:
-        dq = quat_from_axis_angle(np.eye(3)[i - 3], math.radians(offset))
-        params[3:7] = quat_multiply(params[3:7], dq)
+        dq = quat_from_axis_angle_array(np.eye(3)[i - 3],
+                                        math.radians(offset))
+        params[3:7] = quat_multiply_array(params[3:7], dq)
     return params
 
 

@@ -32,6 +32,7 @@ from oracles import (
     project_points_2d,
     relative_pose,
     quat_canonical_one,
+    quat_from_axis_angle_array,
     rotmat_elems_expressions,
     rotmat_to_quat_one,
 )
@@ -392,6 +393,29 @@ def test_quat_normalize_rejects_an_infinite_norm_without_a_warning(recwarn):
     assert np.isnan(quat_normalize([math.nan, 1.0, 0.0, 0.0])).all()
     np.testing.assert_array_equal(quat_normalize([0.0, 0.0, 0.0, 1e154]),
                                   [0.0, 0.0, 0.0, 1.0])
+    assert not recwarn.list
+
+
+@settings(max_examples=500, deadline=None)
+@given(axis=st.lists(st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0]),
+                     min_size=3, max_size=3),
+       angle=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]))
+def test_quat_from_axis_angle_equals_the_array_form(axis, angle):
+    # Finite axes of non-zero norm, whose squares sum without overflow,
+    # and the unit axes of a sweep keep the bits of the array expression.
+    for a in ([axis] if any(c * c for c in axis) else []) + list(np.eye(3)):
+        got = quat_from_axis_angle(a, angle)
+        assert got.tobytes() == quat_from_axis_angle_array(a, angle).tobytes()
+
+
+@pytest.mark.parametrize("axis", [
+    [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [0.0, -math.inf, math.nan],
+    [1e300, 1e300, 0.0], [0.0, 0.0, -1.4e154]])
+def test_quat_from_axis_angle_rejects_a_non_finite_axis(axis, recwarn):
+    # an entry that is not finite, or a norm that overflows
+    with pytest.raises(InvalidInputError, match="rotation axis must be "
+                       "finite with a finite norm"):
+        quat_from_axis_angle(axis, 0.5)
     assert not recwarn.list
 
 

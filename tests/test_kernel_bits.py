@@ -3,10 +3,12 @@
 import hashlib
 import importlib.util
 import os
+import platform
 
 import pytest
 
-TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+from conftest import TOOLS, openblas, run_tool
+
 spec = importlib.util.spec_from_file_location(
     "kernel_bits", os.path.join(TOOLS, "kernel_bits.py"))
 kernel_bits = importlib.util.module_from_spec(spec)
@@ -65,3 +67,20 @@ def test_a_kind_named_twice_is_a_usage_error(capsys):
                           "--kinds", "posenet,maxerror,posenet"])
     assert exit_.value.code == 2
     assert "loss kind 'posenet' is named twice" in capsys.readouterr().err
+
+
+# What `tools/kernel_bits.py --seed 1 --frames 300` prints under
+# OPENBLAS_CORETYPE=Prescott, numpy 2.4 and scipy-openblas 0.3.31. The
+# geometric kernel's projection calls BLAS, so the digest is pinned under
+# one core, the generic x86-64 one. A change that moves any kernel's bit
+# fails here; one that means to must say so and pin the new line.
+PINNED = ("655859cced46932dc5dbd285631a14b7f29a759373e985e165b3fe08cf990f3f"
+          "  3000 evaluations, 460 raised\n")
+
+
+@pytest.mark.skipif(not openblas() or platform.machine().lower() not in
+                    ("x86_64", "amd64"), reason="OPENBLAS_CORETYPE=Prescott "
+                    "selects a core only under OpenBLAS on x86-64")
+def test_digest_is_pinned_under_the_prescott_core():
+    assert run_tool("kernel_bits.py", ["--seed", "1", "--frames", "300"],
+                    "Prescott") == PINNED

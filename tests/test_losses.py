@@ -35,6 +35,7 @@ from oracles import (
     homography_grad_complex_step,
     homography_loss_closed,
     homography_loss_numeric,
+    posenet_core_array,
     project_points_2d,
     relative_pose,
     scalar_form_oracle,
@@ -658,5 +659,57 @@ class TestGeometricKernel:
             assert type(val) is float and hexes(val) == hexes(want_val)
             if grad:
                 assert g.shape == (7,) and hexes(g) == hexes(want_grad)
+            else:
+                assert g is None and want_grad is None
+
+
+class TestPosenetKernel:
+    """The plain-float kernel against the array form it replaced
+    (oracles.posenet_core_array): the same value and gradient entries by
+    float.hex."""
+
+    # entries with both zeros, squares that underflow to a zero norm,
+    # and entries that are not finite
+    entry = st.floats(-1e3, 1e3) | st.sampled_from(
+        [0.0, -0.0, 1e-170, -1e-200, 5e-324, 1e200, math.inf, -math.inf,
+         math.nan])
+    signed = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+    @settings(deadline=None, max_examples=1000)
+    @given(gt=st.lists(signed, min_size=7, max_size=7),
+           est=st.lists(entry, min_size=7, max_size=7),
+           beta=st.floats(1e-3, 1e3),
+           case=st.sampled_from(["free", "t at gt", "q at gt", "at gt",
+                                 "non-unit q", "zero q"]),
+           scale=st.floats(0.1, 10.0), signs=st.lists(
+               st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
+    # zero norms: est at the unit gt q and the gt t, with its signed zeros
+    @example(gt=[-0.0, 0.0, 1.0, 0.0, -0.0, 2.0, 0.0],
+             est=[0.0] * 7, beta=500.0, case="at gt", scale=1.0,
+             signs=[0.0] * 4)
+    def test_matches_the_array_form(self, gt, est, beta, case, scale,
+                                    signs):
+        if not any(c * c for c in gt[3:]):  # a gt q of non-zero norm
+            gt[3] = 1.0
+        ctx = LossContext(gt, LossHyperParams(beta=beta))
+        gt_t, q_unit = ctx.pose_target
+        t, q = est[:3], est[3:]
+        if case in ("t at gt", "at gt"):
+            t = list(gt_t)
+        if case in ("q at gt", "at gt"):
+            q = list(q_unit)
+        elif case == "non-unit q":
+            q = [c * scale for c in q_unit]
+        elif case == "zero q":
+            q = signs
+        p = [float(c) for c in t + q]
+        for grad in (False, True):
+            with np.errstate(all="ignore"):
+                want_val, want_grad = posenet_core_array(p, ctx, grad)
+            val, g = losses._posenet_core(p, ctx, grad)
+            assert type(val) is float and hexes(val) == hexes(want_val)
+            if grad:
+                assert g.dtype == np.float64 and g.shape == (7,)
+                assert hexes(g) == hexes(want_grad)
             else:
                 assert g is None and want_grad is None

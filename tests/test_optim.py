@@ -36,7 +36,8 @@ from homoloss.scene import Frame, Scene, global_slab, local_slabs, \
     synth_scene
 from oracles import angle_between, apply_offset, frame_depths_loop, \
     landscape_sweep_loop, mean_reproj_distance_loop, offset_params, \
-    optimize_poses_loop, pct_within_loop, project_points_2d
+    optimize_poses_loop, pct_within_loop, perturb_pose_array, \
+    project_points_2d
 
 # finite floats with both zeros, and sweep offsets up to a full turn
 SIGNED_FLOATS = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
@@ -583,6 +584,24 @@ class TestSweeps:
     def test_perturb_pose_zero_bounds_keep_the_pose(self):
         p = perturb_pose(identity_pose(), np.random.default_rng(0), 0.0, 0.0)
         assert np.all(p[:3] == 0.0) and angle_between(p[3:], [1, 0, 0, 0]) == 0
+
+    @settings(deadline=None, max_examples=500)
+    @given(seed=st.integers(0, 2**32 - 1),
+           row=st.lists(SIGNED_FLOATS | st.sampled_from(
+               [1e-200, math.inf, math.nan]), min_size=7, max_size=7),
+           max_t=st.floats(0.0, 1e3) | st.sampled_from([0.0, -0.0]),
+           max_deg=st.floats(0.0, 720.0) | st.sampled_from([0.0, -0.0]))
+    def test_perturb_pose_equals_the_array_form(self, seed, row, max_t,
+                                                max_deg):
+        # The plain floats have the bits of the array form, zero and
+        # non-unit q, signed zeros and bounds of -0.0 among them, and
+        # leave the generator where the array form's four draws do.
+        rng, rng_array = (np.random.default_rng(seed) for _ in range(2))
+        got = perturb_pose(row, rng, max_t, max_deg)
+        with np.errstate(all="ignore"):
+            want = perturb_pose_array(row, rng_array, max_t, max_deg)
+        assert got.shape == (7,) and self.hexes([got]) == self.hexes([want])
+        assert rng.bit_generator.state == rng_array.bit_generator.state
 
 
 class TestEpochBatches:
