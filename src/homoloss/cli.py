@@ -12,7 +12,8 @@ A failed command leaves no --out: only an aborted `optimize` (exit 2) and
 a `gradcheck` over tolerance (exit 3) write their outputs, then fail.
 `optimize` writes errors.txt (one line per skipped frame and message, with
 its first epoch and step count, plus the abort, after those of a --warmstart
-phase) whenever the run records an error.
+phase) whenever the run records an error; a homography frame without a
+local slab is skipped so.
 
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2,
 or the same axis as --axis), 2 data/parse error (a NaN option value, a
@@ -371,6 +372,9 @@ def run_slabs(config):
     scene = _build_scene(config)
     slab = _depth_slab(scene, f"homography_{config['mode']}", config)
     slabs = slab.per_frame or {"global": slab.single}
+    for name, sp in slabs.items():  # the table is the output: no row missing
+        if isinstance(sp, scene_mod.DegenerateDepthError):
+            raise scene_mod.DegenerateDepthError(f"frame {name}: {sp}")
     rows = [(name, sp.x_min, sp.x_max) for name, sp in slabs.items()]
     files = {"slabs.csv": ("frame_id,x_min,x_max", rows)}
     if config["hist"]:

@@ -49,6 +49,7 @@ from .geometry import (
     Intrinsics,
     pose_row,
     project_points,
+    quat_normalize,
     quat_to_rotmat,
     rotmat_elems,
 )
@@ -103,7 +104,7 @@ class LossContext:
     hyper: LossHyperParams = field(default_factory=LossHyperParams)
     points: np.ndarray = None      # (N, 3) world points visible in the frame
     intrinsics: Intrinsics = None
-    slab: SlabParams = None
+    slab: SlabParams = None  # or the frame's error, for want of a slab
 
     def __post_init__(self):
         object.__setattr__(self, "gt", pose_row(self.gt))
@@ -111,9 +112,9 @@ class LossContext:
     @cached_property
     def pose_target(self) -> tuple:
         """gt t and the unit gt quaternion as lists of floats, the targets
-        of the posenet, homoscedastic and maxerror kernels."""
-        q = self.gt[3:]
-        return self.gt[:3].tolist(), (q / np.linalg.norm(q)).tolist()
+        of the posenet, homoscedastic and maxerror kernels; InvalidInputError
+        for a gt quaternion of zero or overflowing norm."""
+        return self.gt[:3].tolist(), quat_normalize(self.gt[3:]).tolist()
 
     @cached_property
     def planar_points(self) -> np.ndarray:
@@ -147,6 +148,8 @@ class LossContext:
         (2 c1, c2) of cross and tsq in the closed form, and gt t."""
         if self.slab is None:
             raise InvalidInputError("homography loss needs slab parameters")
+        if isinstance(self.slab, InvalidInputError):  # a copy: the cached
+            raise type(self.slab)(*self.slab.args)  # one keeps no traceback
         q_gt = self.gt[3:].tolist()
         x_min, x_max = self.slab.x_min, self.slab.x_max
         c1 = math.log(x_max / x_min) / (x_max - x_min)

@@ -139,7 +139,7 @@ Bucket = namedtuple("Bucket", "rows points gt_uv")
 class DepthSlab:
     """Per-frame (local, per_frame set) or shared (global) slab bounds."""
 
-    per_frame: dict = None      # frame id -> SlabParams, local
+    per_frame: dict = None      # frame id -> SlabParams or error, local
     single: SlabParams = None   # shared bounds, global
 
     def for_frame(self, frame_id: str) -> SlabParams:
@@ -178,31 +178,28 @@ def _group_percentiles(positive, lo, hi):
     return n, bounds
 
 
-def _slab_params(positive, lo, hi, frame_ids):
-    """SlabParams per group of _sorted_positive's (values, n);
-    DegenerateDepthError for the first group with fewer than 2 positive
-    depths or with x_min >= x_max."""
+def _slab_params(positive, lo, hi):
+    """Per group of _sorted_positive's (values, n): its SlabParams, or a
+    DegenerateDepthError at fewer than 2 positive depths or x_min >= x_max."""
     if not 0.0 <= lo < hi <= 1.0:
         raise InvalidInputError("need 0 <= lo < hi <= 1")
     n, (x_min, x_max) = _group_percentiles(positive, lo, hi)
-    for k in np.flatnonzero(~(x_min < x_max))[:1]:  # the first failing
-        why = (f"needs at least 2 positive-depth points, got {n[k]}"
-               if n[k] < 2 else "degenerate depth distribution, "
-               f"x_min={x_min[k]} >= x_max={x_max[k]}")
-        raise DegenerateDepthError(f"frame {frame_ids[k]}: {why}")
-    return [SlabParams(x_min=a, x_max=b)
-            for a, b in zip(x_min.tolist(), x_max.tolist())]
+    return [SlabParams(x_min=a, x_max=b) if a < b else DegenerateDepthError(
+        f"needs at least 2 positive-depth points, got {k}" if k < 2 else
+        f"degenerate depth distribution, x_min={a} >= x_max={b}")
+        for k, a, b in zip(n.tolist(), x_min.tolist(), x_max.tolist())]
 
 
 def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
                 hi: float = DEFAULT_PERCENTILE_HI) -> DepthSlab:
-    """Per-frame slab bounds from each frame's own depth distribution,
+    """Per-frame slab bounds from each frame's own depth distribution, or
+    the frame's DegenerateDepthError, which a loss raises for it alone;
     computed once per scene and (lo, hi); each call gets its own dict."""
     key = ("local", lo, hi)  # lo = 0.0 and -0.0 give the same bounds
     if key not in scene._slabs:  # a call that raises caches nothing
         ids = [f.id for f in scene.frames]
-        bounds = _slab_params(scene.positive_depths, lo, hi, ids)
-        scene._slabs[key] = dict(zip(ids, bounds))
+        scene._slabs[key] = dict(zip(ids, _slab_params(
+            scene.positive_depths, lo, hi)))
     return DepthSlab(per_frame=dict(scene._slabs[key]))
 
 
@@ -213,7 +210,10 @@ def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
     key = ("global", lo, hi)
     if key not in scene._slabs:
         pooled = _sorted_positive([np.concatenate(scene.stacked.depths)])
-        scene._slabs[key] = _slab_params(pooled, lo, hi, ["<global>"])[0]
+        (bounds,) = _slab_params(pooled, lo, hi)
+        if isinstance(bounds, DegenerateDepthError):
+            raise DegenerateDepthError(f"frame <global>: {bounds}")
+        scene._slabs[key] = bounds
     return DepthSlab(single=scene._slabs[key])
 
 

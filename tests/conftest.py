@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 
@@ -22,6 +23,14 @@ def openblas():
     except KeyError:  # a build that records no BLAS
         return False
     return "openblas" in blas["name"].lower()
+
+
+# The pinned tool outputs hold under OPENBLAS_CORETYPE=Prescott, the generic
+# x86-64 core, which the variable selects only under OpenBLAS on x86-64.
+prescott = pytest.mark.skipif(
+    not openblas() or platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE=Prescott selects a core only under OpenBLAS "
+    "on x86-64")
 
 
 def run_tool(script, args, core=None):

@@ -279,29 +279,33 @@ def quantile_bounds(depths, lo, hi):
             float(np.quantile(positive, hi)))
 
 
-def slab_loop(groups, lo, hi, frame_ids):
-    """Slab bounds [(x_min, x_max)] one frame at a time, raising
-    DegenerateDepthError for the first frame, in order, with fewer than 2
-    positive depths or with x_min >= x_max."""
+def slab_loop(groups, lo, hi):
+    """Per frame, one frame at a time: its slab bounds (x_min, x_max), or
+    its DegenerateDepthError for fewer than 2 positive depths or for
+    x_min >= x_max."""
     out = []
-    for depths, fid in zip(groups, frame_ids):
+    for depths in groups:
         n, x_min, x_max = quantile_bounds(depths, lo, hi)
         if n < 2:
-            raise DegenerateDepthError(
-                f"frame {fid}: needs at least 2 positive-depth points, "
-                f"got {n}")
-        if not x_min < x_max:
-            raise DegenerateDepthError(
-                f"frame {fid}: degenerate depth distribution, "
-                f"x_min={x_min} >= x_max={x_max}")
-        out.append((x_min, x_max))
+            out.append(DegenerateDepthError(
+                f"needs at least 2 positive-depth points, got {n}"))
+        elif not x_min < x_max:
+            out.append(DegenerateDepthError(
+                f"degenerate depth distribution, x_min={x_min} >= "
+                f"x_max={x_max}"))
+        else:
+            out.append((x_min, x_max))
     return out
 
 
 def percentile_bounds(depths, lo, hi, frame_id=None):
     """The library's SlabParams of one group of depths (scene._slab_params
-    on a single group)."""
-    return _slab_params(_sorted_positive([depths]), lo, hi, [frame_id])[0]
+    on a single group); its DegenerateDepthError raised naming frame_id, as
+    the slabs command names a frame without a slab."""
+    (bounds,) = _slab_params(_sorted_positive([depths]), lo, hi)
+    if isinstance(bounds, DegenerateDepthError):
+        raise DegenerateDepthError(f"frame {frame_id}: {bounds}")
+    return bounds
 
 
 def project_points_2d(pose, K: Intrinsics, points):

@@ -145,3 +145,17 @@ def test_incorrect_run_stops_with_exit_1(tmp_path, capsys):
                                            (1.5, 3.0, 4.5))])
 def test_quartiles(values, want):
     assert ab_pairs.quartiles(values) == want
+
+
+def test_setup_s_summary_says_a_gap_under_6_percent_resolves_nothing():
+    # setup_s moved by 4-6% between trees whose import code was identical,
+    # so its summary says so before the verdict; other metrics' do not.
+    lines = ab_pairs.summarize("setup_s", "s", "lower", 0.25,
+                               [1.0, 1.0, 1.0], [0.95, 0.95, 0.95])
+    assert lines[4] == ("  a setup_s gap under 6% resolves nothing: it "
+                        "moved 4-6% between trees with identical import "
+                        "code")
+    assert lines[5] == "  verdict: claim met (bound 25%)"
+    other = ab_pairs.summarize("op_time_cal", "cal", "lower", 0.25,
+                               [1.0, 1.0, 1.0], [0.95, 0.95, 0.95])
+    assert len(other) == 5 and ab_pairs.SETUP_NOISE not in other

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import identity_pose, pose
 from homoloss import cli, diffgrad, optim
@@ -908,11 +908,11 @@ class TestExitCodes:
         ["landscape", "--synthetic", "--axis", "tz", "--range=-1:1",
          "--steps", "1", "--losses", "posenet"],
         ["slabs", "--synthetic", "--lo", "90", "--hi", "10"],
-        # f000 has no V line, so homography's local slabs fail after
-        # posenet's sweep of f001
-        ["landscape", "--poses", "poses.txt", "--points", "f001.txt",
+        # f001 sees one point, so the pooled depths have no global slab,
+        # which fails after posenet's sweep of f001
+        ["landscape", "--poses", "poses.txt", "--points", "one.txt",
          "--frame", "1", "--axis", "tz", "--range=-1:1",
-         "--losses", "posenet,homography"],
+         "--losses", "posenet,homography_global"],
         # no frame sees a point, so the final metric fails
         ["optimize", "--poses", "poses.txt", "--points", "none.txt",
          "--loss", "posenet", "--epochs", "0"],
@@ -932,7 +932,7 @@ class TestExitCodes:
                                               [1.0, 0.0, 0.0, 0.0]))])
         with open(tmp_path / "long.txt", "w") as f:
             write_pose_list(f, [(LONG_ID, identity_pose())])
-        for name, seen in (("f001.txt", {"f001": [0, 1]}), ("none.txt", {}),
+        for name, seen in (("one.txt", {"f001": [0]}), ("none.txt", {}),
                            ("long_points.txt", {LONG_ID: [0, 1]})):
             with open(tmp_path / name, "w") as f:
                 write_points(f, [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]], seen)
@@ -1321,8 +1321,8 @@ def test_landscape_csv_is_the_sweep_rows(tmp_path_factory, no_v_line_scene,
                                          axes, files, kinds):
     # Each landscape_<kind>.csv is its header, then csv_line of each row
     # that landscape_sweep returned, a -0 offset written as -0. A frame
-    # without points has no local slab, so homography_local exits 2 there.
-    assume(not files or "homography_local" not in kinds)
+    # without points has no geometric constants and no local slab, so
+    # those kinds write NaN cells there.
     out = str(tmp_path_factory.mktemp("landscape") / "o")
     argv = ["landscape", *(no_v_line_scene if files else ["--synthetic",
             "--n-frames", "2", "--n-points", "10"]),
@@ -1346,9 +1346,94 @@ def test_landscape_csv_is_the_sweep_rows(tmp_path_factory, no_v_line_scene,
         assert len(rows) == math.prod(steps for _, _, steps in axes)
         assert read(os.path.join(out, f"landscape_{kind}.csv")) == \
             header + "\n" + "".join(csv_line(r) for r in rows)
-    if files and "geometric" in kinds:
-        assert all(math.isnan(r[-1]) for r in swept["geometric"])
+    for kind in ("geometric", "homography_local"):
+        if files and kind in kinds:
+            assert all(math.isnan(r[-1]) for r in swept[kind])
     shutil.rmtree(out)
+
+
+class TestFrameWithoutSlab:
+    """A frame with fewer than 2 positive-depth points has no local slab:
+    the homography loss fails for that frame alone, as the geometric loss
+    does for a frame without points. Only the slab table fails whole."""
+
+    NO_SLAB = "needs at least 2 positive-depth points, got 0"
+
+    def test_optimize_skips_the_frame_as_geometric_does(self, tmp_path,
+                                                        no_v_line_scene):
+        for kind, why in (("homography", self.NO_SLAB), (
+                "geometric", "geometric loss needs a non-empty point set")):
+            out = str(tmp_path / kind)
+            assert main(["optimize", *no_v_line_scene, "--loss", kind,
+                         "--epochs", "4", "--out", out]) == 0
+            assert read(os.path.join(out, "errors.txt")) == \
+                f"frame f000: {why} (skipped from epoch 0, 4 steps)\n"
+
+    def test_optimize_aborts_when_half_the_frames_have_none(self, tmp_path,
+                                                            capsys):
+        scene = synth_scene(7, n_points=10, n_frames=3)
+        with open(tmp_path / "poses.txt", "w") as f:
+            write_pose_list(f, [(fr.id, fr.gt_pose) for fr in scene.frames])
+        with open(tmp_path / "points.txt", "w") as f:
+            write_points(f, scene.points, {"f002": scene.frames[2].visible})
+        out = str(tmp_path / "o")
+        assert main(["optimize", "--poses", str(tmp_path / "poses.txt"),
+                     "--points", str(tmp_path / "points.txt"), "--loss",
+                     "homography", "--epochs", "4", "--out", out]) == 2
+        assert read(os.path.join(out, "errors.txt")) == "".join(
+            f"frame {fid}: {self.NO_SLAB} (skipped from epoch 0, 1 steps)\n"
+            for fid in ("f000", "f001")) + \
+            "epoch 0: aborted, 2/3 frames errored\n"
+        assert "aborted=true" in capsys.readouterr().out
+
+    def test_landscape_of_each_frame(self, tmp_path, capsys,
+                                     no_v_line_scene):
+        def landscape(frame):
+            out = str(tmp_path / f"o{frame}")
+            assert main(["landscape", *no_v_line_scene, "--frame", frame,
+                         "--losses", "homography_local", "--axis", "tz",
+                         "--range=-1:1", "--steps", "5", "--out", out]) == 0
+            csv = read(os.path.join(out, "landscape_homography_local.csv"))
+            return [float(line.split(",")[-1])
+                    for line in csv.splitlines()[1:]], capsys.readouterr()
+        values, captured = landscape("1")
+        assert len(values) == 5 and all(map(math.isfinite, values))
+        assert captured.err == ""
+        values, captured = landscape("0")
+        assert len(values) == 5 and all(map(math.isnan, values))
+        assert captured.err == ("landscape homography_local: 5 of 5 cells "
+                                f"are NaN: {self.NO_SLAB}\n")
+
+    def test_gradcheck_fails_only_when_it_draws_the_frame(
+            self, tmp_path, capsys, monkeypatch, no_v_line_scene):
+        drawn = []
+
+        def spy(scene, frame, *args):
+            drawn.append(frame.id)
+            return optim.frame_context(scene, frame, *args)
+        monkeypatch.setattr(cli, "frame_context", spy)
+        outcomes = set()
+        for seed in range(6):
+            drawn.clear()
+            code = main(["gradcheck", *no_v_line_scene, "--loss",
+                         "homography", "--samples", "2", "--seed", str(seed),
+                         "--out", str(tmp_path / str(seed))])
+            err = capsys.readouterr().err
+            if "f000" in drawn:  # the first draw of f000 ends the command
+                assert (code, drawn[-1], err) == \
+                    (2, "f000", f"error: {self.NO_SLAB}\n")
+            else:
+                assert (code, err) == (0, "")
+            outcomes.add(code)
+        assert outcomes == {0, 2}
+
+    def test_slab_table_fails_naming_the_frame(self, tmp_path, capsys,
+                                               no_v_line_scene):
+        out = str(tmp_path / "o")
+        assert main(["slabs", *no_v_line_scene, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"error: frame f000: {self.NO_SLAB}\n"
+        assert not os.path.exists(out)
 
 
 class TestComputeThenWrite:

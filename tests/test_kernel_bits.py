@@ -3,11 +3,10 @@
 import hashlib
 import importlib.util
 import os
-import platform
 
 import pytest
 
-from conftest import TOOLS, openblas, run_tool
+from conftest import TOOLS, prescott, run_tool
 
 spec = importlib.util.spec_from_file_location(
     "kernel_bits", os.path.join(TOOLS, "kernel_bits.py"))
@@ -78,9 +77,7 @@ PINNED = ("655859cced46932dc5dbd285631a14b7f29a759373e985e165b3fe08cf990f3f"
           "  3000 evaluations, 460 raised\n")
 
 
-@pytest.mark.skipif(not openblas() or platform.machine().lower() not in
-                    ("x86_64", "amd64"), reason="OPENBLAS_CORETYPE=Prescott "
-                    "selects a core only under OpenBLAS on x86-64")
+@prescott
 def test_digest_is_pinned_under_the_prescott_core():
     assert run_tool("kernel_bits.py", ["--seed", "1", "--frames", "300"],
                     "Prescott") == PINNED

@@ -105,6 +105,24 @@ class TestPoseNetLoss:
         assert loss("posenet", est, gt, beta=10.0) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("kind", ["posenet", "homoscedastic", "maxerror"])
+@pytest.mark.parametrize("q, message", [
+    ([1e-170, 0.0, 0.0, 0.0], "zero-norm quaternion"),  # squares underflow
+    ([1e200, 1e200, 0.0, 0.0], "quaternion norm overflows")])
+def test_gt_quaternion_without_a_finite_norm_is_bad_input(kind, q, message):
+    # The kernels that difference against the unit gt q take it from
+    # quat_normalize, as the homography kinds do: a gt q whose norm is 0
+    # or overflows raises InvalidInputError, not a NaN loss with a numpy
+    # RuntimeWarning.
+    ctx = LossContext([0.0, 0.0, 0.0, *q])
+    est = params_for(kind, identity_pose(), ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (loss_value, evaluate_with_grad):
+            with pytest.raises(InvalidInputError, match=message):
+                evaluate(kind, est, ctx)
+
+
 class TestHomoscedasticLoss:
     def test_zero_at_gt(self):
         rng = np.random.default_rng(1)

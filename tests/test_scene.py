@@ -147,36 +147,40 @@ class TestBatchedPercentiles:
     @example(groups=[[1.0, 2.0], [2.0, 2.0, 2.0], [7.0]], p=[0.025, 0.975])
     @example(groups=[[1.0, 2.0], [7.0], [2.0, 2.0, 2.0]], p=[0.025, 0.975])
     def test_errors_match_per_frame_loop(self, groups, p):
+        # Each group gets its own outcome, its bounds or its error, whatever
+        # the groups before it gave.
         lo, hi = p
         assume(lo < hi)
         arrays = [np.asarray(g, dtype=float) for g in groups]
-        ids = [f"f{k:03d}" for k in range(len(groups))]
         with np.errstate(invalid="ignore"):
-            try:
-                expected = slab_loop(arrays, lo, hi, ids)
-            except DegenerateDepthError as e:
-                with pytest.raises(DegenerateDepthError) as got:
-                    _slab_params(_sorted_positive(arrays), lo, hi, ids)
-                assert str(got.value) == str(e)
-                return
-            got = _slab_params(_sorted_positive(arrays), lo, hi, ids)
-        assert [(s.x_min, s.x_max) for s in got] == expected
+            expected = slab_loop(arrays, lo, hi)
+            got = _slab_params(_sorted_positive(arrays), lo, hi)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            if isinstance(e, DegenerateDepthError):
+                assert type(g) is DegenerateDepthError and str(g) == str(e)
+            else:
+                assert (g.x_min, g.x_max) == e
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
-    def test_local_slabs_raise_for_first_failing_frame(self, order):
+    def test_local_slabs_hold_each_failing_frames_error(self, order):
         # identity poses: a point's depth is its z
         points = np.array([[0, 0, 2.0], [0, 0, 3.0], [0, 0, 5.0],
                            [0, 0, -1.0]])
         visible = [(0, 1, 2), (0, 0, 0), (3, 0)]  # fine, constant, 1 positive
         frames = [Frame(f"f{k}", identity_pose(), visible[k]) for k in order]
         scene = Scene(points, frames, default_intrinsics())
-        with pytest.raises(DegenerateDepthError) as got:
-            local_slabs(scene)
-        with pytest.raises(DegenerateDepthError) as expected:
-            slab_loop([frame_depths_loop(scene, f) for f in frames],
-                      0.025, 0.975, [f.id for f in frames])
-        assert str(got.value).startswith(f"frame {frames[1].id}: ")
-        assert str(got.value) == str(expected.value)
+        got = local_slabs(scene).per_frame
+        expected = slab_loop([frame_depths_loop(scene, f) for f in frames],
+                             0.025, 0.975)
+        assert list(got) == [f.id for f in frames]
+        assert (got["f0"].x_min, got["f0"].x_max) == expected[0]
+        for f, e in zip(frames[1:], expected[1:]):
+            assert type(got[f.id]) is DegenerateDepthError
+            assert str(got[f.id]) == str(e)
+        assert str(got["f1"]).startswith("degenerate depth distribution")
+        assert str(got["f2"]) == \
+            "needs at least 2 positive-depth points, got 1"
 
 
 class TestDepths:
@@ -286,9 +290,9 @@ class TestSlabCache:
         calls = []
         params = scene_module._slab_params
 
-        def spy(positive, lo, hi, frame_ids):
+        def spy(positive, lo, hi):
             calls.append((lo, hi))
-            return params(positive, lo, hi, frame_ids)
+            return params(positive, lo, hi)
         monkeypatch.setattr(scene_module, "_slab_params", spy)
         return calls
 
@@ -324,16 +328,24 @@ class TestSlabCache:
 
     @pytest.mark.parametrize("make", [local_slabs, global_slab])
     def test_a_failing_call_caches_nothing(self, make, params_calls):
-        # every point at depth 3: no frame and no pool has x_min < x_max
+        # every point at depth 3: no frame and no pool has x_min < x_max.
+        # global_slab raises; local_slabs keeps the frame's error in its
+        # table, which it computes once, as any other table.
         points = np.array([[0, 0, 3.0], [1, 0, 3.0], [0, 1, 3.0]])
         scene = Scene(points, [Frame("f0", identity_pose(), (0, 1, 2))],
                       default_intrinsics())
         for _ in range(2):
-            with pytest.raises(DegenerateDepthError, match="degenerate"):
-                make(scene)
+            if make is global_slab:
+                with pytest.raises(DegenerateDepthError,
+                                   match="frame <global>: degenerate"):
+                    make(scene)
+            else:
+                error = make(scene).per_frame["f0"]
+                assert type(error) is DegenerateDepthError
+                assert str(error).startswith("degenerate depth distribution")
             with pytest.raises(InvalidInputError, match="lo < hi"):
                 make(scene, lo=0.9, hi=0.1)
-        assert len(params_calls) == 4
+        assert len(params_calls) == (4 if make is global_slab else 3)
 
 
 class TestSlabs:

@@ -15,6 +15,11 @@ two source trees compare with a plain `diff -r`:
     PYTHONPATH=new/src python tools/cli_outputs.py out_new
     diff -r out_old out_new
 
+OUT/digests.txt holds one sha256 per run, `<digest>  <run name>` in run
+order, over the sorted names and bytes of the files in its directory.
+tests/cli_outputs.sha256 pins these lines under OPENBLAS_CORETYPE=Prescott;
+a change that means to move an output's bytes copies the new lines there.
+
 The set: `optimize` for every loss kind on a synthetic scene (30 epochs)
 and on a pose/point file scene (20 epochs); `gradcheck` for every kind (20
 samples); a geometric `optimize` with a homoscedastic warm start; a
@@ -25,12 +30,15 @@ histograms, also on a 32-frame synthetic scene seen by a 320 x 240 sensor
 with a 40 degree field of view, and global `slabs` without and with
 them; `eval` with points; on a file scene whose first frame has no V line, a
 geometric `optimize` and a geometric and posenet `landscape` of that
-frame, whose geometric cells are all NaN; and a posenet `optimize` whose
+frame, whose geometric cells are all NaN, and a `homography_local`
+`optimize` and `landscape` of that frame, which has no local slab, so
+that the run skips it and every cell is NaN; and a posenet `optimize` whose
 warm start diverges at lr 1e300, the one run that writes its outputs and
 exits 2.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -44,6 +52,11 @@ from homoloss.scene import synth_scene, write_points, write_pose_list
 
 PERTURB = ["--perturb-t", "0.2", "--perturb-deg", "5"]
 FILES = ["--poses", "../inputs/poses.txt", "--points", "../inputs/points.txt"]
+NO_V_LINE = ["--poses", "../inputs/poses.txt", "--points",
+             "../inputs/points_no_f000.txt"]
+NO_V_LINE_SWEEP = ["--frame", "0", "--axis", "roty", "--range=-10:10",
+                   "--steps", "11", "--axis2", "tz", "--range2=-1:1",
+                   "--steps2", "11"]
 
 
 def write_inputs(out):
@@ -107,14 +120,17 @@ def runs():
         "eval", "--gt-poses", "../inputs/poses.txt", "--est-poses",
         "../inputs/est_poses.txt", "--points", "../inputs/points.txt"]
     yield "optimize_files_no_v_line", [
-        "optimize", "--poses", "../inputs/poses.txt", "--points",
-        "../inputs/points_no_f000.txt", "--loss", "geometric", "--epochs",
+        "optimize", *NO_V_LINE, "--loss", "geometric", "--epochs", "20",
+        *PERTURB, "--seed", "4"]
+    yield "optimize_files_no_v_line_homography_local", [
+        "optimize", *NO_V_LINE, "--loss", "homography_local", "--epochs",
         "20", *PERTURB, "--seed", "4"]
     yield "landscape_files_no_v_line", [
-        "landscape", "--poses", "../inputs/poses.txt", "--points",
-        "../inputs/points_no_f000.txt", "--losses", "geometric,posenet",
-        "--frame", "0", "--axis", "roty", "--range=-10:10", "--steps", "11",
-        "--axis2", "tz", "--range2=-1:1", "--steps2", "11"]
+        "landscape", *NO_V_LINE, "--losses", "geometric,posenet",
+        *NO_V_LINE_SWEEP]
+    yield "landscape_files_no_v_line_homography_local", [
+        "landscape", *NO_V_LINE, "--losses", "homography_local",
+        *NO_V_LINE_SWEEP]
     yield "optimize_diverging_aborts", [
         "optimize", "--synthetic", "--n-frames", "3", "--loss", "posenet",
         "--epochs", "3", "--lr", "1e300", "--warmstart", "2"]
@@ -144,6 +160,18 @@ def run(directory, argv):
     return code
 
 
+def digest(directory):
+    """The sha256 of a run: the name and bytes of each file in directory,
+    in sorted name order, each preceded by its length."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as f:
+            data = f.read()
+        for part in (name.encode(), data):
+            h.update(b"%d:" % len(part) + part)
+    return h.hexdigest()
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -151,8 +179,12 @@ def main(argv):
     out = argv[0]
     os.makedirs(out)
     write_inputs(out)
+    digests = []
     for name, args in runs():
         print(f"{name}: exit {run(os.path.join(out, name), args)}")
+        digests.append(f"{digest(os.path.join(out, name))}  {name}\n")
+    with open(os.path.join(out, "digests.txt"), "w") as f:
+        f.writelines(digests)
     return 0
 
 
