@@ -254,11 +254,10 @@ def run_landscape(config):
     if axis2 == config["axis"]:
         raise UsageError(f"--axis2 must differ from --axis, both are {axis2}")
     scene = _build_scene(config)
-    if not 0 <= config["frame"] < len(scene.frames):
-        raise InvalidInputError(
-            f"--frame {config['frame']} is out of range for a scene of "
-            f"{len(scene.frames)} frames (0 to {len(scene.frames) - 1})")
-    frame = scene.frames[config["frame"]]
+    i, F = config["frame"], len(scene.ids)
+    if not 0 <= i < F:
+        raise InvalidInputError(f"--frame {i} is out of range for a scene of "
+                                f"{F} frames (0 to {F - 1})")
     lo, hi = _parse_range(config["range"])
     # a negative step count reaches landscape_sweep's check as no steps
     offsets = np.linspace(lo, hi, max(config["steps"], 0))
@@ -281,7 +280,7 @@ def run_landscape(config):
     header = "offset,offset2,loss_value" if axis2 else "offset,loss_value"
     files = {}
     for kind in kinds:
-        ctx = frame_context(scene, frame, kind, _hyper(config),
+        ctx = frame_context(scene, i, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
         errors = []
         rows = landscape_sweep(kind, ctx, config["axis"], offsets,
@@ -307,14 +306,17 @@ def run_gradcheck(config):
     rng = np.random.default_rng(config["seed"])
     rows = []
     for s in range(config["samples"]):
-        frame = scene.frames[int(rng.integers(len(scene.frames)))]
-        est = perturb_pose(frame.gt_pose, rng,
+        i = int(rng.integers(len(scene.ids)))
+        est = perturb_pose(scene.gt[i], rng,
                            config["perturb_t"], config["perturb_deg"])
-        ctx = frame_context(scene, frame, kind, _hyper(config),
+        ctx = frame_context(scene, i, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
         params = diffgrad.params_for(kind, est, ctx)
+        try:  # a frame fails at its first evaluation, named as in optimize
+            val, _ = diffgrad.evaluate_with_grad(kind, params, ctx)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"frame {scene.ids[i]}: {e}") from e
         err = diffgrad.grad_report(kind, params, ctx, step=config["step"])
-        val, _ = diffgrad.evaluate_with_grad(kind, params, ctx)
         rows.append((s, val, err))
     errs = np.array([err for _, _, err in rows])
     worst = errs.max()  # NaN if any error is, and a NaN is above tolerance
@@ -330,9 +332,8 @@ def run_optimize(config):
     scene = _build_scene(config)
     kind = _resolve_loss(config["loss"])
     rng = np.random.default_rng(config["seed"])
-    gt = np.array([frame.gt_pose for frame in scene.frames])
-    init = offset_rows(gt, "roty", [config["adversarial_roty"]]) \
-        if config["adversarial_roty"] else gt
+    init = offset_rows(scene.gt, "roty", [config["adversarial_roty"]]) \
+        if config["adversarial_roty"] else scene.gt
     init = [perturb_pose(row, rng, config["perturb_t"], config["perturb_deg"])
             for row in init]
     cfg = OptimConfig(
@@ -350,11 +351,11 @@ def run_optimize(config):
     final = record.final_params
     final[:, 3:] = quat_normalize(final[:, 3:])
     mrd = mean_reproj_distance(final, scene)
-    pct = _pct_rows(final, gt)
+    pct = _pct_rows(final, scene.gt)
     cols = ["epoch", "mean_loss", "train_mrd_px"]
     cols += ["s_t", "s_q"] if kind == "homoscedastic" else []  # epoch start
     poses = io.StringIO()
-    write_pose_list(poses, zip([f.id for f in scene.frames], final))
+    write_pose_list(poses, zip(scene.ids, final))
     files = {"run.csv": (",".join(cols), [
         (e.epoch, e.mean_loss, e.train_mrd, e.s_t, e.s_q)[:len(cols)]
         for e in record.epochs]), "final_poses.txt": poses.getvalue()}
@@ -383,13 +384,13 @@ def run_slabs(config):
             parent = os.path.dirname(parent)
         name_max = os.pathconf(parent, "PC_NAME_MAX")
         values, n = scene.positive_depths
-        for frame, depths in zip(scene.frames,
-                                 np.split(values, np.cumsum(n)[:-1])):
-            name = f"hist_{frame.id}.csv"
-            if {"/", os.sep, "\0"} & set(frame.id) or \
+        for fid, depths in zip(scene.ids,
+                               np.split(values, np.cumsum(n)[:-1])):
+            name = f"hist_{fid}.csv"
+            if {"/", os.sep, "\0"} & set(fid) or \
                     len(os.fsencode(name)) > name_max:
                 raise InvalidInputError(
-                    f"frame id {frame.id!r} cannot be part of a --hist file "
+                    f"frame id {fid!r} cannot be part of a --hist file "
                     f"name (no '/' or NUL, at most {name_max} bytes)")
             files[name] = ("depth,cumulative_count",
                            [(d, i) for i, d in enumerate(depths, 1)])

@@ -129,12 +129,12 @@ def mean_reproj_distance(est_poses, scene: Scene,
         raise InvalidInputError(f"reprojection clip must be positive, got "
                                 f"{clip}")
     if not isinstance(est_poses, np.ndarray):
-        if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
+        if tuple(fid for fid, _ in est_poses) != scene.ids:
             raise InvalidInputError("need one estimate per scene frame, in "
                                     "order")
         est_poses = np.array([p for _, p in est_poses]).reshape(-1, 7)
-    if est_poses.shape != (len(scene.frames), 7):
-        raise InvalidInputError(f"need ({len(scene.frames)}, 7) parameter "
+    if est_poses.shape != scene.gt.shape:
+        raise InvalidInputError(f"need {scene.gt.shape} parameter "
                                 f"rows, got shape {est_poses.shape}")
     view = scene.stacked
     seen = view.counts > 0
@@ -142,8 +142,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
     zero_q = ~np.any(q * q, axis=1)  # |q|^2 == 0 in rotmat_elems
     for i in np.flatnonzero(seen & (view.zero_gt_depth | zero_q))[:1]:
         if view.zero_gt_depth[i]:
-            raise InvalidInputError(ZERO_GT_DEPTH.format(scene.frames[i].id))
-        raise InvalidInputError(ZERO_Q.format(scene.frames[i].id))
+            raise InvalidInputError(ZERO_GT_DEPTH.format(scene.ids[i]))
+        raise InvalidInputError(ZERO_Q.format(scene.ids[i]))
     if not seen.any():
         raise InvalidInputError(
             "mean reprojection distance needs a frame with visible points"
@@ -262,22 +262,18 @@ def _safe_value(kind, est, ctx: LossContext, errors) -> float:
 
 # -- the optimization loop -------------------------------------------------
 
-def frame_context(scene: Scene, frame, kind: str, hyper: LossHyperParams,
+def frame_context(scene: Scene, i: int, kind: str, hyper: LossHyperParams,
                   slab: DepthSlab = None) -> LossContext:
-    """The LossContext of one scene frame; the homography kinds take their
-    bounds for the frame from slab."""
+    """The LossContext of the scene's frame in row i; the homography kinds
+    take their bounds for the frame from slab."""
     frame_slab = None
     if kind in HOMOGRAPHY_KINDS:
         if slab is None:
             raise InvalidInputError(f"{kind} requires slab parameters")
-        frame_slab = slab.for_frame(frame.id)
-    return LossContext(
-        gt=frame.gt_pose,
-        hyper=hyper,
-        points=scene.visible_points(frame),
-        intrinsics=scene.intrinsics,
-        slab=frame_slab,
-    )
+        frame_slab = slab.for_frame(scene.ids[i])
+    return LossContext(gt=scene.gt[i], hyper=hyper,
+                       points=scene.points[scene.visible[i]],
+                       intrinsics=scene.intrinsics, slab=frame_slab)
 
 
 def _epoch_batches(order, batch_size):
@@ -308,14 +304,14 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     a zero quaternion, raises before the first step and before any warm
     start.
     """
-    frames = scene.frames
+    ids = scene.ids
     P = np.array(init_poses, dtype=float)  # (F, 7) rows (t, q), a copy
-    if P.shape != (len(frames), 7):
+    if P.shape != scene.gt.shape:
         raise InvalidInputError("need one initial pose per frame")
     for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
-        raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
+        raise InvalidInputError(ZERO_GT_DEPTH.format(ids[i]))
     for i in np.flatnonzero(~np.any(P[:, 3:] * P[:, 3:], axis=1))[:1]:
-        raise InvalidInputError(ZERO_Q.format(frames[i].id))  # as the metric
+        raise InvalidInputError(ZERO_Q.format(ids[i]))  # as the metric
     warm_errors = []
     if config.warmstart_epochs > 0:
         warm_cfg = replace(
@@ -333,13 +329,13 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
 
     kind = config.loss_kind
     with_s = param_count(kind) == 9
-    F = len(frames)
+    F = len(ids)
     params = np.concatenate(
         [P.ravel()]
         + ([[config.hyper.s_t, config.hyper.s_q]] if with_s else [])
     )
-    ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
-            for f in frames]
+    ctxs = [frame_context(scene, i, kind, config.hyper, config.slab)
+            for i in range(F)]
     state = AdamState.zeros(len(params))
     rng = np.random.default_rng(config.seed)
     record = RunRecord(epochs=[], final_params=P)
@@ -365,7 +361,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
                         kind, np.concatenate([P[i], s]) if with_s else P[i],
                         ctxs[i])
                 except InvalidInputError as e:
-                    key = (frames[i].id, str(e))
+                    key = (ids[i], str(e))
                     skipped.setdefault(key, [epoch, 0])[1] += 1
                     epoch_errors += 1
                     continue
@@ -383,7 +379,7 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
         abort = (epoch_errors > 0.5 * F
                  and f"{epoch_errors}/{F} frames errored")
         for i in _diverged(params, F)[:1]:  # back to finite rows
-            abort, P = DIVERGED.format(frames[i].id), P_start
+            abort, P = DIVERGED.format(ids[i]), P_start
         if abort:
             record.aborted = True
             record.errors.append(f"epoch {epoch}: aborted, {abort}")

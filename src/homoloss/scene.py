@@ -1,6 +1,9 @@
 """Scene representation, text ingestion, synthetic scene generation, and the
 depth-percentile slab parameterization (local and global variants).
 
+A Scene validates its frames once into read-only columns, ids, gt and
+visible, which the library reads by row index; a Frame checks nothing.
+
 File formats (plain text, UTF-8, whitespace separated, '#' comments):
     poses:   name tx ty tz qw qx qy qz      (meters, unit quaternion)
     points:  P x y z                        (world point, meters)
@@ -11,8 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,39 +52,44 @@ class DegenerateDepthError(InvalidInputError):
 @dataclass(frozen=True, eq=False)  # numpy fields: identity equality
 class Frame:
     id: str
-    gt_pose: np.ndarray  # (7,) pose row (t, q), read-only
-    visible: np.ndarray  # int64 indices into the scene points, read-only
-
-    def __post_init__(self):
-        object.__setattr__(self, "gt_pose", pose_row(self.gt_pose))
-        try:
-            visible = np.array(self.visible, dtype=np.int64)
-        except OverflowError as e:
-            raise InvalidInputError("visibility index beyond int64") from e
-        visible.flags.writeable = False
-        object.__setattr__(self, "visible", visible)
+    gt_pose: np.ndarray  # (7,) pose row (t, q)
+    visible: np.ndarray  # indices into the scene points
 
 
 @dataclass(frozen=True, eq=False)  # numpy fields: identity equality
 class Scene:
     points: np.ndarray  # (N, 3) world points, meters
-    frames: tuple
+    frames: tuple       # a Frame view of each row of the columns below
     intrinsics: Intrinsics
+    ids: tuple = field(init=False)      # the frame ids, each once
+    gt: np.ndarray = field(init=False)  # (F, 7) gt pose rows, read-only
+    visible: tuple = field(init=False)  # per frame, read-only int64 indices
+    _slabs: dict = field(init=False, default_factory=dict)  # slab bounds
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "frames", tuple(self.frames))
-        # (mode, lo, hi) -> bounds of local_slabs or global_slab
-        object.__setattr__(self, "_slabs", {})
-        if len(self.frames) < 1:
+        frames = tuple(self.frames)
+        if len(frames) < 1:
             raise InvalidInputError("scene needs at least one frame")
-        ends = np.cumsum([len(f.visible) for f in self.frames])
-        idx = np.concatenate([f.visible for f in self.frames])
-        for k in np.flatnonzero((idx < 0) | (idx >= len(self.points)))[:1]:
-            f = self.frames[np.searchsorted(ends, k, side="right")]
-            raise InvalidInputError(
-                f"frame {f.id}: visibility index {idx[k]} out of range")
+        ids = tuple(f.id for f in frames)
+        for fid in [k for k, n in Counter(ids).items() if n > 1][:1]:
+            raise InvalidInputError(f"frame id {fid!r} is repeated")
+        gt = np.array([pose_row(f.gt_pose) for f in frames])
+        try:
+            visible = tuple(np.array(f.visible, np.int64) for f in frames)
+        except OverflowError as e:
+            raise InvalidInputError("visibility index beyond int64") from e
+        for a in (gt, *visible):
+            a.flags.writeable = False
+        idx = np.concatenate(visible)
+        for k in np.flatnonzero((idx < 0) | (idx >= len(points)))[:1]:
+            i = np.searchsorted(np.cumsum(list(map(len, visible))), k, "right")
+            raise InvalidInputError(f"frame {ids[i]}: visibility index "
+                                    f"{idx[k]} out of range")
+        for name, value in [("points", points), ("ids", ids), ("gt", gt),
+                            ("visible", visible),
+                            ("frames", tuple(map(Frame, ids, gt, visible)))]:
+            object.__setattr__(self, name, value)
 
     def visible_points(self, frame: Frame) -> np.ndarray:
         return self.points[frame.visible]
@@ -96,16 +104,14 @@ class Scene:
         depths.
         Each product has one frame's shape, so its bits are those of the frame
         alone. Built on first use; the arrays are read-only."""
-        counts = np.array([len(f.visible) for f in self.frames])
-        gt = np.array([f.gt_pose for f in self.frames])
-        t, q = gt[:, :3], gt[:, 3:]
+        counts = np.array([len(v) for v in self.visible])
+        t, q = self.gt[:, :3], self.gt[:, 3:]
         zero = np.zeros(len(counts), dtype=bool)  # zero_gt_depth
         depths = [np.zeros(0)] * len(counts)
         buckets = []
         for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
             rows = np.flatnonzero(counts == n)
-            gathered = self.points[np.stack([self.frames[i].visible
-                                             for i in rows])]
+            gathered = self.points[np.stack([self.visible[i] for i in rows])]
             points = gathered.transpose(0, 2, 1).copy()
             R = quat_to_rotmat(q[rows])
             gt_uv, _ = project_points(t[rows], R, self.intrinsics, points)
@@ -197,8 +203,7 @@ def local_slabs(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
     computed once per scene and (lo, hi); each call gets its own dict."""
     key = ("local", lo, hi)  # lo = 0.0 and -0.0 give the same bounds
     if key not in scene._slabs:  # a call that raises caches nothing
-        ids = [f.id for f in scene.frames]
-        scene._slabs[key] = dict(zip(ids, _slab_params(
+        scene._slabs[key] = dict(zip(scene.ids, _slab_params(
             scene.positive_depths, lo, hi)))
     return DepthSlab(per_frame=dict(scene._slabs[key]))
 
@@ -212,7 +217,7 @@ def global_slab(scene: Scene, lo: float = DEFAULT_PERCENTILE_LO,
         pooled = _sorted_positive([np.concatenate(scene.stacked.depths)])
         (bounds,) = _slab_params(pooled, lo, hi)
         if isinstance(bounds, DegenerateDepthError):
-            raise DegenerateDepthError(f"frame <global>: {bounds}")
+            raise DegenerateDepthError(f"global slab: {bounds}")
         scene._slabs[key] = bounds
     return DepthSlab(single=scene._slabs[key])
 
@@ -324,11 +329,8 @@ def scene_from_files(poses, points_stream, intrinsics: Intrinsics) -> Scene:
     """The scene of parsed (id, pose row) pairs and a points file; a frame
     without a V line sees no point."""
     points, vis = parse_points(points_stream)
-    frames = [
-        Frame(id=name, gt_pose=pose, visible=vis.get(name, ()))
-        for name, pose in poses
-    ]
-    return Scene(points=points, frames=frames, intrinsics=intrinsics)
+    return Scene(points, [Frame(name, pose, vis.get(name, ()))
+                          for name, pose in poses], intrinsics)
 
 
 # -- synthetic scenes ------------------------------------------------------

@@ -652,8 +652,8 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     # then the shared s_t/s_q; unique, so fancy-indexed += adds each once
     index = np.hstack([np.arange(7 * F).reshape(F, 7),
                        np.tile(np.arange(7 * F, n_params), (F, 1))])
-    ctxs = [frame_context(scene, f, kind, config.hyper, config.slab)
-            for f in frames]
+    ctxs = [frame_context(scene, i, kind, config.hyper, config.slab)
+            for i in range(F)]
     state = AdamState.zeros(n_params)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(epochs=[], final_params=None)

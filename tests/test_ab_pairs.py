@@ -147,15 +147,18 @@ def test_quartiles(values, want):
     assert ab_pairs.quartiles(values) == want
 
 
-def test_setup_s_summary_says_a_gap_under_6_percent_resolves_nothing():
-    # setup_s moved by 4-6% between trees whose import code was identical,
-    # so its summary says so before the verdict; other metrics' do not.
-    lines = ab_pairs.summarize("setup_s", "s", "lower", 0.25,
-                               [1.0, 1.0, 1.0], [0.95, 0.95, 0.95])
-    assert lines[4] == ("  a setup_s gap under 6% resolves nothing: it "
-                        "moved 4-6% between trees with identical import "
-                        "code")
-    assert lines[5] == "  verdict: claim met (bound 25%)"
-    other = ab_pairs.summarize("op_time_cal", "cal", "lower", 0.25,
-                               [1.0, 1.0, 1.0], [0.95, 0.95, 0.95])
-    assert len(other) == 5 and ab_pairs.SETUP_NOISE not in other
+def test_setup_s_summary_has_the_lines_of_every_metric():
+    # No fixed noise figure for setup_s: as for every metric, the gap line
+    # compares the medians with the parent's own interquartile range, and
+    # a parent IQR wider than the bound leaves the verdict unresolved.
+    parent, change = [1.0, 1.1, 1.3], [0.95, 1.0, 1.2]
+    lines = ab_pairs.summarize("setup_s", "s", "lower", 0.25, parent,
+                               change)
+    other = ab_pairs.summarize("op_time_cal", "s", "lower", 0.25, parent,
+                               change)
+    assert lines[0] == "setup_s (s, lower is better)"
+    assert lines[1:] == other[1:] and len(lines) == 5
+    assert lines[3] == ("  change better in 3 of 3 pairs; median -9.1%; "
+                        "gap 0.1 <= parent IQR 0.3")
+    assert lines[4] == ("  verdict: unresolved, parent IQR 0.3 > bound "
+                        "0.275 (bound 25%)")

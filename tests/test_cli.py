@@ -1408,24 +1408,27 @@ class TestFrameWithoutSlab:
             self, tmp_path, capsys, monkeypatch, no_v_line_scene):
         drawn = []
 
-        def spy(scene, frame, *args):
-            drawn.append(frame.id)
-            return optim.frame_context(scene, frame, *args)
+        def spy(scene, i, *args):
+            drawn.append(scene.ids[i])
+            return optim.frame_context(scene, i, *args)
         monkeypatch.setattr(cli, "frame_context", spy)
         outcomes = set()
-        for seed in range(6):
-            drawn.clear()
-            code = main(["gradcheck", *no_v_line_scene, "--loss",
-                         "homography", "--samples", "2", "--seed", str(seed),
-                         "--out", str(tmp_path / str(seed))])
-            err = capsys.readouterr().err
-            if "f000" in drawn:  # the first draw of f000 ends the command
-                assert (code, drawn[-1], err) == \
-                    (2, "f000", f"error: {self.NO_SLAB}\n")
-            else:
-                assert (code, err) == (0, "")
-            outcomes.add(code)
-        assert outcomes == {0, 2}
+        for kind, why in (("homography", self.NO_SLAB), (
+                "geometric", "geometric loss needs a non-empty point set")):
+            for seed in range(6):
+                drawn.clear()
+                code = main(["gradcheck", *no_v_line_scene, "--loss", kind,
+                             "--samples", "2", "--seed", str(seed), "--out",
+                             str(tmp_path / f"{kind}{seed}")])
+                err = capsys.readouterr().err
+                if "f000" in drawn:  # the first draw of f000 ends the run
+                    assert (code, drawn[-1], err) == \
+                        (2, "f000", f"error: frame f000: {why}\n")
+                else:
+                    assert (code, err) == (0, "")
+                outcomes.add((kind, code))
+        assert outcomes == {(k, c) for k in ("homography", "geometric")
+                            for c in (0, 2)}
 
     def test_slab_table_fails_naming_the_frame(self, tmp_path, capsys,
                                                no_v_line_scene):

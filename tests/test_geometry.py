@@ -20,7 +20,7 @@ from homoloss.geometry import (
 )
 from homoloss.losses import LossContext
 from homoloss.optim import perturb_pose
-from homoloss.scene import Frame
+from homoloss.scene import Frame, Scene, default_intrinsics
 from oracles import (
     InvalidDepthError,
     PointAtInfinity,
@@ -430,8 +430,15 @@ def test_rotmat_quat_round_trip():
         )
 
 
+def scene_gt(pose):
+    """The gt row that a one-frame Scene keeps of pose: a Frame checks
+    nothing, the Scene validates its frames."""
+    return Scene(np.zeros((0, 3)), [Frame("f", pose, ())],
+                 default_intrinsics()).gt[0]
+
+
 @pytest.mark.parametrize("make, message", [
-    (lambda: Frame("f", [0.0] * 6, ()), "pose needs 7 values"),
+    (lambda: scene_gt([0.0] * 6), "pose needs 7 values"),
     (lambda: LossContext(gt=np.zeros((1, 7))), "pose needs 7 values"),
     (lambda: LossContext(gt=np.zeros(6)), "pose needs 7 values"),
     (lambda: quat_from_axis_angle([0.0, 0.0, 0.0], 0.5),
@@ -444,15 +451,15 @@ def test_invalid_input_rejected(make, message):
 
 def test_stored_pose_rows_are_read_only_copies():
     row = np.arange(7.0)
-    for stored in (Frame("f", row, ()).gt_pose, LossContext(gt=row).gt):
+    for stored in (scene_gt(row), LossContext(gt=row).gt):
         assert stored is not row and stored.tolist() == row.tolist()
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 1.0
 
 
-# Each way in: Frame, LossContext and perturb_pose validate with pose_row.
+# Each way in: Scene, LossContext and perturb_pose validate with pose_row.
 POSE_TAKERS = {
-    "frame": lambda p: Frame("f", p, ()).gt_pose,
+    "frame": scene_gt,
     "context": lambda p: LossContext(gt=p).gt,
     "perturb": lambda p: perturb_pose(p, np.random.default_rng(0), 0.0, 0.0),
 }

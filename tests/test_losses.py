@@ -219,11 +219,11 @@ class TestGeometricLoss:
         rng = np.random.default_rng(12)
         hyper = LossHyperParams(reproj_clip=clip)
         for _ in range(40):
-            frame = scene.frames[int(rng.integers(len(scene.frames)))]
-            ctx = frame_context(scene, frame, "geometric", hyper)
-            est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
+            i = int(rng.integers(len(scene.ids)))
+            ctx = frame_context(scene, i, "geometric", hyper)
+            est = perturbed(scene.gt[i], rng, max_t=0.2, max_deg=5.0)
             val, grad = evaluate_with_grad("geometric", est, ctx)
-            ref_val, ref_grad = geometric_loop(est, frame.gt_pose,
+            ref_val, ref_grad = geometric_loop(est, scene.gt[i],
                                                ctx.points, ctx.intrinsics,
                                                clip)
             assert val == pytest.approx(ref_val, rel=1e-13)
@@ -235,10 +235,9 @@ class TestGeometricLoss:
         # The projection and the translation gradient share the estimate's
         # rotation matrix. The first evaluation also builds the context's gt
         # projection, so the spy counts from the second on.
-        frame = scene.frames[0]
-        ctx = frame_context(scene, frame, "geometric", LossHyperParams())
+        ctx = frame_context(scene, 0, "geometric", LossHyperParams())
         rng = np.random.default_rng(5)
-        evaluate_with_grad("geometric", frame.gt_pose, ctx)
+        evaluate_with_grad("geometric", scene.gt[0], ctx)
         calls = []
 
         def spy(q):
@@ -246,7 +245,7 @@ class TestGeometricLoss:
             return rotmat_elems(q)
         monkeypatch.setattr(losses, "rotmat_elems", spy)
         for n in range(1, 4):
-            est = perturbed(frame.gt_pose, rng, max_t=0.2, max_deg=5.0)
+            est = perturbed(scene.gt[0], rng, max_t=0.2, max_deg=5.0)
             evaluate_with_grad("geometric", est, ctx)
             assert len(calls) == n
 

@@ -487,13 +487,12 @@ class TestSweeps:
                                          axis, axis2, offsets, offsets2):
         # Each cell is loss_value at its offset pose, bit for bit, or NaN
         # where that evaluation is a domain error.
-        f = scene.frames[frame]
         if kind == "geometric without points":
-            kind, ctx = "geometric", LossContext(gt=f.gt_pose)
+            kind, ctx = "geometric", LossContext(gt=scene.gt[frame])
         else:
             slab = global_slab(scene) if kind == "homography_global" \
                 else slabs
-            ctx = frame_context(scene, f, kind, LossHyperParams(), slab)
+            ctx = frame_context(scene, frame, kind, LossHyperParams(), slab)
         rows = landscape_sweep(kind, ctx, axis, offsets, axis2, offsets2)
         cells = [(o,) for o in offsets] if axis2 is None else \
             [(o, o2) for o in offsets for o2 in offsets2]
@@ -548,13 +547,12 @@ class TestSweeps:
                                         axis, axis2, offsets, offsets2):
         # Rows, NaN cells and error messages of the sweep that offset each
         # cell's parameters in turn, bit for bit.
-        f = scene.frames[frame]
         if kind == "geometric without points":
-            kind, ctx = "geometric", LossContext(gt=f.gt_pose)
+            kind, ctx = "geometric", LossContext(gt=scene.gt[frame])
         else:
             slab = global_slab(scene) if kind == "homography_global" \
                 else slabs
-            ctx = frame_context(scene, f, kind, LossHyperParams(), slab)
+            ctx = frame_context(scene, frame, kind, LossHyperParams(), slab)
         if axis2 is None:
             offsets2 = None
         errors, loop_errors = [], []

@@ -10,7 +10,8 @@ from conftest import identity_pose, pose
 from homoloss import scene as scene_module
 from homoloss.geometry import InvalidInputError, Intrinsics, \
     quat_to_rotmat
-from homoloss.losses import SlabParams
+from homoloss.losses import LossHyperParams, SlabParams
+from homoloss.optim import frame_context
 from homoloss.scene import (
     DegenerateDepthError,
     DepthSlab,
@@ -171,8 +172,9 @@ class TestBatchedPercentiles:
         frames = [Frame(f"f{k}", identity_pose(), visible[k]) for k in order]
         scene = Scene(points, frames, default_intrinsics())
         got = local_slabs(scene).per_frame
-        expected = slab_loop([frame_depths_loop(scene, f) for f in frames],
-                             0.025, 0.975)
+        # the scene's own frames: a Frame given to it holds its raw input
+        expected = slab_loop([frame_depths_loop(scene, f)
+                              for f in scene.frames], 0.025, 0.975)
         assert list(got) == [f.id for f in frames]
         assert (got["f0"].x_min, got["f0"].x_max) == expected[0]
         for f, e in zip(frames[1:], expected[1:]):
@@ -275,6 +277,84 @@ def test_depth_slabs_are_hashable():
     assert len({local, local, shared, local_slabs(scene)}) == 3
 
 
+class TestSceneTable:
+    """Scene validates its frames once into three read-only columns, ids,
+    gt and visible, which the library reads by row index."""
+
+    def test_columns_are_read_only_and_frames_view_their_rows(self):
+        scene = synth_scene(2, n_frames=3)
+        assert scene.ids == ("f000", "f001", "f002")
+        assert scene.gt.shape == (3, 7) and len(scene.visible) == 3
+        for a in (scene.gt, *scene.visible):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        for i, f in enumerate(scene.frames):
+            assert f.id == scene.ids[i]
+            assert np.shares_memory(f.gt_pose, scene.gt[i])
+            assert f.visible is scene.visible[i]
+            assert f.visible.dtype == np.int64
+
+    def test_a_repeated_frame_id_is_rejected(self):
+        # local_slabs keys its table by id: with both frames named a, frame
+        # 0 would get frame 1's slab. The first id, in frame order, that
+        # appears twice is named.
+        base = synth_scene(3, n_frames=2)
+        frames = [Frame("a", f.gt_pose, f.visible) for f in base.frames]
+        with pytest.raises(InvalidInputError,
+                           match="^frame id 'a' is repeated$"):
+            Scene(base.points, frames, base.intrinsics)
+        base = synth_scene(3, n_frames=5)
+        frames = [Frame(fid, f.gt_pose, f.visible) for fid, f
+                  in zip(["x", "b", "a", "a", "b"], base.frames)]
+        with pytest.raises(InvalidInputError,
+                           match="^frame id 'b' is repeated$"):
+            Scene(base.points, frames, base.intrinsics)
+
+
+@st.composite
+def scenes_and_orders(draw):
+    """A small synthetic scene and a permutation of its frame rows."""
+    n_frames = draw(st.integers(1, 6))
+    try:
+        scene = synth_scene(draw(st.integers(0, 2**16)),
+                            n_points=draw(st.integers(10, 40)),
+                            n_frames=n_frames)
+    except GenerationError:  # a frame that sees fewer than 2 points
+        assume(False)
+    return scene, draw(st.permutations(range(n_frames)))
+
+
+def frame_results(scene):
+    """Per row: the frame's id, gt row and visible points, its stacked gt
+    pixels and depths, its local slab bounds, and the constants of its
+    homography and geometric context."""
+    gt_uv = {}
+    for b in scene.stacked.buckets:
+        gt_uv.update(zip(b.rows.tolist(), b.gt_uv.tolist()))
+    slabs = local_slabs(scene)
+    results = []
+    for i, fid in enumerate(scene.ids):
+        slab = slabs.for_frame(fid)
+        ctx = frame_context(scene, i, "homography_local", LossHyperParams(),
+                            slabs)
+        results.append((
+            fid, scene.gt[i].tolist(), scene.points[scene.visible[i]].tolist(),
+            gt_uv[i], scene.stacked.depths[i].tolist(),
+            (slab.x_min, slab.x_max), ctx.gt.tolist(), ctx.points.tolist(),
+            ctx.pose_target, ctx.homography, ctx.gt_uv.tolist()))
+    return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=scenes_and_orders())
+def test_each_frame_keeps_its_results_under_any_frame_order(drawn):
+    scene, order = drawn
+    permuted = Scene(scene.points, [scene.frames[j] for j in order],
+                     scene.intrinsics)
+    results = frame_results(scene)
+    assert frame_results(permuted) == [results[j] for j in order]
+
+
 def slab_bits(slab):
     """The bytes of every bound of a DepthSlab, keyed as it keys them."""
     table = slab.per_frame or {None: slab.single}
@@ -337,7 +417,7 @@ class TestSlabCache:
         for _ in range(2):
             if make is global_slab:
                 with pytest.raises(DegenerateDepthError,
-                                   match="frame <global>: degenerate"):
+                                   match="^global slab: degenerate"):
                     make(scene)
             else:
                 error = make(scene).per_frame["f0"]

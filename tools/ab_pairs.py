@@ -29,9 +29,7 @@ metric's `bound`, a fraction of the parent's median; `unresolved` when
 the parent's interquartile range is wider than that bound, so that the
 runs cannot tell a change within the bound from one beyond it, unless
 every run of the change is better than every run of the parent; else `no
-claim, within bound`. The summary of `setup_s` also says that a gap
-under 6% resolves nothing: it moved by 4-6% between trees whose import
-code was identical. A run that exits non-zero, reports correct: false
+claim, within bound`. A run that exits non-zero, reports correct: false
 or counts failed operations stops the script with exit code 1.
 """
 
@@ -44,8 +42,6 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
-SETUP_NOISE = ("  a setup_s gap under 6% resolves nothing: it moved 4-6% "
-               "between trees with identical import code")
 
 
 def run_side(root, workload, seed, seconds, pycache):
@@ -102,7 +98,6 @@ def summarize(name, unit, better, bound, parent, change):
         f"  change  median {cm:.4g}  quartiles {c1:.4g}-{c3:.4g}",
         f"  change better in {won} of {len(parent)} pairs; median {rel}; "
         f"gap {gap:.4g} {'>' if gap > iqr else '<='} parent IQR {iqr:.4g}",
-        *([SETUP_NOISE] if name == "setup_s" else []),
         f"  verdict: {verdict} (bound {bound:.0%})",
     ]
 

@@ -63,8 +63,8 @@ def write_inputs(out):
     """The file scene (synthetic seed 7, 40 points, 10 frames), the same
     points without the first frame's V line, and perturbed estimates."""
     scene = synth_scene(7, n_points=40, n_frames=10)
-    poses = [(f.id, f.gt_pose) for f in scene.frames]
-    visible = {f.id: f.visible for f in scene.frames}
+    poses = list(zip(scene.ids, scene.gt))
+    visible = dict(zip(scene.ids, scene.visible))
     rng = np.random.default_rng(8)
     est = [(fid, perturb_pose(p, rng, 0.2, 5.0)) for fid, p in poses]
     os.makedirs(os.path.join(out, "inputs"))
