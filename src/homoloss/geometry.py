@@ -25,16 +25,31 @@ def pose_row(pose) -> np.ndarray:
     """A pose as a read-only float (7,) copy (tx, ty, tz, qw, qx, qy, qz)
     of 7 real numbers; InvalidInputError for any other shape, for a ragged
     nesting and for an entry that is no real number (None, a string)."""
+    return _real_copy(pose, "pose needs 7", lambda shape: shape == (7,))
+
+
+def _point_rows(points) -> np.ndarray:
+    """World points as a read-only float (N, 3) copy, (0, 3) of an empty
+    sequence; InvalidInputError as pose_row's for any other input."""
+    rows = _real_copy(points, "points need (N, 3)",
+                      lambda s: s == (0,) or len(s) == 2 and s[1] == 3)
+    return rows.reshape(-1, 3)
+
+
+def _real_copy(values, need, shape_ok):
+    """values as a read-only float copy of an array of real numbers whose
+    shape passes shape_ok; InvalidInputError, its message led by need, for a
+    ragged nesting, an entry that is no real number or another shape."""
     try:
-        row = np.asarray(pose)
+        row = np.asarray(values)
     except ValueError as e:
-        raise InvalidInputError("pose needs 7 values, got a ragged "
-                                "sequence") from e
+        raise InvalidInputError(f"{need} values, got a ragged "
+                                f"sequence") from e
     if row.dtype.kind not in "biuf":  # dtype=float would read None as NaN
-        raise InvalidInputError(f"pose needs 7 real numbers, got "
+        raise InvalidInputError(f"{need} real numbers, got "
                                 f"{row.dtype} values")
-    if row.shape != (7,):
-        raise InvalidInputError(f"pose needs 7 values, got shape {row.shape}")
+    if not shape_ok(row.shape):
+        raise InvalidInputError(f"{need} values, got shape {row.shape}")
     row = row.astype(float)  # a copy, also of a float row
     row.flags.writeable = False
     return row

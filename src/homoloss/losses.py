@@ -47,6 +47,7 @@ from .geometry import (
     DEPTH_EPS,
     InvalidInputError,
     Intrinsics,
+    _point_rows,
     pose_row,
     project_points,
     quat_normalize,
@@ -102,12 +103,14 @@ class LossContext:
 
     gt: np.ndarray  # (7,) gt pose row (t, q), read-only
     hyper: LossHyperParams = field(default_factory=LossHyperParams)
-    points: np.ndarray = None      # (N, 3) world points visible in the frame
+    points: np.ndarray = None  # (N, 3) visible world points, read-only
     intrinsics: Intrinsics = None
     slab: SlabParams = None  # or the frame's error, for want of a slab
 
     def __post_init__(self):
         object.__setattr__(self, "gt", pose_row(self.gt))
+        if self.points is not None:
+            object.__setattr__(self, "points", _point_rows(self.points))
 
     @cached_property
     def pose_target(self) -> tuple:
@@ -120,7 +123,7 @@ class LossContext:
     def planar_points(self) -> np.ndarray:
         """The points as (3, N) x, y and z rows, read-only, the layout that
         project_points takes."""
-        planar = np.asarray(self.points, dtype=float).T.copy()
+        planar = self.points.T.copy()
         planar.flags.writeable = False
         return planar
 

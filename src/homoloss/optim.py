@@ -25,8 +25,6 @@ from .losses import LossContext, LossHyperParams
 from .scene import DepthSlab, Scene
 
 EVAL_REPROJ_CLIP = 1000.0  # px, outlier clip of the evaluation metric
-ZERO_GT_DEPTH = ("frame {}: a visible point lies at zero gt depth or has a "
-                 "non-finite gt pixel")
 ZERO_Q = "frame {}: zero-norm quaternion"
 DIVERGED = "frame {}: a parameter is not finite or |q|^2 overflows"
 ADAM_BETA1 = 0.9
@@ -120,9 +118,8 @@ def mean_reproj_distance(est_poses, scene: Scene,
     (frame id, row) pairs, which only perfbench/layers.py passes; they go
     with ROADMAP item 1. Projections to infinity count as the clip, which must
     be positive. Frames without visible points are skipped;
-    InvalidInputError when no frame has one, or naming the first where a
-    visible point has a non-finite gt pixel, as at zero gt depth, or the
-    estimate q has zero norm.
+    InvalidInputError when no frame has one, or naming the first with one
+    whose estimate q has zero norm; the scene has checked every gt pixel.
     One projection and one np.add.reduce, np.mean's sum, per visible-count
     bucket of scene.stacked, which give each frame the bits of its own."""
     if not clip > 0:
@@ -140,9 +137,7 @@ def mean_reproj_distance(est_poses, scene: Scene,
     seen = view.counts > 0
     t, q = est_poses[:, :3], est_poses[:, 3:]
     zero_q = ~np.any(q * q, axis=1)  # |q|^2 == 0 in rotmat_elems
-    for i in np.flatnonzero(seen & (view.zero_gt_depth | zero_q))[:1]:
-        if view.zero_gt_depth[i]:
-            raise InvalidInputError(ZERO_GT_DEPTH.format(scene.ids[i]))
+    for i in np.flatnonzero(seen & zero_q)[:1]:
         raise InvalidInputError(ZERO_Q.format(scene.ids[i]))
     if not seen.any():
         raise InvalidInputError(
@@ -299,17 +294,13 @@ def optimize_poses(scene: Scene, init_poses, config: OptimConfig) -> RunRecord:
     start, if after its last step a frame reads a parameter that is not
     finite or has a |q|^2 that overflows. A warm start's error lines come
     first, marked as such, and its abort ends the run with the warm-start
-    poses. A scene that the per-epoch metric rejects for a visible point
-    with a non-finite gt pixel, as at zero gt depth, or an initial pose with
-    a zero quaternion, raises before the first step and before any warm
-    start.
+    poses. An initial pose with a zero quaternion, which the per-epoch
+    metric rejects, raises before the first step and before any warm start.
     """
     ids = scene.ids
     P = np.array(init_poses, dtype=float)  # (F, 7) rows (t, q), a copy
     if P.shape != scene.gt.shape:
         raise InvalidInputError("need one initial pose per frame")
-    for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
-        raise InvalidInputError(ZERO_GT_DEPTH.format(ids[i]))
     for i in np.flatnonzero(~np.any(P[:, 3:] * P[:, 3:], axis=1))[:1]:
         raise InvalidInputError(ZERO_Q.format(ids[i]))  # as the metric
     warm_errors = []

@@ -1,8 +1,9 @@
 """Scene representation, text ingestion, synthetic scene generation, and the
 depth-percentile slab parameterization (local and global variants).
 
-A Scene validates its frames once into read-only columns, ids, gt and
-visible, which the library reads by row index; a Frame checks nothing.
+A Scene validates its points and frames once, into read-only columns, ids,
+gt and visible, which the library reads by row index, and its stacked gt
+view; a Frame checks nothing.
 
 File formats (plain text, UTF-8, whitespace separated, '#' comments):
     poses:   name tx ty tz qw qx qy qz      (meters, unit quaternion)
@@ -23,6 +24,7 @@ import numpy as np
 from .geometry import (
     InvalidInputError,
     Intrinsics,
+    _point_rows,
     pose_row,
     project_points,
     quat_canonical,
@@ -64,10 +66,11 @@ class Scene:
     ids: tuple = field(init=False)      # the frame ids, each once
     gt: np.ndarray = field(init=False)  # (F, 7) gt pose rows, read-only
     visible: tuple = field(init=False)  # per frame, read-only int64 indices
+    stacked: StackedFrames = field(init=False, repr=False)  # see _stack
     _slabs: dict = field(init=False, default_factory=dict)  # slab bounds
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        points = _point_rows(self.points)
         frames = tuple(self.frames)
         if len(frames) < 1:
             raise InvalidInputError("scene needs at least one frame")
@@ -75,12 +78,8 @@ class Scene:
         for fid in [k for k, n in Counter(ids).items() if n > 1][:1]:
             raise InvalidInputError(f"frame id {fid!r} is repeated")
         gt = np.array([pose_row(f.gt_pose) for f in frames])
-        try:
-            visible = tuple(np.array(f.visible, np.int64) for f in frames)
-        except OverflowError as e:
-            raise InvalidInputError("visibility index beyond int64") from e
-        for a in (gt, *visible):
-            a.flags.writeable = False
+        visible = tuple(map(_indices, ids, (f.visible for f in frames)))
+        gt.flags.writeable = False
         idx = np.concatenate(visible)
         for k in np.flatnonzero((idx < 0) | (idx >= len(points)))[:1]:
             i = np.searchsorted(np.cumsum(list(map(len, visible))), k, "right")
@@ -90,23 +89,23 @@ class Scene:
                             ("visible", visible),
                             ("frames", tuple(map(Frame, ids, gt, visible)))]:
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "stacked", self._stack())
 
     def visible_points(self, frame: Frame) -> np.ndarray:
         return self.points[frame.visible]
 
-    @cached_property
-    def stacked(self) -> StackedFrames:
+    def _stack(self) -> StackedFrames:
         """The frames grouped by visible count, unpadded: per count n > 0 a
         Bucket of the frames' indices rows (k,), their points (k, 3, n) as
         x, y and z rows and gt projections gt_uv (k, 2, n), u and v rows; per
-        frame, counts (F,), zero_gt_depth (F,) a visible point with a
-        non-finite gt pixel, as at zero gt depth, and depths, its (n,) gt
-        depths.
+        frame, counts (F,) and depths, its (n,) gt depths.
         Each product has one frame's shape, so its bits are those of the frame
-        alone. Built on first use; the arrays are read-only."""
+        alone. Built with the scene, whose first frame with a visible point
+        without a finite gt pixel, as at zero gt depth, is an
+        InvalidInputError; the arrays are read-only."""
         counts = np.array([len(v) for v in self.visible])
         t, q = self.gt[:, :3], self.gt[:, 3:]
-        zero = np.zeros(len(counts), dtype=bool)  # zero_gt_depth
+        no_pixel = np.zeros(len(counts), dtype=bool)
         depths = [np.zeros(0)] * len(counts)
         buckets = []
         for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
@@ -115,15 +114,19 @@ class Scene:
             points = gathered.transpose(0, 2, 1).copy()
             R = quat_to_rotmat(q[rows])
             gt_uv, _ = project_points(t[rows], R, self.intrinsics, points)
-            zero[rows] = ~np.isfinite(gt_uv).all(axis=(1, 2))
+            no_pixel[rows] = ~np.isfinite(gt_uv).all(axis=(1, 2))
             # not z: the depths keep the bits of (n, 3) @ R[:, 2]
             d = ((gathered - t[rows, None, :]) @ R[:, :, 2:3])[..., 0]
             for i, row in zip(rows.tolist(), d):
                 depths[i] = row
             buckets.append(Bucket(rows, points, gt_uv))
-        for a in (counts, zero, *depths, *(x for b in buckets for x in b)):
+        for i in np.flatnonzero(no_pixel)[:1]:
+            raise InvalidInputError(f"frame {self.ids[i]}: a visible point "
+                                    f"lies at zero gt depth or has a "
+                                    f"non-finite gt pixel")
+        for a in (counts, *depths, *(x for b in buckets for x in b)):
             a.flags.writeable = False
-        return StackedFrames(counts, zero, tuple(depths), tuple(buckets))
+        return StackedFrames(counts, tuple(depths), tuple(buckets))
 
     @cached_property
     def positive_depths(self):
@@ -136,8 +139,24 @@ class Scene:
         return positive
 
 
-StackedFrames = namedtuple("StackedFrames",
-                           "counts zero_gt_depth depths buckets")
+def _indices(fid, visible) -> np.ndarray:
+    """A frame's visibility as read-only int64 indices, of a 1-D sequence of
+    integers (not bools), empty included; InvalidInputError otherwise."""
+    try:
+        idx = np.array(visible, np.int64)
+    except OverflowError as e:
+        raise InvalidInputError("visibility index beyond int64") from e
+    except (TypeError, ValueError):  # None, a ragged nesting, a string
+        idx = None
+    if idx is None or idx.ndim != 1 or len(idx) and \
+            np.asarray(visible).dtype.kind not in "iu":
+        raise InvalidInputError(f"frame {fid}: visibility needs a 1-D "
+                                f"sequence of integer indices")
+    idx.flags.writeable = False
+    return idx
+
+
+StackedFrames = namedtuple("StackedFrames", "counts depths buckets")
 Bucket = namedtuple("Bucket", "rows points gt_uv")
 
 

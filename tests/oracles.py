@@ -55,7 +55,7 @@ from homoloss.dual import sum_squares
 from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP, SWEEP_AXES, AdamState, \
-    DIVERGED, EpochStats, RunRecord, ZERO_GT_DEPTH, ZERO_Q, _epoch_batches, \
+    DIVERGED, EpochStats, RunRecord, ZERO_Q, _epoch_batches, \
     _safe_value, adam_update, frame_context, mean_reproj_distance, \
     offset_rows
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
@@ -366,8 +366,8 @@ def mean_reproj_distance_loop(est_poses, scene,
     estimated projections of the frame's visible points; est_poses holds one
     (frame id, row) per scene frame, in order. Projections to infinity count
     as the clip. Frames without visible points are skipped; InvalidInputError
-    when no frame has one, or naming the first where a visible point has a
-    non-finite gt pixel, as at zero gt depth, or the estimate q is zero."""
+    when no frame has one, or naming the first with one whose estimate q is
+    zero."""
     if [fid for fid, _ in est_poses] != [f.id for f in scene.frames]:
         raise InvalidInputError("need one estimate per scene frame, in order")
     K = scene.intrinsics
@@ -378,8 +378,6 @@ def mean_reproj_distance_loop(est_poses, scene,
             continue
         gt = frame.gt_pose
         uv_gt, _ = project_points(gt[:3], quat_to_rotmat(gt[3:]), K, pts.T)
-        if not np.isfinite(uv_gt).all():
-            raise InvalidInputError(ZERO_GT_DEPTH.format(frame.id))
         if not np.any(est[3:] * est[3:]):
             raise InvalidInputError(f"frame {frame.id}: zero-norm quaternion")
         uv, z = project_points(est[:3], quat_to_rotmat(est[3:]), K, pts.T)
@@ -620,8 +618,6 @@ def optimize_poses_loop(scene, init_poses, config) -> RunRecord:
     frames = scene.frames
     if len(init_poses) != len(frames):
         raise InvalidInputError("need one initial pose per frame")
-    for i in np.flatnonzero(scene.stacked.zero_gt_depth)[:1]:
-        raise InvalidInputError(ZERO_GT_DEPTH.format(frames[i].id))
     for i, pose in enumerate(init_poses):
         if not np.any(pose[3:] * pose[3:]):
             raise InvalidInputError(ZERO_Q.format(frames[i].id))

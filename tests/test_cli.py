@@ -1028,12 +1028,14 @@ class TestExitCodes:
         assert ("line 4" if bad == "point" else "line 1") in err
         assert "non-finite" in err
 
-    @pytest.mark.parametrize("command", ["optimize", "eval", "landscape"])
+    @pytest.mark.parametrize("command", [
+        "optimize", "eval", "landscape", "gradcheck_geometric",
+        "gradcheck_posenet", "slabs"])
     def test_non_finite_gt_pixel_rejected_without_a_warning(
             self, tmp_path, capsys, command):
         # Point 0 lies at gt depth 1e-310, so its gt pixel overflows: the
-        # scene is rejected as for a point at zero gt depth, and a landscape
-        # reports the reason with NaN cells, as it does for that point.
+        # scene build rejects f000 as for a point at zero gt depth, so every
+        # command that reads the scene exits 2, whatever its loss.
         poses = str(tmp_path / "poses.txt")
         pts = str(tmp_path / "pts.txt")
         with open(poses, "w") as f:
@@ -1042,25 +1044,23 @@ class TestExitCodes:
             f.write("P 1 0 1e-310\nP 0.5 0.2 3\nP -0.3 0.1 4\n"
                     "V f000 0 1 2\n")
         out = str(tmp_path / "o")
-        argv = {"optimize": ["optimize", "--poses", poses, "--points", pts,
-                             "--loss", "geometric", "--epochs", "2"],
+        scene = ["--poses", poses, "--points", pts]
+        argv = {"optimize": ["optimize", *scene, "--loss", "geometric",
+                             "--epochs", "2"],
                 "eval": ["eval", "--gt-poses", poses, "--est-poses", poses,
                          "--points", pts],
-                "landscape": ["landscape", "--poses", poses, "--points", pts,
-                              "--losses", "geometric", "--axis", "tx",
-                              "--range=-0.1:0.1", "--steps", "3"]}[command]
+                "landscape": ["landscape", *scene, "--losses",
+                              "geometric,posenet", "--axis", "tx",
+                              "--range=-0.1:0.1", "--steps", "3"],
+                "gradcheck_geometric": ["gradcheck", *scene, "--loss",
+                                        "geometric", "--samples", "2"],
+                "gradcheck_posenet": ["gradcheck", *scene, "--loss",
+                                      "posenet", "--samples", "2"],
+                "slabs": ["slabs", *scene]}[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv + ["--out", out])
         err = capsys.readouterr().err
-        if command == "landscape":
-            assert code == 0
-            assert err.splitlines() == [
-                "landscape geometric: 3 of 3 cells are NaN: a visible point "
-                "has a non-finite gt pixel"]
-            rows = read(os.path.join(out, "landscape_geometric.csv"))
-            assert all(r.endswith(",nan") for r in rows.splitlines()[1:])
-            return
         assert code == 2
         assert err == "error: frame f000: a visible point lies at zero gt " \
             "depth or has a non-finite gt pixel\n"

@@ -211,6 +211,31 @@ class TestGeometricLoss:
             loss("geometric", identity_pose(), identity_pose(), [], self.K,
                  reproj_clip=10.0)
 
+    def test_points_are_a_read_only_copy(self):
+        # The context builds planar_points and gt_uv from its points once:
+        # a write to the caller's array after that reaches neither.
+        pts = np.array([[0.1, 0.2, 4.0], [-0.3, 0.1, 5.0]])
+        ctx = LossContext(identity_pose(), LossHyperParams(), pts, self.K)
+        est = pose([0.05, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        value = loss_value("geometric", est, ctx)
+        pts[0, 0] = 1.0
+        assert ctx.points[0, 0] == ctx.planar_points[0, 0] == 0.1
+        assert not ctx.points.flags.writeable
+        assert loss_value("geometric", est, ctx) == value
+
+    @pytest.mark.parametrize("points", [np.zeros((6, 2)), np.zeros((3, 4)),
+                                        np.zeros(3), [[0, 0, 1], [0, 1]]],
+                             ids=["6x2", "3x4", "flat", "ragged"])
+    def test_points_of_another_shape_are_rejected(self, points):
+        with pytest.raises(InvalidInputError, match=r"^points need \(N, 3\)"):
+            LossContext(identity_pose(), points=points)
+
+    def test_an_empty_point_sequence_has_shape_0_3(self):
+        ctx = LossContext(identity_pose(), points=[])
+        assert ctx.points.shape == (0, 3)
+        with pytest.raises(InvalidInputError, match="non-empty point set"):
+            evaluate_with_grad("geometric", identity_pose(), ctx)
+
     @pytest.mark.parametrize("clip", [20.0, 100.0])
     def test_kernel_matches_per_point_loop(self, scene, clip):
         # With clip 20 about half the draws mix clipped and live points and

@@ -156,14 +156,16 @@ class TestMetrics:
         assert mean_reproj_distance([("f0", est)], scene, clip=77.0) == 77.0
 
     def test_mrd_zero_gt_depth_rejected(self):
+        # A visible point at zero gt depth has no gt pixel to measure from:
+        # the scene rejects its frame when it is built, before any metric.
         from homoloss.scene import Frame, Scene
 
-        scene = self.small_scene()
-        flat = Scene(points=np.array([[0.5, 0.0, 0.0]]),
-                     frames=[Frame("f0", identity_pose(), (0,))],
-                     intrinsics=scene.intrinsics)
-        with pytest.raises(InvalidInputError, match="zero gt depth"):
-            mean_reproj_distance([("f0", identity_pose())], flat)
+        with pytest.raises(InvalidInputError, match="^frame f0: a visible "
+                           "point lies at zero gt depth or has a non-finite "
+                           "gt pixel$"):
+            Scene(points=np.array([[0.5, 0.0, 0.0]]),
+                  frames=[Frame("f0", identity_pose(), (0,))],
+                  intrinsics=self.small_scene().intrinsics)
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), n_frames=st.integers(1, 6),
@@ -173,10 +175,11 @@ class TestMetrics:
     def test_stacked_view_and_metric_equal_the_frame_loop(
             self, data, n_frames, n_points, seed, clip, tail):
         # Ragged frames, some without a visible point; a frame with an
-        # identity gt pose sees point 0, if at all, at zero gt depth, and a
-        # frame with a zero estimate q errors only when it has points. In a
-        # long-tail scene one frame sees up to all of 50 times more points
-        # and the others see 0, 1 or 2.
+        # identity gt pose sees point 0, if at all, at zero gt depth, so the
+        # scene build rejects the first such frame, and a frame with a zero
+        # estimate q errors only when it has points. In a long-tail scene
+        # one frame sees up to all of 50 times more points and the others
+        # see 0, 1 or 2.
         rng = np.random.default_rng(seed)
         K = Intrinsics(fx=300.0, fy=310.0, cx=320.0, cy=240.0, w=640, h=480)
         n_points *= 50 if tail else 1
@@ -196,7 +199,15 @@ class TestMetrics:
         frames = [Frame(f"f{i}", identity_pose() if i in flat else pose(
                       rng.normal(size=3), random_unit_quat(rng)), visible(i))
                   for i in range(n_frames)]
-        scene = Scene(points=points, frames=frames, intrinsics=K)
+        no_pixel = [f.id for i, f in enumerate(frames)
+                    if i in flat and 0 in list(f.visible)]
+        try:
+            scene = Scene(points=points, frames=frames, intrinsics=K)
+        except InvalidInputError as e:
+            assert no_pixel and str(e) == f"frame {no_pixel[0]}: a visible " \
+                "point lies at zero gt depth or has a non-finite gt pixel"
+            return
+        assert not no_pixel
         est = [(f.id, pose(f.gt_pose[:3] + rng.normal(size=3) * 0.3,
                            f.gt_pose[3:] + rng.normal(size=4) * 0.1))
                for f in frames]
@@ -216,8 +227,8 @@ class TestMetrics:
             slot.update(zip(rows.tolist(), zip(pts, gt_uv, uv, z)))
         for i, (f, (_, p)) in enumerate(zip(frames, est)):
             pts = scene.visible_points(f)
-            gt_uv, gt_z = project_points_2d(f.gt_pose, K, pts)
-            assert view.zero_gt_depth[i] == np.any(gt_z == 0.0)
+            gt_uv, _ = project_points_2d(f.gt_pose, K, pts)
+            assert np.isfinite(gt_uv).all()
             assert np.array_equal(view.depths[i],
                                   frame_depths_loop(scene, f))
             projections = [project_points(p[:3], quat_to_rotmat(p[3:]), K,
@@ -715,22 +726,18 @@ class TestOptimizePoses:
     @pytest.mark.parametrize("kind", ["geometric", "posenet"])
     def test_zero_gt_depth_scene_rejected_before_any_step(
             self, tiny, monkeypatch, kind):
-        # The per-epoch metric rejects a visible point at zero gt depth
-        # (test_mrd_zero_gt_depth_rejected), so the run raises its error
-        # before it evaluates any loss.
-        scene = self.make_zero_depth_scene(tiny)
+        # A visible point at zero gt depth has no gt pixel, so the scene
+        # rejects its frame when it is built (test_mrd_zero_gt_depth_rejected)
+        # whatever the loss: no run starts and no loss is evaluated.
         evaluated = []
         monkeypatch.setattr(optim.diffgrad, "evaluate_with_grad",
                             lambda *args: evaluated.append(args))
         cfg = OptimConfig(loss_kind=kind, epochs=6, seed=0)
         with pytest.raises(InvalidInputError) as e:
-            optimize_poses(scene, [f.gt_pose for f in scene.frames], cfg)
-        with pytest.raises(InvalidInputError) as metric:
-            mean_reproj_distance([(f.id, f.gt_pose) for f in scene.frames],
-                                 scene)
-        assert str(e.value) == str(metric.value) == f"frame " \
-            f"{scene.frames[0].id}: a visible point lies at zero gt depth " \
-            f"or has a non-finite gt pixel"
+            optimize_poses(self.make_zero_depth_scene(tiny),
+                           [f.gt_pose for f in tiny.frames], cfg)
+        assert str(e.value) == f"frame {tiny.frames[0].id}: a visible " \
+            f"point lies at zero gt depth or has a non-finite gt pixel"
         assert evaluated == []
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)

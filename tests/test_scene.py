@@ -39,7 +39,7 @@ from oracles import frame_depths_loop, look_at, percentile_bounds, \
 
 def view_arrays(view):
     """Every array of a scene's stacked view."""
-    return [view.counts, view.zero_gt_depth, *view.depths,
+    return [view.counts, *view.depths,
             *(a for bucket in view.buckets for a in bucket)]
 
 
@@ -309,6 +309,71 @@ class TestSceneTable:
         with pytest.raises(InvalidInputError,
                            match="^frame id 'b' is repeated$"):
             Scene(base.points, frames, base.intrinsics)
+
+    def test_points_are_a_read_only_copy(self):
+        # A write to the caller's array after the build reaches neither the
+        # scene's points nor what the library built from them.
+        base = synth_scene(4, n_frames=2)
+        pts = base.points.copy()
+        scene = Scene(pts, base.frames, base.intrinsics)
+        x_min = local_slabs(scene).for_frame("f000").x_min
+        pts *= 2.0
+        assert np.array_equal(scene.points, base.points)
+        assert not scene.points.flags.writeable
+        ctx = frame_context(scene, 0, "geometric", LossHyperParams())
+        assert np.array_equal(ctx.points, base.points[base.visible[0]])
+        assert local_slabs(scene).for_frame("f000").x_min == x_min
+        listed = Scene(pts.tolist(), base.frames, base.intrinsics)
+        assert listed.points.dtype == float
+        assert np.array_equal(listed.points, pts)
+
+    @pytest.mark.parametrize("points", [(), [], np.zeros((0, 3))])
+    def test_an_empty_point_sequence_has_shape_0_3(self, points):
+        scene = Scene(points, [Frame("f0", identity_pose(), ())],
+                      default_intrinsics())
+        assert scene.points.shape == (0, 3)
+        assert scene.stacked.counts.tolist() == [0]
+
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros((6, 2)), "values, got shape (6, 2)"),
+        (np.zeros((3, 4)), "values, got shape (3, 4)"),
+        (np.zeros(3), "values, got shape (3,)"),
+        (np.zeros((2, 3, 1)), "values, got shape (2, 3, 1)"),
+        ([[0, 0, 1], [0, 1]], "values, got a ragged sequence"),
+        ([["0", "0", "1"]], "real numbers, got <U1 values"),
+    ], ids=["6x2", "3x4", "flat", "3d", "ragged", "strings"])
+    def test_points_of_another_shape_are_rejected(self, points, message):
+        # Read as (-1, 3), a (6, 2) or a (3, 4) array would be 4 points.
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"points need (N, 3) {message}")):
+            Scene(points, [Frame("f0", identity_pose(), ())],
+                  default_intrinsics())
+
+    @pytest.mark.parametrize("visible", [
+        [True, False, True], np.array([True, False]), [0.7, 1.9],
+        np.array([0.0, 1.0]), ["0", "1"], [[0, 1], [1]], [[0, 1], [1, 0]],
+        [None], 1,
+    ], ids=["bools", "bool_array", "floats", "float_array", "strings",
+            "ragged", "2d", "none", "scalar"])
+    def test_visibility_that_is_no_integer_sequence_is_rejected(self,
+                                                                visible):
+        # Cast to int64, a mask would read as indices 1, 0, 1 and a float
+        # or a digit string as its integer; the frame is named.
+        frames = [Frame("f0", pose([0.0, 0.0, -5.0], [1, 0, 0, 0]), (0,)),
+                  Frame("f1", pose([0.0, 0.0, -5.0], [1, 0, 0, 0]), visible)]
+        with pytest.raises(InvalidInputError, match="^frame f1: visibility "
+                           "needs a 1-D sequence of integer indices$"):
+            Scene(np.zeros((3, 3)), frames, default_intrinsics())
+
+    @pytest.mark.parametrize("visible", [
+        (), [], range(3), [0, np.int32(2)], np.array([1, 2], np.uint8),
+        np.zeros(0, bool)])
+    def test_visibility_of_integers_is_accepted(self, visible):
+        frame = Frame("f0", pose([0.0, 0.0, -5.0], [1, 0, 0, 0]), visible)
+        scene = Scene(np.zeros((3, 3)), [frame], default_intrinsics())
+        assert scene.visible[0].tolist() == list(np.asarray(visible,
+                                                            np.int64))
+        assert scene.visible[0].dtype == np.int64
 
 
 @st.composite

@@ -32,9 +32,13 @@ them; `eval` with points; on a file scene whose first frame has no V line, a
 geometric `optimize` and a geometric and posenet `landscape` of that
 frame, whose geometric cells are all NaN, and a `homography_local`
 `optimize` and `landscape` of that frame, which has no local slab, so
-that the run skips it and every cell is NaN; and a posenet `optimize` whose
+that the run skips it and every cell is NaN; a posenet `optimize` whose
 warm start diverges at lr 1e300, the one run that writes its outputs and
-exits 2.
+exits 2; and on a file scene where f000 sees a point at its own camera
+centre, so at zero gt depth, an `optimize`, an `eval` with points, a
+geometric and posenet `landscape`, a posenet `gradcheck` and local `slabs`,
+each of which the scene build stops with exit 2, the one message naming
+f000 and no outputs.
 """
 
 import contextlib
@@ -54,6 +58,8 @@ PERTURB = ["--perturb-t", "0.2", "--perturb-deg", "5"]
 FILES = ["--poses", "../inputs/poses.txt", "--points", "../inputs/points.txt"]
 NO_V_LINE = ["--poses", "../inputs/poses.txt", "--points",
              "../inputs/points_no_f000.txt"]
+ZERO_DEPTH = ["--poses", "../inputs/poses.txt", "--points",
+              "../inputs/points_zero_depth.txt"]
 NO_V_LINE_SWEEP = ["--frame", "0", "--axis", "roty", "--range=-10:10",
                    "--steps", "11", "--axis2", "tz", "--range2=-1:1",
                    "--steps2", "11"]
@@ -61,7 +67,9 @@ NO_V_LINE_SWEEP = ["--frame", "0", "--axis", "roty", "--range=-10:10",
 
 def write_inputs(out):
     """The file scene (synthetic seed 7, 40 points, 10 frames), the same
-    points without the first frame's V line, and perturbed estimates."""
+    points without the first frame's V line, the same points with the first
+    one that f000 sees moved to f000's camera centre, and perturbed
+    estimates."""
     scene = synth_scene(7, n_points=40, n_frames=10)
     poses = list(zip(scene.ids, scene.gt))
     visible = dict(zip(scene.ids, scene.visible))
@@ -77,6 +85,9 @@ def write_inputs(out):
     write("points.txt", write_points, scene.points, visible)
     write("points_no_f000.txt", write_points, scene.points,
           {k: v for k, v in visible.items() if k != "f000"})
+    centred = scene.points.copy()
+    centred[visible["f000"][0]] = scene.gt[0, :3]
+    write("points_zero_depth.txt", write_points, centred, visible)
 
 
 def runs():
@@ -134,6 +145,18 @@ def runs():
     yield "optimize_diverging_aborts", [
         "optimize", "--synthetic", "--n-frames", "3", "--loss", "posenet",
         "--epochs", "3", "--lr", "1e300", "--warmstart", "2"]
+    yield "optimize_files_zero_depth", [
+        "optimize", *ZERO_DEPTH, "--loss", "posenet", "--epochs", "2"]
+    yield "eval_points_zero_depth", [
+        "eval", "--gt-poses", "../inputs/poses.txt", "--est-poses",
+        "../inputs/est_poses.txt", "--points",
+        "../inputs/points_zero_depth.txt"]
+    yield "landscape_files_zero_depth", [
+        "landscape", *ZERO_DEPTH, "--losses", "geometric,posenet",
+        *NO_V_LINE_SWEEP]
+    yield "gradcheck_files_zero_depth", [
+        "gradcheck", *ZERO_DEPTH, "--loss", "posenet", "--samples", "5"]
+    yield "slabs_files_zero_depth", ["slabs", *ZERO_DEPTH]
 
 
 def run(directory, argv):
