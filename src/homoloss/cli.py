@@ -272,7 +272,7 @@ def run_landscape(config):
         lo2, hi2 = _parse_range(config["range2"])
         offsets2 = np.linspace(lo2, hi2, max(config["steps2"], 0))
     # Each cell's offsets as _write_csv formats a float, formatted once per
-    # axis; the cells in landscape_sweep's order.
+    # axis; the cells in the order of landscape_sweep's values.
     cells = ["%.17g," % v for v in offsets.tolist()]
     if axis2:
         labels2 = ["%.17g," % v for v in offsets2.tolist()]
@@ -282,14 +282,13 @@ def run_landscape(config):
     for kind in kinds:
         ctx = frame_context(scene, i, kind, _hyper(config),
                             _depth_slab(scene, kind, config))
-        errors = []
-        rows = landscape_sweep(kind, ctx, config["axis"], offsets,
-                               axis2, offsets2, errors)
+        values, errors = landscape_sweep(kind, ctx, config["axis"], offsets,
+                                         axis2, offsets2)
         if errors:
-            print(f"landscape {kind}: {len(errors)} of {len(rows)} cells are "
-                  f"NaN: {errors[0]}", file=sys.stderr)
+            print(f"landscape {kind}: {len(errors)} of {len(values)} cells "
+                  f"are NaN: {errors[0]}", file=sys.stderr)
         files[f"landscape_{kind}.csv"] = header + "\n" + "".join([
-            "%s%.17g\n" % (cell, row[-1]) for cell, row in zip(cells, rows)])
+            "%s%.17g\n" % cell for cell in zip(cells, values)])
     return files, [f"wrote {len(kinds)} landscape CSV(s) to "
                    f"{config['out']}"], None
 

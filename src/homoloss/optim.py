@@ -3,7 +3,6 @@ registered loss, with the evaluation metrics used to compare losses."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -217,14 +216,14 @@ def perturb_pose(pose, rng, max_t: float, max_deg: float) -> np.ndarray:
 
 
 def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
-                    axis2: str = None, offsets2=None, errors: list = None):
+                    axis2: str = None, offsets2=None):
     """Values of one loss kind over a 1-D or 2-D grid of pose offsets
     around ctx.gt, at least 2 per axis.
 
-    Returns the rows (offset[, offset2], value); a cell whose evaluation
-    raises InvalidInputError records a NaN value, and its message is
-    appended to errors when a list is given; any other exception
-    propagates. Every offset must be finite.
+    Returns (values, errors): a value per row of offset_rows' grid, in its
+    order (the second axis varies fastest), NaN where the evaluation raises
+    InvalidInputError, and those messages in cell order; any other
+    exception propagates. Every offset must be finite.
     """
     offsets = np.asarray(offsets, dtype=float)
     if axis2 is not None:
@@ -234,25 +233,18 @@ def landscape_sweep(kind: str, ctx: LossContext, axis: str, offsets,
     every = np.concatenate([offsets, [] if axis2 is None else offsets2])
     for off in every[~np.isfinite(every)][:1]:
         raise InvalidInputError(f"sweep offsets must be finite, got {off}")
-    offs = offsets.tolist()  # floats, once per axis, shared by every row
     grid = offset_rows(diffgrad.params_for(kind, ctx.gt, ctx)[None], axis,
-                       offs)
-    cells = zip(offs)
+                       offsets)
     if axis2 is not None:
-        offs2 = offsets2.tolist()
-        grid = offset_rows(grid, axis2, offs2)
-        cells = itertools.product(offs, offs2)
-    return [(*cell, _safe_value(kind, est, ctx, errors))
-            for cell, est in zip(cells, grid)]
-
-
-def _safe_value(kind, est, ctx: LossContext, errors) -> float:
-    try:
-        return diffgrad.loss_value(kind, est, ctx)
-    except InvalidInputError as e:
-        if errors is not None:
+        grid = offset_rows(grid, axis2, offsets2)
+    values, errors = [], []
+    for est in grid:
+        try:
+            values.append(diffgrad.loss_value(kind, est, ctx))
+        except InvalidInputError as e:
+            values.append(math.nan)
             errors.append(str(e))
-        return float("nan")
+    return values, errors
 
 
 # -- the optimization loop -------------------------------------------------

@@ -56,8 +56,7 @@ from diffscalar import PLANE_NORMAL, slab_weights
 from homoloss.losses import SlabParams
 from homoloss.optim import EVAL_REPROJ_CLIP, SWEEP_AXES, AdamState, \
     DIVERGED, EpochStats, RunRecord, ZERO_Q, _epoch_batches, \
-    _safe_value, adam_update, frame_context, mean_reproj_distance, \
-    offset_rows
+    adam_update, frame_context, mean_reproj_distance, offset_rows
 from homoloss.scene import DegenerateDepthError, Frame, GenerationError, \
     Scene, _slab_params, _sorted_positive, default_intrinsics
 
@@ -791,20 +790,23 @@ def apply_offset(gt, axis: str, offset: float) -> np.ndarray:
 
 
 def landscape_sweep_loop(kind, ctx, axis, offsets, axis2=None,
-                         offsets2=None, errors=None):
-    """optim.landscape_sweep's rows cell by cell, each offset with
-    offset_params, for offsets that pass landscape_sweep's checks."""
+                         offsets2=None):
+    """optim.landscape_sweep's (values, errors) cell by cell, each offset
+    with offset_params, for offsets that pass landscape_sweep's checks."""
     gt = diffgrad.params_for(kind, ctx.gt, ctx)
-    rows = []
-    for off in np.asarray(offsets, dtype=float):
-        est1 = offset_params(gt, axis, off)
-        if axis2 is None:
-            rows.append((off, _safe_value(kind, est1, ctx, errors)))
-            continue
-        for off2 in np.asarray(offsets2, dtype=float):
-            est = offset_params(est1, axis2, off2)
-            rows.append((off, off2, _safe_value(kind, est, ctx, errors)))
-    return rows
+    cells = [offset_params(gt, axis, off)
+             for off in np.asarray(offsets, dtype=float)]
+    if axis2 is not None:
+        cells = [offset_params(est, axis2, off2) for est in cells
+                 for off2 in np.asarray(offsets2, dtype=float)]
+    values, errors = [], []
+    for est in cells:
+        try:
+            values.append(diffgrad.loss_value(kind, est, ctx))
+        except InvalidInputError as e:
+            values.append(float("nan"))
+            errors.append(str(e))
+    return values, errors
 
 
 def finite_diff_grad_loop(kind, est, ctx, step=1e-6):

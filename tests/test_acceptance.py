@@ -216,13 +216,13 @@ def test_criterion_06_rotation_sweep():
     grids = {kind: landscape_sweep(kind, ctx, "roty", offsets)
              for kind in ("geometric", "homography_local")}
     clip = ctx.hyper.reproj_clip
-    geo = [v for _, v in grids["geometric"]]
+    geo, _ = grids["geometric"]
     # longest contiguous run of exactly clip-valued (zero-gradient) samples
     run = best = 0
     for v in geo:
         run = run + 1 if v == clip else 0
         best = max(best, run)
-    hom = [v for _, v in grids["homography_local"]]
+    hom, _ = grids["homography_local"]
     center = 180
     left_ok = all(hom[i] > hom[i + 1] for i in range(center))
     right_ok = all(hom[i] < hom[i + 1] for i in range(center, len(hom) - 1))
@@ -239,14 +239,15 @@ def test_criterion_07_posenet_landscapes(tmp_path):
     argmin_ok = True
     for beta in (5.0, 500.0, 5000.0):
         ctx = LossContext(gt=gt, hyper=LossHyperParams(beta=beta))
-        rows = landscape_sweep("posenet", ctx, "tz", tz,
-                               axis2="roty", offsets2=roty)
+        values, _ = landscape_sweep("posenet", ctx, "tz", tz,
+                                    axis2="roty", offsets2=roty)
         path = tmp_path / f"posenet_beta{beta:g}.csv"
         with open(path, "w") as f:
             f.write("tz,roty,loss_value\n")
-            for o1, o2, v in rows:
+            for (o1, o2), v in zip([(a, b) for a in tz for b in roty],
+                                   values):
                 f.write(f"{o1:.17g},{o2:.17g},{v:.17g}\n")
-        vals = np.array([v for _, _, v in rows]).reshape(41, 41)
+        vals = np.array(values).reshape(41, 41)
         if not (np.unravel_index(np.argmin(vals), vals.shape) == (20, 20)):
             argmin_ok = False
         var_t = vals[:, 20].max() - vals[:, 20].min()   # along tz, roty=0

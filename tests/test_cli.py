@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -1319,8 +1320,9 @@ def sweep_axes(draw):
          kinds=list(diffgrad.LOSS_KINDS))
 def test_landscape_csv_is_the_sweep_rows(tmp_path_factory, no_v_line_scene,
                                          axes, files, kinds):
-    # Each landscape_<kind>.csv is its header, then csv_line of each row
-    # that landscape_sweep returned, a -0 offset written as -0. A frame
+    # Each landscape_<kind>.csv is its header, then csv_line of each cell:
+    # its offsets, from np.linspace of the argv ranges, and the value
+    # landscape_sweep returned for it, a -0 offset written as -0. A frame
     # without points has no geometric constants and no local slab, so
     # those kinds write NaN cells there.
     out = str(tmp_path_factory.mktemp("landscape") / "o")
@@ -1342,13 +1344,17 @@ def test_landscape_csv_is_the_sweep_rows(tmp_path_factory, no_v_line_scene,
     assert list(swept) == kinds
     header = "offset,offset2,loss_value" if len(axes) == 2 \
         else "offset,loss_value"
-    for kind, rows in swept.items():
-        assert len(rows) == math.prod(steps for _, _, steps in axes)
+    cells = list(itertools.product(*[
+        np.linspace(*map(float, text.split(":")), steps).tolist()
+        for _, text, steps in axes]))
+    for kind, (values, _) in swept.items():
+        assert len(values) == len(cells)
         assert read(os.path.join(out, f"landscape_{kind}.csv")) == \
-            header + "\n" + "".join(csv_line(r) for r in rows)
+            header + "\n" + "".join(csv_line((*cell, v))
+                                    for cell, v in zip(cells, values))
     for kind in ("geometric", "homography_local"):
         if files and kind in kinds:
-            assert all(math.isnan(r[-1]) for r in swept[kind])
+            assert all(math.isnan(v) for v in swept[kind][0])
     shutil.rmtree(out)
 
 

@@ -422,26 +422,25 @@ class TestSweeps:
     def test_sweep_1d_shape_and_minimum(self):
         offsets = np.linspace(-1.0, 1.0, 21)
         for kind in ("posenet", "homography_local"):
-            rows = landscape_sweep(kind, self.ctx(), "tx", offsets)
-            assert len(rows) == 21
-            vals = [v for _, v in rows]
+            vals, _ = landscape_sweep(kind, self.ctx(), "tx", offsets)
+            assert len(vals) == 21
             assert np.argmin(vals) == 10
             assert vals[10] == 0.0
 
     def test_sweep_2d_shape(self):
-        rows = landscape_sweep(
+        values, errors = landscape_sweep(
             "posenet", self.ctx(), "tx", [-1, 0, 1],
             axis2="roty", offsets2=[-5, 0, 5],
         )
-        assert len(rows) == 9
-        assert rows[4] == (0.0, 0.0, 0.0)
+        assert len(values) == 9 and errors == []
+        assert values[4] == 0.0  # the cell at offsets (0, 0)
 
     def test_sweep_nan_on_error(self):
         # geometric kind without points -> every cell evaluates to NaN
-        rows = landscape_sweep(
+        values, _ = landscape_sweep(
             "geometric", LossContext(gt=identity_pose()), "tx", [-1, 0, 1],
         )
-        assert all(math.isnan(v) for _, v in rows)
+        assert all(math.isnan(v) for v in values)
 
     @pytest.mark.parametrize("kind,ctx", [
         ("homography_local", LossContext(gt=identity_pose())),
@@ -451,9 +450,8 @@ class TestSweeps:
     def test_sweep_nan_on_missing_input(self, kind, ctx):
         # A context without slab or intrinsics is invalid input in each
         # cell, not an AttributeError out of the sweep.
-        errors = []
-        rows = landscape_sweep(kind, ctx, "tx", [-1, 0, 1], errors=errors)
-        assert all(math.isnan(v) for _, v in rows)
+        values, errors = landscape_sweep(kind, ctx, "tx", [-1, 0, 1])
+        assert all(math.isnan(v) for v in values)
         assert len(errors) == 3
         assert errors[0].endswith(("needs slab parameters",
                                    "needs camera intrinsics"))
@@ -504,12 +502,12 @@ class TestSweeps:
             slab = global_slab(scene) if kind == "homography_global" \
                 else slabs
             ctx = frame_context(scene, frame, kind, LossHyperParams(), slab)
-        rows = landscape_sweep(kind, ctx, axis, offsets, axis2, offsets2)
+        values, _ = landscape_sweep(kind, ctx, axis, offsets, axis2,
+                                    offsets2)
         cells = [(o,) for o in offsets] if axis2 is None else \
             [(o, o2) for o in offsets for o2 in offsets2]
-        assert len(rows) == len(cells)
-        for row, cell in zip(rows, cells):
-            assert row[:-1] == cell
+        assert len(values) == len(cells)
+        for value, cell in zip(values, cells):
             est = apply_offset(ctx.gt, axis, cell[0])
             if axis2 is not None:
                 est = apply_offset(est, axis2, cell[1])
@@ -517,7 +515,7 @@ class TestSweeps:
                 want = loss_value(kind, params_for(kind, est, ctx), ctx)
             except InvalidInputError:
                 want = float("nan")
-            assert repr(row[-1]) == repr(want)
+            assert repr(value) == repr(want)
 
     @staticmethod
     def hexes(rows):
@@ -556,8 +554,8 @@ class TestSweeps:
            offsets2=st.lists(OFFSETS, min_size=2, max_size=4))
     def test_sweep_equals_the_cell_loop(self, scene, slabs, kind, frame,
                                         axis, axis2, offsets, offsets2):
-        # Rows, NaN cells and error messages of the sweep that offset each
-        # cell's parameters in turn, bit for bit.
+        # Values, NaN cells and error messages of the sweep that offsets
+        # each cell's parameters in turn, bit for bit.
         if kind == "geometric without points":
             kind, ctx = "geometric", LossContext(gt=scene.gt[frame])
         else:
@@ -566,12 +564,11 @@ class TestSweeps:
             ctx = frame_context(scene, frame, kind, LossHyperParams(), slab)
         if axis2 is None:
             offsets2 = None
-        errors, loop_errors = [], []
-        rows = landscape_sweep(kind, ctx, axis, offsets, axis2, offsets2,
-                               errors)
-        loop = landscape_sweep_loop(kind, ctx, axis, offsets, axis2,
-                                    offsets2, loop_errors)
-        assert self.hexes(rows) == self.hexes(loop)
+        values, errors = landscape_sweep(kind, ctx, axis, offsets, axis2,
+                                         offsets2)
+        loop, loop_errors = landscape_sweep_loop(kind, ctx, axis, offsets,
+                                                 axis2, offsets2)
+        assert self.hexes([values]) == self.hexes([loop])
         assert errors == loop_errors
 
     def test_perturb_pose_within_bounds(self):
