@@ -25,10 +25,11 @@ With R, t the ground-truth camera expressed in the estimated camera frame,
 the integral of ||I - H(x)||_F^2, H(x) = R - t n^T / x, over the planes
 parallel to the image plane, n = (0, 0, -1), at depths x in [x_min, x_max]
 is ||I - R||_F^2 + 2 c1 t^T (I - R) n + c2 |t|^2, with c2 = 1/(x_min x_max)
-and c1 = ln(x_max/x_min)/(x_max - x_min). From a pose pair these terms,
-like the geometric loss's residuals, are exactly 0 when the estimate equals
-the ground truth, for any gt quaternion, and so are the loss and its
-gradient.
+and c1 = ln(x_max/x_min)/(x_max - x_min), computed as log1p((x_max - x_min)
+/ x_min)/(x_max - x_min), which stays within rounding on thin slabs. From a
+pose pair these terms, like the geometric loss's residuals, are exactly 0
+when the estimate equals the ground truth, for any gt quaternion, and so
+are the loss and its gradient.
 
 The oracles that validate the closed forms are used only by the tests and
 live in tests/.
@@ -155,7 +156,7 @@ class LossContext:
             raise type(self.slab)(*self.slab.args)  # one keeps no traceback
         q_gt = self.gt[3:].tolist()
         x_min, x_max = self.slab.x_min, self.slab.x_max
-        c1 = math.log(x_max / x_min) / (x_max - x_min)
+        c1 = math.log1p((x_max - x_min) / x_min) / (x_max - x_min)
         return (q_gt, [row[2] for row in rotmat_elems(q_gt)],
                 dual.sum_squares(q_gt), 2.0 * c1, 1.0 / (x_min * x_max),
                 self.gt[:3].tolist())

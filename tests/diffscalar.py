@@ -25,8 +25,10 @@ PLANE_NORMAL = np.array([0.0, 0.0, -1.0])
 
 def slab_weights(slab: SlabParams, n=PLANE_NORMAL):
     """Weights (2 c1, c2 |n|^2) of cross and tsq in the closed form, with
-    c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max)."""
-    c1 = math.log(slab.x_max / slab.x_min) / (slab.x_max - slab.x_min)
+    c1 = ln(x_max/x_min)/(x_max - x_min) and c2 = 1/(x_min x_max); c1 as
+    the kernel computes it, ln(1 + d/x_min)/d with d = x_max - x_min."""
+    d = slab.x_max - slab.x_min
+    c1 = math.log1p(d / slab.x_min) / d
     c2 = 1.0 / (slab.x_min * slab.x_max)
     return 2.0 * c1, c2 * float(np.dot(n, n))
 

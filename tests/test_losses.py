@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -67,6 +68,22 @@ class TestSlabParams:
     def test_invalid_bounds(self, lo, hi):
         with pytest.raises(InvalidInputError):
             SlabParams(lo, hi)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+    def test_c1_keeps_its_precision_on_thin_slabs(self, eps):
+        # c1 = ln(x_max/x_min)/(x_max - x_min) of x_max = x_min (1 + eps),
+        # against 50 digits: ln of the rounded ratio loses precision like
+        # 1/eps (1.7e-4 relative at eps = 1e-12), log1p of d/x_min does not.
+        rng = np.random.default_rng(0)
+        for x_min in rng.uniform(0.5, 8.0, 500).tolist():
+            x_max = x_min * (1.0 + eps)
+            ctx = LossContext(gt=identity_pose(),
+                              slab=SlabParams(x_min, x_max))
+            c1 = ctx.homography[3] / 2.0
+            with mpmath.workdps(50):
+                a, b = mpmath.mpf(x_min), mpmath.mpf(x_max)
+                want = mpmath.log(b / a) / (b - a)
+                assert abs(c1 - want) <= 1e-15 * want, (x_min, x_max)
 
 
 class TestHyperParams:
