@@ -18,8 +18,9 @@ local slab is skipped so.
 Exit codes: 0 success, 1 usage error (such as --axis2 without --range2,
 or the same axis as --axis), 2 data/parse error (a NaN option value, a
 negative seed, a non-finite range, a NUL in a value, --poses or --points
-with --synthetic, an input file that is not UTF-8 text, a bad manifest or
-a changed input file, too), or aborted run,
+with --synthetic, a V line of --points naming no frame of the poses, an
+input file that is not UTF-8 text, a bad manifest or a changed input file,
+too), or aborted run,
 3 numeric-tolerance failure (a NaN gradient error included).
 """
 
@@ -410,8 +411,7 @@ def run_eval(config):
     lines = []
     if config["points"]:
         with open(config["points"]) as f:
-            scene = scene_from_files([(n, gt_map[n]) for n in common], f,
-                                     _intrinsics(config))
+            scene = scene_from_files(gt, f, _intrinsics(config), est_map)
         mrd = mean_reproj_distance(est_rows, scene, clip=config["eval_clip"])
         lines.append(("mean_reproj_distance_px", mrd))
     lines += _pct_rows(est_rows, np.array([gt_map[n] for n in common]))

@@ -8,7 +8,7 @@ view; a Frame checks nothing.
 File formats (plain text, UTF-8, whitespace separated, '#' comments):
     poses:   name tx ty tz qw qx qy qz      (meters, unit quaternion)
     points:  P x y z                        (world point, meters)
-             V frame_id idx idx ...         (visibility set of a frame)
+             V frame_id idx idx ...         (visibility set of a posed frame)
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .losses import SlabParams
 
 DEFAULT_PERCENTILE_LO = 0.025
 DEFAULT_PERCENTILE_HI = 0.975
+BEYOND_INT64 = "frame {}: visibility index beyond int64"
 
 
 class ParseError(InvalidInputError):
@@ -78,6 +79,14 @@ class Scene:
         for fid in [k for k, n in Counter(ids).items() if n > 1][:1]:
             raise InvalidInputError(f"frame id {fid!r} is repeated")
         gt = np.array([pose_row(f.gt_pose) for f in frames])
+        q = np.ascontiguousarray(gt[:, 3:])  # quat_normalize's rule per row
+        with np.errstate(over="ignore"):
+            qq = np.vecdot(q, q)
+        ok = np.isfinite(gt[:, :3]).all(axis=1) & (0 < qq) & (qq < math.inf)
+        for i in np.flatnonzero(~ok)[:1]:
+            raise InvalidInputError(f"frame {ids[i]}: gt pose has a "
+                                    f"non-finite entry or a quaternion whose "
+                                    f"norm is zero or overflows")
         visible = tuple(map(_indices, ids, (f.visible for f in frames)))
         gt.flags.writeable = False
         idx = np.concatenate(visible)
@@ -141,17 +150,20 @@ class Scene:
 
 def _indices(fid, visible) -> np.ndarray:
     """A frame's visibility as read-only int64 indices, of a 1-D sequence of
-    integers (not bools), empty included; InvalidInputError otherwise."""
+    integers (not bools), empty included; InvalidInputError naming the
+    frame otherwise, for an index beyond int64 too."""
     try:
-        idx = np.array(visible, np.int64)
-    except OverflowError as e:
-        raise InvalidInputError("visibility index beyond int64") from e
+        given, idx = np.asarray(visible), np.array(visible, np.int64)
+    except OverflowError as e:  # a Python int
+        raise InvalidInputError(BEYOND_INT64.format(fid)) from e
     except (TypeError, ValueError):  # None, a ragged nesting, a string
         idx = None
     if idx is None or idx.ndim != 1 or len(idx) and \
-            np.asarray(visible).dtype.kind not in "iu":
+            given.dtype.kind not in "iu":
         raise InvalidInputError(f"frame {fid}: visibility needs a 1-D "
                                 f"sequence of integer indices")
+    if given.dtype.kind == "u" and np.any(idx < 0):  # a uint64 wrapped
+        raise InvalidInputError(BEYOND_INT64.format(fid))
     idx.flags.writeable = False
     return idx
 
@@ -344,12 +356,18 @@ def write_points(stream, points, visibility):
         stream.write(f"V {fid} {idx}\n")
 
 
-def scene_from_files(poses, points_stream, intrinsics: Intrinsics) -> Scene:
-    """The scene of parsed (id, pose row) pairs and a points file; a frame
-    without a V line sees no point."""
+def scene_from_files(poses, points_stream, intrinsics: Intrinsics,
+                     only=None) -> Scene:
+    """The scene of parsed (id, pose row) pairs and a points file, each of
+    whose V lines must name one of those frames; a frame without a V line
+    sees no point. Given only, the scene keeps just the frames it names."""
     points, vis = parse_points(points_stream)
+    named = {name for name, _ in poses}
+    for fid in [fid for fid in vis if fid not in named][:1]:
+        raise ParseError(f"a V line names frame {fid!r}, which has no pose")
     return Scene(points, [Frame(name, pose, vis.get(name, ()))
-                          for name, pose in poses], intrinsics)
+                          for name, pose in poses
+                          if only is None or name in only], intrinsics)
 
 
 # -- synthetic scenes ------------------------------------------------------

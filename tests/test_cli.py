@@ -608,6 +608,30 @@ class TestEval:
         assert lines[1].startswith("mean_reproj_distance_px,")
         assert float(lines[1].split(",")[1]) > 0.0
 
+    def test_v_lines_must_name_a_gt_frame(self, tmp_path, capsys):
+        # A V line of a gt frame without an estimate is dropped with its
+        # frame; one that names no gt frame stops the run before writing.
+        gt_path, est_path = self.write_scene_files(tmp_path)
+        with open(est_path, "w") as f:
+            write_pose_list(f, [("f0", pose([0.1, 0.0, 0.0],
+                                            [1.0, 0.0, 0.0, 0.0]))])
+        points = [[0.0, 0.0, 4.0], [0.5, 0.0, 5.0]]
+        written = []
+        for name, vis in [("f0", {"f0": (0, 1)}),
+                          ("f0f1", {"f0": (0, 1), "f1": (0,)}),
+                          ("f0f2", {"f0": (0, 1), "f2": (0,)})]:
+            pts_path, out = str(tmp_path / f"{name}.txt"), str(tmp_path / name)
+            with open(pts_path, "w") as f:
+                write_points(f, points, vis)
+            code = main(["eval", "--gt-poses", gt_path, "--est-poses",
+                         est_path, "--points", pts_path, "--out", out])
+            written.append(os.path.exists(out) and
+                           read(os.path.join(out, "eval.csv")))
+            assert code == (2 if name == "f0f2" else 0)
+        assert written[0] == written[1] and written[2] is False
+        assert capsys.readouterr().err == \
+            "error: a V line names frame 'f2', which has no pose\n"
+
     def test_nan_eval_clip_exit_2(self, tmp_path, capsys):
         gt_path, est_path = self.write_scene_files(tmp_path)
         pts_path = str(tmp_path / "pts.txt")

@@ -196,6 +196,7 @@ UNKNOWN_TAGS = [b"Q", b"p", b"v", b"PV", b"\xe2\x80\x8b", b"\xfe"]
 DEFECTS = {"pose field count": ("poses", None),
            "P field count": ("points", b"P"),
            "V without a frame": ("points", b"V"),
+           "V naming no frame": ("points", b"V"),
            "non-numeric pose": ("poses", None),
            "non-numeric P": ("points", b"P"),
            "non-finite pose": ("poses", None),
@@ -232,6 +233,8 @@ def _corrupt(lines, defect, i, j, token, count):
         fields = fields[:1] + (fields[1:] + [b"1"] * count)[:count]
     elif defect == "V without a frame":
         fields = [b"V"]
+    elif defect == "V naming no frame":  # the pose files name f000 to f002
+        fields[1] = b"f0O1"
     elif defect.startswith("non-"):
         fields[1 + j % (len(fields) - 1)] = token
     elif defect == "overflowing quaternion":  # |q|^2 beyond the floats
@@ -316,5 +319,5 @@ def test_a_malformed_input_file_fails_and_writes_nothing(inputs, run):
             with open(paths[name], "wb") as f:
                 f.write(b"".join(line + b"\n" for line in lines))
         code, _ = _main([a.format(**paths) for a in argv])
-        assert code in (1, 2)
+        assert code in ((2,) if defect == "V naming no frame" else (1, 2))
         assert sorted(os.listdir(tmp)) == ["points.txt", "poses.txt"]

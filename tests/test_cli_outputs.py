@@ -1,6 +1,7 @@
 """tools/cli_outputs.py: every run of the set succeeds but the diverging
-optimize, which aborts with exit 2, and those on the zero-depth scene, which
-stop with exit 2 before writing; each other run leaves its command's
+optimize, which aborts with exit 2, and those on the zero-depth scene and
+on the points file with an unknown V line, which stop with exit 2 before
+writing; each other run leaves its command's
 manifest, whose replay reproduces the run; under the Prescott core every
 run keeps its pinned digest."""
 
@@ -28,6 +29,11 @@ spec.loader.exec_module(cli_outputs)
 
 ABORTS = "optimize_diverging_aborts"
 RECORDS = ("exit_code", "stdout", "stderr")
+# run name suffix -> the one error line of a run that the scene build stops
+STOPPED = {"_zero_depth": "error: frame f000: a visible point lies at zero "
+           "gt depth or has a non-finite gt pixel\n",
+           "_unknown_v_line": "error: a V line names frame 'f0O1', which "
+           "has no pose\n"}
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +49,21 @@ def outputs(tmp_path_factory):
 def test_every_run_exits_as_expected_and_writes_its_manifest(outputs):
     out, printed = outputs
     runs = list(cli_outputs.runs())
-    assert len(runs) == 38
-    codes = {name: 2 if name == ABORTS or name.endswith("_zero_depth")
-             else 0 for name, _ in runs}
+    assert len(runs) == 40
+    stopped = {name: line for name, _ in runs
+               for suffix, line in STOPPED.items() if name.endswith(suffix)}
+    codes = {name: 2 if name == ABORTS or name in stopped else 0
+             for name, _ in runs}
     assert printed == \
         "".join(f"{name}: exit {codes[name]}\n" for name, _ in runs)
     for name, argv in runs:
         with open(os.path.join(out, name, "exit_code")) as f:
             assert f.read() == f"{codes[name]}\n", name
-        if name.endswith("_zero_depth"):  # the scene build stops the run
+        if name in stopped:  # the scene build stops the run
             assert sorted(os.listdir(os.path.join(out, name))) == \
                 sorted(RECORDS), name
             with open(os.path.join(out, name, "stderr")) as f:
-                assert f.read() == "error: frame f000: a visible point lies " \
-                    "at zero gt depth or has a non-finite gt pixel\n", name
+                assert f.read() == stopped[name], name
             continue
         with open(os.path.join(out, name, "manifest.json")) as f:
             assert json.load(f)["command"] == argv[0], name

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -667,11 +668,20 @@ class TestParsing:
             assert f.visible.dtype == np.int64
             assert not f.visible.flags.writeable
 
+    def test_scene_from_files_rejects_a_v_line_of_no_frame(self):
+        # The first V line, in file order, whose frame has no pose.
+        poses = parse_pose_list(io.StringIO("f0 0 0 0 1 0 0 0\n"))
+        points = "P 0 0 5\nV f0 0\nV f1 0\nV f2 0\n"
+        with pytest.raises(ParseError, match="^a V line names frame 'f1', "
+                           "which has no pose$"):
+            scene_from_files(poses, io.StringIO(points),
+                             default_intrinsics())
+
     @pytest.mark.parametrize("bad, message", [
         (7, "frame f1: visibility index 7 out of range"),
         (-1, "frame f1: visibility index -1 out of range"),
         (2, "frame f1: visibility index 2 out of range"),
-        (2**63, "visibility index beyond int64"),
+        (2**63, "frame f1: visibility index beyond int64"),
     ], ids=["beyond_n", "negative", "at_n", "beyond_int64"])
     def test_scene_rejects_bad_visibility(self, bad, message):
         # The first bad index of the first bad frame is reported.
@@ -683,6 +693,43 @@ class TestParsing:
                         Frame("f2", identity_pose(), (5,))],
                 intrinsics=default_intrinsics(),
             )
+
+    @pytest.mark.parametrize("big", [2**63, 2**64 - 1])
+    def test_a_uint64_index_beyond_int64_is_not_wrapped(self, big):
+        # np.array(..., np.int64) wraps a uint64 to a negative index; the
+        # scene names the frame and no wrapped value.
+        with pytest.raises(InvalidInputError,
+                           match="^frame f1: visibility index beyond int64$"):
+            Scene(np.zeros((2, 3)),
+                  [Frame("f0", identity_pose(), (0, 1)),
+                   Frame("f1", identity_pose(), np.array([0, big],
+                                                          np.uint64))],
+                  default_intrinsics())
+
+    @pytest.mark.parametrize("t, q", [
+        ((0, 0, 0), (0.0, 0.0, 0.0, 0.0)), ((0, 0, 0), (1e200, 0, 0, 0)),
+        ((0, 0, 0), (1e-200, 0, 0, 0)), ((0, 0, 0), (math.nan, 0, 0, 1)),
+        ((0, 0, 0), (1, math.inf, 0, 0)), ((0, math.nan, 0), (1, 0, 0, 0)),
+        ((-math.inf, 0, 0), (1, 0, 0, 0))],
+        ids=["zero_q", "overflowing_q", "underflowing_q", "nan_q", "inf_q",
+             "nan_t", "inf_t"])
+    @pytest.mark.parametrize("visible", [(0, 1), ()], ids=["seen", "unseen"])
+    def test_scene_rejects_a_bad_gt_row(self, t, q, visible):
+        # quat_normalize's rule, and finite entries, whatever the frame
+        # sees: the first bad frame is named, and numpy warns nothing. A
+        # small q whose |q|^2 stays above 0 is valid.
+        points = [[0.0, 0.0, 5.0], [1.0, 0.0, 6.0]]
+        frames = [Frame("f0", pose((0, 0, 0), (1e-150, 0, 0, 0)), (0, 1)),
+                  Frame("f1", pose(t, q), visible),
+                  Frame("f2", pose(t, q), (0,))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match=(
+                    "^frame f1: gt pose has a non-finite entry or a "
+                    "quaternion whose norm is zero or overflows$")):
+                Scene(points, frames, default_intrinsics())
+            assert Scene(points, frames[:1], default_intrinsics()).ids == \
+                ("f0",)
 
 
     def test_scene_needs_a_frame(self):

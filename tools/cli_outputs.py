@@ -38,7 +38,9 @@ exits 2; and on a file scene where f000 sees a point at its own camera
 centre, so at zero gt depth, an `optimize`, an `eval` with points, a
 geometric and posenet `landscape`, a posenet `gradcheck` and local `slabs`,
 each of which the scene build stops with exit 2, the one message naming
-f000 and no outputs.
+f000 and no outputs; and on the file scene whose V line of f001 names the
+frame f0O1 instead, which has no pose, a posenet `optimize` and an `eval`
+with points, each of which stops with exit 2, naming f0O1, and no outputs.
 """
 
 import contextlib
@@ -60,6 +62,7 @@ NO_V_LINE = ["--poses", "../inputs/poses.txt", "--points",
              "../inputs/points_no_f000.txt"]
 ZERO_DEPTH = ["--poses", "../inputs/poses.txt", "--points",
               "../inputs/points_zero_depth.txt"]
+UNKNOWN_V_LINE = "../inputs/points_unknown_v_line.txt"
 NO_V_LINE_SWEEP = ["--frame", "0", "--axis", "roty", "--range=-10:10",
                    "--steps", "11", "--axis2", "tz", "--range2=-1:1",
                    "--steps2", "11"]
@@ -68,8 +71,8 @@ NO_V_LINE_SWEEP = ["--frame", "0", "--axis", "roty", "--range=-10:10",
 def write_inputs(out):
     """The file scene (synthetic seed 7, 40 points, 10 frames), the same
     points without the first frame's V line, the same points with the first
-    one that f000 sees moved to f000's camera centre, and perturbed
-    estimates."""
+    one that f000 sees moved to f000's camera centre, the same points with
+    f001's V line naming f0O1, and perturbed estimates."""
     scene = synth_scene(7, n_points=40, n_frames=10)
     poses = list(zip(scene.ids, scene.gt))
     visible = dict(zip(scene.ids, scene.visible))
@@ -88,6 +91,8 @@ def write_inputs(out):
     centred = scene.points.copy()
     centred[visible["f000"][0]] = scene.gt[0, :3]
     write("points_zero_depth.txt", write_points, centred, visible)
+    write("points_unknown_v_line.txt", write_points, scene.points,
+          {"f0O1" if k == "f001" else k: v for k, v in visible.items()})
 
 
 def runs():
@@ -157,6 +162,12 @@ def runs():
     yield "gradcheck_files_zero_depth", [
         "gradcheck", *ZERO_DEPTH, "--loss", "posenet", "--samples", "5"]
     yield "slabs_files_zero_depth", ["slabs", *ZERO_DEPTH]
+    yield "optimize_files_unknown_v_line", [
+        "optimize", "--poses", "../inputs/poses.txt", "--points",
+        UNKNOWN_V_LINE, "--loss", "posenet", "--epochs", "2"]
+    yield "eval_points_unknown_v_line", [
+        "eval", "--gt-poses", "../inputs/poses.txt", "--est-poses",
+        "../inputs/est_poses.txt", "--points", UNKNOWN_V_LINE]
 
 
 def run(directory, argv):
