@@ -362,12 +362,12 @@ def scene_from_files(poses, points_stream, intrinsics: Intrinsics,
     whose V lines must name one of those frames; a frame without a V line
     sees no point. Given only, the scene keeps just the frames it names."""
     points, vis = parse_points(points_stream)
-    named = {name for name, _ in poses}
+    frames = [Frame(name, pose, vis.get(name, ())) for name, pose in poses]
+    named = {f.id for f in frames}
     for fid in [fid for fid in vis if fid not in named][:1]:
         raise ParseError(f"a V line names frame {fid!r}, which has no pose")
-    return Scene(points, [Frame(name, pose, vis.get(name, ()))
-                          for name, pose in poses
-                          if only is None or name in only], intrinsics)
+    return Scene(points, [f for f in frames if only is None or f.id in only],
+                 intrinsics)
 
 
 # -- synthetic scenes ------------------------------------------------------
